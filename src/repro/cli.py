@@ -51,37 +51,6 @@ from repro.workloads.suite import SPEC_LABELS, make_workload, suite_names
 EXIT_SWEEP_INTERRUPTED = 4
 
 
-def _backend_from_args(args):
-    """Resolve ``--backend`` / ``--hosts`` into a BackendSpec (or None).
-
-    ``None`` keeps the historical local-pool default without importing
-    the executors module at all; anything else is validated here so a
-    bad hosts file fails with a clean message before any work starts.
-    """
-    backend = getattr(args, "backend", None)
-    hosts = getattr(args, "hosts", None)
-    if backend in (None, "local") and hosts is None:
-        return None
-    from repro.runtime.executors import normalize_backend
-
-    try:
-        return normalize_backend(backend or "local", hosts=hosts)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
-
-
-def _add_backend_args(p) -> None:
-    p.add_argument("--backend", choices=["local", "subprocess", "ssh"],
-                   default=None,
-                   help="executor backend for shard execution: 'local' "
-                   "(in-host process pool, default), 'subprocess' "
-                   "(pipe-protocol workers), 'ssh' (fleet listed in "
-                   "--hosts; see docs/runtime.md)")
-    p.add_argument("--hosts", metavar="FILE", default=None,
-                   help="hosts file for --backend ssh: one 'hostname "
-                   "[slots]' per line, '#' comments allowed")
-
-
 def _parse_overrides(items: Sequence[str]) -> Dict[EventType, int]:
     """Parse ``EVENT=CYCLES`` pairs (e.g. ``L1D=2 Fadd=3``)."""
     overrides: Dict[EventType, int] = {}
@@ -300,7 +269,6 @@ def cmd_dse_sweep(args) -> int:
             checkpoint_interval=args.checkpoint_interval,
             resume=args.resume,
             abort_after_chunks=args.abort_after_chunks,
-            backend=_backend_from_args(args),
         )
     except SweepInterrupted as interrupted:
         _finish_observer(obs)
@@ -417,7 +385,6 @@ def cmd_suite(args) -> int:
             retry=retry,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            backend=_backend_from_args(args),
         )
     except (CheckpointError, ValueError) as error:
         raise SystemExit(str(error))
@@ -770,8 +737,6 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         retries=args.retries,
         drain_grace=args.drain_grace,
-        backend=args.backend or "local",
-        hosts=args.hosts,
     )
     try:
         return run_forever(config, obs=obs)
@@ -895,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abort-after-chunks", type=int, metavar="N",
                    help="crash drill: stop after N chunks with the "
                    f"checkpoint persisted (exit {EXIT_SWEEP_INTERRUPTED})")
-    _add_backend_args(p)
     add_obs_args(p)
     p.set_defaults(func=cmd_dse_sweep)
 
@@ -948,7 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip workloads the --checkpoint journal records "
                    "as completed (requires --cache-dir; stale journals "
                    "are rejected)")
-    _add_backend_args(p)
     add_obs_args(p)
     p.set_defaults(func=cmd_suite)
 
@@ -1083,7 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "failure (sharded jobs only)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds in-flight work gets after SIGTERM")
-    _add_backend_args(p)
     add_obs_args(p)
     p.set_defaults(func=cmd_serve)
 

@@ -19,10 +19,9 @@ each segment's nodes and intra-segment edges are sliced out as a
 :class:`~repro.graphmodel.graph.SegmentView` and walked on their own,
 either in-process or fanned out across worker processes through
 :func:`repro.runtime.runner.parallel_map` (``jobs > 1``), inheriting its
-retry/deadline semantics and worker span capture.  Per-segment results
-are merged back in segment order, so serial and parallel generation
-produce bit-identical models (pinned by a differential test over the
-full workload suite).
+worker span capture.  Per-segment results are merged back in segment
+order, so serial and parallel generation produce bit-identical models
+(pinned by a differential test over the full workload suite).
 
 ``RpStacksGenerator._generate_reference`` preserves the original
 whole-graph dict-of-lists walk as the oracle for that differential test
@@ -213,10 +212,6 @@ class RpStacksGenerator:
             walks every segment in-process.  Results are bit-identical
             either way — parallelism only reorders which segment is
             walked when, never what any segment computes.
-        timeout: optional per-batch deadline in seconds (forwarded to
-            :func:`~repro.runtime.runner.parallel_map`).
-        retry: optional :class:`~repro.runtime.runner.RetryPolicy` for
-            worker failures (forwarded likewise).
     """
 
     def __init__(
@@ -226,8 +221,6 @@ class RpStacksGenerator:
         policy: Optional[ReductionPolicy] = None,
         segment_length: int = 256,
         jobs: int = 1,
-        timeout: Optional[float] = None,
-        retry=None,
     ) -> None:
         if segment_length < 1:
             raise ValueError("segment_length must be positive")
@@ -238,8 +231,6 @@ class RpStacksGenerator:
         self.policy = policy or ReductionPolicy()
         self.segment_length = segment_length
         self.jobs = jobs
-        self.timeout = timeout
-        self.retry = retry
 
     def generate(self) -> RpStacksModel:
         """Run the traversal and return the model."""
@@ -302,9 +293,7 @@ class RpStacksGenerator:
                 _segment_batch_task,
                 tasks,
                 jobs=self.jobs,
-                timeout=self.timeout,
                 obs=get_observer(),
-                retry=self.retry,
             )
             for outcome in outcomes:
                 if not outcome.ok:

@@ -483,8 +483,3 @@ def _reduce_pair(
     if modified_cosine(a, b) > policy.similarity_threshold:
         return first[None, :]  # merged, keeping the larger
     return keep_both
-
-
-def merge_counts(before: int, after: int) -> Tuple[int, int]:
-    """Bookkeeping helper for reduction statistics."""
-    return before, before - after

@@ -299,7 +299,6 @@ class Explorer:
         checkpoint_interval: int = 16,
         resume: bool = False,
         abort_after_chunks: Optional[int] = None,
-        backend=None,
     ) -> ExplorationResult:
         """Stream *space* through the bounded-memory sweep engine.
 
@@ -331,7 +330,6 @@ class Explorer:
             checkpoint_interval=checkpoint_interval,
             resume=resume,
             abort_after_chunks=abort_after_chunks,
-            backend=backend,
         )
 
     def _predict_all(self, points: Sequence[LatencyConfig]) -> np.ndarray:

@@ -83,7 +83,6 @@ class AnalysisSession:
         checkpoint_interval: int = 16,
         resume: bool = False,
         abort_after_chunks: Optional[int] = None,
-        backend=None,
     ) -> ExplorationResult:
         """Stream *space* through the bounded-memory sweep engine.
 
@@ -110,7 +109,6 @@ class AnalysisSession:
             checkpoint_interval=checkpoint_interval,
             resume=resume,
             abort_after_chunks=abort_after_chunks,
-            backend=backend,
         )
 
     def simulate(self, latency: LatencyConfig) -> SimResult:

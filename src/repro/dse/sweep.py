@@ -293,7 +293,6 @@ def sweep_space(
     checkpoint_interval: int = 16,
     resume: bool = False,
     abort_after_chunks: Optional[int] = None,
-    backend=None,
 ) -> ExplorationResult:
     """Sweep *space* in bounded memory, streaming chunks of pricing
     vectors through the predictor and a Pareto reduction.
@@ -347,13 +346,6 @@ def sweep_space(
             :class:`~repro.runtime.resilience.SweepInterrupted` after
             pricing this many chunks (checkpoint already persisted).
             Requires *checkpoint*.
-        backend: executor backend for the sharded path —
-            ``None``/``"local"``, ``"subprocess"``, ``"ssh"``, a
-            :class:`~repro.runtime.executors.BackendSpec` or a ready
-            backend instance.  A non-local backend shards the sweep
-            even at ``jobs == 1`` (the ``ssh`` fleet sizes itself from
-            its host list); the merged front is bit-identical across
-            backends because the prune is confluent under any sharding.
 
     Returns:
         An :class:`ExplorationResult` whose candidates are the pruned
@@ -368,18 +360,10 @@ def sweep_space(
         raise ValueError("jobs must be at least 1")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1 (or None)")
-    from repro.runtime.executors import BackendSpec, normalize_backend
-
-    resolved_backend = normalize_backend(backend)
-    distributed = (
-        not isinstance(resolved_backend, BackendSpec)
-        or resolved_backend.kind != "local"
-    )
-    if checkpoint is not None and (jobs > 1 or distributed):
+    if checkpoint is not None and jobs > 1:
         raise ValueError(
             "checkpointing tracks a single linear chunk cursor; "
-            "use jobs=1 on the local backend (sharded sweeps recover "
-            "via the retry policy)"
+            "use jobs=1 (sharded sweeps recover via the retry policy)"
         )
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be at least 1")
@@ -505,7 +489,7 @@ def sweep_space(
                     str(ckpt_path), chunks_this_run
                 ) from None
             shards = [state if state is not None else _empty_state()]
-        elif jobs == 1 and not distributed:
+        elif jobs == 1:
             shards = [
                 _sweep_shard(
                     predictor, space, 0, total, chunk_size, target_cpi,
@@ -515,18 +499,13 @@ def sweep_space(
         else:
             from repro.runtime.runner import parallel_map
 
-            if isinstance(resolved_backend, BackendSpec):
-                fanout = resolved_backend.fanout(jobs)
-            else:
-                fanout = max(jobs, getattr(resolved_backend, "slots", 1))
             tasks = [
                 (predictor, space, lo, hi, chunk_size, target_cpi,
                  cost_model, top_k, progress_interval)
-                for lo, hi in _shard_ranges(total, chunk_size, fanout)
+                for lo, hi in _shard_ranges(total, chunk_size, jobs)
             ]
             outcomes = parallel_map(
-                _sweep_shard, tasks, jobs=fanout, obs=obs, retry=retry,
-                backend=resolved_backend,
+                _sweep_shard, tasks, jobs=jobs, obs=obs, retry=retry
             )
             failed = [o for o in outcomes if not o.ok]
             if failed:

@@ -12,23 +12,11 @@ hardware allows"):
 * :mod:`repro.runtime.runner` — process-pool fan-out of ``analyze()``
   over the workload suite with error isolation, retries and per-task
   deadlines;
-* :mod:`repro.runtime.executors` — pluggable executor backends behind
-  that fan-out: the local process pool, pipe-protocol subprocess
-  workers, and an ssh fleet with per-host slots and dead-host
-  requeueing;
 * :mod:`repro.runtime.resilience` — retry policies with deterministic
   backoff, crash-safe sweep/suite checkpoints, stale-resume rejection.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
-from repro.runtime.executors import (
-    BackendSpec,
-    ExecutorBackend,
-    HostSpec,
-    WorkerDied,
-    normalize_backend,
-    parse_hosts_file,
-)
 from repro.runtime.fingerprint import (
     analysis_fingerprint,
     code_version,
@@ -56,31 +44,25 @@ from repro.runtime.runner import (
 
 __all__ = [
     "ArtifactCache",
-    "BackendSpec",
     "CacheStats",
     "CheckpointError",
     "CheckpointMismatchError",
     "EXIT_ALL_FAILED",
     "EXIT_OK",
     "EXIT_PARTIAL_FAILURE",
-    "ExecutorBackend",
     "GraphFormatError",
-    "HostSpec",
     "RetryPolicy",
     "SuiteCheckpoint",
     "SuiteReport",
     "SweepCheckpoint",
     "SweepInterrupted",
     "TaskOutcome",
-    "WorkerDied",
     "WorkloadOutcome",
     "parallel_map",
     "analysis_fingerprint",
     "code_version",
     "load_graph",
-    "normalize_backend",
     "open_cache",
-    "parse_hosts_file",
     "run_suite",
     "save_graph",
     "workload_fingerprint",

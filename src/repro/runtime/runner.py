@@ -40,6 +40,7 @@ import concurrent.futures
 import pathlib
 import time
 import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -57,12 +58,6 @@ from repro.dse.pipeline import AnalysisSession, analyze
 from repro.obs import clock
 from repro.obs.observer import Observer, get_observer, use_observer
 from repro.runtime.cache import ArtifactCache, open_cache
-from repro.runtime.executors import (  # noqa: F401  (_terminate_pool re-exported)
-    BackendSpec,
-    ExecutorBackend,
-    _terminate_pool,
-    normalize_backend,
-)
 from repro.runtime.resilience import (
     RetryPolicy,
     SuiteCheckpoint,
@@ -194,6 +189,32 @@ def _serial_map(
     return outcomes
 
 
+def _terminate_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Tear a process pool down *now*, reaping every worker process.
+
+    Used when a straggler holds a worker hostage (deadline overrun) or
+    the pool is already broken: terminate, join, escalate to SIGKILL if
+    termination is ignored.  Guarantees no orphaned worker outlives the
+    :func:`parallel_map` call that spawned it (asserted by
+    ``tests/runtime/test_parallel_map.py``).
+    """
+    # Snapshot before shutdown(): the executor drops its _processes
+    # reference during shutdown, and the manager thread would otherwise
+    # wait politely for the straggler to finish its 30-minute nap.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.terminate()
+        except (OSError, ValueError):
+            pass
+    for process in processes:
+        process.join(timeout=_REAP_GRACE_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=_REAP_GRACE_SECONDS)
+
+
 def parallel_map(
     fn: Callable,
     tasks: Sequence[Tuple],
@@ -202,10 +223,9 @@ def parallel_map(
     obs=None,
     retry: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, TaskOutcome], None]] = None,
-    backend: Union[None, str, BackendSpec, ExecutorBackend] = None,
 ) -> List["TaskOutcome"]:
     """Apply ``fn(*args)`` to every argument tuple, optionally across
-    worker processes — local or remote, depending on *backend*.
+    worker processes.
 
     This is the pool machinery shared by the suite runner and the
     design-space sweep engine, with the conventions both rely on:
@@ -217,12 +237,10 @@ def parallel_map(
       traceback instead of sinking the whole batch;
     * **retries** — with a *retry* policy, a task failing with a
       retryable exception is requeued after its deterministic backoff
-      (slept worker-side), up to ``max_attempts`` tries; a worker death
-      (SIGKILLed, segfaulted, OOM-killed, connection lost) charges an
-      attempt to the tasks that were running and requeues queued tasks
-      for free — on the ``local`` backend a death breaks the whole
-      pool (``BrokenProcessPool``) and every in-flight task is a
-      victim, on the pipe backends exactly the dead worker's task is;
+      (slept worker-side), up to ``max_attempts`` tries; a
+      ``BrokenProcessPool`` (worker SIGKILLed, segfaulted, OOM-killed)
+      respawns the pool, charges an attempt to the tasks that were
+      running, and requeues queued tasks for free;
     * **per-task deadlines** — *timeout* bounds each task's wall clock
       measured from when it is first observed running (queue time is
       free); an overrun records a failed outcome with the real elapsed
@@ -236,10 +254,10 @@ def parallel_map(
     Args:
         fn: a picklable module-level callable.
         tasks: one positional-argument tuple per task.
-        jobs: worker processes; ``1`` on the ``local`` backend runs
-            serially in-process (retries apply, deadlines do not —
-            there is no second process to reap).  The ``ssh`` backend
-            sizes itself from its host list instead.
+        jobs: worker processes; ``1`` without a *timeout* runs serially
+            in-process (retries apply).  A deadline needs a worker to
+            reap, so ``jobs=1`` with a *timeout* runs on a one-worker
+            pool.
         timeout: per-task wall-clock budget in seconds.
         obs: observer to record into; defaults to the ambient one.
         retry: a :class:`~repro.runtime.resilience.RetryPolicy`;
@@ -248,11 +266,6 @@ def parallel_map(
             parent the moment each task reaches a final outcome (in
             completion order) — the hook incremental checkpointing
             hangs off.
-        backend: where workers run — ``None``/``"local"`` (process
-            pool), ``"subprocess"`` (pipe-protocol children), ``"ssh"``
-            (fleet), a :class:`~repro.runtime.executors.BackendSpec`,
-            or a ready :class:`~repro.runtime.executors.ExecutorBackend`
-            instance (started and shut down by this call either way).
 
     Returns:
         One :class:`TaskOutcome` per task, in *tasks* order.
@@ -261,23 +274,19 @@ def parallel_map(
         raise ValueError("jobs must be at least 1")
     obs = obs if obs is not None else get_observer()
     tasks = list(tasks)
-    resolved = normalize_backend(backend)
-    if isinstance(resolved, ExecutorBackend):
-        executor = resolved
-    else:
-        if resolved.kind == "local" and jobs == 1:
-            return _serial_map(fn, tasks, obs, retry, on_result)
-        executor = resolved.create(jobs)
+    if jobs == 1 and timeout is None:
+        return _serial_map(fn, tasks, obs, retry, on_result)
 
     capture = obs.enabled
     outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
     attempts: List[int] = [1] * len(tasks)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
     pending: Dict[concurrent.futures.Future, int] = {}
     started_at: Dict[concurrent.futures.Future, float] = {}
 
     def submit(index: int, delay: float = 0.0) -> None:
-        future = executor.submit(
-            fn, tasks[index], capture, str(index), delay
+        future = pool.submit(
+            _timed_call, fn, tasks[index], capture, str(index), delay
         )
         pending[future] = index
 
@@ -286,7 +295,12 @@ def parallel_map(
         if on_result is not None:
             on_result(index, outcome)
 
-    executor.start()
+    def respawn() -> None:
+        nonlocal pool
+        _terminate_pool(pool)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+        obs.counter("runner.pool_respawns").inc()
+
     try:
         for index in range(len(tasks)):
             submit(index)
@@ -294,7 +308,7 @@ def parallel_map(
         while pending:
             now = clock.perf_seconds()
             for future, index in pending.items():
-                if future not in started_at and executor.running(future):
+                if future not in started_at and future.running():
                     started_at[future] = now
             wait_timeout = None
             if timeout is not None:
@@ -313,18 +327,22 @@ def parallel_map(
                     if wait_timeout is None
                     else min(wait_timeout, _START_POLL_SECONDS)
                 )
-            done, _not_done = executor.wait(pending, wait_timeout)
+            done, _not_done = concurrent.futures.wait(
+                set(pending),
+                timeout=wait_timeout,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
 
             requeue: List[Tuple[int, float]] = []
             broken: List[Tuple[int, bool]] = []
-            worker_died = False
+            pool_broken = False
             for future in done:
                 index = pending.pop(future)
                 was_running = started_at.pop(future, None) is not None
                 try:
                     value, elapsed, events, metrics = future.result()
-                except executor.death_exceptions:
-                    worker_died = True
+                except BrokenProcessPool:
+                    pool_broken = True
                     broken.append((index, was_running))
                     continue
                 except Exception as error:
@@ -357,32 +375,23 @@ def parallel_map(
                     attempts=attempts[index],
                 ))
 
-            if worker_died:
-                if executor.death_dooms_all:
-                    # Process pool: the whole pool is dead and every
-                    # still-pending future is doomed too.  Tasks that
-                    # were actually running when it broke are charged
-                    # an attempt (one of them is the killer, and
-                    # attribution is impossible); queued tasks requeue
-                    # free.
-                    for future in list(pending):
-                        index = pending.pop(future)
-                        broken.append(
-                            (index,
-                             started_at.pop(future, None) is not None)
-                        )
-                    if not any(w for _idx, w in broken):
-                        # The killer died faster than the run-start
-                        # poll could observe it.  Attribution is
-                        # impossible, so charge an attempt to every
-                        # victim — this keeps a deterministically-
-                        # crashing task from being requeued for free
-                        # forever.
-                        broken = [(index, True) for index, _w in broken]
-                else:
-                    # Pipe fleet: a death names its victim exactly —
-                    # being dispatched to the dead worker means it was
-                    # running, whether or not the run-start poll saw it.
+            if pool_broken:
+                # The whole pool is dead: every still-pending future is
+                # doomed too.  Tasks that were actually running when it
+                # broke are charged an attempt (one of them is the
+                # killer, and attribution is impossible); queued tasks
+                # requeue free.
+                for future in list(pending):
+                    index = pending.pop(future)
+                    broken.append(
+                        (index, started_at.pop(future, None) is not None)
+                    )
+                if not any(w for _idx, w in broken):
+                    # The killer died faster than the run-start poll
+                    # could observe it.  Attribution is impossible, so
+                    # charge an attempt to every victim — this keeps a
+                    # deterministically-crashing task from being
+                    # requeued for free forever.
                     broken = [(index, True) for index, _w in broken]
                 for index, was_running in sorted(broken):
                     obs.counter("runner.worker_task_losses").inc()
@@ -402,11 +411,16 @@ def parallel_map(
                     else:
                         finalise(index, TaskOutcome(
                             ok=False,
-                            error=executor.death_error,
+                            error=(
+                                "worker process died abruptly "
+                                "(BrokenProcessPool — killed, segfaulted "
+                                "or OOM-reaped) and the task was out of "
+                                "retries"
+                            ),
                             attempts=attempts[index],
                         ))
-                if executor.recover():
-                    obs.counter("runner.pool_respawns").inc()
+                obs.counter("runner.worker_deaths").inc()
+                respawn()
                 for index, delay in requeue:
                     submit(index, delay)
                 continue
@@ -427,26 +441,23 @@ def parallel_map(
                         finalise(index, TaskOutcome(
                             ok=False,
                             error=(
-                                f"timed out after {elapsed:.1f}s "
-                                f"({timeout:.1f}s per-task budget); "
+                                f"timed out after {elapsed:.3f}s "
+                                f"({timeout}s per-task budget); "
                                 "straggler worker reaped"
                             ),
                             elapsed_seconds=elapsed,
                             attempts=attempts[index],
                             timed_out=True,
                         ))
-                    # The stragglers hold workers hostage; reclaim
-                    # them.  A process pool can only respawn wholesale,
-                    # disturbing the innocents (requeued with no
-                    # attempt charged — they never misbehaved); a pipe
-                    # fleet kills exactly the straggler's worker.
-                    if executor.reap([f for f, _i in expired]):
-                        survivors = sorted(pending.values())
-                        pending.clear()
-                        started_at.clear()
-                        obs.counter("runner.pool_respawns").inc()
-                        for index in survivors:
-                            submit(index)
+                    # The stragglers hold workers hostage; reclaim them
+                    # by respawning the pool and requeuing the innocents
+                    # (no attempt charged — they never misbehaved).
+                    survivors = sorted(pending.values())
+                    pending.clear()
+                    started_at.clear()
+                    respawn()
+                    for index in survivors:
+                        submit(index)
                     for index, delay in requeue:
                         submit(index, delay)
                     continue
@@ -457,13 +468,9 @@ def parallel_map(
         # Interrupt / internal error: reap every worker before
         # propagating so no orphan outlives the call (the Ctrl-C path
         # of `repro dse sweep` and `repro suite` rides on this).
-        executor.terminate()
+        _terminate_pool(pool)
         raise
-    executor.shutdown()
-    if executor.worker_deaths and obs.enabled:
-        obs.counter("runner.worker_deaths").inc(executor.worker_deaths)
-    for _host in executor.dead_hosts:
-        obs.counter("runner.dead_hosts").inc()
+    pool.shutdown(wait=True, cancel_futures=True)
     return outcomes
 
 
@@ -632,7 +639,6 @@ def run_suite(
     retry: Optional[RetryPolicy] = None,
     checkpoint: Union[None, str, pathlib.Path] = None,
     resume: bool = False,
-    backend: Union[None, str, BackendSpec, ExecutorBackend] = None,
     **analyze_kwargs,
 ) -> SuiteReport:
     """Analyse a set of suite workloads, optionally in parallel.
@@ -641,13 +647,14 @@ def run_suite(
         names: workload names (the full canonical suite if empty).
         macros / seed: workload generation coordinates.
         config: structure + latency design point (Table II default).
-        jobs: worker processes; ``1`` runs serially in-process.
+        jobs: worker processes; ``1`` runs serially in-process (on a
+            one-worker pool when *timeout* is set).
         cache: an :class:`ArtifactCache`, a cache directory path, or
             ``None`` to disable artifact reuse.
-        timeout: per-workload wall-clock budget in seconds (parallel
-            mode only), measured from when the task starts running; an
-            overrunning task is reported failed with its real elapsed
-            time and its worker is reaped.
+        timeout: per-workload wall-clock budget in seconds, measured
+            from when the task starts running; an overrunning task is
+            reported failed with its real elapsed time and its worker
+            is reaped.
         workload_factory: replaces :func:`make_workload` — must be a
             picklable callable ``(name, macros, seed=...) -> Workload``
             (used by robustness tests and custom suites).
@@ -662,11 +669,6 @@ def run_suite(
         checkpoint: path to a
             :class:`~repro.runtime.resilience.SuiteCheckpoint` journal,
             atomically rewritten as each workload completes.
-        backend: executor backend selection, forwarded to
-            :func:`parallel_map` — ``None``/``"local"``,
-            ``"subprocess"``, ``"ssh"``, a
-            :class:`~repro.runtime.executors.BackendSpec` or a ready
-            backend instance.
         resume: skip workloads the checkpoint records as completed,
             reloading their sessions through the (required) artifact
             cache; the journal's fingerprint must match this run's
@@ -748,7 +750,6 @@ def run_suite(
             _analyze_one, tasks, jobs=jobs, timeout=timeout, obs=obs,
             retry=retry,
             on_result=journal_result if journal is not None else None,
-            backend=backend,
         )
     by_name: Dict[str, WorkloadOutcome] = dict(resumed)
     for name, result in zip(remaining, results):

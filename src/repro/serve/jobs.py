@@ -32,7 +32,6 @@ from repro.dse.designspace import DesignSpace
 from repro.dse.sweep import sweep_space
 from repro.obs import clock
 from repro.obs.observer import Observer
-from repro.runtime.executors import BackendSpec, normalize_backend
 from repro.runtime.resilience import RetryPolicy
 from repro.serve.protocol import JobRequest
 
@@ -168,7 +167,6 @@ def execute_sweep(
     checkpoint: Optional[str],
     obs: Observer,
     model_transform: Optional[Callable] = None,
-    backend=None,
 ):
     """Run one job's sweep synchronously (called from an executor thread).
 
@@ -177,7 +175,7 @@ def execute_sweep(
         request: the validated job request.
         jobs: worker processes for shard execution (1 = in-process).
         retries: extra attempts per shard on worker failure; only
-            meaningful on the sharded path (the serial path checkpoints
+            meaningful when ``jobs > 1`` (the serial path checkpoints
             instead, mirroring ``sweep_space``'s own constraint).
         checkpoint: snapshot path for the serial path.
         obs: the job's private observer (spans/metrics land here,
@@ -186,11 +184,6 @@ def execute_sweep(
             ``workload_factory``: wraps the predictor before the sweep,
             letting the chaos suite substitute a fault-injecting model
             without patching server internals.
-        backend: executor backend selection forwarded to
-            :func:`~repro.dse.sweep.sweep_space` — ``None``/"local",
-            a :class:`~repro.runtime.executors.BackendSpec`, or a
-            backend-kind string.  Any non-local backend forces the
-            sharded path even when ``jobs == 1``.
 
     Returns:
         ``(result, attempts)`` where ``attempts`` is 1 plus the shard
@@ -202,13 +195,8 @@ def execute_sweep(
     predictor = session.rpstacks
     if model_transform is not None:
         predictor = model_transform(predictor)
-    resolved_backend = normalize_backend(backend)
-    sharded = jobs > 1 or not (
-        isinstance(resolved_backend, BackendSpec)
-        and resolved_backend.kind == "local"
-    )
     retry = None
-    if sharded and retries > 0:
+    if jobs > 1 and retries > 0:
         retry = RetryPolicy(max_attempts=retries + 1, base_delay=0.05)
     result = sweep_space(
         predictor,
@@ -219,8 +207,7 @@ def execute_sweep(
         top_k=request.top_k,
         obs=obs,
         retry=retry,
-        checkpoint=None if sharded else checkpoint,
-        backend=resolved_backend,
+        checkpoint=checkpoint if jobs == 1 else None,
     )
     retries_seen = obs.counter("runner.retries").value if obs.enabled else 0
     return result, 1 + int(retries_seen)

@@ -41,7 +41,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs import clock
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.runtime.executors import normalize_backend
 from repro.serve import protocol
 from repro.serve.jobs import JobRecord, JobRegistry, execute_sweep
 from repro.serve.protocol import (
@@ -109,10 +108,6 @@ class ServeConfig:
     read_timeout: float = 10.0
     #: ``Retry-After`` seconds suggested on 429 responses.
     retry_after: int = 1
-    #: executor backend for sweep shards: "local", "subprocess", "ssh".
-    backend: str = "local"
-    #: hosts file path for the ssh backend ("hostname [slots]" lines).
-    hosts: Optional[str] = None
 
 
 class ReproServer:
@@ -130,9 +125,6 @@ class ReproServer:
         self._sessions: Dict[str, object] = {}
         self._flight = SingleFlight()
         self._registry = JobRegistry()
-        # Resolve once at startup so a bad --hosts file fails loudly
-        # here instead of inside the first job's executor thread.
-        self._backend = normalize_backend(config.backend, hosts=config.hosts)
         self._cache = None
         if config.cache_dir is not None:
             from repro.runtime.cache import open_cache
@@ -318,12 +310,7 @@ class ReproServer:
             record.started = clock.wall_iso()
             job_obs = Observer(enabled=True, progress_stream=None)
             checkpoint = None
-            local_backend = self._backend.kind == "local"
-            if (
-                self._cache is not None
-                and self.config.jobs == 1
-                and local_backend
-            ):
+            if self._cache is not None and self.config.jobs == 1:
                 jobs_dir = pathlib.Path(self._cache.root) / "jobs"
                 jobs_dir.mkdir(parents=True, exist_ok=True)
                 checkpoint = str(jobs_dir / f"{record.job_id}.npz")
@@ -341,7 +328,6 @@ class ReproServer:
                         checkpoint=checkpoint,
                         obs=job_obs,
                         model_transform=self._model_transform,
-                        backend=self._backend,
                     )
                 )
             record.elapsed_seconds = clock.perf_seconds() - started

@@ -15,6 +15,7 @@ means the real figure is far below the bar.
 import timeit
 
 import numpy as np
+import pytest
 
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
@@ -104,12 +105,19 @@ def test_disabled_sweep_records_nothing():
     assert result.metrics.num_chunks > 0  # run record still populated
 
 
-def test_enabled_sweep_collects_chunk_histogram():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_enabled_sweep_collects_chunk_histogram(jobs):
     model, space = _small_setup()
     obs = Observer(enabled=True, progress_stream=None)
-    sweep_space(model, space, chunk_size=CHUNK_SIZE, obs=obs)
+    sweep_space(model, space, chunk_size=CHUNK_SIZE, obs=obs, jobs=jobs)
     histogram = obs.metrics.histogram("sweep.chunk_seconds")
+    # At jobs=2 these are merged back from the pool workers and must
+    # equal the serial run's (144 points, all meeting the absent target,
+    # in 18 chunks).
     assert histogram.count == -(-space.num_points // CHUNK_SIZE)
     assert obs.metrics.counter_value("sweep.points") == space.num_points
+    assert (
+        obs.metrics.counter_value("sweep.meeting_target") == space.num_points
+    )
     assert "sweep.run" in obs.tracer.totals_by_name()
     assert "sweep.chunk" in obs.tracer.totals_by_name()

@@ -124,8 +124,9 @@ def test_serial_enabled_observer_records_task_spans():
     assert [s.attrs["index"] for s in spans] == [0, 1]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestDeadlines:
-    def test_timeout_records_real_elapsed_and_reaps_straggler(self):
+    def test_timeout_records_real_elapsed_and_reaps_straggler(self, jobs):
         """A straggler is reported with its *actual* run time (not 0.0),
         flagged timed_out, and its worker is reaped — while innocent
         tasks in the same batch still complete."""
@@ -133,7 +134,7 @@ class TestDeadlines:
         outcomes = parallel_map(
             hang_then_square,
             [(7,)],
-            jobs=2,
+            jobs=jobs,
             timeout=1.0,
         )
         wall = clock.perf_seconds() - tick
@@ -143,14 +144,15 @@ class TestDeadlines:
         assert straggler.elapsed_seconds >= 0.9
         assert straggler.elapsed_seconds < wall + 0.1
         assert "timed out after" in straggler.error
+        assert "(1.0s per-task budget)" in straggler.error
         assert wall < 15  # reaped, not waited out
         assert_no_orphans()
 
-    def test_innocent_tasks_survive_a_straggler(self):
+    def test_innocent_tasks_survive_a_straggler(self, jobs):
         outcomes = parallel_map(
             nap_and_square,
             [(2,), (3,), (4,), (5,)],
-            jobs=2,
+            jobs=jobs,
             timeout=5.0,
         )
         assert [o.value for o in outcomes] == [4, 9, 16, 25]

@@ -233,6 +233,15 @@ class TestSuiteCommand:
         with pytest.raises(SystemExit, match="doom"):
             main(["suite", "--only", "doom"])
 
+    def test_timeout_applies_at_one_job(self, capsys):
+        code, out = run(
+            capsys, "suite", "--only", "gamess", "--jobs", "1",
+            "--timeout", "0.01",
+        )
+        assert code == 1
+        assert "FAILED" in out
+        assert "(0.01s per-task budget)" in out
+
 
 class TestCacheCommand:
     def test_stats_and_clear(self, capsys, tmp_path):
