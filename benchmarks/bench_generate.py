@@ -6,9 +6,8 @@ simulation + graph build + stack generation) on a long trace — a
 ``repro.workloads.make_long_trace`` stream of at least 200k µops — and
 compares the segment-parallel array walk with its compiled per-node
 reducer against the reference whole-graph dictionary walk it replaced
-(``RpStacksGenerator._generate_reference``, which also pins the
-seed-era similarity kernel's allocation behaviour for an honest
-baseline cost).
+(``RpStacksGenerator._generate_reference``, which reduces every
+converging node with the spec reducer ``reduce_stacks``).
 
 ``test_generate_smoke`` is the CI guard: reduced scale, asserts the
 models are byte-identical across the reference walk, ``jobs=1`` and

@@ -23,9 +23,13 @@ worker span capture.  Per-segment results are merged back in segment
 order, so serial and parallel generation produce bit-identical models
 (pinned by a differential test over the full workload suite).
 
-``RpStacksGenerator._generate_reference`` preserves the original
-whole-graph dict-of-lists walk as the oracle for that differential test
-and the baseline for ``benchmarks/bench_generate.py``.
+Each converging node is reduced by the compiled kernel
+(:mod:`repro.core.native`) when it loads, and by the spec reducer
+:func:`~repro.core.reduction.reduce_stacks` otherwise.
+``RpStacksGenerator._generate_reference`` is the whole-graph walk spec:
+a dict-of-lists walk over the unsliced graph that checks
+``segment_view`` slicing independently, and the baseline for
+``benchmarks/bench_generate.py``.
 """
 
 from __future__ import annotations
@@ -38,11 +42,7 @@ from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import GenerationStats, RpStacksModel
 from repro.core.native import load_native
-from repro.core.reduction import (
-    ReductionPolicy,
-    reduce_blocks,
-    reduce_stacks_reference,
-)
+from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.obs import clock
 from repro.obs.observer import get_observer
 from repro.graphmodel.graph import DependenceGraph, SegmentView
@@ -57,11 +57,10 @@ def _walk_segment(
     """Propagate stacks through one segment; return its sink population.
 
     Array-native inner loop: per-node state lives in a preallocated
-    slot table indexed by local node id, candidate populations are
-    assembled with batched adds into one preallocated buffer, and the
-    whole population is reduced block-wise
-    (:func:`~repro.core.reduction.reduce_blocks`) without re-hashing or
-    re-sorting rows the blocks already keep ordered.
+    slot table indexed by local node id, and candidate populations are
+    assembled with batched adds into one preallocated buffer.  The
+    compiled kernel reduces each converging node in one call; without
+    it, :func:`~repro.core.reduction.reduce_stacks` does.
 
     Returns:
         ``(sink_stacks, candidate_stacks, reductions)`` — the reduced
@@ -87,7 +86,7 @@ def _walk_segment(
     zero_set = np.zeros((1, NUM_EVENTS))
     sets: List[Optional[np.ndarray]] = [None] * view.num_nodes
     # One growing buffer assembles every node's candidate population;
-    # the reduction copies survivors out, so the buffer is free to reuse.
+    # both reducers copy survivors out, so the buffer is free to reuse.
     buffer = np.empty((64, NUM_EVENTS))
     out_indices = np.empty(64, dtype=np.int32)
     candidate_stacks = 0
@@ -131,27 +130,22 @@ def _walk_segment(
             index += 1
         candidate_stacks += total
         reductions += 1
-        if native is not None:
-            # Whole-node reduction in one C call (bit-identical to
-            # reduce_blocks; pinned by differential tests).
-            kept = native.reduce_node_indices(
-                candidates,
-                sizes_buffer[:index],
-                theta,
-                sim_lo,
-                threshold,
-                max_paths,
-                preserve_unique,
-                out_indices,
-            )
-            sets[v] = candidates[out_indices[:kept]]
+        if native is None:
+            sets[v] = reduce_stacks(candidates, base_theta, policy)
             continue
-        result = reduce_blocks(candidates, sizes, base_theta, policy)
-        if result.base is not None:
-            # The two-candidate fast path can return a row view into the
-            # buffer; detach it before the buffer is reused.
-            result = result.copy()
-        sets[v] = result
+        # Whole-node reduction in one C call (bit-identical to
+        # reduce_stacks; pinned by differential tests).
+        kept = native.reduce_node_indices(
+            candidates,
+            sizes_buffer[:index],
+            theta,
+            sim_lo,
+            threshold,
+            max_paths,
+            preserve_unique,
+            out_indices,
+        )
+        sets[v] = candidates[out_indices[:kept]]
 
     return sets[view.sink_local].copy(), candidate_stacks, reductions
 
@@ -240,6 +234,7 @@ class RpStacksGenerator:
             uops=self.graph.num_uops,
             segment_length=self.segment_length,
             jobs=self.jobs,
+            native=load_native() is not None,
         ) as span:
             model = self._generate()
         if obs.enabled:
@@ -316,12 +311,13 @@ class RpStacksGenerator:
         )
 
     def _generate_reference(self) -> RpStacksModel:
-        """Original whole-graph serial walk (differential-test oracle).
+        """Whole-graph serial walk: the spec of the segment walk.
 
-        Kept verbatim — dict-of-lists node state, per-edge Python inner
-        loop, single-shot :func:`reduce_stacks_reference` — so the
-        segment-parallel path and the benchmarks always have the exact
-        pre-optimisation behaviour to compare against.
+        Dict-of-lists node state and a per-edge Python inner loop over
+        the unsliced graph, dropping cross-segment edges as it meets
+        them, with :func:`reduce_stacks` at every converging node.  It
+        never calls ``segment_view``, so differential tests against it
+        check the slicing as well as the walk.
         """
         start_time = clock.perf_seconds()
         graph = self.graph
@@ -400,9 +396,7 @@ class RpStacksGenerator:
             else:
                 candidates = np.vstack(gathered)
                 stats.candidate_stacks += candidates.shape[0]
-                result = reduce_stacks_reference(
-                    candidates, base_theta, policy
-                )
+                result = reduce_stacks(candidates, base_theta, policy)
                 stats.reductions += 1
             node_sets[v] = result
             stats.nodes_visited += 1

@@ -17,67 +17,24 @@ implementations can no longer drift apart (they used to disagree in the
 last ulp because ``np.linalg.norm`` (BLAS) and ``(x * x).sum()``
 (pairwise summation) round differently; a threshold comparison sitting
 exactly on the boundary would then depend on which caller asked).
-
-The kernel is the generation hot path — it runs at every converging
-graph node — so it computes into a per-process scratch arena: repeated
-calls reuse the same buffers instead of allocating ~15 temporaries per
-call, which is worth ~3x on real reduce populations.  Inputs must be
-non-negative (stacks are unit counts by construction).
+Inputs must be non-negative (stacks are unit counts by construction).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 
+def rect_modified_cosine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Modified-cosine similarities of every *left* row vs every *right*
+    row, as a ``(p, q)`` matrix in [0, 1].
 
-class _ScratchArena:
-    """Reusable per-process buffers, keyed by tag, grown geometrically.
-
-    Returned views alias the arena: they are valid until the next kernel
-    call.  Public similarity functions copy results out before
-    returning; the reduction hot loop consumes views immediately.
-    Buffers are keyed by tag alone — every tag must always be requested
-    with the same dtype (the hot path cannot afford a dtype check).
+    Entry ``[i, j]`` equals ``modified_cosine(left[i], right[j])``
+    exactly — same floats, not just approximately.  The kernel is
+    symmetric: swapping operands transposes the result bit-for-bit,
+    because every elementwise step commutes and the contractions run
+    over the same values in the same order either way.
     """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, tag: str, shape: Tuple[int, ...], dtype=np.float64):
-        size = 1
-        for dim in shape:
-            size *= dim
-        buffer = self._buffers.get(tag)
-        if buffer is None or buffer.size < size:
-            buffer = np.empty(max(size, 8192), dtype=dtype)
-            self._buffers[tag] = buffer
-        return buffer[:size].reshape(shape)
-
-
-_ARENA = _ScratchArena()
-
-
-def rect_modified_cosine_into(
-    left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Kernel: similarities of every *left* row vs every *right* row.
-
-    Returns a ``(p, q)`` matrix **aliasing the scratch arena** — valid
-    only until the next kernel call.  Hot-loop callers compare or reduce
-    it immediately; everyone else should use :func:`rect_modified_cosine`.
-
-    The kernel is symmetric (swapping operands transposes the result
-    bit-for-bit): every elementwise step commutes and the contractions
-    run over the same values in the same order either way.
-    """
-    p, dims = left.shape
-    q = right.shape[0]
-    symmetric = right is left
     a = left[:, None, :]
     b = right[None, :, :]
 
@@ -85,62 +42,25 @@ def rect_modified_cosine_into(
     # gives the wanted 0 contribution exactly, without the massive
     # FP-assist stalls that a subnormal sentinel divisor would trigger
     # (stall vectors are mostly zeros, so zero dims are the common case).
-    scale = _ARENA.take("scale", (p, q, dims))
-    np.maximum(a, b, out=scale)
-    zero_dims = _ARENA.take("zero_dims", (p, q, dims), dtype=bool)
-    np.equal(scale, 0.0, out=zero_dims)
-    np.add(scale, zero_dims, out=scale)
-    left_norm = _ARENA.take("left_norm", (p, q, dims))
-    np.divide(a, scale, out=left_norm)
+    scale = np.maximum(a, b)
+    scale += scale == 0.0
+    left_norm = a / scale
+    right_norm = b / scale
 
-    sims = _ARENA.take("sims", (p, q))
-    norms = _ARENA.take("norms", (p, q))
-    denom = _ARENA.take("denom", (p, q))
-    if symmetric:
-        # right_norm[p, q, d] == left_norm[q, p, d] (the scale matrix is
-        # symmetric), so the transposed views below read the exact same
-        # floats the asymmetric path would compute — one divide and one
-        # contraction cheaper.
-        np.einsum("pqd,qpd->pq", left_norm, left_norm, out=sims)
-        np.einsum("pqd,pqd->pq", left_norm, left_norm, out=norms)
-        np.multiply(norms, norms.T, out=denom)
-    else:
-        right_norm = _ARENA.take("right_norm", (p, q, dims))
-        np.divide(b, scale, out=right_norm)
-        np.einsum("pqd,pqd->pq", left_norm, right_norm, out=sims)
-        np.einsum("pqd,pqd->pq", left_norm, left_norm, out=norms)
-        np.einsum("pqd,pqd->pq", right_norm, right_norm, out=denom)
-        np.multiply(norms, denom, out=denom)
-    np.sqrt(denom, out=denom)
+    sims = np.einsum("pqd,pqd->pq", left_norm, right_norm)
+    norms = np.einsum("pqd,pqd->pq", left_norm, left_norm)
+    denom = np.einsum("pqd,pqd->pq", right_norm, right_norm)
+    denom = np.sqrt(norms * denom)
     # A zero norm means a zero row: the dot is 0 too, and 0/1 = 0 is
     # exactly the zero-vs-nonzero convention.
-    zero_pairs = _ARENA.take("zero_pairs", (p, q), dtype=bool)
-    np.equal(denom, 0.0, out=zero_pairs)
-    np.add(denom, zero_pairs, out=denom)
-    np.divide(sims, denom, out=sims)
+    denom += denom == 0.0
+    sims /= denom
 
     # Two all-zero stacks are identical by convention.
-    nonzero_left = left.any(axis=1)
-    nonzero_right = nonzero_left if symmetric else right.any(axis=1)
-    np.logical_or(
-        nonzero_left[:, None], nonzero_right[None, :], out=zero_pairs
-    )
-    np.logical_not(zero_pairs, out=zero_pairs)
-    sims[zero_pairs] = 1.0
+    sims[~(left.any(axis=1)[:, None] | right.any(axis=1)[None, :])] = 1.0
     # Guard against floating-point drift above 1 (inputs are
     # non-negative, so drift below 0 cannot happen).
-    np.minimum(sims, 1.0, out=sims)
-    return sims
-
-
-def rect_modified_cosine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Modified-cosine similarities of every *left* row vs every *right*
-    row, as a freshly allocated ``(p, q)`` matrix in [0, 1].
-
-    Entry ``[i, j]`` equals ``modified_cosine(left[i], right[j])``
-    exactly — same floats, not just approximately.
-    """
-    return rect_modified_cosine_into(left, right).copy()
+    return np.minimum(sims, 1.0, out=sims)
 
 
 def modified_cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,13 +69,13 @@ def modified_cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(rect_modified_cosine_into(a[None, :], b[None, :])[0, 0])
+    return float(rect_modified_cosine(a[None, :], b[None, :])[0, 0])
 
 
 def pairwise_modified_cosine(stacks: np.ndarray) -> np.ndarray:
     """Full (k x k) modified-cosine similarity matrix of a population.
 
-    Used by the reduction hot loop: one vectorised computation replaces
+    Used by the spec reducer: one vectorised computation replaces
     per-candidate comparisons.  Semantics match :func:`modified_cosine`
     pairwise; the matrix is symmetric with a unit diagonal.
     """
@@ -168,8 +88,8 @@ def pairwise_modified_cosine(stacks: np.ndarray) -> np.ndarray:
 def similarity_to_set(candidate: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Similarities of *candidate* against every row of *kept* (k x D).
 
-    Vectorised version of :func:`modified_cosine` used in the reduction
-    hot loop; semantics match the scalar function row-by-row.
+    Vectorised version of :func:`modified_cosine`; semantics match the
+    scalar function row-by-row.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     kept = np.asarray(kept, dtype=np.float64)

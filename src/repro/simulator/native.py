@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.common.config import MicroarchConfig
 from repro.common.events import EventType
-from repro.core.native import compile_shared_library, load_gated, native_mode
+from repro.core.native import compile_shared_library, load_gated
 from repro.isa.uop import EXEC_EVENT, OpClass, Workload
 from repro.simulator.columns import TraceColumns
 from repro.simulator.trace import (
@@ -827,35 +827,19 @@ class NativeSim:
         return rc, int(out[1]), int(out[2])
 
 
-_CACHED: Optional[NativeSim] = None
-_LOAD_ATTEMPTED = False
-
-
 def load_native_sim() -> Optional[NativeSim]:
     """The compiled simulator, or ``None`` when unavailable.
 
-    Memoised per process and gated by ``REPRO_NATIVE`` exactly like the
-    reduction kernel (``0`` disables, ``1`` makes failure an error).
+    Gated by ``REPRO_NATIVE`` exactly like the reduction kernel (see
+    :func:`repro.core.native.load_gated`): ``0`` disables, ``1`` makes
+    failure an error.
     """
-    global _CACHED, _LOAD_ATTEMPTED
-    if native_mode() == "off":
-        # The gate is consulted on every call so flipping REPRO_NATIVE
-        # mid-process (tests, CLI --native off) takes effect even after
-        # a successful load; the handle stays cached for when it flips
-        # back.
-        return None
-    if _CACHED is not None:
-        return _CACHED
-    if _LOAD_ATTEMPTED:
-        return None
-    _LOAD_ATTEMPTED = True
-    _CACHED = load_gated(
+    return load_gated(
         "simulator",
         lambda: NativeSim(
             ctypes.CDLL(compile_shared_library("simulator", _C_SOURCE))
         ),
     )
-    return _CACHED
 
 
 def resolve_native(native: Optional[bool]) -> Optional[NativeSim]:

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from repro.common.config import baseline_config
 from repro.common.events import LATENCY_DOMAIN, EventType
 from repro.core.generator import RpStacksGenerator, generate_rpstacks
+from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy
 from repro.graphmodel.builder import build_graph
+from repro.obs.observer import Observer, use_observer
 from repro.simulator.core import simulate
 from repro.workloads.suite import make_workload
 
@@ -158,3 +160,19 @@ class TestDiversity:
         assert model.stats.nodes_visited == graph.num_nodes
         assert model.stats.reductions > 0
         assert model.stats.analysis_seconds > 0
+
+
+class TestObservability:
+    @pytest.mark.parametrize("gate", ["auto", "0"])
+    def test_generate_span_names_the_reducer(
+        self, small_case, monkeypatch, gate
+    ):
+        result, graph = small_case
+        monkeypatch.setenv("REPRO_NATIVE", gate)
+        obs = Observer(enabled=True, progress_stream=None)
+        with use_observer(obs):
+            generate_rpstacks(graph, result.config.latency)
+        (span,) = [s for s in obs.tracer.spans if s.name == "stacks.generate"]
+        assert span.attrs["native"] is (load_native() is not None)
+        if gate == "0":
+            assert span.attrs["native"] is False

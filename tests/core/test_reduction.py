@@ -297,9 +297,9 @@ class TestCapPriority:
 
 
 class TestPairParity:
-    """The two-candidate fast path must be indistinguishable from the
-    general reduction machinery — pinned as a differential property over
-    random pairs, zero-priced theta dimensions and exact ties."""
+    """Duplicate elimination must leave a pair's reduction unchanged —
+    pinned as a differential property over random pairs, zero-priced
+    theta dimensions and exact ties."""
 
     pair_rows = hnp.arrays(
         dtype=np.float64,
@@ -313,7 +313,7 @@ class TestPairParity:
         dtype=np.float64,
         shape=NUM_EVENTS,
         # Zeros allowed: a zero-priced dimension makes distinct rows tie
-        # exactly, the regime where fast-path drift once hid.
+        # exactly, which exercises the penalty tiebreak.
         elements=st.integers(min_value=0, max_value=4).map(float),
     )
 
@@ -336,9 +336,9 @@ class TestPairParity:
             preserve_unique=preserve_unique,
             include_base_in_similarity=include_base,
         )
-        # Two rows route through _reduce_pair; appending a duplicate of
-        # the first row forces the general path (dedup collapses it back
-        # to the same two-row population before reducing).
+        # Appending a duplicate of the first row must not matter: dedup
+        # collapses it back to the same two-row population before
+        # reducing.
         fast = reduce_stacks(pair, theta, policy)
         general = reduce_stacks(
             np.vstack([pair, pair[:1]]), theta, policy

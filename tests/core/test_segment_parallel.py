@@ -8,15 +8,11 @@ parallel walk must be *invisible* in the results:
    ``jobs=1`` on every suite workload (order-merged segment results);
 2. the array-native segment walk is bit-identical to the reference
    whole-graph dictionary walk it replaced;
-3. the compiled C per-node reducer is bit-identical to the numpy
-   reduction it fast-paths, both at the reduce level (fuzz over
-   block-structured populations) and end-to-end with the fallback
-   forced via ``REPRO_NATIVE=0``.
+3. the compiled C per-node reducer is bit-identical to the spec
+   reducer (``reduce_stacks``), both at the reduce level (fuzz over
+   block-structured populations) and end-to-end over every suite
+   workload and stress kernel, with ``REPRO_NATIVE`` flipped in-process.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,9 +21,10 @@ from repro.common.config import baseline_config
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.generator import RpStacksGenerator, generate_rpstacks
 from repro.core.native import load_native
-from repro.core.reduction import ReductionPolicy, reduce_blocks, reduce_stacks
+from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.graphmodel.builder import build_graph
 from repro.simulator.core import simulate
+from repro.workloads import STRESS_KERNELS
 from repro.workloads.suite import make_workload, suite_names
 
 MACROS = 120
@@ -148,7 +145,7 @@ class TestSegmentView:
 
 def _random_block_population(rng):
     """A concatenation of pre-reduced, constant-shifted blocks — the
-    invariant ``reduce_blocks`` (and the C reducer) relies on."""
+    block invariant the C reducer relies on (see ``repro.core.native``)."""
     policy = ReductionPolicy(
         similarity_threshold=float(rng.choice([0.0, 0.3, 0.7, 0.9, 1.0])),
         max_paths=int(rng.integers(1, 9)),
@@ -169,6 +166,16 @@ def _random_block_population(rng):
     return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
 
 
+#: Stress-kernel arguments keeping the end-to-end differential quick.
+STRESS_ARGS = {"icache_thrash": {"passes": 1}, "dcache_thrash": {"passes": 1}}
+
+END_TO_END_CASES = [
+    ("suite", name, include_base)
+    for name in suite_names()
+    for include_base in (False, True)
+] + [("stress", name, False) for name in sorted(STRESS_KERNELS)]
+
+
 class TestNativeReducerParity:
     def test_native_matches_numpy_reduction(self):
         native = load_native()
@@ -178,7 +185,7 @@ class TestNativeReducerParity:
         out = np.empty(256, dtype=np.int32)
         for _ in range(150):
             stacks, sizes, theta, policy = _random_block_population(rng)
-            expected = reduce_blocks(stacks, sizes, theta, policy)
+            expected = reduce_stacks(stacks, theta, policy)
             sim_lo = (
                 0
                 if policy.include_base_in_similarity
@@ -198,30 +205,30 @@ class TestNativeReducerParity:
             assert got.shape == expected.shape
             assert (got == expected).all()
 
-    def test_numpy_fallback_is_byte_identical_end_to_end(self):
-        graph = _graph("gamess", macros=80)
+    @pytest.mark.parametrize(
+        "source,name,include_base", END_TO_END_CASES
+    )
+    def test_spec_reducer_is_byte_identical_end_to_end(
+        self, monkeypatch, source, name, include_base
+    ):
+        if source == "suite":
+            workload = make_workload(name, MACROS)
+        else:
+            workload = STRESS_KERNELS[name](**STRESS_ARGS.get(name, {}))
+        graph = build_graph(simulate(workload, baseline_config()))
         base = baseline_config().latency
-        local = generate_rpstacks(graph, base, segment_length=SEGMENT_LENGTH)
-        script = (
-            "import sys\n"
-            "from repro.common.config import baseline_config\n"
-            "from repro.core.generator import generate_rpstacks\n"
-            "from repro.graphmodel.builder import build_graph\n"
-            "from repro.simulator.core import simulate\n"
-            "from repro.workloads.suite import make_workload\n"
-            "result = simulate(make_workload('gamess', 80),"
-            " baseline_config())\n"
-            "model = generate_rpstacks(build_graph(result),"
-            f" baseline_config().latency, segment_length={SEGMENT_LENGTH})\n"
-            "sys.stdout.write(model.content_digest())\n"
-        )
-        env = dict(os.environ, REPRO_NATIVE="0")
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert proc.stdout.strip() == local.content_digest()
+
+        def digest():
+            return generate_rpstacks(
+                graph,
+                base,
+                segment_length=SEGMENT_LENGTH,
+                include_base_in_similarity=include_base,
+            ).content_digest()
+
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        spec = digest()
+        monkeypatch.setenv("REPRO_NATIVE", "auto")
+        if load_native() is None:
+            pytest.skip("no C toolchain available in this environment")
+        assert digest() == spec
