@@ -23,9 +23,10 @@ worker span capture.  Per-segment results are merged back in segment
 order, so serial and parallel generation produce bit-identical models
 (pinned by a differential test over the full workload suite).
 
-Each converging node is reduced by the compiled kernel
-(:mod:`repro.core.native`) when it loads, and by the spec reducer
-:func:`~repro.core.reduction.reduce_stacks` otherwise.
+Each segment is walked by one call into the compiled kernel
+(:mod:`repro.core.native`) when it loads, and otherwise by the spec walk
+:func:`_walk_segment`, which reduces each converging node with
+:func:`~repro.core.reduction.reduce_stacks`.
 ``RpStacksGenerator._generate_reference`` is the whole-graph walk spec:
 a dict-of-lists walk over the unsliced graph that checks
 ``segment_view`` slicing independently, and the baseline for
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.config import LatencyConfig
-from repro.common.events import NUM_EVENTS, EventType
+from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
 from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy, reduce_stacks
@@ -56,11 +57,12 @@ def _walk_segment(
 ) -> Tuple[np.ndarray, int, int]:
     """Propagate stacks through one segment; return its sink population.
 
-    Array-native inner loop: per-node state lives in a preallocated
-    slot table indexed by local node id, and candidate populations are
-    assembled with batched adds into one preallocated buffer.  The
-    compiled kernel reduces each converging node in one call; without
-    it, :func:`~repro.core.reduction.reduce_stacks` does.
+    The spec walk, which the compiled walk
+    (:meth:`repro.core.native.NativeWalk.walk_segment`) must match bit
+    for bit: per-node state lives in a slot table indexed by local node
+    id, candidate populations are assembled with batched adds into one
+    reused buffer, and :func:`~repro.core.reduction.reduce_stacks`
+    reduces each converging node.
 
     Returns:
         ``(sink_stacks, candidate_stacks, reductions)`` — the reduced
@@ -75,20 +77,11 @@ def _walk_segment(
     has_charge = (charges != 0).any(axis=1).tolist()
     degree = np.diff(view.in_indptr).tolist()
 
-    native = load_native()
-    theta = np.ascontiguousarray(base_theta, dtype=np.float64)
-    sim_lo = 0 if policy.include_base_in_similarity else EventType.BASE + 1
-    threshold = policy.similarity_threshold
-    max_paths = policy.max_paths
-    preserve_unique = policy.preserve_unique
-    sizes_buffer = np.empty(64, dtype=np.int32)
-
     zero_set = np.zeros((1, NUM_EVENTS))
     sets: List[Optional[np.ndarray]] = [None] * view.num_nodes
     # One growing buffer assembles every node's candidate population;
-    # both reducers copy survivors out, so the buffer is free to reuse.
+    # reduce_stacks copies survivors out, so the buffer is free to reuse.
     buffer = np.empty((64, NUM_EVENTS))
-    out_indices = np.empty(64, dtype=np.int32)
     candidate_stacks = 0
     reductions = 0
 
@@ -106,46 +99,22 @@ def _walk_segment(
             pred = sets[src[begin]]
             sets[v] = pred + charges[begin] if has_charge[begin] else pred
             continue
-        end = begin + deg
-        edges = range(begin, end)
-        blocks = [sets[src[e]] for e in edges]
-        sizes = [block.shape[0] for block in blocks]
-        total = sum(sizes)
+        blocks = [sets[src[e]] for e in range(begin, begin + deg)]
+        total = sum(block.shape[0] for block in blocks)
         if total > buffer.shape[0]:
             buffer = np.empty((2 * total, NUM_EVENTS))
-            out_indices = np.empty(2 * total, dtype=np.int32)
-        if deg > sizes_buffer.shape[0]:
-            sizes_buffer = np.empty(2 * deg, dtype=np.int32)
         candidates = buffer[:total]
         offset = 0
-        index = 0
-        for e, block, size in zip(edges, blocks, sizes):
-            out = candidates[offset : offset + size]
+        for e, block in enumerate(blocks, begin):
+            out = candidates[offset : offset + block.shape[0]]
             if has_charge[e]:
                 np.add(block, charges[e], out=out)
             else:
                 out[:] = block
-            offset += size
-            sizes_buffer[index] = size
-            index += 1
+            offset += block.shape[0]
         candidate_stacks += total
         reductions += 1
-        if native is None:
-            sets[v] = reduce_stacks(candidates, base_theta, policy)
-            continue
-        # Whole-node reduction in one C call (bit-identical to
-        # reduce_stacks; pinned by differential tests).
-        kept = native.reduce_node_indices(
-            candidates,
-            sizes_buffer[:index],
-            theta,
-            sim_lo,
-            threshold,
-            max_paths,
-            preserve_unique,
-            out_indices,
-        )
-        sets[v] = candidates[out_indices[:kept]]
+        sets[v] = reduce_stacks(candidates, base_theta, policy)
 
     return sets[view.sink_local].copy(), candidate_stacks, reductions
 
@@ -157,6 +126,8 @@ def _segment_batch_task(
 ) -> Tuple[List[np.ndarray], int, int, int]:
     """Walk a batch of segment views (one :func:`parallel_map` task).
 
+    Each view is walked by the compiled kernel in one call when it
+    loads, and by the spec walk :func:`_walk_segment` otherwise.
     Module-level so it pickles into pool workers.  Spans and metrics
     record into the ambient observer: in-process that is the caller's
     observer directly; in a worker it is the capturing observer whose
@@ -164,6 +135,8 @@ def _segment_batch_task(
     the parent timeline.
     """
     obs = get_observer()
+    native = load_native()
+    theta = np.ascontiguousarray(base_theta, dtype=np.float64)
     results: List[np.ndarray] = []
     nodes_visited = 0
     candidate_stacks = 0
@@ -173,9 +146,14 @@ def _segment_batch_task(
         with obs.span(
             "stacks.segment", segment=view.segment, uops=view.num_uops
         ) as span:
-            stacks, candidates, reduces = _walk_segment(
-                view, base_theta, policy
-            )
+            if native is None:
+                stacks, candidates, reduces = _walk_segment(
+                    view, base_theta, policy
+                )
+            else:
+                stacks, candidates, reduces = native.walk_segment(
+                    view, theta, policy
+                )
         if obs.enabled:
             span.set(paths=stacks.shape[0], reductions=reduces)
             obs.histogram("stacks.segment_seconds").observe(

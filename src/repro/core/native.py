@@ -1,43 +1,59 @@
-"""Optional C fast path for the per-node reduction (§III-C).
+"""Optional C fast path for the segment walk (§IV-D) and its reduction.
 
-The segment walk reduces at every converging node — tens of thousands
-of times per workload — on populations of a few dozen rows.  At that
-size the cost of the numpy spec (:func:`repro.core.reduction.reduce_stacks`)
-is ufunc *dispatch*, not arithmetic, so the walk is bounded by the
-Python/numpy call overhead long before the hardware is.
+The segment walk visits every graph node and reduces at every converging
+node — tens of thousands of times per workload — on populations of a few
+dozen rows.  At that size a Python walk is bounded by interpreter and
+ufunc dispatch overhead, not arithmetic.  This module compiles (once,
+cached) a small C kernel that walks one whole
+:class:`~repro.graphmodel.graph.SegmentView` in a single call:
 
-This module compiles (once, cached) a small C routine that performs one
-entire node reduction — baseline penalties, stable descending sort,
-cross-block dominance, uniqueness marking, lazy greedy similarity merge
-and the population cap — in a single call.
+* Kahn topological order over the view's CSR arrays, failing on a cycle
+  exactly like :meth:`SegmentView.topological_order`;
+* per-node stack sets in one offset arena: segment entries share one
+  zero row, a node with one uncharged predecessor shares that
+  predecessor's rows, and one with a single charged predecessor gets a
+  shifted copy of them;
+* at each converging node, block assembly and one full reduction —
+  baseline penalties, stable descending sort, cross-block dominance,
+  uniqueness marking, lazy greedy similarity merge and the population
+  cap.
 
-The kernel relies on the block structure of a converging node's
-candidates.  They are the concatenation of per-predecessor *blocks*, and
-each block is a previous reduction's output shifted by a constant edge
-charge: already duplicate-free, internally dominance-free and sorted by
-descending baseline penalty.  A constant shift preserves all three
-properties, so duplicate and dominance elimination only ever fire
-*across* blocks, and the kernel checks exactly those pairs.  Row ``q``
-beats row ``r`` when ``q`` covers ``r`` element-wise and sorts before it
-(strictly larger penalty, or a tie from an earlier concatenation
-position); duplicate elimination is the equal-rows special case.
+The reduction relies on two invariants of the walk:
 
-Decisions are bit-identical to :func:`~repro.core.reduction.reduce_stacks`
-on such populations:
+* **rows are non-negative** (:class:`DependenceGraph` rejects a negative
+  unit count), so a row ``q`` can cover ``r`` only if ``r``'s support
+  is a subset of ``q``'s, and a dimension where two rows are both zero
+  adds exactly ``+0.0`` to every similarity accumulator;
+* **each block is a reduced set shifted by a constant**: a converging
+  node's candidates concatenate per-predecessor blocks, each a previous
+  reduction's output (or the zero row) plus a constant edge charge —
+  already duplicate-free, internally dominance-free and sorted by
+  descending baseline penalty.  A constant shift preserves all three
+  properties, so duplicate and dominance elimination only ever fire
+  *across* blocks, and the kernel checks exactly those pairs.  Row ``q``
+  beats row ``r`` when ``q`` covers ``r`` element-wise and sorts before
+  it (strictly larger penalty, or a tie from an earlier concatenation
+  position); duplicate elimination is the equal-rows special case.
+
+Decisions are bit-identical to the spec walk
+(:func:`repro.core.generator._walk_segment` over
+:func:`~repro.core.reduction.reduce_stacks`):
 
 * penalties are integer-valued (unit counts priced by integer cycle
   latencies), so summation order cannot change them;
 * similarity accumulates dimension-by-dimension in index order, exactly
   like the ``einsum`` contractions in
-  :func:`repro.core.similarity.rect_modified_cosine`, and applies the
-  same guards in the same order (compiled with ``-ffp-contract=off`` so
-  no FMA contraction can alter rounding);
+  :func:`repro.core.similarity.rect_modified_cosine`, skipping only the
+  ``+0.0`` terms, and applies the same guards in the same order
+  (compiled with ``-ffp-contract=off`` so no FMA contraction can alter
+  rounding); where one row holds a dimension's maximum, ``x / x`` is
+  exactly ``1.0``, so one division per dimension suffices;
 * sort/merge/cap tie-breaks replicate the stable argsort and priority
   rules verbatim.
 
-A differential fuzz test and a full-suite model comparison pin the
-equivalence.  Everything degrades gracefully: no compiler, a failed
-build, or ``REPRO_NATIVE=0`` all fall back to the spec reducer (set
+A reduce-level differential fuzz test and whole-model digest comparisons
+pin the equivalence.  Everything degrades gracefully: no compiler, a
+failed build, or ``REPRO_NATIVE=0`` all fall back to the spec walk (set
 ``REPRO_NATIVE=1`` to make a missing native build an error instead).
 The compiled library is cached under the system temp directory keyed by
 source hash, so workers spawned by ``parallel_map`` just ``dlopen`` it.
@@ -55,9 +71,16 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Callable, Dict, Optional
+import threading
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.common.events import NUM_EVENTS, EventType
+
+if TYPE_CHECKING:  # the graph model imports the simulator, which imports us
+    from repro.core.reduction import ReductionPolicy
+    from repro.graphmodel.graph import SegmentView
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -65,74 +88,89 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Modified cosine similarity of two stack rows over dims [lo, dims).
+#define REPRO_ENOMEM (-1)
+#define REPRO_ECYCLE (-2)
+#define REPRO_EINPUT (-3)
+
+/* Modified cosine similarity of two stack rows over the dimensions in
+ * `mask`: the union of both rows' supports within [sim_lo, dims).
  * Mirrors rect_modified_cosine bit-for-bit: per-dimension max
- * normalisation with the zero-dim divisor patched to 1.0, sequential
- * in-order accumulation of dot and squared norms (einsum order),
- * product-then-sqrt denominator with the zero guard, the all-zero
- * convention, and the final clamp to 1.0. */
-static double sim_pair(const double *a, const double *b, int lo, int dims) {
+ * normalisation, sequential in-order accumulation of dot and squared
+ * norms, product-then-sqrt denominator with the zero guard, the
+ * all-zero convention, and the final clamp to 1.0.  A dimension where
+ * both rows are zero would add exactly +0.0 to each (non-negative)
+ * accumulator, so it is skipped.  The row holding a dimension's
+ * maximum normalises to x / x == 1.0 exactly, so with r = min / max the
+ * terms are r (the product), 1.0 and r * r: one division per dimension
+ * and no data-dependent branch. */
+static double sim_pair(const double *a, const double *b, uint64_t mask) {
+    if (!mask) return 1.0;
     double dot = 0.0, na = 0.0, nb = 0.0;
-    int a_zero = 1, b_zero = 1;
-    for (int i = lo; i < dims; i++) {
+    for (; mask; mask &= mask - 1) {
+        int i = __builtin_ctzll(mask);
         double x = a[i], y = b[i];
-        if (x != 0.0) a_zero = 0;
-        if (y != 0.0) b_zero = 0;
-        double s = x > y ? x : y;
-        if (s == 0.0) s = 1.0;
-        double an = x / s, bn = y / s;
-        dot += an * bn;
-        na += an * an;
-        nb += bn * bn;
+        int a_lower = x < y;
+        double r = (a_lower ? x : y) / (a_lower ? y : x);
+        double rr = r * r;
+        dot += r;
+        na += a_lower ? rr : 1.0;
+        nb += a_lower ? 1.0 : rr;
     }
-    if (a_zero && b_zero) return 1.0;
     double den = sqrt(na * nb);
     if (den == 0.0) den = 1.0;
     double sim = dot / den;
     return sim > 1.0 ? 1.0 : sim;
 }
 
+/* Bytes of reduction scratch per candidate row. */
+#define SCRATCH_PER_ROW (sizeof(double) + 2 * sizeof(uint64_t) \
+                         + 7 * sizeof(int32_t))
+
 /* One full converging-node reduction.
  *
  * stacks:      count x dims row-major candidate rows (concatenated
- *              per-predecessor blocks, each already reduced + shifted).
- * block_sizes: rows per predecessor block (nblocks entries).
+ *              per-predecessor blocks, each already reduced + shifted;
+ *              every entry non-negative).
+ * block_sizes: rows per predecessor block.
  * theta:       baseline pricing vector (dims entries).
- * sim_lo:      first similarity dimension (1 excludes BASE).
- * out_indices: caller buffer of >= count entries; receives the kept
- *              row indices (into the input order), output order.
- * Returns number of kept rows, or -1 on allocation failure.
+ * sim_mask:    dimensions similarity compares ([sim_lo, dims)).
+ * scratch:     >= count * SCRATCH_PER_ROW bytes.
+ * out_indices: >= count entries; receives the kept row indices (into
+ *              the input order), output order.
+ * Returns the number of kept rows.
  */
-int repro_reduce_node(
+static int32_t reduce_rows(
     const double *stacks, int32_t count, int32_t dims,
-    const int32_t *block_sizes, int32_t nblocks,
-    const double *theta, int32_t sim_lo, double threshold,
-    int32_t max_paths, int32_t preserve_unique, int32_t *out_indices)
+    const int32_t *block_sizes, const double *theta, uint64_t sim_mask,
+    double threshold, int32_t max_paths, int32_t preserve_unique,
+    char *scratch, int32_t *out_indices)
 {
-    if (dims > 64) return -1; /* support[] bound; never true for NUM_EVENTS */
     if (count <= 1) {
         for (int i = 0; i < count; i++) out_indices[i] = i;
         return count;
     }
-    /* one scratch allocation for every per-row array */
-    size_t ints = (size_t)count * 6;
-    int32_t *scratch = (int32_t *)malloc(
-        ints * sizeof(int32_t) + (size_t)count * sizeof(double));
-    if (!scratch) return -1;
-    int32_t *order = scratch;
-    int32_t *block_id = scratch + count;
-    int32_t *dropped = scratch + 2 * (size_t)count;
-    int32_t *surv = scratch + 3 * (size_t)count;
-    int32_t *uniq = scratch + 4 * (size_t)count;
-    int32_t *kept = scratch + 5 * (size_t)count;
-    double *pen = (double *)(scratch + ints);
+    double *pen = (double *)scratch;
+    uint64_t *supp = (uint64_t *)(pen + count);
+    uint64_t *ssupp = supp + count;              /* by sorted position */
+    int32_t *order = (int32_t *)(ssupp + count); /* sorted position -> row */
+    int32_t *block_id = order + count;
+    int32_t *sblock = block_id + count;          /* by sorted position */
+    int32_t *dropped = sblock + count;           /* by sorted position */
+    int32_t *surv = dropped + count;             /* sorted positions */
+    int32_t *uniq = surv + count;
+    int32_t *kept = uniq + count;
 
+    /* baseline penalty and support bitmask of every row */
     for (int i = 0; i < count; i++) {
-        double p = 0.0;
         const double *row = stacks + (size_t)i * dims;
-        for (int d = 0; d < dims; d++) p += row[d] * theta[d];
+        double p = 0.0;
+        uint64_t s = 0;
+        for (int d = 0; d < dims; d++) {
+            p += row[d] * theta[d];
+            if (row[d] > 0.0) s |= (uint64_t)1 << d;
+        }
         pen[i] = p;
-        dropped[i] = 0;
+        supp[i] = s;
     }
     {
         int b = 0, off = block_sizes[0];
@@ -151,75 +189,80 @@ int repro_reduce_node(
         }
         order[j] = i;
     }
+    for (int k = 0; k < count; k++) {
+        ssupp[k] = supp[order[k]];
+        sblock[k] = block_id[order[k]];
+        dropped[k] = 0;
+    }
     /* cross-block dominance in sorted order: an earlier row beats a
-     * later one it covers element-wise, even if itself dropped (as in
-     * reduce_stacks). */
+     * later one it covers element-wise.  Rows are non-negative, so q
+     * covers r only if r's support is a subset of q's, and only r's
+     * support needs comparing.  A dropped q is skipped: whatever it
+     * covers, the earlier row that covers it covers too, and from
+     * another block, since blocks are internally dominance-free. */
     for (int pi = 0; pi < count; pi++) {
-        int q = order[pi];
-        const double *qrow = stacks + (size_t)q * dims;
-        int qb = block_id[q];
+        if (dropped[pi]) continue;
+        const double *qrow = stacks + (size_t)order[pi] * dims;
+        uint64_t q_missing = ~ssupp[pi];
+        int qb = sblock[pi];
         for (int pj = pi + 1; pj < count; pj++) {
-            int r = order[pj];
-            if (dropped[r] || block_id[r] == qb) continue;
-            const double *rrow = stacks + (size_t)r * dims;
+            if (dropped[pj] | (sblock[pj] == qb)
+                | ((ssupp[pj] & q_missing) != 0))
+                continue;
+            const double *rrow = stacks + (size_t)order[pj] * dims;
             int covers = 1;
-            for (int d = 0; d < dims; d++) {
+            for (uint64_t m = ssupp[pj]; m; m &= m - 1) {
+                int d = __builtin_ctzll(m);
                 if (qrow[d] < rrow[d]) { covers = 0; break; }
             }
-            if (covers) dropped[r] = 1;
+            dropped[pj] = covers;
         }
     }
     int n2 = 0;
-    for (int pi = 0; pi < count; pi++) {
-        if (!dropped[order[pi]]) surv[n2++] = order[pi];
+    for (int k = 0; k < count; k++) {
+        if (!dropped[k]) surv[n2++] = k;
     }
     if (n2 == 1) {
-        out_indices[0] = surv[0];
-        free(scratch);
+        out_indices[0] = order[surv[0]];
         return 1;
     }
     /* uniqueness: a surviving row owning a dimension no other survivor
      * has (over ALL dims, matching unique_dimension_mask) */
     if (preserve_unique) {
-        int support[64];
-        for (int d = 0; d < dims; d++) support[d] = 0;
+        uint64_t once = 0, twice = 0;
         for (int i = 0; i < n2; i++) {
-            const double *row = stacks + (size_t)surv[i] * dims;
-            for (int d = 0; d < dims; d++) {
-                if (row[d] > 0.0) support[d]++;
-            }
+            uint64_t s = ssupp[surv[i]];
+            twice |= once & s;
+            once |= s;
         }
-        for (int i = 0; i < n2; i++) {
-            const double *row = stacks + (size_t)surv[i] * dims;
-            int u = 0;
-            for (int d = 0; d < dims; d++) {
-                if (row[d] > 0.0 && support[d] == 1) { u = 1; break; }
-            }
-            uniq[i] = u;
-        }
+        uint64_t lone = once & ~twice;
+        for (int i = 0; i < n2; i++) uniq[i] = (ssupp[surv[i]] & lone) != 0;
     } else {
         for (int i = 0; i < n2; i++) uniq[i] = 0;
     }
     /* greedy merge, lazy similarities: row i is absorbed if some kept
      * mergeable row before it is more similar than the threshold */
     int nkept = 0, nmerge = 0;
-    int32_t *kept_merge = out_indices; /* reuse as temp: indices into surv */
+    int32_t *kept_merge = out_indices; /* reuse as temp: sorted positions */
     for (int i = 0; i < n2; i++) {
         if (uniq[i]) {
             kept[nkept++] = i;
             continue;
         }
-        const double *row = stacks + (size_t)surv[i] * dims;
+        int ri = surv[i];
+        const double *row = stacks + (size_t)order[ri] * dims;
         int blocked = 0;
         for (int m = 0; m < nmerge; m++) {
-            const double *other = stacks + (size_t)surv[kept_merge[m]] * dims;
-            if (sim_pair(row, other, sim_lo, dims) > threshold) {
+            int oi = kept_merge[m];
+            const double *other = stacks + (size_t)order[oi] * dims;
+            uint64_t mask = (ssupp[ri] | ssupp[oi]) & sim_mask;
+            if (sim_pair(row, other, mask) > threshold) {
                 blocked = 1;
                 break;
             }
         }
         if (blocked) continue;
-        kept_merge[nmerge++] = i;
+        kept_merge[nmerge++] = ri;
         kept[nkept++] = i;
     }
     /* cap: row 0 first, then uniqueness witnesses, then index order —
@@ -239,32 +282,263 @@ int repro_reduce_node(
         for (int t = 0; t < taken; t++) mark[chosen[t]] = 1;
         int outn = 0;
         for (int j = 0; j < nkept; j++) {
-            if (mark[j]) out_indices[outn++] = surv[kept[j]];
+            if (mark[j]) out_indices[outn++] = order[surv[kept[j]]];
         }
-        free(scratch);
         return outn;
     }
-    for (int j = 0; j < nkept; j++) out_indices[j] = surv[kept[j]];
-    free(scratch);
+    for (int j = 0; j < nkept; j++) out_indices[j] = order[surv[kept[j]]];
     return nkept;
 }
+
+static uint64_t similarity_mask(int32_t dims, int32_t sim_lo) {
+    uint64_t all = dims == 64 ? ~(uint64_t)0 : ((uint64_t)1 << dims) - 1;
+    return all & ~(((uint64_t)1 << sim_lo) - 1);
+}
+
+/* One converging-node reduction on caller rows (the reduce-level entry
+ * point the differential fuzz drives); block_sizes must sum to count.
+ * Returns the number of kept rows (indices in out_indices), or a
+ * negative REPRO_E* code. */
+int32_t repro_reduce_node(
+    const double *stacks, int32_t count, int32_t dims,
+    const int32_t *block_sizes, const double *theta, int32_t sim_lo,
+    double threshold, int32_t max_paths, int32_t preserve_unique,
+    int32_t *out_indices)
+{
+    if (dims > 64 || sim_lo > dims) return REPRO_EINPUT;
+    char *scratch = malloc((size_t)(count > 0 ? count : 1) * SCRATCH_PER_ROW);
+    if (!scratch) return REPRO_ENOMEM;
+    int32_t kept = reduce_rows(
+        stacks, count, dims, block_sizes, theta,
+        similarity_mask(dims, sim_lo), threshold, max_paths,
+        preserve_unique, scratch, out_indices);
+    free(scratch);
+    return kept;
+}
+
+/* Grow *buf to hold at least `need` items of `item` bytes (doubling). */
+static int reserve(void **buf, int64_t *cap, int64_t need, size_t item) {
+    if (need <= *cap) return 0;
+    int64_t next = *cap > 0 ? *cap : 64;
+    while (next < need) next *= 2;
+    void *grown = realloc(*buf, (size_t)next * item);
+    if (!grown) return -1;
+    *buf = grown;
+    *cap = next;
+    return 0;
+}
+
+static int any_nonzero(const double *row, int32_t dims) {
+    for (int d = 0; d < dims; d++) {
+        if (row[d] != 0.0) return 1;
+    }
+    return 0;
+}
+
+/* Copy cnt rows, adding the edge charge to each (a constant shift). */
+static void shift_rows(double *to, const double *from, int32_t cnt,
+                       const double *charge, int32_t dims) {
+    for (int32_t i = 0; i < cnt; i++, to += dims, from += dims) {
+        for (int d = 0; d < dims; d++) to[d] = from[d] + charge[d];
+    }
+}
+
+/* Propagate stacks through one segment view; see the module docstring.
+ *
+ * n, in_indptr, edge_src: the view's local CSR over intra in-edges.
+ * charges:     m x dims row-major dense edge charges (non-negative).
+ * sink:        local id whose population is returned.
+ * out_rows:    receives a malloc'd count x dims copy of the sink's rows
+ *              (release with repro_free).
+ * counts:      receives [candidate rows, reductions].
+ * Returns the sink's row count, or a negative REPRO_E* code.
+ */
+int64_t repro_walk_segment(
+    int64_t n, const int64_t *in_indptr, const int64_t *edge_src,
+    const double *charges, int32_t dims, int64_t sink,
+    const double *theta, int32_t sim_lo, double threshold,
+    int32_t max_paths, int32_t preserve_unique,
+    double **out_rows, int64_t *counts)
+{
+    if (dims < 1 || dims > 64 || sim_lo > dims || sink < 0 || sink >= n)
+        return REPRO_EINPUT;
+    int64_t m = in_indptr[n];
+    for (int64_t e = 0; e < m; e++) {
+        if (edge_src[e] < 0 || edge_src[e] >= n) return REPRO_EINPUT;
+    }
+    const uint64_t sim_mask = similarity_mask(dims, sim_lo);
+    const size_t row_bytes = (size_t)dims * sizeof(double);
+    int64_t rc = REPRO_ENOMEM;
+    int64_t *out_ptr = calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t *out_dst = malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+    int64_t *indegree = malloc((size_t)n * sizeof(int64_t));
+    int64_t *queue = malloc((size_t)n * sizeof(int64_t));
+    int64_t *set_off = malloc((size_t)n * sizeof(int64_t));
+    int32_t *set_count = malloc((size_t)n * sizeof(int32_t));
+    double *arena = NULL, *cand = NULL;
+    int32_t *sizes = NULL, *kept_idx = NULL;
+    char *scratch = NULL;
+    int64_t arena_cap = 0, arena_rows = 1, cand_cap = 0, sizes_cap = 0;
+    int64_t kept_cap = 0, scratch_cap = 0;
+    int64_t candidates = 0, reductions = 0;
+    if (!out_ptr || !out_dst || !indegree || !queue || !set_off
+        || !set_count || reserve((void **)&arena, &arena_cap, 1, row_bytes))
+        goto done;
+    memset(arena, 0, row_bytes); /* row 0: the shared entry (zero) set */
+
+    /* out-edge CSR for Kahn's algorithm */
+    for (int64_t e = 0; e < m; e++) out_ptr[edge_src[e] + 1]++;
+    for (int64_t v = 0; v < n; v++) out_ptr[v + 1] += out_ptr[v];
+    memcpy(indegree, out_ptr, (size_t)n * sizeof(int64_t)); /* cursors */
+    for (int64_t v = 0; v < n; v++) {
+        for (int64_t e = in_indptr[v]; e < in_indptr[v + 1]; e++)
+            out_dst[indegree[edge_src[e]]++] = v;
+    }
+    int64_t head = 0, tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        indegree[v] = in_indptr[v + 1] - in_indptr[v];
+        if (indegree[v] == 0) queue[tail++] = v;
+    }
+
+    while (head < tail) {
+        int64_t v = queue[head++];
+        int64_t begin = in_indptr[v], deg = in_indptr[v + 1] - begin;
+        if (deg == 0) {
+            set_off[v] = 0; /* segment entry: start from nothing */
+            set_count[v] = 1;
+        } else if (deg == 1) {
+            /* one predecessor: its set moves shared, or shifted by the
+             * edge charge (a constant shift needs no reduction) */
+            int64_t p = edge_src[begin];
+            const double *charge = charges + (size_t)begin * dims;
+            if (!any_nonzero(charge, dims)) {
+                set_off[v] = set_off[p];
+                set_count[v] = set_count[p];
+            } else {
+                int32_t cnt = set_count[p];
+                if (reserve((void **)&arena, &arena_cap, arena_rows + cnt,
+                            row_bytes))
+                    goto done;
+                shift_rows(arena + (size_t)arena_rows * dims,
+                           arena + (size_t)set_off[p] * dims, cnt, charge,
+                           dims);
+                set_off[v] = arena_rows;
+                set_count[v] = cnt;
+                arena_rows += cnt;
+            }
+        } else {
+            /* converging node: assemble the shifted blocks, reduce */
+            int64_t total = 0;
+            for (int64_t e = begin; e < begin + deg; e++)
+                total += set_count[edge_src[e]];
+            if (total > INT32_MAX) { rc = REPRO_EINPUT; goto done; }
+            if (reserve((void **)&cand, &cand_cap, total, row_bytes)
+                || reserve((void **)&kept_idx, &kept_cap, total,
+                           sizeof(int32_t))
+                || reserve((void **)&scratch, &scratch_cap, total,
+                           SCRATCH_PER_ROW)
+                || reserve((void **)&sizes, &sizes_cap, deg,
+                           sizeof(int32_t)))
+                goto done;
+            double *to = cand;
+            for (int64_t e = begin; e < begin + deg; e++) {
+                int64_t p = edge_src[e];
+                int32_t cnt = set_count[p];
+                const double *from = arena + (size_t)set_off[p] * dims;
+                const double *charge = charges + (size_t)e * dims;
+                if (any_nonzero(charge, dims))
+                    shift_rows(to, from, cnt, charge, dims);
+                else
+                    memcpy(to, from, (size_t)cnt * row_bytes);
+                to += (size_t)cnt * dims;
+                sizes[e - begin] = cnt;
+            }
+            candidates += total;
+            reductions++;
+            int32_t kept = reduce_rows(
+                cand, (int32_t)total, dims, sizes, theta, sim_mask,
+                threshold, max_paths, preserve_unique, scratch, kept_idx);
+            if (reserve((void **)&arena, &arena_cap, arena_rows + kept,
+                        row_bytes))
+                goto done;
+            double *dst = arena + (size_t)arena_rows * dims;
+            for (int32_t i = 0; i < kept; i++)
+                memcpy(dst + (size_t)i * dims,
+                       cand + (size_t)kept_idx[i] * dims, row_bytes);
+            set_off[v] = arena_rows;
+            set_count[v] = kept;
+            arena_rows += kept;
+        }
+        for (int64_t k = out_ptr[v]; k < out_ptr[v + 1]; k++) {
+            int64_t w = out_dst[k];
+            if (--indegree[w] == 0) queue[tail++] = w;
+        }
+    }
+    if (head != n) {
+        rc = REPRO_ECYCLE;
+        goto done;
+    }
+    {
+        int32_t cnt = set_count[sink];
+        double *rows = malloc((size_t)cnt * row_bytes);
+        if (!rows) goto done;
+        memcpy(rows, arena + (size_t)set_off[sink] * dims,
+               (size_t)cnt * row_bytes);
+        *out_rows = rows;
+        counts[0] = candidates;
+        counts[1] = reductions;
+        rc = cnt;
+    }
+done:
+    free(out_ptr); free(out_dst); free(indegree); free(queue);
+    free(set_off); free(set_count); free(arena); free(cand);
+    free(sizes); free(kept_idx); free(scratch);
+    return rc;
+}
+
+void repro_free(void *ptr) { free(ptr); }
 """
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
+#: Error codes of the kernel entry points (``REPRO_E*`` in the source).
+_ENOMEM, _ECYCLE = -1, -2
 
-class NativeReduction:
-    """ctypes wrapper around the compiled per-node reducer."""
+
+def _check(code: int, what: str) -> int:
+    """Map a negative kernel return code to its Python exception."""
+    if code >= 0:
+        return code
+    if code == _ENOMEM:
+        raise MemoryError(f"native {what} allocation failed")
+    if code == _ECYCLE:
+        from repro.graphmodel.graph import GraphBuildError
+
+        raise GraphBuildError("dependence graph contains a cycle")
+    raise ValueError(f"native {what} rejected its input (code {code})")
+
+
+def _policy_args(policy: ReductionPolicy) -> Tuple[int, float, int, int]:
+    """``(sim_lo, threshold, max_paths, preserve_unique)`` for the kernel."""
+    return (
+        0 if policy.include_base_in_similarity else EventType.BASE + 1,
+        policy.similarity_threshold,
+        policy.max_paths,
+        1 if policy.preserve_unique else 0,
+    )
+
+
+class NativeWalk:
+    """ctypes wrapper around the compiled segment walk and its reducer."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        fn = lib.repro_reduce_node
-        fn.restype = ctypes.c_int32
-        fn.argtypes = [
+        reduce_node = lib.repro_reduce_node
+        reduce_node.restype = ctypes.c_int32
+        reduce_node.argtypes = [
             ctypes.c_void_p,  # stacks
             ctypes.c_int32,  # count
             ctypes.c_int32,  # dims
             ctypes.c_void_p,  # block_sizes
-            ctypes.c_int32,  # nblocks
             ctypes.c_void_p,  # theta
             ctypes.c_int32,  # sim_lo
             ctypes.c_double,  # threshold
@@ -272,45 +546,99 @@ class NativeReduction:
             ctypes.c_int32,  # preserve_unique
             ctypes.c_void_p,  # out_indices
         ]
-        self._fn = fn
+        walk = lib.repro_walk_segment
+        walk.restype = ctypes.c_int64
+        walk.argtypes = [
+            ctypes.c_int64,  # n
+            ctypes.c_void_p,  # in_indptr
+            ctypes.c_void_p,  # edge_src
+            ctypes.c_void_p,  # charges
+            ctypes.c_int32,  # dims
+            ctypes.c_int64,  # sink
+            ctypes.c_void_p,  # theta
+            ctypes.c_int32,  # sim_lo
+            ctypes.c_double,  # threshold
+            ctypes.c_int32,  # max_paths
+            ctypes.c_int32,  # preserve_unique
+            ctypes.POINTER(ctypes.POINTER(ctypes.c_double)),  # out_rows
+            ctypes.c_void_p,  # counts
+        ]
+        lib.repro_free.restype = None
+        lib.repro_free.argtypes = [ctypes.c_void_p]
+        self._reduce_node = reduce_node
+        self._walk = walk
+        self._free = lib.repro_free
 
     def reduce_node_indices(
         self,
         stacks: np.ndarray,
         sizes: np.ndarray,
         theta: np.ndarray,
-        sim_lo: int,
-        threshold: float,
-        max_paths: int,
-        preserve_unique: bool,
+        policy: ReductionPolicy,
         out_indices: np.ndarray,
     ) -> int:
         """Kept-row indices of one node reduction (into *out_indices*).
 
-        *stacks* must be C-contiguous float64, *sizes*/*out_indices*
-        int32, *theta* float64; *out_indices* needs >= count entries.
-        Returns the number of kept rows.
+        *stacks* must be C-contiguous float64 and non-negative,
+        *sizes* (block row counts, summing to the row count) and
+        *out_indices* int32, *theta* C-contiguous float64; *out_indices*
+        needs >= count entries.  Returns the number of kept rows.
         """
-        count = self._fn(
-            stacks.ctypes.data,
-            stacks.shape[0],
-            stacks.shape[1],
-            sizes.ctypes.data,
-            sizes.shape[0],
-            theta.ctypes.data,
-            sim_lo,
-            threshold,
-            max_paths,
-            1 if preserve_unique else 0,
-            out_indices.ctypes.data,
+        return _check(
+            self._reduce_node(
+                stacks.ctypes.data,
+                stacks.shape[0],
+                stacks.shape[1],
+                sizes.ctypes.data,
+                theta.ctypes.data,
+                *_policy_args(policy),
+                out_indices.ctypes.data,
+            ),
+            "reduction",
         )
-        if count < 0:
-            raise MemoryError("native reduction scratch allocation failed")
-        return count
+
+    def walk_segment(
+        self, view: SegmentView, theta: np.ndarray, policy: ReductionPolicy
+    ) -> Tuple[np.ndarray, int, int]:
+        """Walk one segment view in a single call.
+
+        *theta* must be C-contiguous float64 of ``NUM_EVENTS`` entries.
+        Returns ``(sink_stacks, candidate_stacks, reductions)`` like the
+        spec walk; raises :class:`GraphBuildError` on a cyclic view.
+        """
+        charges = np.ascontiguousarray(view.charge_matrix())
+        in_indptr = np.ascontiguousarray(view.in_indptr, dtype=np.int64)
+        edge_src = np.ascontiguousarray(view.edge_src, dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        rows = ctypes.POINTER(ctypes.c_double)()
+        count = _check(
+            self._walk(
+                view.num_nodes,
+                in_indptr.ctypes.data,
+                edge_src.ctypes.data,
+                charges.ctypes.data,
+                NUM_EVENTS,
+                view.sink_local,
+                theta.ctypes.data,
+                *_policy_args(policy),
+                ctypes.byref(rows),
+                counts.ctypes.data,
+            ),
+            "segment walk",
+        )
+        try:
+            stacks = np.ctypeslib.as_array(
+                rows, shape=(count, NUM_EVENTS)
+            ).copy()
+        finally:
+            self._free(rows)
+        return stacks, int(counts[0]), int(counts[1])
 
 
 #: Loaded kernels by name; ``None`` records a failed best-effort load.
 _LOADED: Dict[str, object] = {}
+#: Serialises first loads, so concurrent callers share one build.
+_LOAD_LOCK = threading.Lock()
 
 
 def native_mode() -> str:
@@ -334,9 +662,10 @@ def compile_shared_library(
     """Compile *source* into a cached shared library; return its path.
 
     The cache directory is keyed by the hash of the source and flags, so
-    a source change never reuses a stale build and concurrent workers
-    converge on one artifact (the final rename is atomic: racing
-    builders both win).
+    a source change never reuses a stale build.  Every call compiles in
+    its own temporary directory and renames the result into place
+    atomically, so concurrent builders (threads or processes) never
+    share a scratch file and all converge on one artifact.
     """
     cflags = list(_CFLAGS if cflags is None else cflags)
     tag = hashlib.sha256(
@@ -350,18 +679,19 @@ def compile_shared_library(
     if os.path.exists(lib_path):
         return lib_path
     os.makedirs(directory, exist_ok=True)
-    src_path = os.path.join(directory, f"_{name}.c")
-    with open(src_path, "w") as handle:
-        handle.write(source)
-    tmp_path = os.path.join(directory, f"_{name}.{os.getpid()}.tmp.so")
-    compiler = os.environ.get("CC", "cc")
-    subprocess.run(
-        [compiler, *cflags, src_path, "-o", tmp_path, "-lm"],
-        check=True,
-        capture_output=True,
-        timeout=120,
-    )
-    os.replace(tmp_path, lib_path)
+    with tempfile.TemporaryDirectory(dir=directory) as work:
+        src_path = os.path.join(work, f"_{name}.c")
+        with open(src_path, "w") as handle:
+            handle.write(source)
+        tmp_path = os.path.join(work, f"_{name}.so")
+        compiler = os.environ.get("CC", "cc")
+        subprocess.run(
+            [compiler, *cflags, src_path, "-o", tmp_path, "-lm"],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_path, lib_path)
     return lib_path
 
 
@@ -374,40 +704,51 @@ def load_gated(what: str, builder: Callable[[], object]):
     back), and ``1`` retries a load that an earlier ``0`` skipped or an
     earlier best-effort attempt lost.  In auto mode a failed load is
     reported once and remembered, returning ``None``; under ``1`` it is
-    re-raised as ``RuntimeError``.
+    re-raised as ``RuntimeError``.  Loads run under one lock, so threads
+    racing on a first load share a single build.
     """
     mode = native_mode()
     if mode == "off":
         return None
-    if what in _LOADED and (_LOADED[what] is not None or mode == "auto"):
-        return _LOADED[what]
-    try:
-        kernel = builder()
-    except Exception as exc:  # noqa: BLE001 - any failure means fallback
-        if mode == "require":
-            raise RuntimeError(
-                f"REPRO_NATIVE=1 but the native {what} failed to load: {exc}"
-            ) from exc
-        print(
-            f"repro: native {what} unavailable ({exc.__class__.__name__}); "
-            "using the Python path",
-            file=sys.stderr,
+
+    def memoised() -> bool:
+        return what in _LOADED and (
+            _LOADED[what] is not None or mode == "auto"
         )
-        kernel = None
-    _LOADED[what] = kernel
+
+    if memoised():
+        return _LOADED[what]
+    with _LOAD_LOCK:
+        if memoised():
+            return _LOADED[what]
+        try:
+            kernel = builder()
+        except Exception as exc:  # noqa: BLE001 - any failure means fallback
+            if mode == "require":
+                raise RuntimeError(
+                    f"REPRO_NATIVE=1 but the native {what} failed to load: "
+                    f"{exc}"
+                ) from exc
+            print(
+                f"repro: native {what} unavailable "
+                f"({exc.__class__.__name__}); using the Python path",
+                file=sys.stderr,
+            )
+            kernel = None
+        _LOADED[what] = kernel
     return kernel
 
 
-def load_native() -> Optional[NativeReduction]:
-    """The compiled reducer, or ``None`` when unavailable.
+def load_native() -> Optional[NativeWalk]:
+    """The compiled segment walk, or ``None`` when unavailable.
 
     Gated by ``REPRO_NATIVE`` (see :func:`load_gated`): ``0`` disables
     the native path, ``1`` turns a build/load failure into an error
-    instead of a silent fallback to the spec reducer.
+    instead of a silent fallback to the spec walk.
     """
     return load_gated(
         "reducer",
-        lambda: NativeReduction(
+        lambda: NativeWalk(
             ctypes.CDLL(compile_shared_library("reduction", _C_SOURCE))
         ),
     )

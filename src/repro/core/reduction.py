@@ -22,10 +22,10 @@ that RpStacks' prediction at the baseline configuration equals the exact
 critical-path length.
 
 :func:`reduce_stacks` is the one Python implementation and the spec:
-the compiled per-node kernel in :mod:`repro.core.native` (the segment
-walk's fast path) is differential-tested against it, both per reduction
-and end to end.  The walk falls back to it when that kernel does not
-load.
+the reducer inside the compiled segment walk (:mod:`repro.core.native`)
+is differential-tested against it, both per reduction and end to end.
+The spec walk, which runs when that kernel does not load, calls it at
+every converging node.
 """
 
 from __future__ import annotations

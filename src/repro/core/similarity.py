@@ -35,8 +35,12 @@ def rect_modified_cosine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     because every elementwise step commutes and the contractions run
     over the same values in the same order either way.
     """
-    a = left[:, None, :]
-    b = right[None, :, :]
+    # Dimension-major layout, (d, p, q), over the dimensions some row
+    # uses: where every row is zero a term is exactly +0.0, which leaves
+    # the (non-negative) sums below unchanged.
+    used = left.any(axis=0) | right.any(axis=0)
+    a = left.T[used, :, None]
+    b = right.T[used, None, :]
 
     # scale == 0 only where both components are 0; dividing by 1 there
     # gives the wanted 0 contribution exactly, without the massive
@@ -47,9 +51,19 @@ def rect_modified_cosine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     left_norm = a / scale
     right_norm = b / scale
 
-    sims = np.einsum("pqd,pqd->pq", left_norm, right_norm)
-    norms = np.einsum("pqd,pqd->pq", left_norm, left_norm)
-    denom = np.einsum("pqd,pqd->pq", right_norm, right_norm)
+    # Index-order sums, so every build rounds alike and the compiled
+    # reducer (repro.core.native) matches them bit for bit: einsum and
+    # BLAS split a contraction into SIMD partial sums, whose rounding
+    # depends on the build and can move a similarity across the merge
+    # threshold.
+    shape = (left.shape[0], right.shape[0])
+    sims = np.zeros(shape)
+    norms = np.zeros(shape)
+    denom = np.zeros(shape)
+    for x, y in zip(left_norm, right_norm):
+        sims += x * y
+        norms += x * x
+        denom += y * y
     denom = np.sqrt(norms * denom)
     # A zero norm means a zero row: the dot is 0 too, and 0/1 = 0 is
     # exactly the zero-vs-nonzero convention.

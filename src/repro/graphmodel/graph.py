@@ -145,7 +145,9 @@ class DependenceGraph:
     """Immutable dependence graph over ``13 * num_uops`` nodes.
 
     Build via :class:`~repro.graphmodel.builder.DependenceGraphBuilder`;
-    construct directly only in tests.
+    construct directly only in tests.  Both constructors reject a
+    negative unit count with :class:`GraphBuildError`: stall-event
+    stacks are non-negative, which the compiled segment walk relies on.
     """
 
     def __init__(
@@ -177,6 +179,10 @@ class DependenceGraph:
                     f"(max {MAX_EDGE_EVENTS})"
                 )
             for j, (event, count) in enumerate(charge):
+                if count < 0:
+                    raise GraphBuildError(
+                        f"edge {i} carries a negative unit count ({count})"
+                    )
                 events[i, j] = int(event)
                 units[i, j] = int(count)
         self._events = events
@@ -198,7 +204,9 @@ class DependenceGraph:
         The arrays must already be sorted by destination node (the
         invariant the normal constructor establishes), with *events* and
         *units* of shape ``(num_edges, MAX_EDGE_EVENTS)`` zero-padded
-        beyond each edge's *charge_lengths* entry.  Sparse charge tuples
+        beyond each edge's *charge_lengths* entry, and every unit count
+        non-negative (the compiled segment walk relies on it; a cache
+        file violating it is rejected).  Sparse charge tuples
         are materialised lazily on first ``edge_charges`` access, which
         keeps cache-hit loading free of per-edge Python loops.
         """
@@ -214,6 +222,8 @@ class DependenceGraph:
         graph._charge_lengths = np.asarray(charge_lengths, dtype=np.int8)
         graph._events = np.asarray(events, dtype=np.int16)
         graph._units = np.asarray(units, dtype=np.int32)
+        if (graph._units < 0).any():
+            raise GraphBuildError("packed edges carry a negative unit count")
         graph._finish_init()
         return graph
 

@@ -192,8 +192,25 @@ def _git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
+def _kernel_state(load: Callable[[], object]) -> str:
+    """``off`` under ``REPRO_NATIVE=0``, else whether the kernel loaded."""
+    from repro.core.native import native_mode
+
+    if native_mode() == "off":
+        return "off"
+    return "loaded" if load() is not None else "fallback"
+
+
 def env_fingerprint() -> Dict[str, object]:
-    """Who measured: enough to judge whether two records are comparable."""
+    """Who measured: enough to judge whether two records are comparable.
+
+    ``native_reducer`` / ``native_simulator`` record which implementation
+    ran (``loaded``, ``fallback`` or ``off``), not just the
+    ``REPRO_NATIVE`` setting.
+    """
+    from repro.core.native import load_native
+    from repro.simulator.native import load_native_sim
+
     try:
         import numpy
 
@@ -207,6 +224,8 @@ def env_fingerprint() -> Dict[str, object]:
         "machine": _platform.machine(),
         "cpu_count": os.cpu_count(),
         "repro_native": os.environ.get("REPRO_NATIVE", ""),
+        "native_reducer": _kernel_state(load_native),
+        "native_simulator": _kernel_state(load_native_sim),
         "git_sha": _git_sha(),
     }
 

@@ -27,7 +27,11 @@ Records are only comparable like-for-like: same scenario, tier and
 scale.  Environment drift (different python/numpy/git sha/CPU count) is
 reported on every finding; under the default ``warn`` policy the gates
 still run, under ``strict`` a mismatch downgrades the verdict to
-``ENV_MISMATCH`` so cross-machine comparisons never fail a build.
+``ENV_MISMATCH`` so cross-machine comparisons never fail a build.  A
+native kernel that loaded on one side only (``native_reducer`` /
+``native_simulator``) is an environment break under both policies: the
+two runs measured different implementations.  A record that predates
+those fields leaves them unknown and keeps gating.
 """
 
 from __future__ import annotations
@@ -213,6 +217,23 @@ def _env_drift(
     return drift
 
 
+#: env fields whose drift is always ENV_MISMATCH: which native kernels
+#: loaded.  A field absent from either record is unknown.
+_KERNEL_FIELDS = ("native_reducer", "native_simulator")
+
+
+def _kernel_drift(
+    baseline: BenchRecord, current: BenchRecord
+) -> Dict[str, tuple]:
+    drift = {}
+    for name in _KERNEL_FIELDS:
+        old = baseline.env.get(name)
+        new = current.env.get(name)
+        if old is not None and new is not None and old != new:
+            drift[name] = (old, new)
+    return drift
+
+
 def _slower(
     baseline: float, current: float, rel: float, floor: float
 ) -> bool:
@@ -305,14 +326,20 @@ def compare_records(
         )
 
     env_drift = _env_drift(baseline, current, policy)
-    if env_drift and policy.env_policy == "strict":
+    kernel_drift = _kernel_drift(baseline, current)
+    if kernel_drift or (env_drift and policy.env_policy == "strict"):
         return Finding(
             scenario=current.scenario,
             verdict=Verdict.ENV_MISMATCH,
             baseline_seconds=baseline.min_seconds,
             current_seconds=current.min_seconds,
-            env_drift=env_drift,
-            detail="environment drifted; timings not compared (strict)",
+            env_drift={**env_drift, **kernel_drift},
+            detail=(
+                "a native kernel loaded on one side only; timings not "
+                "compared"
+                if kernel_drift
+                else "environment drifted; timings not compared (strict)"
+            ),
         )
 
     # Parity before performance: digest drift means the scenario now

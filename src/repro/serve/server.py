@@ -35,6 +35,7 @@ import asyncio
 import concurrent.futures
 import dataclasses
 import pathlib
+import sys
 import threading
 from collections import deque
 from typing import Callable, Dict, Optional, Tuple
@@ -698,11 +699,20 @@ async def _serve_until_drained(
     await server.wait_closed()
 
 
+#: The daemon's interpreter switch interval, seconds.  A cold build
+#: spends nearly all its time in Python stages that hold the interpreter
+#: lock (its segment walk runs compiled, without it), so at the 5 ms
+#: default a warm request arriving mid-build waits up to 5 ms for the
+#: lock before the event loop can serve it.
+_SWITCH_INTERVAL_S = 0.001
+
+
 def run_forever(
     config: ServeConfig, obs: Optional[Observer] = None
 ) -> int:
     """Blocking entry point used by ``repro serve``: run until a
     SIGTERM/SIGINT drain completes; returns the process exit code."""
+    sys.setswitchinterval(_SWITCH_INTERVAL_S)
     server = ReproServer(config, obs=obs)
     asyncio.run(_serve_until_drained(server, install_signals=True))
     return 0

@@ -2,8 +2,12 @@
 
 Flipping the gate mid-process must take effect in both directions:
 ``0`` disables a kernel that already loaded, and a later ``1`` loads it,
-also when the first call of the process ran under ``0``.
+also when the first call of the process ran under ``0``.  Threads racing
+on a first load share one build instead of leaving the process on the
+Python path.
 """
+
+import threading
 
 import pytest
 
@@ -68,3 +72,29 @@ class TestFailedLoad:
         with pytest.raises(RuntimeError, match="REPRO_NATIVE=1"):
             load_gated("probe", broken)
         assert len(attempts) == 2
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_concurrent_first_loads_share_one_build(monkeypatch, tmp_path, kernel):
+    """Two threads loading on a fresh cache both get the kernel, and the
+    process keeps it: racing first builds must not record a failure."""
+    load = KERNELS[kernel]
+    _loaded_under_auto(monkeypatch, load)
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "_LOADED", {})
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def first_load(slot):
+        barrier.wait()
+        results[slot] = load()
+
+    threads = [
+        threading.Thread(target=first_load, args=(slot,)) for slot in (0, 1)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results[0] is not None and results[1] is not None
+    assert load() is not None

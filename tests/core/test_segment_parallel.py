@@ -8,10 +8,11 @@ parallel walk must be *invisible* in the results:
    ``jobs=1`` on every suite workload (order-merged segment results);
 2. the array-native segment walk is bit-identical to the reference
    whole-graph dictionary walk it replaced;
-3. the compiled C per-node reducer is bit-identical to the spec
-   reducer (``reduce_stacks``), both at the reduce level (fuzz over
-   block-structured populations) and end-to-end over every suite
-   workload and stress kernel, with ``REPRO_NATIVE`` flipped in-process.
+3. the compiled segment walk is bit-identical to the spec walk
+   (``_walk_segment`` over ``reduce_stacks``): at the reduce level
+   (fuzz over block-structured populations), end-to-end over every
+   suite workload and stress kernel, and at the edge cases of segment
+   length and policy, with ``REPRO_NATIVE`` flipped in-process.
 """
 
 import numpy as np
@@ -23,6 +24,12 @@ from repro.core.generator import RpStacksGenerator, generate_rpstacks
 from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.graphmodel.builder import build_graph
+from repro.graphmodel.graph import (
+    MAX_EDGE_EVENTS,
+    DependenceGraph,
+    GraphBuildError,
+)
+from repro.graphmodel.nodes import Stage, node_id
 from repro.simulator.core import simulate
 from repro.workloads import STRESS_KERNELS
 from repro.workloads.suite import make_workload, suite_names
@@ -166,6 +173,48 @@ def _random_block_population(rng):
     return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
 
 
+def _tied_binary_population(rng):
+    """Block populations of 0/1 rows over four stall dimensions.
+
+    There the similarity |A∩B|/√(|A||B|) lands exactly on the
+    thresholds 0.0, 0.5 and 1.0, so ties reach the merge, and with a
+    64-row cap every dominance decision shows in the result.  Each
+    block's rows share one weight (1-3 ones), so blocks stay wide
+    antichains, and a BASE shift lets a row escape a superset in
+    another block.
+    """
+    policy = ReductionPolicy(
+        similarity_threshold=float(rng.choice([0.0, 0.5, 1.0])),
+        max_paths=64,
+        preserve_unique=bool(rng.integers(0, 2)),
+    )
+    theta = rng.integers(1, 5, size=NUM_EVENTS).astype(np.float64)
+    stall = rng.choice(np.arange(EventType.BASE + 1, NUM_EVENTS), 4, False)
+    blocks = []
+    for _ in range(int(rng.integers(2, 5))):
+        raw = np.zeros((int(rng.integers(1, 7)), NUM_EVENTS))
+        weight = int(rng.integers(1, 4))
+        for row in raw:
+            row[rng.choice(stall, weight, False)] = 1.0
+        shift = np.zeros(NUM_EVENTS)
+        shift[EventType.BASE] = rng.integers(0, 3)
+        blocks.append(reduce_stacks(raw, theta, policy) + shift)
+    sizes = np.asarray([b.shape[0] for b in blocks], dtype=np.int32)
+    return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
+
+
+def _assert_native_matches_spec(native, populations):
+    out = np.empty(256, dtype=np.int32)
+    for stacks, sizes, theta, policy in populations:
+        expected = reduce_stacks(stacks, theta, policy)
+        kept = native.reduce_node_indices(
+            stacks, sizes, np.ascontiguousarray(theta), policy, out
+        )
+        got = stacks[out[:kept]]
+        assert got.shape == expected.shape
+        assert (got == expected).all()
+
+
 #: Stress-kernel arguments keeping the end-to-end differential quick.
 STRESS_ARGS = {"icache_thrash": {"passes": 1}, "dcache_thrash": {"passes": 1}}
 
@@ -182,28 +231,21 @@ class TestNativeReducerParity:
         if native is None:
             pytest.skip("no C toolchain available in this environment")
         rng = np.random.default_rng(7)
-        out = np.empty(256, dtype=np.int32)
-        for _ in range(150):
-            stacks, sizes, theta, policy = _random_block_population(rng)
-            expected = reduce_stacks(stacks, theta, policy)
-            sim_lo = (
-                0
-                if policy.include_base_in_similarity
-                else EventType.BASE + 1
-            )
-            kept = native.reduce_node_indices(
-                stacks,
-                sizes,
-                np.ascontiguousarray(theta),
-                sim_lo,
-                policy.similarity_threshold,
-                policy.max_paths,
-                policy.preserve_unique,
-                out,
-            )
-            got = stacks[out[:kept]]
-            assert got.shape == expected.shape
-            assert (got == expected).all()
+        _assert_native_matches_spec(
+            native, (_random_block_population(rng) for _ in range(150))
+        )
+
+    def test_native_matches_spec_on_tied_binary_rows(self):
+        """Catches tie-break and dominance slips the integer fuzz above
+        misses: a ``>`` -> ``>=`` flip in the similarity test, or a
+        reversed support-subset skip in dominance."""
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        rng = np.random.default_rng(11)
+        _assert_native_matches_spec(
+            native, (_tied_binary_population(rng) for _ in range(150))
+        )
 
     @pytest.mark.parametrize(
         "source,name,include_base", END_TO_END_CASES
@@ -232,3 +274,92 @@ class TestNativeReducerParity:
         if load_native() is None:
             pytest.skip("no C toolchain available in this environment")
         assert digest() == spec
+
+
+#: Policies at the edges of the reducer's decisions.
+EDGE_POLICIES = [
+    ReductionPolicy(max_paths=1),
+    ReductionPolicy(similarity_threshold=0.0),
+    ReductionPolicy(similarity_threshold=1.0, max_paths=64),
+    ReductionPolicy(preserve_unique=False, include_base_in_similarity=True),
+]
+
+EDGE_GRAPHS = {
+    "lbm": lambda: make_workload("lbm", 200),
+    "leslie3d": lambda: make_workload("leslie3d", 200),
+    "branch_mispredict_storm": lambda: STRESS_KERNELS[
+        "branch_mispredict_storm"
+    ](),
+    "divider_pressure": lambda: STRESS_KERNELS["divider_pressure"](),
+}
+
+
+@pytest.fixture(scope="module")
+def edge_graphs():
+    return {
+        name: build_graph(simulate(make(), baseline_config()))
+        for name, make in EDGE_GRAPHS.items()
+    }
+
+
+class TestCompiledWalkMatchesSpecWalk:
+    """The compiled walk (one C call per segment) against the spec walk
+    (``_walk_segment`` over ``reduce_stacks``) at the edges: one-µop and
+    odd-length segments, a single whole-trace segment, and policies that
+    cap to one path, merge everything, merge nothing, or skip the
+    uniqueness rule."""
+
+    @staticmethod
+    def _outcomes(graph, segment_length):
+        base = baseline_config().latency
+        outcomes = []
+        for policy in EDGE_POLICIES:
+            model = RpStacksGenerator(
+                graph, base, policy=policy, segment_length=segment_length
+            ).generate()
+            outcomes.append(
+                (
+                    model.content_digest(),
+                    model.stats.candidate_stacks,
+                    model.stats.reductions,
+                )
+            )
+        return outcomes
+
+    @pytest.mark.parametrize("segment_length", [1, 7, None])
+    @pytest.mark.parametrize("name", sorted(EDGE_GRAPHS))
+    def test_digests_and_counts_match(
+        self, monkeypatch, edge_graphs, name, segment_length
+    ):
+        graph = edge_graphs[name]
+        length = segment_length or graph.num_uops
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        if load_native() is None:
+            pytest.skip("no C toolchain available in this environment")
+        compiled = self._outcomes(graph, length)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        assert self._outcomes(graph, length) == compiled
+
+    @pytest.mark.parametrize("setting", [None, "0"])
+    def test_cycle_raises_graph_build_error(self, monkeypatch, setting):
+        if setting is None:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NATIVE", setting)
+        a, b = node_id(0, Stage.F), node_id(0, Stage.E)
+        graph = DependenceGraph(1, [a, b], [b, a], [(), ()])
+        with pytest.raises(GraphBuildError, match="cycle"):
+            generate_rpstacks(graph, baseline_config().latency)
+
+    def test_constructors_reject_negative_units(self):
+        a, b = node_id(0, Stage.F), node_id(0, Stage.E)
+        with pytest.raises(GraphBuildError, match="negative"):
+            DependenceGraph(1, [a], [b], [((EventType.L1D, -1),)])
+        events = np.zeros((1, MAX_EDGE_EVENTS), dtype=np.int16)
+        units = np.zeros((1, MAX_EDGE_EVENTS), dtype=np.int32)
+        units[0, 0] = -1
+        with pytest.raises(GraphBuildError, match="negative"):
+            DependenceGraph.from_packed(
+                1, np.array([a]), np.array([b]), events, units,
+                np.ones(1, dtype=np.int8),
+            )

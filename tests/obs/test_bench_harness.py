@@ -113,6 +113,15 @@ class TestRunScenario:
         assert record.env["python"] == env_fingerprint()["python"]
         assert record.created  # ISO stamp present
 
+    def test_env_records_which_kernels_loaded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        env = env_fingerprint()
+        assert env["native_reducer"] == env["native_simulator"] == "off"
+        monkeypatch.setenv("REPRO_NATIVE", "auto")
+        env = env_fingerprint()
+        assert env["native_reducer"] in ("loaded", "fallback")
+        assert env["native_simulator"] in ("loaded", "fallback")
+
     def test_digest_disagreement_across_reps_raises(self):
         scenario = _toy_scenario(digests=["a", "a", "b", "c"])
         with pytest.raises(ScenarioRun, match="distinct result digests"):

@@ -194,6 +194,37 @@ def test_env_fingerprint_mismatch_strict_policy_skips():
     assert finding.env_drift == {"cpu_count": (8, 2)}
 
 
+@pytest.mark.parametrize("env_policy", ["warn", "strict"])
+def test_native_kernel_drift_is_an_env_break(env_policy):
+    """Records differing only in which reducer ran are incomparable
+    under either policy: never a perf regression or a digest break."""
+    baseline = record(
+        [0.50], env=dict(ENV, native_reducer="loaded"), digest="a" * 64
+    )
+    current = record(
+        [5.00], env=dict(ENV, native_reducer="fallback"), digest="b" * 64
+    )
+    finding = compare_records(
+        current, baseline, GatePolicy(env_policy=env_policy)
+    )
+    assert finding.verdict is Verdict.ENV_MISMATCH
+    assert not finding.failed
+    assert finding.env_drift == {
+        "native_reducer": ("loaded", "fallback")
+    }
+
+
+def test_baseline_without_kernel_fields_keeps_gating():
+    baseline = record([0.50])
+    current = record(
+        [0.90],
+        env=dict(ENV, native_reducer="loaded", native_simulator="loaded"),
+    )
+    finding = compare_records(current, baseline)
+    assert finding.verdict is Verdict.REGRESSION
+    assert finding.env_drift == {}
+
+
 def test_scale_mismatch_is_incomparable():
     baseline = record([0.50])
     current = record([0.90], scale={"macros": 1200})
