@@ -105,9 +105,11 @@ def test_million_point_sweep(benchmark):
             f"{metrics.peak_candidates}",
         ],
     ]
+    priced = model.restricted(*space.bounds()).num_paths
     text = (
         f"Streaming DSE sweep engine ({space.num_points:,}-point latency "
-        f"space, gamess model, {model.num_paths} paths)\n"
+        f"space, gamess model, {priced} of {model.num_paths} stacks "
+        f"priced)\n"
         + format_table(
             ["method", "throughput", "wall-clock", "resident candidates"],
             rows,

@@ -76,7 +76,8 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
     Raises:
         ModelFormatError: on missing keys, version or event-taxonomy
             mismatches (a model saved under a different event set cannot
-            be re-priced safely).
+            be re-priced safely), or stacks the model constructor rejects
+            (entries that are not finite, non-negative integers).
     """
     path = pathlib.Path(path)
     with np.load(path) as archive:
@@ -112,9 +113,12 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
             for key, value in saved_stats.get("extra", {}).items()
         },
     )
-    return RpStacksModel(
-        segments,
-        baseline=baseline,
-        num_uops=int(meta["num_uops"]),
-        stats=stats,
-    )
+    try:
+        return RpStacksModel(
+            segments,
+            baseline=baseline,
+            num_uops=int(meta["num_uops"]),
+            stats=stats,
+        )
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

@@ -41,10 +41,18 @@ class RpStacksModel:
 
     Args:
         segment_stacks: one ``(k_i, NUM_EVENTS)`` array per graph
-            segment — the surviving representative path stacks.
+            segment — the surviving representative path stacks.  Entries
+            are unit counts: finite, non-negative integers.
         baseline: the latency configuration of the generating simulation.
         num_uops: µop count of the analysed stream (CPI normalisation).
         stats: generation bookkeeping (may be omitted in tests).
+
+    Raises:
+        ValueError: on an empty model or segment, a wrong width, or any
+            entry that is not a finite, non-negative integer.  Pricing is
+            exact in float64 only over integer counts, which is what
+            makes batch prices bit-identical to per-point ones under any
+            chunking and under :meth:`restricted`.
     """
 
     def __init__(
@@ -70,6 +78,15 @@ class RpStacksModel:
 
         # Flattened representation for batch evaluation.
         self._matrix = np.vstack(self.segment_stacks)
+        matrix = self._matrix
+        if not (
+            np.isfinite(matrix).all()
+            and (matrix >= 0).all()
+            and (np.floor(matrix) == matrix).all()
+        ):
+            raise ValueError(
+                "stack entries must be finite, non-negative integers"
+            )
         boundaries = np.cumsum([s.shape[0] for s in self.segment_stacks])
         self._segment_starts = np.concatenate(([0], boundaries[:-1]))
 
@@ -128,7 +145,8 @@ class RpStacksModel:
         """Vectorised prediction over many design points at once.
 
         This is the design-space-exploration fast path: one matrix
-        product prices every stack under every configuration.
+        product per segment prices its stacks under every configuration
+        (:meth:`predict_cycles_matrix`).
         """
         if not len(latencies):
             return np.empty(0, dtype=np.float64)
@@ -138,13 +156,15 @@ class RpStacksModel:
     def predict_cycles_matrix(self, thetas: np.ndarray) -> np.ndarray:
         """Price a whole ``(NUM_EVENTS, n)`` pricing-vector chunk at once.
 
-        This is the streaming sweep engine's kernel: one matrix product
-        prices every representative path under every configuration, and
-        one grouped-max reduction (``maximum.reduceat``) plus a column
-        sum folds paths into per-configuration cycle predictions.  All
-        intermediates are integer-valued and well inside float64's exact
-        range, so the result is bit-identical to per-point
-        :meth:`predict_cycles` regardless of chunking.
+        This is the batch kernel behind :meth:`predict_many` and the
+        streaming sweep engine: per segment, one matrix product prices
+        the segment's stacks under every configuration and a column max
+        picks the winner; the maxima are summed in segment order.  (A
+        grouped ``maximum.reduceat`` over all paths at once is several
+        times slower from a few hundred points up.)  All intermediates
+        are integer-valued and well inside float64's exact range, so the
+        result is bit-identical to per-point :meth:`predict_cycles`
+        regardless of chunking.
 
         Args:
             thetas: ``(NUM_EVENTS, n)`` array, one pricing vector
@@ -158,11 +178,58 @@ class RpStacksModel:
             raise ValueError(
                 f"thetas must be (NUM_EVENTS, n); got {thetas.shape}"
             )
+        cycles = np.zeros(thetas.shape[1], dtype=np.float64)
         if thetas.shape[1] == 0:
-            return np.empty(0, dtype=np.float64)
-        values = self._matrix @ thetas  # (paths, configs)
-        maxima = np.maximum.reduceat(values, self._segment_starts, axis=0)
-        return maxima.sum(axis=0)
+            return cycles
+        for stacks in self.segment_stacks:
+            cycles += (stacks @ thetas).max(axis=0)
+        return cycles
+
+    def restricted(self, lo: np.ndarray, hi: np.ndarray) -> "RpStacksModel":
+        """This model cut down to the stacks that can win inside a box.
+
+        In each segment, a stack is dropped when another stack of the
+        segment prices at least as high at every point ``θ`` with
+        ``lo <= θ <= hi``.  On a box the smallest margin of stack ``r``
+        over stack ``q`` sits at a vertex, chosen event by event, so
+        ``r`` covers ``q`` iff ``Σₑ min((r−q)ₑ·loₑ, (r−q)ₑ·hiₑ) >= 0``.
+        Of stacks that price alike over the whole box the lowest index
+        is kept (dropping the whole tie class would change prices).
+        Segments left with one stack are summed into a single row.
+
+        Counts and latencies are integers, so every margin is exact and
+        the restricted model prices every point of the box bit-identically
+        to this one.  ``num_uops`` and ``baseline`` carry over.  Each
+        segment's test holds a ``k × k × NUM_EVENTS`` intermediate; the
+        reduction caps ``k`` at its ``max_paths``.
+
+        Args:
+            lo, hi: ``(NUM_EVENTS,)`` pricing vectors bounding the box
+                (:meth:`~repro.dse.designspace.DesignSpace.bounds`).
+        """
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        if lo.shape != (NUM_EVENTS,) or hi.shape != (NUM_EVENTS,):
+            raise ValueError("lo and hi must be (NUM_EVENTS,) vectors")
+        if (lo > hi).any():
+            raise ValueError("the box needs lo <= hi in every event")
+        singles: List[np.ndarray] = []
+        kept: List[np.ndarray] = []
+        for stacks in self.segment_stacks:
+            count = stacks.shape[0]
+            if count > 1:
+                diff = stacks[:, np.newaxis, :] - stacks[np.newaxis, :, :]
+                # covers[r, q]: stack r prices >= stack q all over the box.
+                covers = np.minimum(diff * lo, diff * hi).sum(axis=2) >= 0
+                earlier = np.triu(np.ones((count, count), dtype=bool), 1)
+                beaten = covers & (~covers.T | earlier)
+                stacks = stacks[~beaten.any(axis=0)]
+            (singles if stacks.shape[0] == 1 else kept).append(stacks)
+        if singles:
+            kept.insert(0, np.sum(singles, axis=0))
+        return RpStacksModel(
+            kept, baseline=self.baseline, num_uops=self.num_uops
+        )
 
     def representative_stack(
         self, latency: LatencyConfig

@@ -127,6 +127,21 @@ class DesignSpace:
             thetas[int(event)] = np.asarray(values, dtype=np.float64)[digits]
         return thetas
 
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` pricing vectors of the box holding every point.
+
+        A swept event spans its axis' smallest to largest value (an axis
+        of a directly built space need not be sorted); every other event
+        sits at the base latency.  Every column of :meth:`theta_matrix`
+        lies inside the box.
+        """
+        lo = self.base.as_vector()
+        hi = lo.copy()
+        for event, values in self.axes:
+            lo[int(event)] = min(values)
+            hi[int(event)] = max(values)
+        return lo, hi
+
     def iter_chunks(self, chunk_size: int) -> Iterator[Tuple[int, int]]:
         """Contiguous ``(start, stop)`` index ranges covering the space."""
         if chunk_size < 1:

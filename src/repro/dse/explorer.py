@@ -5,7 +5,7 @@ explorer prices every point, filters by a target CPI, attaches an
 optimisation-cost estimate, and returns the Pareto-optimal candidates —
 the "compare the selected designs to finalize the decision" step of the
 paper's scenario.  With an :class:`~repro.core.model.RpStacksModel` the
-whole sweep is a single matrix product (``predict_many``).
+whole sweep is one matrix product per segment (``predict_many``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def default_cost_model_matrix(
     Returns:
         ``(n,)`` costs, bit-identical to calling the scalar model per
         column: terms accumulate in the same per-event order, with the
-        same zero-cycle halving rule.
+        same zero-cycle halving rule.  An event no column lowers below
+        *base* is skipped; its terms would all add ``+0.0``.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     costs = np.zeros(thetas.shape[1], dtype=np.float64)
@@ -66,8 +67,11 @@ def default_cost_model_matrix(
         if old <= 0:
             continue
         new = thetas[int(event)]
+        lowered = new < old
+        if not lowered.any():
+            continue
         effective = np.where(new > 0, new, 0.5)
-        costs += np.where(new < old, old / effective - 1.0, 0.0)
+        costs += np.where(lowered, old / effective - 1.0, 0.0)
     return costs
 
 

@@ -8,12 +8,17 @@ materialises every point as a :class:`~repro.common.config.LatencyConfig`
 
 This module is the array-native replacement:
 
+* before any chunk is priced, the model is restricted to the space's
+  box (:meth:`DesignSpace.bounds`, :meth:`RpStacksModel.restricted`):
+  per segment, only the stacks that can be the maximum somewhere in
+  the space are kept, so pricing cost follows the stacks that can win
+  in the explored space rather than the size of the model;
 * points are enumerated as pricing-vector *chunks*
   (:meth:`DesignSpace.theta_matrix` — mixed-radix index arithmetic, no
   per-point objects);
-* each chunk is priced in one matrix product
-  (:meth:`RpStacksModel.predict_cycles_matrix`) and costed in one
-  vectorised pass (:func:`default_cost_model_matrix`);
+* each chunk is priced by one matrix product per segment of the
+  restricted model (:meth:`RpStacksModel.predict_cycles_matrix`) and
+  costed in one vectorised pass (:func:`default_cost_model_matrix`);
 * a bounded-memory reduction keeps only the candidates that can still
   reach the cost/CPI Pareto front, so a multi-million-point space never
   resides in RAM at once;
@@ -27,10 +32,12 @@ index)`` order.  A point dropped by that rule can never appear in
 kept point to beat *some* preceding survivor, and the dropped point has
 a preceding dominator), and the rule is confluent under any merge order
 — pruning per chunk, per shard, or all at once yields the same surviving
-set.  Stack unit counts and latencies are integers, so every matmul
-intermediate is exact in float64 and chunking cannot change a single
+set.  Stack unit counts and latencies are integers (the model's
+constructor enforces it), so every matmul intermediate is exact in
+float64, and neither chunking nor the restriction can change a single
 bit: the streamed front is **bit-identical** to the materialised
-explorer's, which ``tests/dse/test_sweep.py`` asserts differentially.
+explorer's, which prices the full model and which
+``tests/dse/test_sweep.py`` asserts against differentially.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.common.config import LatencyConfig
+from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import (
     Candidate,
@@ -302,7 +310,9 @@ def sweep_space(
             object with ``predict_cycles_matrix`` + ``num_uops``) rides
             the array-native fast path; predictors offering only
             ``predict_many`` or ``predict_cpi`` still stream chunk by
-            chunk, just slower.
+            chunk, just slower.  An ``RpStacksModel`` is priced through
+            :meth:`~repro.core.model.RpStacksModel.restricted` to the
+            space's :meth:`~repro.dse.designspace.DesignSpace.bounds`.
         space: the design space; never materialised.
         target_cpi: drop points whose predicted CPI exceeds this.
         chunk_size: design points priced per matrix product.
@@ -318,8 +328,11 @@ def sweep_space(
             becomes a ``sweep.chunk`` span (worker-side spans are merged
             through the pool), chunk timings land in the
             ``sweep.chunk_seconds`` histogram, and progress lines are
-            emitted.  Defaults to the ambient observer — disabled
-            instrumentation costs one flag check per chunk.
+            emitted.  The restriction is a ``sweep.restrict`` span
+            (``stacks`` in the caller's model, ``stacks_priced`` after
+            it) and a ``sweep.stacks_priced`` gauge.  Defaults to the
+            ambient observer — disabled instrumentation costs one flag
+            check per chunk.
         progress_interval: seconds between progress lines (chunks done /
             points priced / current front size); defaults to
             :data:`DEFAULT_PROGRESS_INTERVAL`.  Progress requires an
@@ -400,6 +413,15 @@ def sweep_space(
     with use_observer(obs), obs.span(
         "sweep.run", points=total, jobs=jobs, chunk_size=chunk_size
     ):
+        # Taken after the checkpoint fingerprint, which covers the
+        # caller's model; the restricted model prices bit-identically.
+        priced_model = predictor
+        if isinstance(predictor, RpStacksModel):
+            with obs.span(
+                "sweep.restrict", stacks=predictor.num_paths
+            ) as span:
+                priced_model = predictor.restricted(*space.bounds())
+                span.set(stacks_priced=priced_model.num_paths)
         if ckpt_path is not None:
             state = None
             if resume and ckpt_path.exists():
@@ -456,7 +478,7 @@ def sweep_space(
                             segment_stop, cursor + budget * chunk_size
                         )
                     state = _sweep_shard(
-                        predictor, space, cursor, segment_stop,
+                        priced_model, space, cursor, segment_stop,
                         chunk_size, target_cpi, cost_model, top_k,
                         progress_interval, initial=state,
                     )
@@ -492,15 +514,15 @@ def sweep_space(
         elif jobs == 1:
             shards = [
                 _sweep_shard(
-                    predictor, space, 0, total, chunk_size, target_cpi,
-                    cost_model, top_k, progress_interval,
+                    priced_model, space, 0, total, chunk_size,
+                    target_cpi, cost_model, top_k, progress_interval,
                 )
             ]
         else:
             from repro.runtime.runner import parallel_map
 
             tasks = [
-                (predictor, space, lo, hi, chunk_size, target_cpi,
+                (priced_model, space, lo, hi, chunk_size, target_cpi,
                  cost_model, top_k, progress_interval)
                 for lo, hi in _shard_ranges(total, chunk_size, jobs)
             ]
@@ -556,6 +578,8 @@ def sweep_space(
         priced / elapsed if elapsed > 0 else float("inf")
     )
     registry.gauge("prune.survivors").set(int(indices.size))
+    if isinstance(priced_model, RpStacksModel):
+        registry.gauge("sweep.stacks_priced").set(priced_model.num_paths)
     if obs.enabled:
         exported = registry.export()
         # The parent-side gauges/histogram duplicate what shard workers

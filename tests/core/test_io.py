@@ -71,6 +71,18 @@ def test_rejects_tampered_event_count(model, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [0.5, float("nan"), -5.0])
+def test_rejects_tampered_stack_values(model, tmp_path, bad):
+    path = save_model(model, tmp_path / "m")
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["segment_000001"][0, EventType.L1D] = bad
+    np.savez(path, **arrays)
+    with pytest.raises(ModelFormatError, match="non-negative integers") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
 def test_real_model_round_trip(gamess_session, tmp_path):
     model = gamess_session.rpstacks
     loaded = load_model(save_model(model, tmp_path / "gamess"))

@@ -100,6 +100,21 @@ class TestValidation:
                 [np.zeros((1, 3))], baseline=LatencyConfig(), num_uops=10
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [0.5, float("nan"), float("inf"), -5.0],
+        ids=["fractional", "nan", "inf", "negative"],
+    )
+    def test_rejects_non_integer_count_rows(self, bad):
+        row = vec(BASE=10, L1D=2)
+        row[EventType.FP_ADD] = bad
+        with pytest.raises(ValueError, match="non-negative integers"):
+            RpStacksModel(
+                [np.stack([vec(BASE=3), row])],
+                baseline=LatencyConfig(),
+                num_uops=10,
+            )
+
     def test_default_stats(self):
         model = RpStacksModel(
             [np.zeros((1, NUM_EVENTS))],

@@ -128,6 +128,22 @@ class TestArrayEnumeration:
         total = sum(hi - lo for lo, hi in ranges)
         assert total == s.num_points
 
+    def test_bounds_box_every_point_even_over_unsorted_axes(self):
+        base = LatencyConfig()
+        # Built directly, so the axis keeps its unsorted order.
+        s = DesignSpace(
+            base=base,
+            axes=((EventType.L1D, (3, 1, 4)), (EventType.FP_ADD, (6, 2))),
+        )
+        lo, hi = s.bounds()
+        assert (lo[EventType.L1D], hi[EventType.L1D]) == (1, 4)
+        assert (lo[EventType.FP_ADD], hi[EventType.FP_ADD]) == (2, 6)
+        unswept = EventType.MEM_D
+        assert lo[unswept] == hi[unswept] == base[unswept]
+        thetas = s.theta_matrix()
+        assert (thetas.min(axis=1) == lo).all()
+        assert (thetas.max(axis=1) == hi).all()
+
 
 class TestSampleWithoutReplacement:
     def test_full_sample_has_no_duplicates(self):

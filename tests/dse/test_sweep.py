@@ -11,7 +11,10 @@ from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import Explorer
+from repro.dse.pipeline import analyze
 from repro.dse.sweep import _prune, _shard_ranges, sweep_space
+from repro.obs.observer import Observer
+from repro.workloads.suite import make_workload
 
 
 def vec(**units):
@@ -265,3 +268,140 @@ class TestChunkedPredictionProperty:
         )
         singles = np.array([model.predict_cycles(p) for p in points])
         assert np.array_equal(chunked, singles)
+
+
+#: The e2e ladder's first six axes (20,736 points).
+LADDER_6 = {
+    EventType.L1D: [1, 2, 3, 4],
+    EventType.FP_ADD: [1, 2, 3, 4, 5, 6],
+    EventType.MEM_D: [17, 33, 50, 66, 83, 100],
+    EventType.L2D: [2, 4, 6, 8, 10, 12],
+    EventType.FP_MUL: [1, 2, 3, 4, 5, 6],
+    EventType.LD: [1, 2, 3, 4],
+}
+
+#: Zero-cycle values beside values above the baseline latencies.
+ZERO_TO_DOUBLE = {
+    EventType.L1D: [0, 1, 2, 8],
+    EventType.FP_ADD: [0, 1, 3, 12],
+    EventType.MEM_D: [0, 17, 66, 266],
+    EventType.L2D: [0, 2, 6, 24],
+}
+
+PROPERTY_EVENTS = [EventType.BASE, EventType.L1D, EventType.FP_ADD,
+                   EventType.MEM_D]
+
+
+@pytest.fixture(scope="module", params=["gcc", "namd"])
+def real_session(request):
+    return analyze(make_workload(request.param, 1000))
+
+
+class TestRestriction:
+    """The sweep prices RpStacksModel.restricted to the space's box;
+    inside the box it must price exactly like the full model."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_restricted_model_prices_every_point_exactly(self, data):
+        rows = st.lists(st.integers(0, 9), min_size=4, max_size=4)
+        segments = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            units = data.draw(st.lists(rows, min_size=1, max_size=6))
+            segment = np.zeros((len(units), NUM_EVENTS))
+            segment[:, PROPERTY_EVENTS] = units
+            segments.append(segment)
+        full = RpStacksModel(segments, baseline=LatencyConfig(), num_uops=1)
+        swept = data.draw(
+            st.lists(
+                st.sampled_from(PROPERTY_EVENTS[1:]),
+                min_size=1, max_size=3, unique=True,
+            )
+        )
+        space = DesignSpace.from_mapping({
+            event: data.draw(
+                st.lists(st.integers(0, 12), min_size=1, max_size=4)
+            )
+            for event in swept
+        })
+        restricted = full.restricted(*space.bounds())
+        thetas = space.theta_matrix()
+        assert np.array_equal(
+            restricted.predict_cycles_matrix(thetas),
+            full.predict_cycles_matrix(thetas),
+        )
+        assert restricted.num_paths <= full.num_paths
+
+    def test_winners_switching_inside_the_box_keep_every_stack(
+        self, model, reference_space
+    ):
+        restricted = model.restricted(*reference_space.bounds())
+        assert restricted.num_paths == model.num_paths == 4
+
+    def test_stacks_winning_everywhere_collapse_to_one_row(self, model):
+        space = DesignSpace.from_mapping({EventType.L1D: [1, 2]})
+        restricted = model.restricted(*space.bounds())
+        assert restricted.num_segments == 1
+        assert np.array_equal(
+            restricted.segment_stacks[0],
+            [vec(FP_ADD=4, BASE=16, MEM_D=1)],
+        )
+        assert restricted.num_uops == model.num_uops
+        assert restricted.baseline == model.baseline
+
+    def test_identical_rows_keep_one(self):
+        row = vec(L1D=3, BASE=5)
+        full = RpStacksModel(
+            [np.stack([row, row])], baseline=LatencyConfig(), num_uops=10
+        )
+        space = DesignSpace.from_mapping({EventType.L1D: [1, 4]})
+        restricted = full.restricted(*space.bounds())
+        assert np.array_equal(restricted.segment_stacks[0], [row])
+
+    def test_axisless_space_gives_one_row(self, model):
+        space = DesignSpace.from_mapping({})
+        restricted = model.restricted(*space.bounds())
+        assert restricted.num_paths == 1
+        assert restricted.predict_cycles(space.base) == model.predict_cycles(
+            space.base
+        )
+
+    def test_bad_box_rejected(self, model):
+        lo, hi = DesignSpace.from_mapping({EventType.L1D: [1, 4]}).bounds()
+        with pytest.raises(ValueError, match="lo <= hi"):
+            model.restricted(hi, lo)
+        with pytest.raises(ValueError, match="NUM_EVENTS"):
+            model.restricted(lo[:3], hi[:3])
+
+    @pytest.mark.parametrize(
+        "axes", [LADDER_6, ZERO_TO_DOUBLE], ids=["ladder", "zero-to-double"]
+    )
+    def test_real_models_keep_winner_switches_and_exact_fronts(
+        self, real_session, axes
+    ):
+        full = real_session.rpstacks
+        space = DesignSpace.from_mapping(
+            axes, base=real_session.config.latency
+        )
+        restricted = full.restricted(*space.bounds())
+        assert restricted.num_paths < full.num_paths
+        assert max(s.shape[0] for s in restricted.segment_stacks) > 1
+        thetas = space.theta_matrix()
+        assert np.array_equal(
+            restricted.predict_cycles_matrix(thetas),
+            full.predict_cycles_matrix(thetas),
+        )
+        assert front_key(sweep_space(full, space)) == front_key(
+            Explorer(full).explore(space)
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_restriction_is_traced_and_gauged(self, model, jobs):
+        obs = Observer(enabled=True, progress_stream=None)
+        space = DesignSpace.from_mapping({EventType.L1D: [1, 2]})
+        sweep_space(model, space, chunk_size=1, jobs=jobs, obs=obs)
+        spans = {span.name: span for span in obs.tracer.spans}
+        restrict = spans["sweep.restrict"]
+        assert restrict.parent_id == spans["sweep.run"].span_id
+        assert restrict.attrs == {"stacks": 4, "stacks_priced": 1}
+        assert obs.metrics.gauge_value("sweep.stacks_priced") == 1
