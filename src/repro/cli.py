@@ -8,7 +8,7 @@ Commands mirror the workflow of the paper's Figure 6a:
 * ``explore``    — sweep a latency design space (from a live analysis or
   a previously saved model) and print the Pareto front;
 * ``dse sweep``  — the streaming million-point version of ``explore``:
-  chunked, optionally sharded across processes, bounded memory;
+  chunked, bounded memory;
 * ``compare``    — score RpStacks / CP1 / FMT against a ground-truth
   re-simulation on given latency overrides;
 * ``pipeline``   — textbook-style ASCII pipeline diagram of a run;
@@ -45,10 +45,9 @@ from repro.dse.report import format_table, render_cpi_stack
 from repro.simulator.machine import Machine
 from repro.workloads.suite import SPEC_LABELS, make_workload, suite_names
 
-#: ``dse sweep --abort-after-chunks`` exit — and any Ctrl-C: the run
-#: stopped after persisting whatever checkpoint it was asked to keep
-#: (rerun with ``--resume`` to finish).
-EXIT_SWEEP_INTERRUPTED = 4
+#: Exit code of any command stopped by Ctrl-C.  Only a journalling
+#: ``suite --checkpoint`` run can be continued (with ``--resume``).
+EXIT_INTERRUPTED = 4
 
 
 def _parse_overrides(items: Sequence[str]) -> Dict[EventType, int]:
@@ -220,12 +219,6 @@ def cmd_explore(args) -> int:
 
 
 def cmd_dse_sweep(args) -> int:
-    from repro.runtime.resilience import (
-        CheckpointError,
-        RetryPolicy,
-        SweepInterrupted,
-    )
-
     axes = dict(_parse_axis(spec) for spec in args.axis)
     if not axes:
         raise SystemExit("sweep needs at least one --axis")
@@ -235,10 +228,6 @@ def cmd_dse_sweep(args) -> int:
         raise SystemExit(str(error))
     if args.chunk_size < 1:
         raise SystemExit("--chunk-size must be at least 1")
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
-    if args.retries < 0:
-        raise SystemExit("--retries must be non-negative")
 
     obs = _observer_from_args(args)
     if args.model:
@@ -251,30 +240,16 @@ def cmd_dse_sweep(args) -> int:
     target = args.target_cpi
     if target is None and args.target_fraction is not None:
         target = model.predict_cpi(model.baseline) * args.target_fraction
-    retry = (
-        RetryPolicy(max_attempts=args.retries + 1)
-        if args.retries > 0 else None
-    )
     try:
         result = Explorer(model).sweep(
             space,
             target_cpi=target,
             chunk_size=args.chunk_size,
-            jobs=args.jobs,
             top_k=args.top_k,
             obs=obs,
             progress_interval=args.progress,
-            retry=retry,
-            checkpoint=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
-            resume=args.resume,
-            abort_after_chunks=args.abort_after_chunks,
         )
-    except SweepInterrupted as interrupted:
-        _finish_observer(obs)
-        print(interrupted)
-        return EXIT_SWEEP_INTERRUPTED
-    except (CheckpointError, ValueError) as error:
+    except ValueError as error:
         raise SystemExit(str(error))
     _finish_observer(obs)
     if args.json:
@@ -731,11 +706,9 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
         workers=args.workers,
         queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
-        retries=args.retries,
         drain_grace=args.drain_grace,
     )
     try:
@@ -819,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = dse_sub.add_parser(
         "sweep",
         help="stream a latency space through the bounded-memory "
-        "chunked/sharded sweep engine",
+        "chunked sweep engine",
     )
     add_workload_args(p)
     p.add_argument("--axis", action="append", default=[],
@@ -832,8 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target = baseline CPI x fraction")
     p.add_argument("--chunk-size", type=int, default=65536,
                    help="design points priced per matrix product")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes the chunk ranges shard across")
     p.add_argument("--top-k", type=int,
                    help="hard cap on the held candidate set (memory bound)")
     p.add_argument("--top", type=int, default=10,
@@ -843,23 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", type=float, metavar="SECONDS",
                    help="emit a progress line (chunks done / points "
                    "priced / front size) at this interval")
-    p.add_argument("--retries", type=int, default=0,
-                   help="re-run a failed sweep shard up to this many "
-                   "times (jobs > 1; transient errors and worker "
-                   "deaths)")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="crash-safe sweep snapshot file, atomically "
-                   "rewritten every --checkpoint-interval chunks "
-                   "(requires --jobs 1)")
-    p.add_argument("--checkpoint-interval", type=int, default=16,
-                   metavar="CHUNKS", help="chunks between snapshots")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from --checkpoint, skipping every "
-                   "already-priced chunk (front stays bit-identical); "
-                   "stale checkpoints are rejected")
-    p.add_argument("--abort-after-chunks", type=int, metavar="N",
-                   help="crash drill: stop after N chunks with the "
-                   f"checkpoint persisted (exit {EXIT_SWEEP_INTERRUPTED})")
     add_obs_args(p)
     p.set_defaults(func=cmd_dse_sweep)
 
@@ -996,7 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument(
         "--strict-env", action="store_true",
         help="treat environment-fingerprint drift as incomparable "
-        "instead of gating anyway",
+        "timings instead of gating anyway (result digests are still "
+        "compared whenever numpy and platform match)",
     )
     bp.set_defaults(func=cmd_bench_compare)
 
@@ -1032,18 +987,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8321,
                    help="bind port; 0 picks a free one (default 8321)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per sweep job")
     p.add_argument("--workers", type=int, default=2,
                    help="executor threads for cold builds and sweeps")
     p.add_argument("--queue-limit", type=int, default=8,
                    help="heavy requests allowed to queue before 429")
     p.add_argument("--cache-dir", default=None,
                    help="artifact cache directory (content-addressed "
-                   "reuse across restarts; also holds job checkpoints)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="extra attempts per sweep shard on worker "
-                   "failure (sharded jobs only)")
+                   "reuse across restarts)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds in-flight work gets after SIGTERM")
     add_obs_args(p)
@@ -1067,13 +1017,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Checkpointed commands have already flushed their journal by
-        # the time the interrupt propagates here (the serial sweep path
-        # snapshots inside its handler; the suite journals after every
-        # workload), so Ctrl-C is a resumable stop, not a traceback.
-        print("interrupted; rerun with --resume to continue",
-              file=sys.stderr)
-        return EXIT_SWEEP_INTERRUPTED
+        # Ctrl-C is a clean stop, not a traceback.  Only ``suite
+        # --checkpoint`` journals as it goes (after every workload), so
+        # only it can be continued.
+        if getattr(args, "checkpoint", None):
+            print("interrupted; rerun with --resume to continue",
+                  file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

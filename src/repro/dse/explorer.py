@@ -117,7 +117,7 @@ class SweepMetrics:
     total_seconds: float = 0.0
     #: points priced per wall-clock second
     points_per_second: float = 0.0
-    #: chunks evaluated (across all shards)
+    #: chunks evaluated
     num_chunks: int = 0
     #: slowest single-chunk evaluation, seconds
     max_chunk_seconds: float = 0.0
@@ -125,8 +125,6 @@ class SweepMetrics:
     mean_chunk_seconds: float = 0.0
     #: largest candidate set held at any point (the memory bound)
     peak_candidates: int = 0
-    #: worker processes used (1 = in-process)
-    jobs: int = 1
     #: points per evaluation chunk
     chunk_size: int = 0
     #: 95th-percentile single-chunk evaluation, seconds
@@ -134,8 +132,6 @@ class SweepMetrics:
     #: trailing-window throughput (last few chunks) — what the
     #: ``--progress`` lines report; at completion, the end-of-run rate
     rolling_points_per_second: float = 0.0
-    #: remaining-work estimate at snapshot time (0.0 once complete)
-    eta_seconds: float = 0.0
 
     @classmethod
     def from_registry(
@@ -144,7 +140,6 @@ class SweepMetrics:
         *,
         num_points: int,
         total_seconds: float,
-        jobs: int = 1,
         chunk_size: int = 0,
     ) -> "SweepMetrics":
         """Snapshot the sweep's metrics registry into the stable shape.
@@ -176,10 +171,8 @@ class SweepMetrics:
             peak_candidates=int(
                 registry.gauge_value("sweep.peak_candidates")
             ),
-            jobs=jobs,
             chunk_size=chunk_size,
             rolling_points_per_second=rolling,
-            eta_seconds=registry.gauge_value("sweep.eta_seconds", 0.0),
         )
 
     def describe(self) -> str:
@@ -187,7 +180,7 @@ class SweepMetrics:
             f"{self.num_points} points in {self.total_seconds:.3f}s "
             f"({self.points_per_second:,.0f} points/s, "
             f"{self.num_chunks} chunk(s) of {self.chunk_size}, "
-            f"{self.jobs} job(s), peak {self.peak_candidates} candidates)"
+            f"peak {self.peak_candidates} candidates)"
         )
 
 
@@ -294,15 +287,9 @@ class Explorer:
         target_cpi: Optional[float] = None,
         *,
         chunk_size: int = 65536,
-        jobs: int = 1,
         top_k: Optional[int] = None,
         obs=None,
         progress_interval: Optional[float] = None,
-        retry=None,
-        checkpoint=None,
-        checkpoint_interval: int = 16,
-        resume: bool = False,
-        abort_after_chunks: Optional[int] = None,
     ) -> ExplorationResult:
         """Stream *space* through the bounded-memory sweep engine.
 
@@ -314,8 +301,7 @@ class Explorer:
         bounded memory.  The returned front is bit-identical to the
         materialised path's.  See :func:`repro.dse.sweep.sweep_space`
         (including the ``obs`` / ``progress_interval`` instrumentation
-        knobs and the ``retry`` / ``checkpoint`` / ``resume``
-        fault-tolerance knobs forwarded here).
+        knobs forwarded here).
         """
         from repro.dse.sweep import sweep_space
 
@@ -324,16 +310,10 @@ class Explorer:
             space,
             target_cpi=target_cpi,
             chunk_size=chunk_size,
-            jobs=jobs,
             top_k=top_k,
             cost_model=self.cost_model,
             obs=obs,
             progress_interval=progress_interval,
-            retry=retry,
-            checkpoint=checkpoint,
-            checkpoint_interval=checkpoint_interval,
-            resume=resume,
-            abort_after_chunks=abort_after_chunks,
         )
 
     def _predict_all(self, points: Sequence[LatencyConfig]) -> np.ndarray:

@@ -74,41 +74,25 @@ class AnalysisSession:
         target_cpi: Optional[float] = None,
         *,
         chunk_size: int = 65536,
-        jobs: int = 1,
         top_k: Optional[int] = None,
         obs=None,
         progress_interval: Optional[float] = None,
-        retry=None,
-        checkpoint=None,
-        checkpoint_interval: int = 16,
-        resume: bool = False,
-        abort_after_chunks: Optional[int] = None,
     ) -> ExplorationResult:
         """Stream *space* through the bounded-memory sweep engine.
 
         The million-point version of :meth:`explore`: same Pareto front
-        (bit-identical), but chunked, optionally sharded across worker
-        processes, and never materialising the space.  ``obs`` /
-        ``progress_interval`` forward to
+        (bit-identical), but chunked and never materialising the space.
+        ``obs`` / ``progress_interval`` forward to
         :func:`repro.dse.sweep.sweep_space` for chunk spans, metrics
-        and progress lines; ``retry`` / ``checkpoint`` /
-        ``checkpoint_interval`` / ``resume`` / ``abort_after_chunks``
-        forward the fault-tolerance machinery (shard retries, crash-safe
-        snapshots, bit-identical resume).
+        and progress lines.
         """
         return Explorer(self.rpstacks).sweep(
             space,
             target_cpi=target_cpi,
             chunk_size=chunk_size,
-            jobs=jobs,
             top_k=top_k,
             obs=obs,
             progress_interval=progress_interval,
-            retry=retry,
-            checkpoint=checkpoint,
-            checkpoint_interval=checkpoint_interval,
-            resume=resume,
-            abort_after_chunks=abort_after_chunks,
         )
 
     def simulate(self, latency: LatencyConfig) -> SimResult:

@@ -1,4 +1,4 @@
-"""Streaming, sharded design-space sweep engine.
+"""Streaming design-space sweep engine.
 
 The paper's headline claim is that an RpStacks model prices design
 points in microseconds, so the exploration bottleneck should be the
@@ -21,18 +21,17 @@ This module is the array-native replacement:
   costed in one vectorised pass (:func:`default_cost_model_matrix`);
 * a bounded-memory reduction keeps only the candidates that can still
   reach the cost/CPI Pareto front, so a multi-million-point space never
-  resides in RAM at once;
-* chunk ranges shard across worker processes through
-  :func:`repro.runtime.runner.parallel_map`.
+  resides in RAM at once.
 
 **Exactness.** The reduction keeps every point whose CPI is strictly
 below the minimum CPI of all points preceding it in ``(cost, cpi,
 index)`` order.  A point dropped by that rule can never appear in
 :meth:`ExplorationResult.pareto_front` (the front's scan requires each
 kept point to beat *some* preceding survivor, and the dropped point has
-a preceding dominator), and the rule is confluent under any merge order
-— pruning per chunk, per shard, or all at once yields the same surviving
-set.  Stack unit counts and latencies are integers (the model's
+a preceding dominator), and the rule is confluent: pruning each chunk
+and then the running set yields the same surviving set as pruning all
+points at once, so the candidate list does not depend on the chunk
+size.  Stack unit counts and latencies are integers (the model's
 constructor enforces it), so every matmul intermediate is exact in
 float64, and neither chunking nor the restriction can change a single
 bit: the streamed front is **bit-identical** to the materialised
@@ -42,8 +41,7 @@ explorer's, which prices the full model and which
 
 from __future__ import annotations
 
-import pathlib
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,34 +116,24 @@ def _chunk_cpis(
     )
 
 
-def _sweep_shard(
+def _sweep_chunks(
     predictor,
     space: DesignSpace,
-    start: int,
-    stop: int,
     chunk_size: int,
     target_cpi: Optional[float],
     cost_model: Optional[Callable],
     top_k: Optional[int],
-    progress_interval: Optional[float] = None,
-    initial: Optional[dict] = None,
+    obs,
+    progress_interval: Optional[float],
 ) -> dict:
-    """Evaluate points ``[start, stop)`` chunk by chunk, merging each
+    """Evaluate every point of *space* chunk by chunk, merging each
     chunk's survivors into a running pruned candidate set.
 
-    Module-level so it pickles into :func:`parallel_map` workers; the
-    returned payload is a handful of small arrays, not design points.
-    *initial* seeds the running state with a previous segment's payload
-    (the checkpointed path continues a sweep exactly where a snapshot
-    left off — the prune's confluence makes the result bit-identical to
-    one uninterrupted pass).  Under an enabled (ambient) observer each
-    chunk becomes a ``sweep.chunk`` span and a progress line is emitted
-    every *progress_interval* seconds; the disabled path is hoisted to
-    one ``obs.enabled`` check per chunk.
+    Returns a handful of small arrays and counts, not design points.
+    Under an enabled *obs* each chunk becomes a ``sweep.chunk`` span and
+    a progress line is emitted every *progress_interval* seconds; the
+    disabled path is hoisted to one ``obs.enabled`` check per chunk.
     """
-    # Resolved ambiently: in a worker process parallel_map's capture
-    # wrapper installs a fresh observer whose spans ship back merged.
-    obs = get_observer()
     instrumented = obs.enabled
     interval = (
         progress_interval
@@ -154,28 +142,18 @@ def _sweep_shard(
     )
     last_progress = clock.perf_seconds()
     vector_costs = cost_model is None or cost_model is default_cost_model
-    if initial is not None:
-        held_idx = np.asarray(initial["indices"], dtype=np.int64)
-        held_cpi = np.asarray(initial["cpis"], dtype=np.float64)
-        held_cost = np.asarray(initial["costs"], dtype=np.float64)
-        meeting = int(initial["meeting"])
-        peak = int(initial["peak"])
-        chunk_seconds: List[float] = list(initial["chunk_seconds"])
-    else:
-        held_idx = np.empty(0, dtype=np.int64)
-        held_cpi = np.empty(0, dtype=np.float64)
-        held_cost = np.empty(0, dtype=np.float64)
-        meeting = 0
-        peak = 0
-        chunk_seconds = []
-    chunks_done = 0
-    total_chunks = -(-(stop - start) // chunk_size) if stop > start else 0
-    # Trailing (points, seconds) window for the progress line's rolling
-    # rate — deliberately not checkpointed: a resumed run's early ETA
-    # should reflect the new process, not the dead one.
+    total = space.num_points
+    held_idx = np.empty(0, dtype=np.int64)
+    held_cpi = np.empty(0, dtype=np.float64)
+    held_cost = np.empty(0, dtype=np.float64)
+    meeting = 0
+    peak = 0
+    chunk_seconds: List[float] = []
+    total_chunks = -(-total // chunk_size)
+    # Trailing (points, seconds) window for the progress line's rate.
     recent: List[Tuple[int, float]] = []
-    for lo in range(start, stop, chunk_size):
-        hi = min(lo + chunk_size, stop)
+    for lo in range(0, total, chunk_size):
+        hi = min(lo + chunk_size, total)
         wall_tick = clock.wall_ns() if instrumented else 0
         tick = clock.perf_seconds()
         cpis, thetas = _chunk_cpis(predictor, space, lo, hi)
@@ -209,7 +187,6 @@ def _sweep_shard(
             held_cost = held_cost[:top_k]
         now = clock.perf_seconds()
         chunk_seconds.append(now - tick)
-        chunks_done += 1
         recent.append((hi - lo, chunk_seconds[-1]))
         if len(recent) > ROLLING_WINDOW_CHUNKS:
             del recent[0]
@@ -227,6 +204,7 @@ def _sweep_shard(
             obs.gauge("prune.survivors").set(int(held_idx.size))
             if now - last_progress >= interval:
                 last_progress = now
+                chunks_done = len(chunk_seconds)
                 window_points = sum(p for p, _ in recent)
                 window_seconds = sum(s for _, s in recent)
                 rolling = (
@@ -234,15 +212,15 @@ def _sweep_shard(
                     if window_seconds > 0
                     else 0.0
                 )
-                eta = (stop - hi) / rolling if rolling > 0 else 0.0
+                eta = (total - hi) / rolling if rolling > 0 else 0.0
                 obs.progress(
                     f"sweep: {chunks_done}/{total_chunks} chunks, "
-                    f"{hi - start:,} points priced, "
+                    f"{hi:,} points priced, "
                     f"front size {held_idx.size}, "
                     f"{rolling:,.0f} points/s, ETA {eta:.1f}s",
                     chunks_done=chunks_done,
                     total_chunks=total_chunks,
-                    points_priced=hi - start,
+                    points_priced=hi,
                     front_size=int(held_idx.size),
                     rolling_points_per_sec=rolling,
                     eta_seconds=eta,
@@ -257,50 +235,16 @@ def _sweep_shard(
     }
 
 
-def _shard_ranges(
-    total: int, chunk_size: int, jobs: int
-) -> List[Tuple[int, int]]:
-    """Split ``[0, total)`` into up to *jobs* contiguous ranges aligned
-    to chunk boundaries (so sharding never changes chunk contents)."""
-    num_chunks = -(-total // chunk_size)
-    shards = min(jobs, num_chunks)
-    ranges = []
-    for shard in range(shards):
-        first = shard * num_chunks // shards
-        last = (shard + 1) * num_chunks // shards
-        ranges.append(
-            (first * chunk_size, min(last * chunk_size, total))
-        )
-    return ranges
-
-
-def _empty_state() -> dict:
-    return {
-        "indices": np.empty(0, dtype=np.int64),
-        "cpis": np.empty(0, dtype=np.float64),
-        "costs": np.empty(0, dtype=np.float64),
-        "meeting": 0,
-        "peak": 0,
-        "chunk_seconds": [],
-    }
-
-
 def sweep_space(
     predictor,
     space: DesignSpace,
     target_cpi: Optional[float] = None,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    jobs: int = 1,
     top_k: Optional[int] = None,
     cost_model: Callable[[LatencyConfig, LatencyConfig], float] = None,
     obs=None,
     progress_interval: Optional[float] = None,
-    retry=None,
-    checkpoint: Union[None, str, pathlib.Path] = None,
-    checkpoint_interval: int = 16,
-    resume: bool = False,
-    abort_after_chunks: Optional[int] = None,
 ) -> ExplorationResult:
     """Sweep *space* in bounded memory, streaming chunks of pricing
     vectors through the predictor and a Pareto reduction.
@@ -316,8 +260,6 @@ def sweep_space(
         space: the design space; never materialised.
         target_cpi: drop points whose predicted CPI exceeds this.
         chunk_size: design points priced per matrix product.
-        jobs: worker processes; chunk ranges shard across them via
-            :func:`repro.runtime.runner.parallel_map`.
         top_k: optional hard cap on the held candidate set, keeping the
             best *k* by ``(cost, cpi)``.  A cap smaller than the true
             front trades exactness for memory; with ``None`` the front
@@ -325,8 +267,7 @@ def sweep_space(
         cost_model: scalar cost callable.  The default model is costed
             vectorised; a custom one is applied per surviving point.
         obs: an :class:`~repro.obs.Observer`; when enabled, every chunk
-            becomes a ``sweep.chunk`` span (worker-side spans are merged
-            through the pool), chunk timings land in the
+            becomes a ``sweep.chunk`` span, chunk timings land in the
             ``sweep.chunk_seconds`` histogram, and progress lines are
             emitted.  The restriction is a ``sweep.restrict`` span
             (``stacks`` in the caller's model, ``stacks_priced`` after
@@ -337,28 +278,6 @@ def sweep_space(
             points priced / current front size); defaults to
             :data:`DEFAULT_PROGRESS_INTERVAL`.  Progress requires an
             enabled observer.
-        retry: a :class:`~repro.runtime.resilience.RetryPolicy` for the
-            sharded path (``jobs > 1``): a shard whose worker raises a
-            transient error or dies is re-run instead of failing the
-            sweep.
-        checkpoint: path for crash-safe
-            :class:`~repro.runtime.resilience.SweepCheckpoint`
-            snapshots — the pruned candidate set, the chunk cursor and
-            the input fingerprints, atomically rewritten every
-            *checkpoint_interval* chunks.  Requires ``jobs == 1`` (the
-            snapshot is a single linear cursor).
-        checkpoint_interval: chunks between snapshots.
-        resume: continue from *checkpoint* if it exists, skipping every
-            already-priced chunk; the stored fingerprints must match
-            this run's space/model/cost model/chunk size/target/top-k
-            or a
-            :class:`~repro.runtime.resilience.CheckpointMismatchError`
-            is raised.  The resumed front is bit-identical to an
-            uninterrupted run's (prune confluence; property-tested).
-        abort_after_chunks: crash drill — raise
-            :class:`~repro.runtime.resilience.SweepInterrupted` after
-            pricing this many chunks (checkpoint already persisted).
-            Requires *checkpoint*.
 
     Returns:
         An :class:`ExplorationResult` whose candidates are the pruned
@@ -369,52 +288,12 @@ def sweep_space(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1 (or None)")
-    if checkpoint is not None and jobs > 1:
-        raise ValueError(
-            "checkpointing tracks a single linear chunk cursor; "
-            "use jobs=1 (sharded sweeps recover via the retry policy)"
-        )
-    if checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be at least 1")
-    if resume and checkpoint is None:
-        raise ValueError("resume requires a checkpoint path")
-    if abort_after_chunks is not None:
-        if checkpoint is None:
-            raise ValueError(
-                "abort_after_chunks is a checkpoint crash drill; give "
-                "a checkpoint path"
-            )
-        if abort_after_chunks < 1:
-            raise ValueError("abort_after_chunks must be at least 1")
-    from repro.obs.observer import use_observer
-
     obs = obs if obs is not None else get_observer()
     total = space.num_points
-    resume_start = 0
-    ckpt_path: Optional[pathlib.Path] = None
-    if checkpoint is not None:
-        from repro.runtime.resilience import (
-            SweepCheckpoint,
-            SweepInterrupted,
-            cost_model_id,
-            predictor_fingerprint,
-            space_fingerprint,
-        )
-
-        ckpt_path = pathlib.Path(checkpoint).expanduser()
-        space_fp = space_fingerprint(space)
-        model_fp = predictor_fingerprint(predictor)
-        cost_id = cost_model_id(cost_model)
     start = clock.perf_seconds()
-    with use_observer(obs), obs.span(
-        "sweep.run", points=total, jobs=jobs, chunk_size=chunk_size
-    ):
-        # Taken after the checkpoint fingerprint, which covers the
-        # caller's model; the restricted model prices bit-identically.
+    with obs.span("sweep.run", points=total, chunk_size=chunk_size):
         priced_model = predictor
         if isinstance(predictor, RpStacksModel):
             with obs.span(
@@ -422,130 +301,10 @@ def sweep_space(
             ) as span:
                 priced_model = predictor.restricted(*space.bounds())
                 span.set(stacks_priced=priced_model.num_paths)
-        if ckpt_path is not None:
-            state = None
-            if resume and ckpt_path.exists():
-                with obs.span("sweep.checkpoint.load"):
-                    snapshot = SweepCheckpoint.load(ckpt_path)
-                snapshot.validate(
-                    space_fp=space_fp,
-                    model_fp=model_fp,
-                    cost_id=cost_id,
-                    chunk_size=chunk_size,
-                    target_cpi=target_cpi,
-                    top_k=top_k,
-                    total=total,
-                )
-                state = {
-                    "indices": snapshot.indices,
-                    "cpis": snapshot.cpis,
-                    "costs": snapshot.costs,
-                    "meeting": snapshot.meeting,
-                    "peak": snapshot.peak,
-                    "chunk_seconds": list(snapshot.chunk_seconds),
-                }
-                resume_start = snapshot.next_start
-                obs.counter("sweep.resumed_points").inc(resume_start)
-            cursor = resume_start
-            chunks_this_run = 0
-            segment_points = checkpoint_interval * chunk_size
-
-            def snapshot_state(state: dict, cursor: int) -> None:
-                SweepCheckpoint(
-                    space_fingerprint=space_fp,
-                    model_fingerprint=model_fp,
-                    cost_model_id=cost_id,
-                    chunk_size=chunk_size,
-                    target_cpi=target_cpi,
-                    top_k=top_k,
-                    total=total,
-                    next_start=cursor,
-                    indices=state["indices"],
-                    cpis=state["cpis"],
-                    costs=state["costs"],
-                    meeting=state["meeting"],
-                    peak=state["peak"],
-                    chunk_seconds=state["chunk_seconds"],
-                ).save(ckpt_path)
-                obs.counter("sweep.checkpoints").inc()
-
-            try:
-                while cursor < total:
-                    segment_stop = min(cursor + segment_points, total)
-                    if abort_after_chunks is not None:
-                        budget = abort_after_chunks - chunks_this_run
-                        segment_stop = min(
-                            segment_stop, cursor + budget * chunk_size
-                        )
-                    state = _sweep_shard(
-                        priced_model, space, cursor, segment_stop,
-                        chunk_size, target_cpi, cost_model, top_k,
-                        progress_interval, initial=state,
-                    )
-                    chunks_this_run += (
-                        -(-(segment_stop - cursor) // chunk_size)
-                    )
-                    cursor = segment_stop
-                    with obs.span("sweep.checkpoint", next_start=cursor):
-                        snapshot_state(state, cursor)
-                    if (
-                        abort_after_chunks is not None
-                        and chunks_this_run >= abort_after_chunks
-                        and cursor < total
-                    ):
-                        raise SweepInterrupted(
-                            str(ckpt_path), chunks_this_run
-                        )
-            except KeyboardInterrupt:
-                # Ctrl-C: flush a snapshot at the last completed
-                # segment (the partially-priced segment is dropped —
-                # resume re-prices it bit-identically) and surface the
-                # documented interrupted condition instead of a
-                # traceback.  Even pre-first-interval this leaves a
-                # valid, resumable checkpoint on disk.
-                snapshot_state(
-                    state if state is not None else _empty_state(),
-                    cursor,
-                )
-                raise SweepInterrupted(
-                    str(ckpt_path), chunks_this_run
-                ) from None
-            shards = [state if state is not None else _empty_state()]
-        elif jobs == 1:
-            shards = [
-                _sweep_shard(
-                    priced_model, space, 0, total, chunk_size,
-                    target_cpi, cost_model, top_k, progress_interval,
-                )
-            ]
-        else:
-            from repro.runtime.runner import parallel_map
-
-            tasks = [
-                (priced_model, space, lo, hi, chunk_size, target_cpi,
-                 cost_model, top_k, progress_interval)
-                for lo, hi in _shard_ranges(total, chunk_size, jobs)
-            ]
-            outcomes = parallel_map(
-                _sweep_shard, tasks, jobs=jobs, obs=obs, retry=retry
-            )
-            failed = [o for o in outcomes if not o.ok]
-            if failed:
-                raise RuntimeError(
-                    f"{len(failed)} sweep shard(s) failed; first error:\n"
-                    f"{failed[0].error}"
-                )
-            shards = [o.value for o in outcomes]
-
-        with obs.span("sweep.merge", shards=len(shards)):
-            indices = np.concatenate([s["indices"] for s in shards])
-            cpis = np.concatenate([s["cpis"] for s in shards])
-            costs = np.concatenate([s["costs"] for s in shards])
-            indices, cpis, costs = _prune(indices, cpis, costs)
-            if top_k is not None and indices.size > top_k:
-                indices = indices[:top_k]
-                cpis = cpis[:top_k]
-                costs = costs[:top_k]
+        state = _sweep_chunks(
+            priced_model, space, chunk_size, target_cpi, cost_model,
+            top_k, obs, progress_interval,
+        )
     elapsed = clock.perf_seconds() - start
 
     candidates = [
@@ -554,36 +313,30 @@ def sweep_space(
             predicted_cpi=float(cpi),
             cost=float(cost),
         )
-        for index, cpi, cost in zip(indices, cpis, costs)
+        for index, cpi, cost in zip(
+            state["indices"], state["cpis"], state["costs"]
+        )
     ]
     # The sweep's run record is a metrics registry first; SweepMetrics
     # is snapshotted from it (and the registry is folded into the
     # caller's observer so --metrics-json sees the same numbers).
     registry = MetricsRegistry()
     chunk_histogram = registry.histogram("sweep.chunk_seconds")
-    for shard in shards:
-        for seconds in shard["chunk_seconds"]:
-            chunk_histogram.observe(seconds)
+    for seconds in state["chunk_seconds"]:
+        chunk_histogram.observe(seconds)
     registry.counter("sweep.points").inc(total)
-    registry.counter("sweep.meeting_target").inc(
-        sum(s["meeting"] for s in shards)
-    )
-    registry.gauge("sweep.peak_candidates").set(
-        max((s["peak"] for s in shards), default=0)
-    )
-    # A resumed run only priced the points past its snapshot cursor;
-    # throughput reports what *this* process actually did.
-    priced = total - resume_start
+    registry.counter("sweep.meeting_target").inc(state["meeting"])
+    registry.gauge("sweep.peak_candidates").set(state["peak"])
     registry.gauge("sweep.points_per_sec").set(
-        priced / elapsed if elapsed > 0 else float("inf")
+        total / elapsed if elapsed > 0 else float("inf")
     )
-    registry.gauge("prune.survivors").set(int(indices.size))
+    registry.gauge("prune.survivors").set(len(candidates))
     if isinstance(priced_model, RpStacksModel):
         registry.gauge("sweep.stacks_priced").set(priced_model.num_paths)
     if obs.enabled:
         exported = registry.export()
-        # The parent-side gauges/histogram duplicate what shard workers
-        # already recorded into obs; only merge what is new here.
+        # The chunk loop already recorded these into obs; only merge
+        # what is new here.
         exported["counters"].pop("sweep.points", None)
         exported["histograms"].pop("sweep.chunk_seconds", None)
         obs.metrics.merge(exported)
@@ -591,15 +344,12 @@ def sweep_space(
         registry,
         num_points=total,
         total_seconds=elapsed,
-        jobs=jobs,
         chunk_size=chunk_size,
     )
     return ExplorationResult(
         candidates=candidates,
         num_points=total,
         target_cpi=target_cpi,
-        meeting_target=int(
-            registry.counter_value("sweep.meeting_target")
-        ),
+        meeting_target=state["meeting"],
         metrics=metrics,
     )

@@ -168,7 +168,6 @@ class DependenceGraph:
         self.edge_dst = np.asarray(edge_dst, dtype=np.int64)[order]
         charges = [edge_charges[i] for i in order]
         self._edge_charges: Optional[Tuple[EventCharge, ...]] = tuple(charges)
-        self._charge_lengths: Optional[np.ndarray] = None
 
         events = np.zeros((self.num_edges, MAX_EDGE_EVENTS), dtype=np.int16)
         units = np.zeros((self.num_edges, MAX_EDGE_EVENTS), dtype=np.int32)
@@ -185,6 +184,9 @@ class DependenceGraph:
                     )
                 events[i, j] = int(event)
                 units[i, j] = int(count)
+        self._charge_lengths = np.array(
+            [len(charge) for charge in charges], dtype=np.int8
+        )
         self._events = events
         self._units = units
         self._finish_init()

@@ -24,14 +24,22 @@ stage, not just the number.  Counter deltas (e.g. a reintroduced
 ``trace.materializations``) are reported alongside.
 
 Records are only comparable like-for-like: same scenario, tier and
-scale.  Environment drift (different python/numpy/git sha/CPU count) is
-reported on every finding; under the default ``warn`` policy the gates
-still run, under ``strict`` a mismatch downgrades the verdict to
-``ENV_MISMATCH`` so cross-machine comparisons never fail a build.  A
-native kernel that loaded on one side only (``native_reducer`` /
-``native_simulator``) is an environment break under both policies: the
-two runs measured different implementations.  A record that predates
-those fields leaves them unknown and keeps gating.
+scale.  Result digests are compared first, on any host: a digest drift
+is ``DIGEST_MISMATCH`` under both policies whenever both records carry
+a digest and their ``numpy`` and ``platform`` match.  Neither the CPU
+count, the Python version, ``REPRO_NATIVE`` nor which native kernels
+loaded can change a result (the spec-vs-compiled parity suites enforce
+the last two), so a digest gate needs only the baseline's numpy.
+
+Timings are another matter.  Environment drift (different
+python/numpy/CPU count/``REPRO_NATIVE``/platform) is reported on every
+finding; under the default ``warn`` policy the timing gates still run,
+under ``strict`` a mismatch downgrades the verdict to ``ENV_MISMATCH``
+so cross-machine timings never fail a build.  A native kernel that
+loaded on one side only (``native_reducer`` / ``native_simulator``) is
+an environment break for timings under both policies: the two runs
+measured different implementations.  A record that predates those
+fields leaves them unknown and keeps gating.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ class GatePolicy:
     #: "warn" gates despite env drift; "strict" skips (ENV_MISMATCH).
     env_policy: str = "warn"
     #: fail on result-digest drift (parity break) when both sides have
-    #: digests; digests are only comparable within a matching env.
+    #: digests and the same numpy and platform, whatever the other env
+    #: fields say.
     check_digest: bool = True
 
     @classmethod
@@ -217,9 +226,12 @@ def _env_drift(
     return drift
 
 
-#: env fields whose drift is always ENV_MISMATCH: which native kernels
-#: loaded.  A field absent from either record is unknown.
+#: env fields whose drift is always ENV_MISMATCH for timings: which
+#: native kernels loaded.  A field absent from either record is unknown.
 _KERNEL_FIELDS = ("native_reducer", "native_simulator")
+
+#: env fields that must match before result digests are comparable.
+_DIGEST_ENV_FIELDS = ("numpy", "platform")
 
 
 def _kernel_drift(
@@ -327,6 +339,32 @@ def compare_records(
 
     env_drift = _env_drift(baseline, current, policy)
     kernel_drift = _kernel_drift(baseline, current)
+
+    # Parity before performance: digest drift means the scenario now
+    # computes something different, which no timing can excuse and no
+    # host, interpreter or kernel choice explains.
+    if (
+        policy.check_digest
+        and baseline.digest
+        and current.digest
+        and baseline.digest != current.digest
+        and all(
+            baseline.env.get(name) == current.env.get(name)
+            for name in _DIGEST_ENV_FIELDS
+        )
+    ):
+        return Finding(
+            scenario=current.scenario,
+            verdict=Verdict.DIGEST_MISMATCH,
+            baseline_seconds=baseline.min_seconds,
+            current_seconds=current.min_seconds,
+            env_drift={**env_drift, **kernel_drift},
+            detail=(
+                f"result digest drifted: {baseline.digest[:16]}... -> "
+                f"{current.digest[:16]}..."
+            ),
+        )
+
     if kernel_drift or (env_drift and policy.env_policy == "strict"):
         return Finding(
             scenario=current.scenario,
@@ -339,29 +377,6 @@ def compare_records(
                 "compared"
                 if kernel_drift
                 else "environment drifted; timings not compared (strict)"
-            ),
-        )
-
-    # Parity before performance: digest drift means the scenario now
-    # computes something different, which no timing can excuse.  Only
-    # meaningful in an unchanged environment — cross-machine runs keep
-    # gating on time but not on bit-identity.
-    if (
-        policy.check_digest
-        and not env_drift
-        and baseline.digest
-        and current.digest
-        and baseline.digest != current.digest
-    ):
-        return Finding(
-            scenario=current.scenario,
-            verdict=Verdict.DIGEST_MISMATCH,
-            baseline_seconds=baseline.min_seconds,
-            current_seconds=current.min_seconds,
-            env_drift=env_drift,
-            detail=(
-                f"result digest drifted: {baseline.digest[:16]}... -> "
-                f"{current.digest[:16]}..."
             ),
         )
 

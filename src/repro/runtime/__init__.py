@@ -13,7 +13,7 @@ hardware allows"):
   over the workload suite with error isolation, retries and per-task
   deadlines;
 * :mod:`repro.runtime.resilience` — retry policies with deterministic
-  backoff, crash-safe sweep/suite checkpoints, stale-resume rejection.
+  backoff, the crash-safe suite journal, stale-resume rejection.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
@@ -28,8 +28,6 @@ from repro.runtime.resilience import (
     CheckpointMismatchError,
     RetryPolicy,
     SuiteCheckpoint,
-    SweepCheckpoint,
-    SweepInterrupted,
 )
 from repro.runtime.runner import (
     EXIT_ALL_FAILED,
@@ -54,8 +52,6 @@ __all__ = [
     "RetryPolicy",
     "SuiteCheckpoint",
     "SuiteReport",
-    "SweepCheckpoint",
-    "SweepInterrupted",
     "TaskOutcome",
     "WorkloadOutcome",
     "parallel_map",

@@ -34,9 +34,6 @@ def save_graph(
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
 
-    lengths = np.array(
-        [len(charge) for charge in graph.edge_charges], dtype=np.int8
-    )
     meta = {
         "format_version": FORMAT_VERSION,
         "num_uops": graph.num_uops,
@@ -49,7 +46,7 @@ def save_graph(
         edge_dst=graph.edge_dst,
         charge_events=graph._events,
         charge_units=graph._units,
-        charge_lengths=lengths,
+        charge_lengths=graph._charge_lengths,
         meta_json=np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         ),

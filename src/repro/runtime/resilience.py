@@ -1,52 +1,41 @@
-"""Fault-tolerant execution: retry policies and crash-safe checkpoints.
+"""Fault-tolerant execution: retry policies and the suite journal.
 
 Long campaigns die for boring reasons — a worker segfaults, a box
-reboots mid-sweep, one workload deadlocks — and the ROADMAP's
+reboots mid-suite, one workload deadlocks — and the ROADMAP's
 production-scale north star means those deaths must cost a retry or a
 resume, never a from-scratch rerun.  This module is the policy layer
 the execution machinery (:func:`repro.runtime.runner.parallel_map`,
-:func:`repro.dse.sweep.sweep_space`, :func:`repro.runtime.runner.run_suite`)
-builds its resilience on:
+:func:`repro.runtime.runner.run_suite`) builds its resilience on:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (a pure function of seed, task and attempt, so
   chaos tests replay bit-identically and the documented delay cap is a
   provable bound, property-tested in ``tests/runtime``);
-* :class:`SweepCheckpoint` — an atomic on-disk snapshot of a streaming
-  sweep's pruned candidate set, chunk cursor and input fingerprints,
-  written with the same stage-then-``os.replace`` discipline as the
-  artifact cache so a crash can never leave a torn checkpoint;
 * :class:`SuiteCheckpoint` — the suite runner's journal of completed
-  workloads, enabling ``suite --resume`` to skip finished work;
-* fingerprint helpers that make stale resumes *loud*: resuming against
-  a different design space, model, chunk size, target or cost model
-  fails with a :class:`CheckpointMismatchError` naming the offending
-  field instead of silently merging incompatible fronts.
+  workloads, enabling ``suite --resume`` to skip finished work; it is
+  written with the same stage-then-``os.replace`` discipline as the
+  artifact cache, so a crash can never leave a torn journal;
+* :func:`suite_fingerprint`, which makes stale resumes *loud*: resuming
+  a journal written for other suite inputs fails with a
+  :class:`CheckpointMismatchError` instead of silently skipping
+  workloads.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "RetryPolicy",
     "CheckpointError",
     "CheckpointMismatchError",
-    "SweepInterrupted",
-    "SweepCheckpoint",
     "SuiteCheckpoint",
-    "space_fingerprint",
-    "predictor_fingerprint",
-    "cost_model_id",
     "suite_fingerprint",
 ]
 
@@ -155,7 +144,7 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointMismatchError(CheckpointError):
-    """A checkpoint was recorded under different sweep inputs.
+    """A checkpoint was recorded under different inputs.
 
     Carries the first mismatching component in :attr:`field` so callers
     (and tests) can tell *which* input drifted.
@@ -173,76 +162,9 @@ class CheckpointMismatchError(CheckpointError):
         )
 
 
-class SweepInterrupted(RuntimeError):
-    """A sweep aborted deliberately after persisting a checkpoint
-    (crash-drill seam used by tests and ``--abort-after-chunks``)."""
-
-    def __init__(self, path: str, chunks_done: int) -> None:
-        self.path = str(path)
-        self.chunks_done = chunks_done
-        super().__init__(
-            f"sweep interrupted after {chunks_done} chunk(s); "
-            f"checkpoint saved to {path} — rerun with --resume to continue"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Fingerprints
 # ---------------------------------------------------------------------------
-
-
-def space_fingerprint(space) -> str:
-    """SHA-256 over a design space's full content: the base pricing
-    vector plus every axis (event id and candidate latencies)."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(
-        space.base.as_vector(), dtype=np.float64
-    ).tobytes())
-    for event, values in space.axes:
-        digest.update(repr((int(event), tuple(values))).encode("ascii"))
-    return digest.hexdigest()
-
-
-def predictor_fingerprint(predictor) -> str:
-    """SHA-256 over what determines a predictor's prices.
-
-    For an :class:`~repro.core.model.RpStacksModel` (anything exposing
-    ``segment_stacks`` / ``baseline`` / ``num_uops``) the hash covers
-    the stack matrices themselves, so two models trained on different
-    workloads — or the same workload re-reduced differently — never
-    share a checkpoint.  Predictors without that shape fall back to
-    their class identity, which still catches swapping predictor kinds.
-    """
-    digest = hashlib.sha256()
-    cls = type(predictor)
-    digest.update(f"{cls.__module__}.{cls.__qualname__}".encode("utf-8"))
-    stacks = getattr(predictor, "segment_stacks", None)
-    if stacks is not None:
-        for stack in stacks:
-            digest.update(np.ascontiguousarray(
-                stack, dtype=np.float64
-            ).tobytes())
-    baseline = getattr(predictor, "baseline", None)
-    if baseline is not None and hasattr(baseline, "as_vector"):
-        digest.update(np.ascontiguousarray(
-            baseline.as_vector(), dtype=np.float64
-        ).tobytes())
-    num_uops = getattr(predictor, "num_uops", None)
-    if num_uops is not None:
-        digest.update(str(int(num_uops)).encode("ascii"))
-    return digest.hexdigest()
-
-
-def cost_model_id(cost_model) -> str:
-    """Stable identity of the sweep's cost model (``default`` for the
-    built-in vectorised model, the qualified name otherwise)."""
-    if cost_model is None:
-        return "default"
-    from repro.dse.explorer import default_cost_model
-
-    if cost_model is default_cost_model:
-        return "default"
-    return f"{cost_model.__module__}.{getattr(cost_model, '__qualname__', repr(cost_model))}"
 
 
 def suite_fingerprint(
@@ -275,7 +197,7 @@ def suite_fingerprint(
 
 
 # ---------------------------------------------------------------------------
-# Sweep checkpoint
+# Suite checkpoint
 # ---------------------------------------------------------------------------
 
 
@@ -299,152 +221,6 @@ def _atomic_write(path: pathlib.Path, writer) -> None:
         except OSError:
             pass
         raise
-
-
-@dataclass
-class SweepCheckpoint:
-    """Crash-safe snapshot of a streaming sweep in flight.
-
-    Stores the pruned candidate set (which, by the prune's confluence,
-    is *exactly* the state an uninterrupted run would hold at the same
-    chunk boundary), the cursor of the next unpriced point, and the
-    fingerprints of every input that must match on resume.  Serialised
-    as a single ``.npz`` (arrays raw, scalars in a JSON header) and
-    published atomically.
-    """
-
-    space_fingerprint: str
-    model_fingerprint: str
-    cost_model_id: str
-    chunk_size: int
-    target_cpi: Optional[float]
-    top_k: Optional[int]
-    total: int
-    next_start: int
-    indices: np.ndarray
-    cpis: np.ndarray
-    costs: np.ndarray
-    meeting: int = 0
-    peak: int = 0
-    chunk_seconds: List[float] = field(default_factory=list)
-    created: str = ""
-
-    @property
-    def complete(self) -> bool:
-        return self.next_start >= self.total
-
-    def _meta(self) -> Dict:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "space_fingerprint": self.space_fingerprint,
-            "model_fingerprint": self.model_fingerprint,
-            "cost_model_id": self.cost_model_id,
-            "chunk_size": int(self.chunk_size),
-            "target_cpi": self.target_cpi,
-            "top_k": self.top_k,
-            "total": int(self.total),
-            "next_start": int(self.next_start),
-            "meeting": int(self.meeting),
-            "peak": int(self.peak),
-            "created": self.created,
-        }
-
-    def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Atomically persist the snapshot to *path*."""
-        from repro.obs import clock
-
-        if not self.created:
-            self.created = clock.wall_iso()
-        path = pathlib.Path(path).expanduser()
-
-        def writer(stream):
-            np.savez(
-                stream,
-                meta=np.array(json.dumps(self._meta())),
-                indices=np.asarray(self.indices, dtype=np.int64),
-                cpis=np.asarray(self.cpis, dtype=np.float64),
-                costs=np.asarray(self.costs, dtype=np.float64),
-                chunk_seconds=np.asarray(
-                    self.chunk_seconds, dtype=np.float64
-                ),
-            )
-
-        _atomic_write(path, writer)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, pathlib.Path]) -> "SweepCheckpoint":
-        """Read a snapshot back; raises :class:`CheckpointError` on any
-        structural problem (torn file, unknown format, missing keys)."""
-        path = pathlib.Path(path).expanduser()
-        try:
-            with np.load(str(path), allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"]))
-                indices = np.asarray(archive["indices"], dtype=np.int64)
-                cpis = np.asarray(archive["cpis"], dtype=np.float64)
-                costs = np.asarray(archive["costs"], dtype=np.float64)
-                chunk_seconds = [
-                    float(s) for s in archive["chunk_seconds"]
-                ]
-        except CheckpointError:
-            raise
-        except Exception as error:
-            raise CheckpointError(
-                f"unreadable sweep checkpoint {path}: {error}"
-            ) from error
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"sweep checkpoint {path} has format "
-                f"{meta.get('format')!r}; this build reads format "
-                f"{CHECKPOINT_FORMAT}"
-            )
-        return cls(
-            space_fingerprint=meta["space_fingerprint"],
-            model_fingerprint=meta["model_fingerprint"],
-            cost_model_id=meta["cost_model_id"],
-            chunk_size=int(meta["chunk_size"]),
-            target_cpi=meta["target_cpi"],
-            top_k=meta["top_k"],
-            total=int(meta["total"]),
-            next_start=int(meta["next_start"]),
-            indices=indices,
-            cpis=cpis,
-            costs=costs,
-            meeting=int(meta["meeting"]),
-            peak=int(meta["peak"]),
-            chunk_seconds=chunk_seconds,
-            created=meta.get("created", ""),
-        )
-
-    def validate(
-        self,
-        *,
-        space_fp: str,
-        model_fp: str,
-        cost_id: str,
-        chunk_size: int,
-        target_cpi: Optional[float],
-        top_k: Optional[int],
-        total: int,
-    ) -> None:
-        """Reject a stale snapshot, naming the first drifted input."""
-        checks = (
-            ("design space", self.space_fingerprint, space_fp),
-            ("model", self.model_fingerprint, model_fp),
-            ("cost model", self.cost_model_id, cost_id),
-            ("chunk size", int(self.chunk_size), int(chunk_size)),
-            ("target CPI", self.target_cpi, target_cpi),
-            ("top-k cap", self.top_k, top_k),
-            ("point count", int(self.total), int(total)),
-        )
-        for field_name, stored, current in checks:
-            if stored != current:
-                raise CheckpointMismatchError(field_name, stored, current)
-
-
-# ---------------------------------------------------------------------------
-# Suite checkpoint
-# ---------------------------------------------------------------------------
 
 
 @dataclass

@@ -228,7 +228,8 @@ def parallel_map(
     worker processes.
 
     This is the pool machinery shared by the suite runner and the
-    design-space sweep engine, with the conventions both rely on:
+    segment-parallel stack generator, with the conventions both rely
+    on:
 
     * **deterministic ordering** — outcomes follow *tasks* order, not
       completion order;
@@ -467,7 +468,7 @@ def parallel_map(
     except BaseException:
         # Interrupt / internal error: reap every worker before
         # propagating so no orphan outlives the call (the Ctrl-C path
-        # of `repro dse sweep` and `repro suite` rides on this).
+        # of `repro suite` and `repro analyze --jobs` rides on this).
         _terminate_pool(pool)
         raise
     pool.shutdown(wait=True, cancel_futures=True)

@@ -11,8 +11,8 @@ a process, not once per CLI invocation:
   validation errors (HTTP status attached);
 * :mod:`repro.serve.singleflight` — stampede control: N identical
   concurrent cold requests collapse to one computation;
-* :mod:`repro.serve.jobs` — async job lifecycle for long sweeps,
-  inheriting the runtime layer's retry/checkpoint semantics;
+* :mod:`repro.serve.jobs` — async job lifecycle for long sweeps: a
+  job runs on an executor thread and ends ``done`` or ``failed``;
 * :mod:`repro.serve.server` — the stdlib-``asyncio`` HTTP daemon:
   warm-path endpoints, bounded backpressure, graceful drain;
 * :mod:`repro.serve.loadgen` — the closed-loop load generator behind

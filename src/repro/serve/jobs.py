@@ -1,24 +1,19 @@
 """Async job lifecycle for long-running design-space sweeps.
 
 Pricing one point on a warm model is microseconds, but a full sweep
-over millions of points is seconds to minutes — far too long to hold an
+over millions of points takes long enough that it should not hold an
 HTTP request open.  ``POST /jobs`` therefore returns immediately with a
-job id; the sweep runs in the background (an executor thread driving
-``runtime.parallel_map`` worker processes when ``jobs > 1``) and
+job id; the sweep runs in the background on an executor thread and
 clients poll ``GET /jobs/<id>`` until the state machine lands in a
 terminal state::
 
     queued ──> running ──> done
                       └──> failed
 
-Jobs inherit the runtime layer's fault tolerance wholesale: sharded
-sweeps run under a :class:`~repro.runtime.resilience.RetryPolicy`
-(a SIGKILLed worker's shard is re-executed and the respawn counted in
-``runner.retries``), serial sweeps checkpoint to the cache directory so
-a crashed daemon can be diagnosed from disk.  Each job records its
-spans and metrics into a private observer whose contents are absorbed
-into the server's registry on completion — worker-process spans
-included, via ``TaskOutcome`` capture.
+A sweep that raises moves its job to ``failed`` with the error recorded;
+the daemon keeps serving.  Each job records its spans and metrics into
+a private observer whose contents are absorbed into the server's
+registry on completion.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from repro.dse.designspace import DesignSpace
 from repro.dse.sweep import sweep_space
 from repro.obs import clock
 from repro.obs.observer import Observer
-from repro.runtime.resilience import RetryPolicy
 from repro.serve.protocol import JobRequest
 
 __all__ = ["JobRecord", "JobRegistry", "execute_sweep", "JOB_STATES"]
@@ -54,9 +48,6 @@ class JobRecord:
     created: str = ""
     started: Optional[str] = None
     finished: Optional[str] = None
-    #: sweep executions observed: 1 for a clean run, >1 when shard
-    #: retries (e.g. a SIGKILLed worker) were needed to finish.
-    attempts: int = 0
     elapsed_seconds: Optional[float] = None
     error: Optional[str] = None
     result: Optional[object] = None  # ExplorationResult when done
@@ -71,7 +62,6 @@ class JobRecord:
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
-            "attempts": self.attempts,
             "elapsed_seconds": self.elapsed_seconds,
             "error": self.error,
         }
@@ -84,7 +74,6 @@ class JobRecord:
         """The ``GET /jobs/<id>/front`` body (terminal ``done`` only)."""
         summary = self.result.as_dict()
         summary["job_id"] = self.job_id
-        summary["attempts"] = self.attempts
         return summary
 
 
@@ -162,9 +151,6 @@ def execute_sweep(
     session,
     request: JobRequest,
     *,
-    jobs: int,
-    retries: int,
-    checkpoint: Optional[str],
     obs: Observer,
     model_transform: Optional[Callable] = None,
 ):
@@ -173,21 +159,14 @@ def execute_sweep(
     Args:
         session: the warm :class:`~repro.dse.pipeline.AnalysisSession`.
         request: the validated job request.
-        jobs: worker processes for shard execution (1 = in-process).
-        retries: extra attempts per shard on worker failure; only
-            meaningful when ``jobs > 1`` (the serial path checkpoints
-            instead, mirroring ``sweep_space``'s own constraint).
-        checkpoint: snapshot path for the serial path.
-        obs: the job's private observer (spans/metrics land here,
-            including worker-process spans merged by ``parallel_map``).
+        obs: the job's private observer (spans/metrics land here).
         model_transform: test seam mirroring ``run_suite``'s
             ``workload_factory``: wraps the predictor before the sweep,
             letting the chaos suite substitute a fault-injecting model
             without patching server internals.
 
     Returns:
-        ``(result, attempts)`` where ``attempts`` is 1 plus the shard
-        retries the runtime recorded while finishing the sweep.
+        The sweep's :class:`~repro.dse.explorer.ExplorationResult`.
     """
     space = DesignSpace.from_mapping(
         dict(request.axes), base=session.config.latency
@@ -195,19 +174,11 @@ def execute_sweep(
     predictor = session.rpstacks
     if model_transform is not None:
         predictor = model_transform(predictor)
-    retry = None
-    if jobs > 1 and retries > 0:
-        retry = RetryPolicy(max_attempts=retries + 1, base_delay=0.05)
-    result = sweep_space(
+    return sweep_space(
         predictor,
         space,
         request.target_cpi,
         chunk_size=request.chunk_size,
-        jobs=jobs,
         top_k=request.top_k,
         obs=obs,
-        retry=retry,
-        checkpoint=checkpoint if jobs == 1 else None,
     )
-    retries_seen = obs.counter("runner.retries").value if obs.enabled else 0
-    return result, 1 + int(retries_seen)

@@ -91,16 +91,12 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: worker processes per sweep job (``sweep_space(jobs=...)``).
-    jobs: int = 1
     #: executor threads for the heavy plane (cold builds, job sweeps).
     workers: int = 2
     #: heavy operations allowed to wait beyond the running ones before
     #: new arrivals are bounced with 429.
     queue_limit: int = 8
     cache_dir: Optional[str] = None
-    #: extra attempts per sweep shard on worker failure (jobs > 1).
-    retries: int = 2
     #: seconds in-flight work gets to finish after SIGTERM.
     drain_grace: float = 10.0
     #: seconds an idle keep-alive connection may sit between requests.
@@ -310,30 +306,21 @@ class ReproServer:
             record.state = "running"
             record.started = clock.wall_iso()
             job_obs = Observer(enabled=True, progress_stream=None)
-            checkpoint = None
-            if self._cache is not None and self.config.jobs == 1:
-                jobs_dir = pathlib.Path(self._cache.root) / "jobs"
-                jobs_dir.mkdir(parents=True, exist_ok=True)
-                checkpoint = str(jobs_dir / f"{record.job_id}.npz")
             started = clock.perf_seconds()
             with self.obs.span(
                 "serve.job", job_id=record.job_id,
                 points=record.request.num_points,
             ):
-                result, attempts = await self._run_heavy(
+                result = await self._run_heavy(
                     lambda: execute_sweep(
                         session,
                         record.request,
-                        jobs=self.config.jobs,
-                        retries=self.config.retries,
-                        checkpoint=checkpoint,
                         obs=job_obs,
                         model_transform=self._model_transform,
                     )
                 )
             record.elapsed_seconds = clock.perf_seconds() - started
             record.result = result
-            record.attempts = attempts
             record.state = "done"
             self.obs.counter("serve.jobs_done").inc()
         except asyncio.CancelledError:
@@ -347,8 +334,6 @@ class ReproServer:
         finally:
             self._admitted -= 1
             record.finished = clock.wall_iso()
-            if record.state == "failed" and record.attempts == 0:
-                record.attempts = 1
             if job_obs is not None:
                 self.obs.absorb(
                     events=job_obs.tracer.export_events(),

@@ -40,9 +40,9 @@ def _assert_graphs_identical(columnar, reference) -> None:
     assert np.array_equal(columnar.edge_dst, reference.edge_dst)
     assert np.array_equal(columnar._events, reference._events)
     assert np.array_equal(columnar._units, reference._units)
-    # The reference constructor keeps lengths implicit in the sparse
-    # tuples; the packed path stores them — derive and compare both,
-    # then compare the materialised sparse charges themselves.
+    # Both constructors store the per-edge lengths: check the packed
+    # ones against the reference's sparse tuples, then compare the
+    # materialised sparse charges themselves.
     assert columnar._charge_lengths.tolist() == [
         len(charge) for charge in reference.edge_charges
     ]

@@ -196,19 +196,42 @@ def test_env_fingerprint_mismatch_strict_policy_skips():
 
 @pytest.mark.parametrize("env_policy", ["warn", "strict"])
 def test_native_kernel_drift_is_an_env_break(env_policy):
-    """Records differing only in which reducer ran are incomparable
-    under either policy: never a perf regression or a digest break."""
+    """Records with equal digests differing only in which reducer ran
+    are incomparable timings under either policy: never a perf
+    regression."""
     baseline = record(
         [0.50], env=dict(ENV, native_reducer="loaded"), digest="a" * 64
     )
     current = record(
-        [5.00], env=dict(ENV, native_reducer="fallback"), digest="b" * 64
+        [5.00], env=dict(ENV, native_reducer="fallback"), digest="a" * 64
     )
     finding = compare_records(
         current, baseline, GatePolicy(env_policy=env_policy)
     )
     assert finding.verdict is Verdict.ENV_MISMATCH
     assert not finding.failed
+    assert finding.env_drift == {
+        "native_reducer": ("loaded", "fallback")
+    }
+
+
+@pytest.mark.parametrize("env_policy", ["warn", "strict"])
+def test_native_kernel_drift_with_digest_drift_is_a_digest_break(
+    env_policy,
+):
+    """The spec and compiled kernels must agree bit for bit, so a digest
+    that moves with the kernel is a parity break, not an env change."""
+    baseline = record(
+        [0.50], env=dict(ENV, native_reducer="loaded"), digest="a" * 64
+    )
+    current = record(
+        [0.50], env=dict(ENV, native_reducer="fallback"), digest="b" * 64
+    )
+    finding = compare_records(
+        current, baseline, GatePolicy(env_policy=env_policy)
+    )
+    assert finding.verdict is Verdict.DIGEST_MISMATCH
+    assert finding.failed
     assert finding.env_drift == {
         "native_reducer": ("loaded", "fallback")
     }
@@ -248,6 +271,31 @@ def test_digest_drift_fails_in_matching_env():
     finding = compare_records(current, baseline)
     assert finding.verdict is Verdict.DIGEST_MISMATCH
     assert finding.failed
+
+
+@pytest.mark.parametrize("env_policy", ["warn", "strict"])
+@pytest.mark.parametrize(
+    "drift",
+    [
+        {"cpu_count": 1},
+        {"python": "3.11.7"},
+        {"repro_native": "1"},
+        {"cpu_count": 1, "python": "3.11.7", "repro_native": "0"},
+    ],
+)
+def test_digest_drift_fails_across_host_drift(env_policy, drift):
+    """CPU count, interpreter and REPRO_NATIVE cannot change a result,
+    so a digest drift fails the gate whatever they say."""
+    baseline = record([0.50], digest="a" * 64)
+    current = record(
+        [0.50], digest="b" * 64, env=dict(ENV, **drift)
+    )
+    finding = compare_records(
+        current, baseline, GatePolicy(env_policy=env_policy)
+    )
+    assert finding.verdict is Verdict.DIGEST_MISMATCH
+    assert finding.failed
+    assert set(finding.env_drift) == set(drift)
 
 
 def test_digest_not_compared_across_env_drift():

@@ -188,6 +188,33 @@ def test_graph_roundtrip_is_lossless(tmp_path_factory, spec, seed):
     )
 
 
+@pytest.mark.parametrize("constructor", ["from_packed", "__init__"])
+def test_graph_roundtrip_from_either_constructor(tmp_path, constructor):
+    from repro.graphmodel.builder import (
+        DependenceGraphBuilder,
+        build_graph_columns,
+    )
+    from repro.simulator.core import simulate
+
+    result = simulate(make_workload("gamess", 60), baseline_config())
+    if constructor == "from_packed":
+        graph = build_graph_columns(result)
+    else:
+        graph = DependenceGraphBuilder(result).build()
+    save_graph(graph, tmp_path / "g.npz")
+    if constructor == "from_packed":
+        # Saving writes the packed lengths; it never builds the sparse
+        # charge tuples.
+        assert graph._edge_charges is None
+    loaded = load_graph(tmp_path / "g.npz")
+    assert loaded.num_uops == graph.num_uops
+    for name in (
+        "edge_src", "edge_dst", "_events", "_units", "_charge_lengths"
+    ):
+        assert np.array_equal(getattr(loaded, name), getattr(graph, name))
+    assert loaded.edge_charges == graph.edge_charges
+
+
 @given(
     spec=specs,
     seed=st.integers(min_value=0, max_value=10 ** 4),

@@ -1,28 +1,18 @@
 """Unit and property tests for the resilience policy layer: retry
-backoff (deterministic, provably bounded), checkpoint round-trips and
+backoff (deterministic, provably bounded), suite-journal round-trips and
 stale-resume rejection."""
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import LatencyConfig
-from repro.common.events import NUM_EVENTS, EventType
-from repro.core.model import RpStacksModel
-from repro.dse.designspace import DesignSpace
 from repro.runtime.resilience import (
-    CHECKPOINT_FORMAT,
     CheckpointError,
     CheckpointMismatchError,
     RetryPolicy,
     SuiteCheckpoint,
-    SweepCheckpoint,
-    cost_model_id,
-    predictor_fingerprint,
-    space_fingerprint,
     suite_fingerprint,
 )
 
@@ -123,63 +113,7 @@ class TestRetryPolicy:
         assert total <= cap * (1 + 1e-12) + 1e-12
 
 
-@pytest.fixture
-def model():
-    def vec(**units):
-        out = np.zeros(NUM_EVENTS)
-        for name, value in units.items():
-            out[EventType[name]] = value
-        return out
-
-    seg0 = np.stack([vec(FP_ADD=4, BASE=10), vec(L1D=5, LD=2, BASE=8)])
-    return RpStacksModel([seg0], baseline=LatencyConfig(), num_uops=50)
-
-
-@pytest.fixture
-def space():
-    return DesignSpace.from_mapping(
-        {EventType.L1D: [1, 2, 4], EventType.FP_ADD: [1, 3]}
-    )
-
-
 class TestFingerprints:
-    def test_space_fingerprint_tracks_content(self, space):
-        same = DesignSpace.from_mapping(
-            {EventType.L1D: [1, 2, 4], EventType.FP_ADD: [1, 3]}
-        )
-        other = DesignSpace.from_mapping(
-            {EventType.L1D: [1, 2, 5], EventType.FP_ADD: [1, 3]}
-        )
-        assert space_fingerprint(space) == space_fingerprint(same)
-        assert space_fingerprint(space) != space_fingerprint(other)
-
-    def test_predictor_fingerprint_tracks_stacks(self, model):
-        twin = RpStacksModel(
-            [s.copy() for s in model.segment_stacks],
-            baseline=model.baseline,
-            num_uops=model.num_uops,
-        )
-        assert predictor_fingerprint(model) == predictor_fingerprint(twin)
-        bigger = RpStacksModel(
-            [s * 2 for s in model.segment_stacks],
-            baseline=model.baseline,
-            num_uops=model.num_uops,
-        )
-        assert predictor_fingerprint(model) != predictor_fingerprint(
-            bigger
-        )
-
-    def test_cost_model_id(self):
-        from repro.dse.explorer import default_cost_model
-
-        assert cost_model_id(None) == "default"
-        assert cost_model_id(default_cost_model) == "default"
-
-        def custom(point, base):
-            return 0.0
-
-        assert "custom" in cost_model_id(custom)
-
     def test_suite_fingerprint_tracks_inputs(self):
         base = suite_fingerprint(["a", "b"], 100, 1, None, {})
         assert base == suite_fingerprint(["a", "b"], 100, 1, None, {})
@@ -189,113 +123,6 @@ class TestFingerprints:
         assert base != suite_fingerprint(
             ["a", "b"], 100, 1, None, {"warm_caches": False}
         )
-
-
-def _checkpoint(**overrides):
-    fields = dict(
-        space_fingerprint="sfp",
-        model_fingerprint="mfp",
-        cost_model_id="default",
-        chunk_size=64,
-        target_cpi=1.5,
-        top_k=None,
-        total=1000,
-        next_start=256,
-        indices=np.array([3, 7], dtype=np.int64),
-        cpis=np.array([1.2, 1.1]),
-        costs=np.array([0.5, 2.0]),
-        meeting=42,
-        peak=17,
-        chunk_seconds=[0.01, 0.02],
-    )
-    fields.update(overrides)
-    return SweepCheckpoint(**fields)
-
-
-class TestSweepCheckpoint:
-    def test_roundtrip_is_lossless(self, tmp_path):
-        path = tmp_path / "sweep.npz"
-        original = _checkpoint()
-        original.save(path)
-        loaded = SweepCheckpoint.load(path)
-        assert loaded.space_fingerprint == "sfp"
-        assert loaded.model_fingerprint == "mfp"
-        assert loaded.chunk_size == 64
-        assert loaded.target_cpi == 1.5
-        assert loaded.top_k is None
-        assert loaded.total == 1000
-        assert loaded.next_start == 256
-        assert loaded.meeting == 42
-        assert loaded.peak == 17
-        assert loaded.chunk_seconds == [0.01, 0.02]
-        assert np.array_equal(loaded.indices, original.indices)
-        assert np.array_equal(loaded.cpis, original.cpis)
-        assert np.array_equal(loaded.costs, original.costs)
-        assert loaded.created  # stamped on save
-        assert not loaded.complete
-        assert _checkpoint(next_start=1000).complete
-
-    def test_save_is_atomic_no_temp_debris(self, tmp_path):
-        path = tmp_path / "sweep.npz"
-        _checkpoint().save(path)
-        _checkpoint(next_start=512).save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["sweep.npz"]
-        assert SweepCheckpoint.load(path).next_start == 512
-
-    def test_unreadable_file_raises_checkpoint_error(self, tmp_path):
-        path = tmp_path / "torn.npz"
-        path.write_bytes(b"this is not an npz archive")
-        with pytest.raises(CheckpointError, match="unreadable"):
-            SweepCheckpoint.load(path)
-        with pytest.raises(CheckpointError):
-            SweepCheckpoint.load(tmp_path / "missing.npz")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "future.npz"
-        ckpt = _checkpoint()
-        meta = ckpt._meta()
-        meta["format"] = CHECKPOINT_FORMAT + 1
-        with open(path, "wb") as stream:
-            np.savez(
-                stream,
-                meta=np.array(json.dumps(meta)),
-                indices=ckpt.indices,
-                cpis=ckpt.cpis,
-                costs=ckpt.costs,
-                chunk_seconds=np.array(ckpt.chunk_seconds),
-            )
-        with pytest.raises(CheckpointError, match="format"):
-            SweepCheckpoint.load(path)
-
-    @pytest.mark.parametrize(
-        "override, field",
-        [
-            ({"space_fp": "other"}, "design space"),
-            ({"model_fp": "other"}, "model"),
-            ({"cost_id": "custom"}, "cost model"),
-            ({"chunk_size": 128}, "chunk size"),
-            ({"target_cpi": 2.0}, "target CPI"),
-            ({"top_k": 5}, "top-k cap"),
-            ({"total": 999}, "point count"),
-        ],
-    )
-    def test_validate_names_each_drifted_field(self, override, field):
-        current = dict(
-            space_fp="sfp",
-            model_fp="mfp",
-            cost_id="default",
-            chunk_size=64,
-            target_cpi=1.5,
-            top_k=None,
-            total=1000,
-        )
-        ckpt = _checkpoint()
-        ckpt.validate(**current)  # identical inputs pass
-        current.update(override)
-        with pytest.raises(CheckpointMismatchError) as exc:
-            ckpt.validate(**current)
-        assert exc.value.field == field
-        assert field in str(exc.value)
 
 
 class TestSuiteCheckpoint:

@@ -2,10 +2,10 @@
 
 Two failure families the serving layer must absorb:
 
-* **worker death** — a sweep job's worker process SIGKILLs itself
-  mid-chunk; the runtime respawns the pool, retries the shard, and the
-  job still completes — with ``attempts > 1`` recorded and a front
-  bit-identical to an undisturbed run;
+* **job failure** — a sweep job's model raises on its first chunk; the
+  job lands in ``failed`` with the error recorded, its front answers
+  409, ``serve.jobs_failed`` counts it, and the next identical job on
+  the same daemon completes with the front of an undisturbed daemon;
 * **client death** — a client disconnects mid-request (body never
   arrives) or mid-response (socket reset before the reply lands); the
   server counts the abort in ``/metrics`` and keeps serving.
@@ -36,7 +36,6 @@ def _arm(plan, tmp_path, monkeypatch):
 
 
 def _chaos_transform(model):
-    """Module-level so the wrapped predictor pickles into pool workers."""
     return faults.ChaosModel(model, probe_id="serve-job")
 
 
@@ -54,52 +53,46 @@ def _submit_and_wait(port, payload, timeout=120.0):
     raise AssertionError(f"job {submitted['job_id']} never finished")
 
 
-def test_worker_sigkill_mid_job_still_completes(
+def test_failed_job_is_reported_and_the_daemon_recovers(
     tmp_path, monkeypatch, make_server
 ):
-    """Seeded plan: the first chunk priced anywhere SIGKILLs its worker.
-    The sharded job retries, completes with attempts > 1, and its front
-    matches a later undisturbed run bit for bit."""
+    """Seeded plan: the first chunk the job prices raises.  The job
+    fails visibly, and the next identical job on the same daemon
+    completes with the front an undisturbed daemon gives."""
+    clean = make_server()
+    expected = _submit_and_wait(clean.port, JOB_PAYLOAD)
+    assert expected["state"] == "done", expected
+    _status, expected_front = request_json(
+        clean.port, "GET", f"/jobs/{expected['job_id']}/front"
+    )
+
     _arm(
-        {"serve-job": {"kind": "sigkill", "attempts": 1}},
+        {"serve-job": {"kind": "raise", "attempts": 1}},
         tmp_path,
         monkeypatch,
     )
-    server = make_server(
-        jobs=2, retries=2, model_transform=_chaos_transform
+    server = make_server(model_transform=_chaos_transform)
+    failed = _submit_and_wait(server.port, JOB_PAYLOAD)
+    assert failed["state"] == "failed", failed
+    assert "ChaosError" in failed["error"]
+    status, body = request_json(
+        server.port, "GET", f"/jobs/{failed['job_id']}/front"
     )
-    # Warm the session first so the job goes straight to sweeping.
-    status, _body = request_json(
-        server.port, "POST", "/analyze", COORD, timeout=120
-    )
-    assert status == 200
+    assert status == 409
+    assert "ChaosError" in body["error"]["message"]
+    _status, metrics = request_json(server.port, "GET", "/metrics")
+    assert metrics["metrics"]["counters"]["serve.jobs_failed"] == 1
 
-    chaotic = _submit_and_wait(server.port, JOB_PAYLOAD)
-    assert chaotic["state"] == "done", chaotic
-    assert chaotic["attempts"] > 1, (
-        "worker was SIGKILLed but no retry was recorded"
+    # The plan's one faulty attempt is spent, so this run is undisturbed.
+    retried = _submit_and_wait(server.port, JOB_PAYLOAD)
+    assert retried["state"] == "done", retried
+    _status, front = request_json(
+        server.port, "GET", f"/jobs/{retried['job_id']}/front"
     )
-
-    # The plan's one faulty attempt is spent (attempt markers persist
-    # across processes), so this run is undisturbed: same request, and
-    # the fronts must agree exactly.
-    clean = _submit_and_wait(server.port, JOB_PAYLOAD)
-    assert clean["state"] == "done"
-    assert clean["attempts"] == 1
-
-    _status, chaotic_front = request_json(
-        server.port, "GET", f"/jobs/{chaotic['job_id']}/front"
+    assert front["pareto_front"] == expected_front["pareto_front"]
+    assert front["num_meeting_target"] == (
+        expected_front["num_meeting_target"]
     )
-    _status, clean_front = request_json(
-        server.port, "GET", f"/jobs/{clean['job_id']}/front"
-    )
-    assert chaotic_front["pareto_front"] == clean_front["pareto_front"]
-    assert chaotic_front["num_meeting_target"] == (
-        clean_front["num_meeting_target"]
-    )
-
-    counters = server.server.obs.metrics.snapshot()["counters"]
-    assert counters["runner.retries"] >= 1  # merged from the job observer
 
 
 def test_client_disconnect_mid_request_counts_abort(make_server):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import EXIT_INTERRUPTED, main
 
 
 def run(capsys, *argv):
@@ -404,69 +405,6 @@ class TestObservability:
 
 
 class TestFaultToleranceCli:
-    SWEEP_ARGS = [
-        "gamess", "--macros", "100",
-        "--axis", "L1D=1,2,4", "--axis", "Fadd=1,3,6",
-        "--chunk-size", "2",
-    ]
-
-    @staticmethod
-    def front_table(out):
-        lines = out.splitlines()
-        header = next(
-            i for i, line in enumerate(lines)
-            if line.startswith("design point")
-        )
-        return lines[header:]
-
-    def test_sweep_interrupt_exits_4_then_resume_matches(
-        self, capsys, tmp_path
-    ):
-        _code, plain_out = run(capsys, "dse", "sweep", *self.SWEEP_ARGS)
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        code = main(
-            ["dse", "sweep", *self.SWEEP_ARGS,
-             "--checkpoint", str(ckpt), "--checkpoint-interval", "2",
-             "--abort-after-chunks", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 4  # EXIT_SWEEP_INTERRUPTED
-        assert "interrupted" in out
-        assert "--resume" in out
-        assert ckpt.exists()
-        code, resumed_out = run(
-            capsys, "dse", "sweep", *self.SWEEP_ARGS,
-            "--checkpoint", str(ckpt), "--resume",
-        )
-        assert code == 0
-        assert self.front_table(resumed_out) == self.front_table(plain_out)
-
-    def test_sweep_stale_checkpoint_rejected(self, capsys, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        code = main(
-            ["dse", "sweep", *self.SWEEP_ARGS,
-             "--checkpoint", str(ckpt), "--abort-after-chunks", "2"]
-        )
-        capsys.readouterr()
-        assert code == 4
-        with pytest.raises(SystemExit, match="chunk size"):
-            main(
-                ["dse", "sweep", *self.SWEEP_ARGS[:-2],
-                 "--chunk-size", "3",
-                 "--checkpoint", str(ckpt), "--resume"]
-            )
-
-    def test_sweep_flag_validation(self, tmp_path):
-        with pytest.raises(SystemExit, match="retries"):
-            main(["dse", "sweep", *self.SWEEP_ARGS, "--retries", "-1"])
-        with pytest.raises(SystemExit, match="resume"):
-            main(["dse", "sweep", *self.SWEEP_ARGS, "--resume"])
-        with pytest.raises(SystemExit, match="jobs=1"):
-            main(
-                ["dse", "sweep", *self.SWEEP_ARGS, "--jobs", "2",
-                 "--checkpoint", str(tmp_path / "c.npz")]
-            )
-
     def test_suite_checkpoint_then_resume_reports_resumed(
         self, capsys, tmp_path
     ):
@@ -506,3 +444,32 @@ class TestFaultToleranceCli:
                 ["suite", "--only", "gamess",
                  "--checkpoint", str(tmp_path / "j.json"), "--resume"]
             )
+
+
+def _interrupt(args):
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize(
+        "command, argv, journalling",
+        [
+            ("cmd_analyze", ["analyze", "gamess"], False),
+            ("cmd_explore", ["explore", "gamess", "--axis", "L1D=1,2"], False),
+            ("cmd_dse_sweep", ["dse", "sweep", "gamess", "--axis", "L1D=1"],
+             False),
+            ("cmd_suite", ["suite", "--only", "gamess"], False),
+            ("cmd_suite",
+             ["suite", "--only", "gamess", "--checkpoint", "journal.json"],
+             True),
+        ],
+    )
+    def test_ctrl_c_exits_4_and_hints_resume_only_when_journalling(
+        self, capsys, monkeypatch, command, argv, journalling
+    ):
+        # The patched command never runs, so the journal is never written.
+        monkeypatch.setattr(cli, command, _interrupt)
+        assert main(argv) == EXIT_INTERRUPTED == 4
+        err = capsys.readouterr().err
+        assert "interrupted" in err
+        assert ("rerun with --resume" in err) == journalling

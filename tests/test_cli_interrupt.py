@@ -1,9 +1,8 @@
-"""Ctrl-C regression tests: interrupted checkpointed CLI runs must
-flush their checkpoint and exit 4 (the documented interrupted code),
-never traceback — and a ``--resume`` must finish the work with results
-identical to an uninterrupted run.
+"""Ctrl-C regression test: an interrupted journalling ``suite`` run must
+flush its journal and exit 4 (the documented interrupted code), never
+traceback — and a ``--resume`` must finish the work.
 
-Real subprocesses, real SIGINT: each drill launches ``python -m repro``
+Real subprocesses, real SIGINT: the drill launches ``python -m repro``
 in its own session and signals it mid-run."""
 
 import json
@@ -13,41 +12,8 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-import pytest
-
-from repro.cli import EXIT_SWEEP_INTERRUPTED
-from repro.common.config import LatencyConfig
-from repro.common.events import NUM_EVENTS, EventType
-from repro.core.io import save_model
-from repro.core.model import RpStacksModel
+from repro.cli import EXIT_INTERRUPTED
 from repro.obs import clock
-
-SWEEP_AXES = [
-    "--axis", "L1D=1,2,3,4,5,6,7,8",
-    "--axis", "Fadd=1,2,3,4,5,6,7,8,9,10",
-    "--axis", "L2D=" + ",".join(str(v) for v in range(1, 26)),
-    "--axis", "MemD=" + ",".join(str(v) for v in range(10, 110, 2)),
-    "--axis", "Ld=1,2,3,4",
-]
-
-
-@pytest.fixture(scope="module")
-def model_path(tmp_path_factory):
-    def vec(**units):
-        out = np.zeros(NUM_EVENTS)
-        for name, value in units.items():
-            out[EventType[name]] = value
-        return out
-
-    seg0 = np.stack([vec(FP_ADD=4, BASE=10), vec(L1D=5, LD=2, BASE=8)])
-    seg1 = np.stack([vec(MEM_D=1, BASE=6), vec(L2D=7, BASE=20)])
-    model = RpStacksModel(
-        [seg0, seg1], baseline=LatencyConfig(), num_uops=100
-    )
-    return str(
-        save_model(model, tmp_path_factory.mktemp("model") / "m.npz")
-    )
 
 
 def launch(*argv, **popen_kwargs):
@@ -89,45 +55,6 @@ def interrupt_once_checkpointed(process, checkpoint_ready, grace=60.0):
     return process.returncode, out, err
 
 
-def front_of(stdout):
-    # --model prints a "loaded model: ..." line ahead of the JSON body.
-    return json.loads(stdout[stdout.index("{"):])["pareto_front"]
-
-
-class TestSweepInterrupt:
-    def test_sigint_flushes_checkpoint_exits_4_and_resumes_identical(
-        self, tmp_path, model_path
-    ):
-        baseline = launch(
-            "dse", "sweep", "gamess", "--model", model_path, *SWEEP_AXES, "--json"
-        )
-        out, err = baseline.communicate(timeout=300)
-        assert baseline.returncode == 0, err
-        expected_front = front_of(out)
-
-        ckpt = tmp_path / "sweep.ckpt.npz"
-        interrupted = launch(
-            "dse", "sweep", "gamess", "--model", model_path, *SWEEP_AXES, "--json",
-            "--chunk-size", "1024", "--checkpoint", str(ckpt),
-            "--checkpoint-interval", "1",
-        )
-        rc, out, err = interrupt_once_checkpointed(
-            interrupted, ckpt.exists
-        )
-        assert rc == EXIT_SWEEP_INTERRUPTED, (out, err)
-        assert "Traceback" not in err
-        assert ckpt.exists()
-
-        resumed = launch(
-            "dse", "sweep", "gamess", "--model", model_path, *SWEEP_AXES, "--json",
-            "--chunk-size", "1024", "--checkpoint", str(ckpt),
-            "--resume",
-        )
-        out, err = resumed.communicate(timeout=300)
-        assert resumed.returncode == 0, err
-        assert front_of(out) == expected_front
-
-
 class TestSuiteInterrupt:
     def test_sigint_exits_4_with_journal_and_resume_finishes(
         self, tmp_path
@@ -154,7 +81,7 @@ class TestSuiteInterrupt:
         rc, out, err = interrupt_once_checkpointed(
             interrupted, journalled_progress
         )
-        assert rc == EXIT_SWEEP_INTERRUPTED, (out, err)
+        assert rc == EXIT_INTERRUPTED, (out, err)
         assert "Traceback" not in err
         completed = json.loads(journal.read_text())["completed"]
         assert completed  # flushed before exiting
