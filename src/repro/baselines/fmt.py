@@ -23,39 +23,65 @@ never fully block commit are folded into base cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
+
+import numpy as np
 
 from repro.common.config import LatencyConfig
 from repro.common.events import EventType
+from repro.simulator.columns import workload_columns
 from repro.simulator.trace import SimResult
 
 
-def _dominant_event(record, uop, theta) -> EventType:
-    """The single event FMT blames for a µop's in-flight delay."""
-    best_event = EventType.BASE
-    best_cost = 0
-    for event, units in record.exec_charge:
-        cost = units * theta[event]
-        if event is not EventType.BASE and cost > best_cost:
-            best_cost = cost
-            best_event = event
-    if record.dtlb_miss and theta[EventType.DTLB] > best_cost:
-        best_event = EventType.DTLB
-    return best_event
+def _costliest(indptr, events, units, theta, skip_base=False):
+    """Per-µop ``(event, cost)`` of the first costliest charged event.
+
+    The vector form of a ``cost > best`` scan over each µop's charge in
+    order, starting from ``(BASE, 0)``: ties go to the earlier event,
+    and a µop whose every cost is 0 keeps BASE.
+    """
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    cost = units.astype(np.int64) * theta[events]
+    if skip_base:
+        cost[events == EventType.BASE] = 0
+    best_cost = np.zeros(n, np.int64)
+    np.maximum.at(best_cost, rows, cost)
+    hits = np.flatnonzero((cost > 0) & (cost == best_cost[rows]))
+    hit_rows, first = np.unique(rows[hits], return_index=True)
+    best_event = np.full(n, int(EventType.BASE), np.int64)
+    best_event[hit_rows] = events[hits[first]]
+    return best_event, best_cost
 
 
-def _frontend_event(record, theta) -> EventType:
-    """The event FMT blames for a starved front end at a µop."""
-    if record.mispredicted:
-        return EventType.BR_MISP
-    best_event = EventType.BASE
-    best_cost = 0
-    for event, units in record.fetch_charge:
-        cost = units * theta[event]
-        if cost > best_cost:
-            best_cost = cost
-            best_event = event
-    return best_event
+def _blame_tables(result: SimResult, theta):
+    """Per-µop blame when it heads the ROB: in flight, and starved.
+
+    In flight, FMT blames the µop's dominant pending event (its
+    costliest non-base execution event, or the DTLB walk if that costs
+    more).  Starved, it blames the front end: the mispredicted branch
+    before the µop, its own misprediction, or its costliest fetch event.
+    """
+    tc = result.columns
+    exec_event, exec_cost = _costliest(
+        tc.exec_indptr, tc.exec_events, tc.exec_units, theta, skip_base=True
+    )
+    dominant = np.where(
+        tc.dtlb_miss & (theta[EventType.DTLB] > exec_cost),
+        int(EventType.DTLB),
+        exec_event,
+    )
+    fetch_event, _ = _costliest(
+        tc.fetch_indptr, tc.fetch_events, tc.fetch_units, theta
+    )
+    after_misprediction = np.zeros(tc.n, bool)
+    after_misprediction[1:] = tc.mispredicted[:-1]
+    starved = np.where(
+        after_misprediction | tc.mispredicted,
+        int(EventType.BR_MISP),
+        fetch_event,
+    )
+    return dominant, starved
 
 
 class FMTPredictor:
@@ -70,61 +96,58 @@ class FMTPredictor:
         self.components = self._build_stack(result)
 
     def _build_stack(self, result: SimResult) -> Dict[EventType, float]:
-        theta = result.config.latency.cycles
+        theta = np.asarray(result.config.latency.cycles, np.int64)
         total_cycles = result.cycles
-        records = result.uops
-        workload = result.workload
-        n = len(records)
+        tc = result.columns
+        n = tc.n
 
-        commit_cycles = [0] * (total_cycles + 2)
-        for record in records:
-            commit_cycles[min(record.t_commit, total_cycles + 1)] += 1
+        # Attribution covers cycles 1..T, T the last commit.  A cycle in
+        # which some µop commits is a base cycle; any other cycle is a
+        # stall blamed on the ROB head, the oldest uncommitted µop
+        # (commit is in order, so t_commit is sorted and the head is a
+        # binary search away).
+        last = min(total_cycles, int(tc.t_commit[-1])) if n else 0
+        commits = np.bincount(
+            np.minimum(tc.t_commit, last + 1), minlength=last + 2
+        )[1 : last + 1]
+        stalls = np.flatnonzero(commits == 0) + 1
+        heads = np.searchsorted(tc.t_commit, stalls, side="right")
+        base_cycles = int(np.count_nonzero(commits))
 
-        components: Dict[EventType, float] = {EventType.BASE: 0.0}
-        head = 0
-        # Cache the blame for the current head µop so the per-cycle loop
-        # stays O(total_cycles + n).
-        cached_head = -1
-        cached_blame = EventType.BASE
-        for cycle in range(1, total_cycles + 1):
-            if commit_cycles[cycle]:
-                components[EventType.BASE] = (
-                    components.get(EventType.BASE, 0.0) + 1.0
-                )
-                continue
-            while head < n and records[head].t_commit <= cycle:
-                head += 1
-            if head >= n:
-                break
-            record = records[head]
-            if head != cached_head:
-                cached_head = head
-                if record.t_rename != -1 and record.t_rename <= cycle:
-                    # Head is in the window, waiting to complete: blame
-                    # its dominant (or its macro-op's dominant) event.
-                    blame = _dominant_event(record, workload[head], theta)
-                    if record.t_complete != -1 and record.t_complete <= cycle:
-                        # Head done; the macro-op gate holds it — blame
-                        # the slowest other member of the macro-op.
-                        macro_id = workload[head].macro_id
-                        member = head + 1
-                        while (
-                            member < n
-                            and workload[member].macro_id == macro_id
-                        ):
-                            blame = _dominant_event(
-                                records[member], workload[member], theta
-                            )
-                            member += 1
-                    cached_blame = blame
-                else:
-                    # Front end starved: blame the fetch-side blocker of
-                    # the head (or the mispredicted branch before it).
-                    if head > 0 and records[head - 1].mispredicted:
-                        cached_blame = EventType.BR_MISP
-                    else:
-                        cached_blame = _frontend_event(record, theta)
-            components[cached_blame] = components.get(cached_blame, 0.0) + 1.0
+        # The blame is fixed at the first stall cycle of each head.
+        first = np.ones(len(heads), bool)
+        first[1:] = heads[1:] != heads[:-1]
+        head = heads[first]
+        cycle = stalls[first]
+        renamed = tc.t_rename[head]
+        completed = tc.t_complete[head]
+        in_window = (renamed != -1) & (renamed <= cycle)
+        # A completed head is held by the macro-op commit gate: blame
+        # the last µop of its macro-op instead.
+        macro_id = workload_columns(result.workload).macro_id
+        macro_ends = np.flatnonzero(
+            np.append(macro_id[1:] != macro_id[:-1], True)
+        )
+        gated = in_window & (completed != -1) & (completed <= cycle)
+        blamed = np.where(
+            gated, macro_ends[np.searchsorted(macro_ends, head)], head
+        )
+        dominant, starved = _blame_tables(result, theta)
+        blame = np.where(in_window, dominant[blamed], starved[head])
+        blame = blame[np.cumsum(first) - 1]
+
+        # Events enter the stack in order of their first stall cycle.
+        components: Dict[EventType, float] = {
+            EventType.BASE: float(base_cycles)
+        }
+        events, first_stall, counts = np.unique(
+            blame, return_index=True, return_counts=True
+        )
+        for index in np.argsort(first_stall):
+            event = EventType(int(events[index]))
+            components[event] = components.get(event, 0.0) + float(
+                counts[index]
+            )
         return components
 
     # ------------------------------------------------------------------

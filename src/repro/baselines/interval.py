@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from repro.common.config import LatencyConfig
 from repro.common.events import EventType
 from repro.simulator.trace import SimResult
@@ -47,36 +49,48 @@ class IntervalStatistics:
     memory_parallelism: float
 
 
+def _unit_totals(events, units, keys) -> Dict[EventType, int]:
+    """Summed units of each event in *keys*, keyed in first-occurrence
+    order (the order a row-by-row accumulation inserts them)."""
+    found = []
+    for event in keys:
+        hits = np.flatnonzero(events == event)
+        if len(hits):
+            found.append((hits[0], event, int(units[hits].sum())))
+    return {event: total for _first, event, total in sorted(found)}
+
+
 def collect_statistics(result: SimResult) -> IntervalStatistics:
     """Extract the interval model's inputs from one simulation trace."""
-    icache_units: Dict[EventType, int] = {}
-    memory_units: Dict[EventType, int] = {}
-    mispredictions = 0
+    tc = result.columns
+    icache_units = _unit_totals(
+        tc.fetch_events,
+        tc.fetch_units,
+        (EventType.L2I, EventType.MEM_I, EventType.ITLB),
+    )
+    # A µop contributes its long execution events, then one DTLB unit
+    # if it missed the DTLB (execution charges never hold DTLB): splice
+    # those units in after each missing µop's charge.
+    dtlb_at = tc.exec_indptr[1:][tc.dtlb_miss]
+    memory_units = _unit_totals(
+        np.insert(tc.exec_events, dtlb_at, int(EventType.DTLB)),
+        np.insert(tc.exec_units, dtlb_at, 1),
+        (EventType.L2D, EventType.MEM_D, EventType.DTLB),
+    )
 
     # Measure long-miss MLP from the trace: group long loads by
     # overlapping [issue, complete) windows and compare summed latency
     # against the span actually covered.
-    long_windows = []
-    for record in result.uops:
-        if record.mispredicted:
-            mispredictions += 1
-        for event, units in record.fetch_charge:
-            if event in (EventType.L2I, EventType.MEM_I, EventType.ITLB):
-                icache_units[event] = icache_units.get(event, 0) + units
-        is_long = False
-        for event, units in record.exec_charge:
-            if event in (EventType.L2D, EventType.MEM_D):
-                memory_units[event] = memory_units.get(event, 0) + units
-                is_long = True
-        if record.dtlb_miss:
-            memory_units[EventType.DTLB] = (
-                memory_units.get(EventType.DTLB, 0) + 1
-            )
-        if is_long:
-            long_windows.append((record.t_issue, record.t_complete))
-
+    exec_rows = np.repeat(np.arange(tc.n), np.diff(tc.exec_indptr))
+    long_entry = (tc.exec_events == EventType.L2D) | (
+        tc.exec_events == EventType.MEM_D
+    )
+    is_long = np.zeros(tc.n, bool)
+    is_long[exec_rows[long_entry]] = True
+    long_windows = sorted(
+        zip(tc.t_issue[is_long].tolist(), tc.t_complete[is_long].tolist())
+    )
     if long_windows:
-        long_windows.sort()
         total_latency = sum(stop - start for start, stop in long_windows)
         covered = 0
         span_start, span_stop = long_windows[0]
@@ -94,7 +108,7 @@ def collect_statistics(result: SimResult) -> IntervalStatistics:
     return IntervalStatistics(
         num_uops=result.num_uops,
         dispatch_width=result.config.core.dispatch_width,
-        mispredictions=mispredictions,
+        mispredictions=int(np.count_nonzero(tc.mispredicted)),
         icache_units=icache_units,
         memory_units=memory_units,
         memory_parallelism=parallelism,

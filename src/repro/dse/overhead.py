@@ -25,8 +25,7 @@ from repro.isa.uop import Workload
 from repro.obs import clock
 from repro.obs.observer import use_observer
 from repro.obs.report import format_seconds, stage_table
-from repro.simulator.core import TimingSimulator
-from repro.simulator.prepass import run_prepass
+from repro.simulator.core import simulate
 
 
 @dataclass
@@ -142,6 +141,10 @@ def measure_overhead(
 ) -> OverheadProfile:
     """Measure every phase cost for *workload* on this machine.
 
+    The simulation phase times the pure-Python reference simulator
+    (``simulate(..., native=False)``), which stands in for the paper's
+    detailed simulator in the per-point re-simulation cost.
+
     Args:
         workload: the stream to analyse.
         config: structure + baseline latency (Table II default).
@@ -158,8 +161,7 @@ def measure_overhead(
             "profile.simulate", workload=workload.name
         ):
             start = clock.perf_seconds()
-            prepass = run_prepass(workload, config)
-            result = TimingSimulator(workload, config, prepass).run()
+            result = simulate(workload, config, native=False)
             simulate_seconds = clock.perf_seconds() - start
 
         with observer.span("profile.graph_build", workload=workload.name):

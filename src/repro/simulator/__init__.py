@@ -28,7 +28,6 @@ from repro.simulator.native import (
     UnsupportedWorkloadError,
     load_native_sim,
     try_native_simulate,
-    try_native_timing,
 )
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.traceio import load_result, result_digest, save_result
@@ -74,6 +73,5 @@ __all__ = [
     "run_prepass",
     "simulate",
     "try_native_simulate",
-    "try_native_timing",
     "workload_columns",
 ]

@@ -1,13 +1,12 @@
-"""Struct-of-arrays trace representation (the canonical in-memory form).
+"""Struct-of-arrays trace representation (the one in-memory form).
 
-The simulator's per-µop :class:`~repro.simulator.trace.UopTrace`
-dataclasses are convenient to inspect but ruinously expensive to build:
-after the compiled simulator (PR 6) the Python-side record
-materialisation was ~85% of native wall-clock.  This module keeps the
-whole trace in packed numpy columns instead — timestamps, witnesses and
-flags as dense ``int64``/``bool`` arrays, and the ragged per-µop data
-(event charges, register producers) in CSR ``indptr``/``values`` form,
-mirroring the packed dependence-graph layout of PR 5.
+Per-µop :class:`~repro.simulator.trace.UopTrace` dataclasses are
+convenient to inspect but expensive to build at trace scale, so every
+:class:`~repro.simulator.trace.SimResult` keeps its trace in packed
+numpy columns instead — timestamps, witnesses and flags as dense
+``int64``/``bool`` arrays, and the ragged per-µop data (event charges,
+register producers) in CSR ``indptr``/``values`` form, mirroring the
+packed dependence-graph layout.
 
 :class:`TraceColumns` is latency-stamped trace state;
 :class:`WorkloadColumns` is the latency-invariant µop stream.  Both
@@ -16,10 +15,11 @@ that :func:`repro.simulator.traceio.result_digest` hashes, so the
 native and Python paths digest identically *by construction* (equal
 values imply equal bytes).
 
-Legacy consumers keep working: ``SimResult.uops`` materialises
-:class:`UopTrace` tuples from the columns lazily, and
-:meth:`TraceColumns.from_records` packs record lists produced by the
-pure-Python simulator into the identical layout.
+The compiled simulator assembles columns straight from its outcome
+arrays; the pure-Python timing loop packs its pre-pass records with
+:meth:`TraceColumns.from_records`.  :meth:`TraceColumns.to_records` is
+the reverse view, built only for the reference graph builder and tests
+(``SimResult.uops``); every production consumer reads columns.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class TraceColumns:
 
     @classmethod
     def from_records(cls, records: Sequence[UopTrace]) -> "TraceColumns":
-        """Pack per-µop trace records into columns (the legacy path)."""
+        """Pack per-µop trace records into columns (the Python path)."""
         n = len(records)
         exec_indptr, exec_events, exec_units = _charge_csr(
             [rec.exec_charge for rec in records]
@@ -193,13 +193,12 @@ class TraceColumns:
         Value-identical (and ``==``-equal) to the records the Python
         simulator would have produced: charges become ``(EventType,
         int)`` tuples, producers become int tuples, flags become Python
-        bools.  Uses the same GC-paused bulk-allocation technique as the
-        native record builder — this is the legacy compatibility path,
-        paid only when something touches ``SimResult.uops``.
+        bools.  Records are bulk-allocated with cyclic GC paused.  This
+        is the ``SimResult.uops`` view, paid only by the reference graph
+        builder and tests.
         """
-        # PR 7 moved this tax off the hot path; the span and counter
-        # keep it visible in `repro profile` / `repro bench` if a code
-        # path reintroduces it.
+        # No production path builds records; the span and counter keep
+        # it visible in `repro profile` / `repro bench` if one starts.
         from repro.obs.observer import get_observer
 
         obs = get_observer()

@@ -27,14 +27,18 @@ which keeps memory-bound workloads fast to simulate.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from typing import Deque, Dict, List, Optional
+
+import numpy as np
 
 from repro.common.config import MicroarchConfig
 from repro.common.events import LATENCY_DOMAIN, EventType
 from repro.isa.uop import OpClass, Workload
+from repro.simulator.columns import TIMESTAMP_COLUMNS, TraceColumns
 from repro.simulator.prepass import PrepassResult, run_prepass
-from repro.simulator.trace import SimResult, UopTrace
+from repro.simulator.trace import SimResult
 
 #: Functional-unit class per op class.
 _FU_BASE = "base"
@@ -113,6 +117,11 @@ class TimingSimulator:
         self.t_issue = [_UNSET] * n
         self.t_complete = [_UNSET] * n
         self.t_commit = [_UNSET] * n
+        # Structural witnesses bound during this run.  The pre-pass
+        # records stay untouched, so every run over a shared pre-pass
+        # starts with unbound (-1) witnesses.
+        self.phys_reg_freer = [-1] * n
+        self.iq_freer = [-1] * n
 
         # Front end.
         self.next_fetch = 0
@@ -217,7 +226,7 @@ class TimingSimulator:
             if self.prepass.frees_reg_on_commit[head]:
                 self.free_regs += 1
                 if self.reg_waiter is not None:
-                    self.records[self.reg_waiter].phys_reg_freer = head
+                    self.phys_reg_freer[self.reg_waiter] = head
                     self.reg_waiter = None
             if self.workload[head].is_memory:
                 self.lsq_occupancy -= 1
@@ -357,14 +366,15 @@ class TimingSimulator:
 
         self.iq = still_queued
         if issued_this_cycle and self.iq_waiter is not None:
-            waiter = self.records[self.iq_waiter]
-            if waiter.iq_freer == -1:
+            if self.iq_freer[self.iq_waiter] == -1:
                 preferred = [
                     seq
                     for seq in issued_this_cycle
                     if self._gated_optimizable.get(seq)
                 ]
-                waiter.iq_freer = (preferred or issued_this_cycle)[0]
+                self.iq_freer[self.iq_waiter] = (
+                    preferred or issued_this_cycle
+                )[0]
             self.iq_waiter = None
         return progress
 
@@ -378,7 +388,7 @@ class TimingSimulator:
                 hints.append(self.t_rename[seq] + 1)
                 break
             if len(self.iq) >= core.iq_size:
-                if self.records[seq].iq_freer == -1 and self.iq_waiter is None:
+                if self.iq_freer[seq] == -1 and self.iq_waiter is None:
                     self.iq_waiter = seq
                 break
             uop = self.workload[seq]
@@ -509,15 +519,16 @@ class TimingSimulator:
         return self._package(total_cycles)
 
     def _package(self, total_cycles: int) -> SimResult:
-        records = self.records
-        for seq, record in enumerate(records):
-            record.t_fetch = self.t_fetch[seq]
-            record.t_rename = self.t_rename[seq]
-            record.t_dispatch = self.t_dispatch[seq]
-            record.t_ready = self.t_ready[seq]
-            record.t_issue = self.t_issue[seq]
-            record.t_complete = self.t_complete[seq]
-            record.t_commit = self.t_commit[seq]
+        # The latency-invariant fields come from the pre-pass records;
+        # this run's timestamps and witnesses replace their columns.
+        stamped = TIMESTAMP_COLUMNS + ("phys_reg_freer", "iq_freer")
+        columns = dataclasses.replace(
+            TraceColumns.from_records(self.records),
+            **{
+                name: np.array(getattr(self, name), np.int64)
+                for name in stamped
+            },
+        )
         stats = dict(self.prepass.stats)
         stats["uops"] = self.n
         stats["macro_ops"] = self.workload.num_macro_ops
@@ -525,7 +536,7 @@ class TimingSimulator:
             workload=self.workload,
             config=self.config,
             cycles=total_cycles,
-            uops=tuple(records),
+            columns=columns,
             stats=stats,
         )
 
@@ -534,7 +545,6 @@ def simulate(
     workload: Workload,
     config: MicroarchConfig,
     warm_caches: bool = True,
-    prepass: Optional[PrepassResult] = None,
     native: Optional[bool] = None,
 ) -> SimResult:
     """Run one full timing simulation.
@@ -543,36 +553,22 @@ def simulate(
         workload: the dynamic micro-op stream.
         config: the design point (structure + latency domains).
         warm_caches: replay the stream once to warm caches/TLBs first.
-        prepass: reuse a previously computed functional pre-pass (it only
-            depends on the structure domain, so it is shared across the
-            latency sweep of one structure).  NOTE: pre-pass records are
-            re-stamped with this run's timestamps.
         native: ``None`` uses the compiled simulator when available (the
             ``REPRO_NATIVE``-gated default), ``False`` forces the Python
-            loops, ``True`` requires the compiled path.  The two are bit
-            identical; the differential parity suite pins that.
+            pre-pass and timing loop, ``True`` requires the compiled
+            ones.  The two are bit identical; the differential parity
+            suite pins that.
 
     Returns:
         The :class:`~repro.simulator.trace.SimResult` of the run.
     """
-    if prepass is None:
-        if native is not False:
-            # One-shot run: the fused compiled prepass+timing path
-            # materialises the trace records exactly once.
-            from repro.simulator.native import try_native_simulate
+    if native is not False:
+        from repro.simulator.native import try_native_simulate
 
-            result = try_native_simulate(
-                workload, config, warm_caches=warm_caches, native=native
-            )
-            if result is not None:
-                return result
-        prepass = run_prepass(
+        result = try_native_simulate(
             workload, config, warm_caches=warm_caches, native=native
         )
-    if native is not False:
-        from repro.simulator.native import try_native_timing
-
-        result = try_native_timing(workload, config, prepass, native)
         if result is not None:
             return result
+    prepass = run_prepass(workload, config, warm_caches=warm_caches)
     return TimingSimulator(workload, config, prepass).run()

@@ -5,18 +5,27 @@ configuration and answers timing queries for any number of latency design
 points, sharing the functional pre-pass (caches, TLBs, branch predictor,
 dependencies) across them.  This mirrors the paper's exploration shape:
 one structure, many latency configurations.
+
+The implementation is chosen once, when the pre-pass runs: a compiled
+pre-pass is priced by the compiled timing loop at every latency point,
+and a Python one by :class:`~repro.simulator.core.TimingSimulator`.
+Either way each run starts with unbound structural witnesses.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.common.config import LatencyConfig, MicroarchConfig, baseline_config
 from repro.isa.uop import Workload
 from repro.obs import clock
 from repro.obs.observer import get_observer
 from repro.simulator.core import TimingSimulator
+from repro.simulator.native import (
+    PackedPrepass,
+    native_timing,
+    try_native_prepass,
+)
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.trace import SimResult
 
@@ -27,6 +36,10 @@ class Machine:
     The functional pre-pass runs once (it depends only on the structure
     domain); each :meth:`simulate` call prices it under a different
     latency configuration.  Results are memoised per latency point.
+    *native* selects the implementation for every run: ``None`` uses
+    the compiled simulator when ``REPRO_NATIVE`` allows, ``False`` the
+    Python one, ``True`` requires the compiled one.  Both are bit
+    identical, so cached results are portable.
     """
 
     def __init__(
@@ -40,31 +53,26 @@ class Machine:
     ) -> None:
         self.workload = workload
         self.config = config or baseline_config()
-        #: tri-state compiled-path selection (None = auto via
-        #: ``REPRO_NATIVE``, False = Python, True = require native);
-        #: both paths are bit identical so cached results are portable.
-        self.native = native
         # The observer is resolved ambiently (never stored) so Machine —
         # and the AnalysisSession wrapping it — stays picklable across
         # the worker pool and the artifact cache.
         with get_observer().span(
             "sim.prepass", workload=workload.name, uops=len(workload)
         ):
-            self._prepass = run_prepass(
+            args = (
                 workload,
                 self.config,
-                warm_caches=warm_caches,
-                warm_stream=warm_stream,
-                predictor_extra_stream=predictor_extra_stream,
-                native=native,
+                warm_caches,
+                warm_stream,
+                predictor_extra_stream,
+            )
+            self._prepass: Union[PackedPrepass, PrepassResult] = (
+                try_native_prepass(*args, native=native)
+                or run_prepass(*args)
             )
         self._cache: Dict[LatencyConfig, SimResult] = {}
         #: count of timing runs actually executed (for overhead reports)
         self.timing_runs = 0
-
-    @property
-    def prepass(self) -> PrepassResult:
-        return self._prepass
 
     def simulate(
         self, latency: Optional[LatencyConfig] = None
@@ -77,54 +85,15 @@ class Machine:
         design = self.config.with_latency(latency)
         obs = get_observer()
         start = clock.perf_seconds()
+        used_native = isinstance(self._prepass, PackedPrepass)
         with obs.span(
             "sim.run", workload=self.workload.name, uops=len(self.workload)
         ):
-            source = self._prepass
-            result = None
-            if (
-                self.native is not False
-                and source.packed is not None
-                and not source.records_materialised
-            ):
-                # Columnar fast path: the shared prepass never grew
-                # Python records, so hand the native loop a lightweight
-                # per-run wrapper around the (read-only) packed arrays.
-                # Each wrapper carries its own sticky witness arrays, so
-                # every latency point starts with unbound witnesses —
-                # the same isolation the record-copy path buys below.
-                from repro.simulator.native import try_native_timing
-
-                prepass = PrepassResult(
-                    stats=source.stats, packed=source.packed
-                )
-                result = try_native_timing(
-                    self.workload, design, prepass, self.native
-                )
-            if result is None:
-                # Each run stamps timestamps into the trace records; copy
-                # the pre-pass records so cached results stay immutable.
-                # Record fields are all immutable, so per-record shallow
-                # copies suffice (and the packed arrays are read-only, so
-                # they are shared rather than duplicated).
-                prepass = PrepassResult(
-                    records=[copy.copy(rec) for rec in source.records],
-                    frees_reg_on_commit=source.frees_reg_on_commit,
-                    needs_phys_reg=source.needs_phys_reg,
-                    macro_last_uop=source.macro_last_uop,
-                    stats=source.stats,
-                    packed=source.packed,
-                )
-                if self.native is not False:
-                    from repro.simulator.native import try_native_timing
-
-                    result = try_native_timing(
-                        self.workload, design, prepass, self.native
-                    )
-            used_native = result is not None
-            if result is None:
+            if used_native:
+                result = native_timing(self.workload, design, self._prepass)
+            else:
                 result = TimingSimulator(
-                    self.workload, design, prepass
+                    self.workload, design, self._prepass
                 ).run()
         if obs.enabled:
             obs.counter("sim.runs").inc()

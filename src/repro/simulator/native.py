@@ -13,18 +13,22 @@ cache, ``REPRO_NATIVE`` gate, automatic Python fallback):
   caches and TLBs, bimodal/gshare predictors, the prefetchers, the
   rename-map dependence walk, store barriers and the line-share
   window.  It consumes flat µop arrays and emits per-µop outcome
-  arrays (service levels, miss flags, producers, witnesses) from which
-  the :class:`~repro.simulator.trace.UopTrace` records are rebuilt.
+  arrays (service levels, miss flags, producers, witnesses): the
+  :class:`PackedPrepass`.
 * ``repro_sim_timing`` — the per-cycle commit/issue/dispatch/rename/
-  fetch loop with idle-cycle skipping, consuming prepass outcome
-  arrays plus per-design latency arrays and emitting the pipeline
+  fetch loop with idle-cycle skipping, consuming a packed prepass
+  plus per-design latency arrays and emitting the pipeline
   timestamps and structural witnesses directly.
 
-Everything is integer arithmetic, so the native path is **bit
-identical** to the Python reference by construction; a 12-workload
-differential test (``tests/simulator/test_native_parity.py``) and the
-stress-kernel oracles pin the equivalence.  The Python implementation
-stays untouched as the executable specification.
+The implementation is chosen once per run: a packed prepass is only
+ever priced by the compiled timing loop, and the result is assembled
+straight into :class:`~repro.simulator.columns.TraceColumns` with no
+per-µop Python objects.  Everything is integer arithmetic, so the
+native path is **bit identical** to the Python reference by
+construction; a 12-workload differential test
+(``tests/simulator/test_native_parity.py``) and the stress-kernel
+oracles pin the equivalence.  The Python implementation stays the
+executable specification.
 
 Workloads the packer cannot express (register ids outside 0..255, more
 than two address sources) silently fall back to the Python path.
@@ -33,11 +37,9 @@ than two address sources) silently fall back to the Python path.
 from __future__ import annotations
 
 import ctypes
-import gc
-import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from repro.isa.uop import EXEC_EVENT, OpClass, Workload
 from repro.simulator.columns import TraceColumns
 from repro.simulator.trace import (
     SimResult,
-    UopTrace,
     data_access_charge,
     fetch_access_charge,
 )
@@ -404,10 +405,9 @@ fail:
  *   11:free_regs 12:fu_base 13:fu_long 14:fu_fp 15:fu_load 16:fu_store
  *   17:mshr 18:misp_penalty
  *
- * All t_* arrays arrive -1-initialised (the _UNSET sentinel);
- * preg_freer/iq_freer arrive holding the incoming record witnesses
- * (reused prepass records may already carry them — the first-binding
- * guard matches the Python `== -1` checks).
+ * All t_* arrays and preg_freer/iq_freer arrive -1-initialised (the
+ * _UNSET sentinel; the witness first-binding guard matches the Python
+ * `== -1` checks).
  * Returns 0 ok, 1 deadlock, 2 runaway, -1 allocation failure; out[0] =
  * total cycles, out[1] = cycle and out[2] = committed at failure. */
 
@@ -969,7 +969,11 @@ def pack_workload(workload: Workload) -> PackedWorkload:
 
 @dataclass
 class PackedPrepass:
-    """Flat array view of the prepass outcome (native timing input)."""
+    """The compiled pre-pass outcome (the compiled timing loop's input).
+
+    Read-only once built: every timing run over it allocates its own
+    timestamp and witness arrays.
+    """
 
     workload: PackedWorkload
     fetch_level: np.ndarray    # int8: 0 = no new line, else AccessLevel
@@ -984,65 +988,7 @@ class PackedPrepass:
     store_barrier: np.ndarray  # int64
     line_sharer: np.ndarray    # int64
     needs_reg: np.ndarray      # int8
-
-
-def pack_prepass_records(
-    workload: Workload, prepass
-) -> PackedPrepass:
-    """Pack Python-produced prepass records for the native timing loop.
-
-    This is the interop path: a prepass computed by the pure-Python
-    pass (or loaded from somewhere) still feeds the compiled timing
-    loop.  Service levels are recovered from the charge tuples, which
-    encode them cumulatively.
-    """
-    pw = pack_workload(workload)
-    n = pw.n
-    records = prepass.records
-    fetch_level = np.zeros(n, np.int8)
-    itlb_miss = np.zeros(n, np.int8)
-    mispredicted = np.zeros(n, np.int8)
-    dtlb_miss = np.zeros(n, np.int8)
-    data_level = np.zeros(n, np.int8)
-    p0 = np.full(n, -1, np.int64)
-    p1 = np.full(n, -1, np.int64)
-    a0 = np.full(n, -1, np.int64)
-    a1 = np.full(n, -1, np.int64)
-    store_barrier = np.empty(n, np.int64)
-    line_sharer = np.empty(n, np.int64)
-    itlb_event = EventType.ITLB
-    load_class = OpClass.LOAD
-    for i, rec in enumerate(records):
-        fc = rec.fetch_charge
-        if fc:
-            # ITLB (optional) + L1I [+ L2I [+ MEM_I]]
-            has_itlb = fc[0][0] == itlb_event
-            itlb_miss[i] = has_itlb
-            fetch_level[i] = len(fc) - (1 if has_itlb else 0)
-        mispredicted[i] = rec.mispredicted
-        dtlb_miss[i] = rec.dtlb_miss
-        if workload[i].opclass is load_class:
-            data_level[i] = len(rec.exec_charge)
-        dp = rec.data_producers
-        if dp:
-            p0[i] = dp[0]
-            if len(dp) > 1:
-                p1[i] = dp[1]
-        ap = rec.addr_producers
-        if ap:
-            a0[i] = ap[0]
-            if len(ap) > 1:
-                a1[i] = ap[1]
-        store_barrier[i] = rec.store_barrier
-        line_sharer[i] = rec.line_sharer
-    needs_reg = np.asarray(prepass.needs_phys_reg, np.int8)
-    return PackedPrepass(
-        workload=pw, fetch_level=fetch_level, itlb_miss=itlb_miss,
-        mispredicted=mispredicted, dtlb_miss=dtlb_miss,
-        data_level=data_level, p0=p0, p1=p1, a0=a0, a1=a1,
-        store_barrier=store_barrier, line_sharer=line_sharer,
-        needs_reg=needs_reg,
-    )
+    stats: Dict[str, int]      # functional counters (cache/TLB/branch)
 
 
 # ----------------------------------------------------------------------
@@ -1141,7 +1087,7 @@ def _run_native_prepass(
     predictor_extra_stream: Optional[Workload],
     sim: NativeSim,
 ):
-    """Invoke the compiled pre-pass; returns ``(PackedPrepass, stats)``.
+    """Invoke the compiled pre-pass.
 
     Raises :class:`UnsupportedWorkloadError` when the workload cannot
     be packed.
@@ -1222,168 +1168,44 @@ def _run_native_prepass(
         ]
     )
 
-    stats = dict(zip(_STATS_KEYS, stats_out.tolist()))
-    packed = PackedPrepass(
+    return PackedPrepass(
         workload=pw, fetch_level=fetch_level, itlb_miss=itlb_miss,
         mispredicted=mispredicted, dtlb_miss=dtlb_miss,
         data_level=data_level, p0=p0, p1=p1, a0=a0, a1=a1,
         store_barrier=store_barrier, line_sharer=line_sharer,
         needs_reg=(pw.dst >= 0).astype(np.int8),
+        stats=dict(zip(_STATS_KEYS, stats_out.tolist())),
     )
-    return packed, stats
 
 
-def native_prepass_pieces(
+def try_native_prepass(
     workload: Workload,
     config: MicroarchConfig,
     warm_caches: bool = True,
     warm_stream: Optional[Workload] = None,
     predictor_extra_stream: Optional[Workload] = None,
-    sim: Optional[NativeSim] = None,
-):
-    """Run the compiled functional pre-pass.
+    native: Optional[bool] = None,
+) -> Optional[PackedPrepass]:
+    """Run the compiled pre-pass, or return ``None`` to fall back.
 
-    Returns ``(packed_prepass, stats)`` — per-µop records are *not*
-    built here; :class:`repro.simulator.prepass.PrepassResult`
-    materialises them lazily from the packed arrays only if legacy
-    Python-side code asks.  Raises :class:`UnsupportedWorkloadError`
-    when the workload cannot be packed.
+    Arguments mirror :func:`repro.simulator.prepass.run_prepass`;
+    *native* is the usual tri-state (see :func:`resolve_native`).  The
+    result is only ever priced by :func:`native_timing`.
     """
+    if len(workload) == 0:
+        raise ValueError("cannot simulate an empty workload")
+    sim = resolve_native(native)
     if sim is None:
-        sim = load_native_sim()
-    if sim is None:
-        raise RuntimeError("native simulator unavailable")
-    return _run_native_prepass(
-        workload, config, warm_caches, warm_stream,
-        predictor_extra_stream, sim,
-    )
-
-
-def _build_records(pp: PackedPrepass) -> List[UopTrace]:
-    """Rebuild UopTrace records from the C outcome arrays.
-
-    Charge tuples are shared constants: the Python path builds
-    value-identical tuples, so equality (and the canonical digest) is
-    preserved.  Records carry prepass state only (zero timestamps, -1
-    witnesses) — since the columnar rework this is the lazy
-    ``PrepassResult.records`` compatibility path, never the simulate
-    fast path, so no stamped variant exists any more.
-    """
-    pw = pp.workload
-    fetch_level = pp.fetch_level
-    itlb_miss = pp.itlb_miss
-    mispredicted = pp.mispredicted
-    dtlb_miss = pp.dtlb_miss
-    data_level = pp.data_level
-    p0, p1, a0, a1 = pp.p0, pp.p1, pp.a0, pp.a1
-    store_barrier = pp.store_barrier
-    line_sharer = pp.line_sharer
-    load_charge = {
-        level: data_access_charge(level, False) for level in (1, 2, 3)
-    }
-    # fetch_tbl[level][itlb_miss]; level 0 = no new line opened.
-    fetch_tbl = [[(), ()]] + [
-        [fetch_access_charge(level, False), fetch_access_charge(level, True)]
-        for level in (1, 2, 3)
-    ]
-    base_charge = ((EventType.BASE, 1),)
-    exec_static = {
-        int(oc): ((EXEC_EVENT[oc], 1),) for oc in OpClass
-    }
-    exec_static[int(OpClass.NOP)] = base_charge
-    exec_static[int(OpClass.STORE)] = base_charge
-    load_id = int(OpClass.LOAD)
-    store_id = int(OpClass.STORE)
-
-    opclass = pw.opclass
-    is_load = opclass == load_id
-    # Vectorise every per-row conditional up front: exec/fetch charges
-    # become single flat-table lookups, and booleans materialise as
-    # Python ``True``/``False`` via the bool-array ``tolist``.
-    exec_key = np.where(is_load, data_level + 16, opclass)
-    exec_tbl = dict(exec_static)
-    for level in (1, 2, 3):
-        exec_tbl[level + 16] = load_charge[level]
-    ec_l = [exec_tbl[key] for key in exec_key.tolist()]
-    fetch_flat = [charge for pair in fetch_tbl for charge in pair]
-    fc_l = [
-        fetch_flat[key]
-        for key in (fetch_level * 2 + itlb_miss).tolist()
-    ]
-    dm_l = (dtlb_miss == 1).tolist()
-    mp_l = (mispredicted == 1).tolist()
-    sb_l = np.where(is_load, store_barrier, -1).tolist()
-    nsrc_l = pw.n_src.tolist()
-    nasrc_l = pw.n_asrc.tolist()
-    p0_l = p0.tolist()
-    p1_l = p1.tolist()
-    a0_l = a0.tolist()
-    a1_l = a1.tolist()
-    ls_l = line_sharer.tolist()
-    zeros = [0] * pw.n
-    negs = [-1] * pw.n
-    tf_l = tr_l = td_l = trd_l = ti_l = tc_l = tcm_l = zeros
-    pf_l = iqf_l = negs
-
-    empty = ()
-    # Bulk-allocate the bare instances through a C-level map, then fill
-    # each instance dict wholesale — the cheapest way to materialise 17
-    # fields per record at trace scale; all values are immutable.  The
-    # wide zip keeps the per-row work to one C-level unpack instead of
-    # sixteen list indexings.  Cyclic GC is paused for the duration:
-    # nothing allocated here can form a cycle, and at trace scale the
-    # generational collector otherwise re-walks the growing record list
-    # dozens of times.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
+        return None
     try:
-        records: List[UopTrace] = list(
-            map(UopTrace.__new__, itertools.repeat(UopTrace, pw.n))
+        return _run_native_prepass(
+            workload, config, warm_caches, warm_stream,
+            predictor_extra_stream, sim,
         )
-        for (
-            rec, seq, ec, fc, dm, mp, ns, na, pp0, pp1, aa0, aa1, sb, ls,
-            tf, tr, td, trd, ti, tc, tcm, pf, iqf,
-        ) in zip(
-            records, range(pw.n), ec_l, fc_l, dm_l, mp_l, nsrc_l, nasrc_l,
-            p0_l, p1_l, a0_l, a1_l, sb_l, ls_l,
-            tf_l, tr_l, td_l, trd_l, ti_l, tc_l, tcm_l, pf_l, iqf_l,
-        ):
-            rec.__dict__ = {
-                "seq": seq,
-                "exec_charge": ec,
-                "fetch_charge": fc,
-                "dtlb_miss": dm,
-                "mispredicted": mp,
-                "data_producers": (
-                    empty if ns == 0
-                    else (pp0,) if ns == 1
-                    else (pp0, pp1)
-                ),
-                "addr_producers": (
-                    empty if na == 0
-                    else (aa0,) if na == 1
-                    else (aa0, aa1)
-                ),
-                "store_barrier": sb,
-                "line_sharer": ls,
-                "phys_reg_freer": pf,
-                "iq_freer": iqf,
-                "t_fetch": tf,
-                "t_rename": tr,
-                "t_dispatch": td,
-                "t_ready": trd,
-                "t_issue": ti,
-                "t_complete": tc,
-                "t_commit": tcm,
-            }
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    # Non-load memory µops keep the -1 store_barrier default; stores in
-    # the C pass never write it, so nothing further to fix up.
-    _ = store_id
-    return records
+    except UnsupportedWorkloadError:
+        if native is True:
+            raise
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -1456,11 +1278,8 @@ def _trace_columns(
 ) -> TraceColumns:
     """Assemble :class:`TraceColumns` straight from the C outcome arrays.
 
-    Pure array work — no per-row Python objects anywhere.  Prepass
-    arrays that are never mutated after the prepass (flags, producers,
-    line sharers) are aliased rather than copied; the witness arrays are
-    snapshotted because the sticky per-prepass copies keep mutating on
-    later timing runs.
+    Pure array work — no per-row Python objects anywhere.  The run's own
+    timestamp and witness arrays become columns without a copy.
     """
     pw = pp.workload
     n = pw.n
@@ -1501,8 +1320,8 @@ def _trace_columns(
         mispredicted=pp.mispredicted != 0,
         store_barrier=np.where(is_load, pp.store_barrier, -1),
         line_sharer=pp.line_sharer,
-        phys_reg_freer=preg_freer.copy(),
-        iq_freer=iq_freer.copy(),
+        phys_reg_freer=preg_freer,
+        iq_freer=iq_freer,
         t_fetch=t_fetch,
         t_rename=t_rename,
         t_dispatch=t_dispatch,
@@ -1583,22 +1402,16 @@ def _design_arrays(pp: PackedPrepass, config: MicroarchConfig):
     return exec_lat, fetch_lat, dtlb_lat, agu_lat, is_demand, prod_opt
 
 
-def _run_native_timing(
-    pp: PackedPrepass,
-    config: MicroarchConfig,
-    preg_freer: np.ndarray,
-    iq_freer: np.ndarray,
-    sim: NativeSim,
-):
-    """Invoke the compiled timing loop on packed prepass arrays.
+def native_timing(
+    workload: Workload, config: MicroarchConfig, pp: PackedPrepass
+) -> SimResult:
+    """Price a compiled pre-pass under *config* with the compiled loop.
 
-    Returns ``(cycles, stamps)`` where *stamps* is the seven-array
-    timestamp tuple in ``TIMESTAMP_COLUMNS`` order — int64 arrays owned
-    by this run, handed to :func:`_trace_columns` without further
-    copying.  The witness arrays the caller passed in are mutated in
-    place by the kernel.  Failure modes mirror the Python loop
-    (deadlock / runaway raise ``RuntimeError``).
+    Each run starts from fresh timestamp and unbound (-1) witness
+    arrays, so runs sharing *pp* are independent.  Failure modes mirror
+    the Python loop (deadlock / runaway raise ``RuntimeError``).
     """
+    sim = resolve_native(True)
     pw = pp.workload
     n = pw.n
     core = config.core
@@ -1625,6 +1438,8 @@ def _run_native_timing(
     t_issue = np.full(n, -1, np.int64)
     t_complete = np.full(n, -1, np.int64)
     t_commit = np.full(n, -1, np.int64)
+    preg_freer = np.full(n, -1, np.int64)
+    iq_freer = np.full(n, -1, np.int64)
     out = np.zeros(4, np.int64)
 
     rc, at_cycle, committed = sim.run_timing(
@@ -1657,90 +1472,15 @@ def _run_native_timing(
         t_fetch, t_rename, t_dispatch, t_ready, t_issue,
         t_complete, t_commit,
     )
-    return int(out[0]), stamps
-
-
-def _result_stats(prepass_stats, workload: Workload) -> dict:
-    stats = dict(prepass_stats)
-    stats["uops"] = len(workload)
+    stats = dict(pp.stats)
+    stats["uops"] = n
     stats["macro_ops"] = workload.num_macro_ops
-    return stats
-
-
-def try_native_timing(
-    workload: Workload,
-    config: MicroarchConfig,
-    prepass,
-    native: Optional[bool] = None,
-) -> Optional[SimResult]:
-    """Run the compiled timing loop, or return ``None`` to fall back.
-
-    The prepass may come from either implementation: a native prepass
-    carries its packed arrays; a Python one is packed on the fly.  When
-    the prepass records were never materialised (fully-native runs) the
-    result is assembled columnar with zero per-row Python work, and the
-    structural witnesses live in sticky per-prepass arrays — bound on
-    the first run, persistent across runs sharing the prepass, exactly
-    as the record-restamping path behaves.  When records exist, they are
-    (re-)stamped in place like the Python loop does.
-    """
-    sim = resolve_native(native)
-    if sim is None:
-        return None
-    pp = getattr(prepass, "packed", None)
-    if pp is None:
-        try:
-            pp = pack_prepass_records(workload, prepass)
-        except UnsupportedWorkloadError:
-            if native is True:
-                raise
-            return None
-
-    if not getattr(prepass, "records_materialised", True):
-        preg_freer, iq_freer = prepass.witness_arrays(pp.workload.n)
-        cycles, stamps = _run_native_timing(
-            pp, config, preg_freer, iq_freer, sim
-        )
-        return SimResult(
-            workload=workload,
-            config=config,
-            cycles=cycles,
-            columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
-            stats=_result_stats(prepass.stats, workload),
-        )
-
-    records = prepass.records
-    preg_freer = np.fromiter(
-        (rec.phys_reg_freer for rec in records), np.int64, count=len(records)
-    )
-    iq_freer = np.fromiter(
-        (rec.iq_freer for rec in records), np.int64, count=len(records)
-    )
-    cycles, stamps = _run_native_timing(pp, config, preg_freer, iq_freer, sim)
-
-    for rec, tf, tr, td, tready, ti, tc, tcm, pf, iqf in zip(
-        records,
-        *(stamp.tolist() for stamp in stamps),
-        preg_freer.tolist(),
-        iq_freer.tolist(),
-    ):
-        d = rec.__dict__
-        d["t_fetch"] = tf
-        d["t_rename"] = tr
-        d["t_dispatch"] = td
-        d["t_ready"] = tready
-        d["t_issue"] = ti
-        d["t_complete"] = tc
-        d["t_commit"] = tcm
-        d["phys_reg_freer"] = pf
-        d["iq_freer"] = iqf
-
     return SimResult(
         workload=workload,
         config=config,
-        cycles=cycles,
-        uops=tuple(records),
-        stats=_result_stats(prepass.stats, workload),
+        cycles=int(out[0]),
+        columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
+        stats=stats,
     )
 
 
@@ -1750,37 +1490,13 @@ def try_native_simulate(
     warm_caches: bool = True,
     native: Optional[bool] = None,
 ) -> Optional[SimResult]:
-    """Fused compiled prepass + timing run, or ``None`` to fall back.
+    """Compiled pre-pass + timing run, or ``None`` to fall back.
 
     This is the fast path for one-shot :func:`repro.simulator.simulate`
     calls: both C kernels run back to back and the result is assembled
-    directly into :class:`TraceColumns` from the C outcome arrays —
-    zero per-row Python work.  :class:`UopTrace` records exist only if
-    legacy code later touches ``result.uops``.
+    directly into :class:`TraceColumns` from the C outcome arrays.
     """
-    if len(workload) == 0:
-        # Same contract as run_prepass: reject rather than emit an
-        # empty result.
-        raise ValueError("cannot simulate an empty workload")
-    sim = resolve_native(native)
-    if sim is None:
+    pp = try_native_prepass(workload, config, warm_caches, native=native)
+    if pp is None:
         return None
-    try:
-        pp, prepass_stats = _run_native_prepass(
-            workload, config, warm_caches, None, None, sim
-        )
-    except UnsupportedWorkloadError:
-        if native is True:
-            raise
-        return None
-    n = pp.workload.n
-    preg_freer = np.full(n, -1, np.int64)
-    iq_freer = np.full(n, -1, np.int64)
-    cycles, stamps = _run_native_timing(pp, config, preg_freer, iq_freer, sim)
-    return SimResult(
-        workload=workload,
-        config=config,
-        cycles=cycles,
-        columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
-        stats=_result_stats(prepass_stats, workload),
-    )
+    return native_timing(workload, config, pp)

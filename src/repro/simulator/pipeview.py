@@ -18,8 +18,9 @@ executing, ``+`` complete/waiting to commit, ``C`` commit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
+from repro.simulator.columns import TIMESTAMP_COLUMNS
 from repro.simulator.trace import SimResult
 
 
@@ -43,13 +44,20 @@ def render_pipeline(
     if count < 1:
         raise ValueError("count must be positive")
     first = max(0, first)
-    last = min(len(result.uops), first + count)
+    last = min(result.num_uops, first + count)
     if first >= last:
         raise ValueError("window is outside the trace")
 
-    window = result.uops[first:last]
-    origin = min(record.t_fetch for record in window)
-    end = max(record.t_commit for record in window)
+    stamps = list(
+        zip(
+            *(
+                getattr(result.columns, name)[first:last].tolist()
+                for name in TIMESTAMP_COLUMNS
+            )
+        )
+    )
+    origin = min(stamp[0] for stamp in stamps)  # t_fetch
+    end = max(stamp[-1] for stamp in stamps)  # t_commit
     width = min(max_width, end - origin + 1)
 
     lines: List[str] = []
@@ -61,8 +69,11 @@ def render_pipeline(
                 axis[tick + offset] = char
     lines.append("seq  opclass   " + "".join(axis))
 
-    for record in window:
-        uop = result.workload[record.seq]
+    for seq, (
+        t_fetch, t_rename, t_dispatch, t_ready, t_issue, t_complete,
+        t_commit,
+    ) in zip(range(first, last), stamps):
+        uop = result.workload[seq]
         row = [" "] * width
 
         def put(cycle: int, char: str, force: bool = False) -> None:
@@ -74,20 +85,18 @@ def render_pipeline(
             for cycle in range(start, stop):
                 put(cycle, char)
 
-        put(record.t_fetch, "F", force=True)
-        fill(record.t_fetch + 1, record.t_rename, "-")
-        put(record.t_rename, "N", force=True)
-        put(record.t_dispatch, "D", force=True)
-        fill(record.t_dispatch + 1, record.t_ready, ".")
-        if record.t_ready < record.t_issue:
-            put(record.t_ready, "r", force=True)
-            fill(record.t_ready + 1, record.t_issue, ".")
-        put(record.t_issue, "I", force=True)
-        fill(record.t_issue + 1, record.t_complete, "i")
-        fill(record.t_complete, record.t_commit, "+")
-        put(record.t_commit, "C", force=True)
+        put(t_fetch, "F", force=True)
+        fill(t_fetch + 1, t_rename, "-")
+        put(t_rename, "N", force=True)
+        put(t_dispatch, "D", force=True)
+        fill(t_dispatch + 1, t_ready, ".")
+        if t_ready < t_issue:
+            put(t_ready, "r", force=True)
+            fill(t_ready + 1, t_issue, ".")
+        put(t_issue, "I", force=True)
+        fill(t_issue + 1, t_complete, "i")
+        fill(t_complete, t_commit, "+")
+        put(t_commit, "C", force=True)
 
-        lines.append(
-            f"{record.seq:03d}  {uop.opclass.name:<8s} " + "".join(row)
-        )
+        lines.append(f"{seq:03d}  {uop.opclass.name:<8s} " + "".join(row))
     return "\n".join(lines)

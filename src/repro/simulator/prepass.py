@@ -15,10 +15,16 @@ configuration replays byte-identical events, which is the founding
 assumption of single-simulation design space exploration (the paper's
 modified MARSSx86 relies on the same property by replaying one trace).
 The timing loop (``repro.simulator.core``) then only assigns cycles.
+
+This module is the executable specification of the pass.
+``repro.simulator.native`` compiles a bit-identical twin whose packed
+outcome only the compiled timing loop prices; a :class:`PrepassResult`
+from here is only priced by :class:`~repro.simulator.core.TimingSimulator`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.config import MicroarchConfig
@@ -38,118 +44,28 @@ from repro.simulator.trace import (
 LINE_SHARE_WINDOW = 64
 
 
+@dataclass
 class PrepassResult:
     """Static (latency-invariant) facts about one run.
 
-    When the native pre-pass produced the result, only :attr:`packed`
-    (the flat-array ``repro.simulator.native.PackedPrepass`` view) is
-    populated eagerly; the per-µop record list and the bookkeeping lists
-    are materialised lazily the first time Python-side code touches
-    them.  The native timing loop never does, so a fully-native
-    simulate+analyse run performs zero per-row Python work here.
-
     Attributes:
         records: per-µop trace records with all non-timing fields filled
-            (lazy when built from ``packed``).
+            (timestamps zero, structural witnesses -1).  Timing runs
+            never write to them, so one pre-pass serves every latency
+            point of a :class:`~repro.simulator.machine.Machine`.
         frees_reg_on_commit: µops whose commit returns a physical register
             to the free list (their destination had an earlier writer).
         needs_phys_reg: µops that allocate a physical register at rename.
         macro_last_uop: for each µop, the seq of the last µop of its
             macro-op (used for the SoM commit gate).
         stats: functional counters (cache hits/misses, mispredictions).
-        packed: flat-array view of the outcome when the native pre-pass
-            produced it; the native timing loop consumes it directly.
-            ``None`` for Python-produced results (they can be packed on
-            demand).
     """
 
-    __slots__ = (
-        "_records",
-        "_frees",
-        "_needs",
-        "_macro_last",
-        "stats",
-        "packed",
-        "_preg_witness",
-        "_iq_witness",
-    )
-
-    def __init__(
-        self,
-        records: Optional[List[UopTrace]] = None,
-        frees_reg_on_commit: Optional[List[bool]] = None,
-        needs_phys_reg: Optional[List[bool]] = None,
-        macro_last_uop: Optional[List[int]] = None,
-        stats: Optional[Dict[str, int]] = None,
-        packed: Optional[object] = None,
-    ):
-        if records is None and packed is None:
-            raise ValueError("PrepassResult needs records or a packed view")
-        self._records = records
-        self._frees = frees_reg_on_commit
-        self._needs = needs_phys_reg
-        self._macro_last = macro_last_uop
-        self.stats = stats if stats is not None else {}
-        self.packed = packed
-        # Sticky structural-witness state for the columnar native timing
-        # path.  Witnesses bind on the first timing run over a prepass and
-        # persist across later runs sharing it — exactly the semantics the
-        # record-based path gets by restamping the shared record list.
-        self._preg_witness = None
-        self._iq_witness = None
-
-    @property
-    def records_materialised(self) -> bool:
-        return self._records is not None
-
-    @property
-    def records(self) -> List[UopTrace]:
-        if self._records is None:
-            from repro.simulator.native import _build_records
-
-            self._records = _build_records(self.packed)
-            if self._preg_witness is not None:
-                # Timing already ran natively against this prepass: the
-                # bound witnesses live in the sticky arrays, not the
-                # freshly-built records.  Inject them.
-                for record, preg, iq in zip(
-                    self._records,
-                    self._preg_witness.tolist(),
-                    self._iq_witness.tolist(),
-                ):
-                    record.phys_reg_freer = preg
-                    record.iq_freer = iq
-        return self._records
-
-    @property
-    def frees_reg_on_commit(self) -> List[bool]:
-        if self._frees is None:
-            # In this pipeline a µop frees a register iff it allocates
-            # one (the initial architectural mapping counts as a prior
-            # writer), so both lists derive from the packed needs mask.
-            self._frees = (self.packed.needs_reg != 0).tolist()
-        return self._frees
-
-    @property
-    def needs_phys_reg(self) -> List[bool]:
-        if self._needs is None:
-            self._needs = (self.packed.needs_reg != 0).tolist()
-        return self._needs
-
-    @property
-    def macro_last_uop(self) -> List[int]:
-        if self._macro_last is None:
-            self._macro_last = self.packed.workload.macro_last.tolist()
-        return self._macro_last
-
-    def witness_arrays(self, n: int):
-        """Sticky (phys_reg_freer, iq_freer) arrays for native timing."""
-        import numpy as np
-
-        if self._preg_witness is None:
-            self._preg_witness = np.full(n, -1, np.int64)
-            self._iq_witness = np.full(n, -1, np.int64)
-        return self._preg_witness, self._iq_witness
+    records: List[UopTrace]
+    frees_reg_on_commit: List[bool]
+    needs_phys_reg: List[bool]
+    macro_last_uop: List[int]
+    stats: Dict[str, int]
 
 
 def _declared_footprint(workload: Workload, key: str) -> Optional[int]:
@@ -273,7 +189,6 @@ def run_prepass(
     warm_caches: bool = True,
     warm_stream: Optional[Workload] = None,
     predictor_extra_stream: Optional[Workload] = None,
-    native: Optional[bool] = None,
 ) -> PrepassResult:
     """Execute the functional pre-pass for *workload* under *config*.
 
@@ -292,22 +207,9 @@ def run_prepass(
             on this stream after warming — for a SimPoint interval, the
             measured prefix preceding it, which reproduces the predictor
             state the interval would see in situ.
-        native: ``None`` uses the compiled pass when available (the
-            ``REPRO_NATIVE``-gated default), ``False`` forces the Python
-            pass, ``True`` requires the compiled one.  Both passes are
-            bit-identical by construction and pinned by the differential
-            parity suite.
     """
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
-
-    if native is not False:
-        result = _try_native_prepass(
-            workload, config, warm_caches, warm_stream,
-            predictor_extra_stream, native,
-        )
-        if result is not None:
-            return result
 
     from repro.simulator.prefetch import make_prefetcher
 
@@ -427,35 +329,3 @@ def run_prepass(
         macro_last_uop=macro_last,
         stats=stats,
     )
-
-
-def _try_native_prepass(
-    workload: Workload,
-    config: MicroarchConfig,
-    warm_caches: bool,
-    warm_stream: Optional[Workload],
-    predictor_extra_stream: Optional[Workload],
-    native: Optional[bool],
-) -> Optional[PrepassResult]:
-    """Run the compiled pre-pass, or return ``None`` to fall back."""
-    from repro.simulator.native import (
-        UnsupportedWorkloadError,
-        native_prepass_pieces,
-        resolve_native,
-    )
-
-    sim = resolve_native(native)
-    if sim is None:
-        return None
-    try:
-        packed, stats = native_prepass_pieces(
-            workload, config, warm_caches, warm_stream,
-            predictor_extra_stream, sim,
-        )
-    except UnsupportedWorkloadError:
-        if native is True:
-            raise
-        return None
-    # Records and bookkeeping lists stay unmaterialised: the native
-    # timing loop and the columnar trace builder read `packed` directly.
-    return PrepassResult(stats=stats, packed=packed)

@@ -11,6 +11,11 @@ Crucially, everything except the timestamps is **latency-invariant**:
 dependencies, cache/TLB hit levels and branch outcomes are fixed by the
 deterministic workload replay, so a graph built from one baseline trace
 can be re-priced for any latency design point.
+
+A :class:`SimResult` holds its trace in one form, the columns of
+:class:`repro.simulator.columns.TraceColumns`.  :class:`UopTrace`
+records are the Python pre-pass's working form and a read-only view of
+a result's columns for the reference graph builder and tests.
 """
 
 from __future__ import annotations
@@ -109,84 +114,66 @@ class UopTrace:
 class SimResult:
     """Outcome of one timing simulation run.
 
-    The canonical trace payload is columnar
-    (:class:`repro.simulator.columns.TraceColumns`); per-µop
-    :class:`UopTrace` records are a *view* materialised lazily the first
-    time legacy code touches :attr:`uops`.  A result may be constructed
-    from either representation — the other is derived on demand and
-    cached, and both derivations are value-identical by construction
-    (pinned by the columns parity suite).
+    The trace is held in columnar form only
+    (:class:`repro.simulator.columns.TraceColumns`), whichever simulator
+    produced it.  :attr:`uops` is a read-only :class:`UopTrace` view of
+    those columns, built on first touch for the reference graph builder
+    and for tests; no production path reads it.
 
     Attributes:
         workload: the simulated stream.
         config: the design point simulated.
         cycles: total execution cycles (commit time of the last µop).
-        uops: per-µop trace records, indexed by seq (lazy).
-        columns: struct-of-arrays trace (lazy when built from records).
+        columns: struct-of-arrays trace.
         stats: flat counters (cache/TLB/branch statistics), canonicalised
             to ``str`` keys and ``int`` values at construction so digests
             and archives never depend on numpy scalar types.
     """
 
-    __slots__ = ("workload", "config", "cycles", "stats", "_uops", "_columns")
+    __slots__ = ("workload", "config", "cycles", "columns", "stats", "_uops")
 
     def __init__(
         self,
         workload: Workload,
         config: MicroarchConfig,
         cycles: int,
-        uops: Optional[Tuple[UopTrace, ...]] = None,
+        columns,
         stats: Optional[Dict[str, int]] = None,
-        columns: Optional[object] = None,
     ):
-        if uops is None and columns is None:
-            raise ValueError("SimResult needs trace records or columns")
         self.workload = workload
         self.config = config
         self.cycles = int(cycles)
+        self.columns = columns
         self.stats: Dict[str, int] = {
             str(key): int(value) for key, value in (stats or {}).items()
         }
-        self._uops = tuple(uops) if uops is not None else None
-        self._columns = columns
+        self._uops: Optional[Tuple[UopTrace, ...]] = None
 
     @property
     def uops(self) -> Tuple[UopTrace, ...]:
         """Per-µop records, materialised from the columns on first touch."""
         if self._uops is None:
-            self._uops = tuple(self._columns.to_records())
+            self._uops = tuple(self.columns.to_records())
         return self._uops
 
-    @property
-    def columns(self):
-        """Columnar trace, packed from the records on first touch."""
-        if self._columns is None:
-            from repro.simulator.columns import TraceColumns
-
-            self._columns = TraceColumns.from_records(self._uops)
-        return self._columns
-
     def __getstate__(self):
-        # Prefer shipping whichever representation already exists;
-        # never force a materialisation just to pickle.
+        # Ship the columns only; the record view is rebuilt on demand.
         return {
             "workload": self.workload,
             "config": self.config,
             "cycles": self.cycles,
+            "columns": self.columns,
             "stats": self.stats,
-            "_uops": self._uops,
-            "_columns": self._columns,
         }
 
     def __setstate__(self, state):
         for name, value in state.items():
             object.__setattr__(self, name, value)
+        self._uops = None
 
     @property
     def num_uops(self) -> int:
-        if self._columns is not None:
-            return self._columns.n
-        return len(self._uops)
+        return self.columns.n
 
     @property
     def cpi(self) -> float:

@@ -186,9 +186,10 @@ def result_digest(result: SimResult) -> str:
     and configurations are all value-identical — the oracle the
     native/Python differential and the determinism tests compare.  The
     digest is independent of *how* the result was produced (compiled or
-    pure-Python path, columnar or record representation, in-process or
-    worker pool): it hashes the canonical byte encoding of the column
-    arrays, and equal values yield equal bytes by construction.
+    pure-Python path, fresh or loaded from either archive format,
+    in-process or worker pool): it hashes the canonical byte encoding of
+    the column arrays, and equal values yield equal bytes by
+    construction.
     """
     workload = result.workload
     header = {
@@ -330,7 +331,7 @@ def _load_v1(meta, uop, rec) -> SimResult:
         workload=workload,
         config=config_from_dict(meta["config"]),
         cycles=int(meta["cycles"]),
-        uops=tuple(records),
+        columns=TraceColumns.from_records(records),
         stats=dict(meta["stats"]),
     )
 

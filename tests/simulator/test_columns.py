@@ -4,8 +4,8 @@
 lossless, canonical re-encoding of the per-µop ``UopTrace`` records:
 ``from_records`` → ``to_records`` must be the identity, the canonical
 byte encoding must be a pure function of content, and a ``SimResult``
-built from columns must be indistinguishable (digest, records, graph)
-from one built from records.  Hypothesis drives random workloads
+rebuilt from packed records must be indistinguishable (digest, records,
+graph) from the simulator's own.  Hypothesis drives random workloads
 through both directions.
 """
 
@@ -117,23 +117,8 @@ class TestSimResultLaziness:
         assert result.uops == tiny_result.uops  # lazy, then cached
         assert result._uops is not None
 
-    def test_records_result_builds_columns_lazily(self, tiny_result):
-        result = SimResult(
-            workload=tiny_result.workload,
-            config=tiny_result.config,
-            cycles=tiny_result.cycles,
-            stats=tiny_result.stats,
-            uops=tiny_result.uops,
-        )
-        assert result._columns is None
-        columns = result.columns
-        assert columns_equal(
-            columns, TraceColumns.from_records(tiny_result.uops)
-        )
-        assert result.columns is columns  # cached
-
     def test_requires_records_or_columns(self, tiny_result):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SimResult(
                 workload=tiny_result.workload,
                 config=tiny_result.config,
@@ -187,12 +172,12 @@ class TestDigestParity:
                 **source,
             )
 
-        from_records = fresh({"uops": ()})
+        from_records = fresh({"columns": TraceColumns.from_records(())})
         from_columns = fresh({"columns": TraceColumns.from_records(())})
         assert result_digest(from_records) == result_digest(from_columns)
         # Stable across processes by construction: pure function of bytes.
         assert result_digest(from_records) == result_digest(
-            fresh({"uops": ()})
+            fresh({"columns": TraceColumns.from_records(())})
         )
 
 
@@ -208,7 +193,7 @@ class TestStatsCanonicalisation:
             config=base.config,
             cycles=base.cycles,
             stats=numpy_stats,
-            uops=base.uops,
+            columns=TraceColumns.from_records(base.uops),
         )
         assert twin.stats == base.stats
         assert all(type(v) is int for v in twin.stats.values())
@@ -220,7 +205,7 @@ class TestStatsCanonicalisation:
             config=tiny_result.config,
             cycles=tiny_result.cycles,
             stats={1: 2, "x": 3},
-            uops=tiny_result.uops,
+            columns=TraceColumns.from_records(tiny_result.uops),
         )
         assert result.stats == {"1": 2, "x": 3}
         result_digest(result)  # must not raise

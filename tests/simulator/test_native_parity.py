@@ -4,8 +4,8 @@ The compiled prepass/timing kernels in ``repro.simulator.native`` claim
 *bit-identical* results — same cycles, same stats, same per-µop trace
 records — for every supported workload/configuration.  These tests are
 the gate on that claim: the full workload suite, the stress kernels,
-shrunken-structure configurations, both prefetchers, mixed
-python-prepass/native-timing runs, and the explicit fallback paths.
+shrunken-structure configurations, both prefetchers, per-latency
+re-runs over one shared pre-pass, and the explicit fallback paths.
 
 Everything here compares through :func:`result_digest`, the canonical
 SHA-256 over every behaviour-bearing field, so "equal" really means
@@ -34,9 +34,7 @@ from repro.simulator.native import (
     load_native_sim,
     resolve_native,
     try_native_simulate,
-    try_native_timing,
 )
-from repro.simulator.prepass import run_prepass
 from repro.simulator.traceio import result_digest
 from repro.workloads.kernels import STRESS_KERNELS, daxpy
 from repro.workloads.suite import make_workload, suite_names
@@ -122,17 +120,6 @@ class TestStressDifferential:
 
 @requires_native
 class TestMixedMode:
-    def test_python_prepass_feeds_native_timing(self):
-        """Interop: a Python prepass priced by the compiled timing loop."""
-        workload = make_workload("gamess", MACROS)
-        config = baseline_config()
-        prepass = run_prepass(workload, config, native=False)
-        assert prepass.packed is None
-        native = try_native_timing(workload, config, prepass)
-        assert native is not None
-        python = simulate(workload, config, native=False)
-        assert result_digest(native) == result_digest(python)
-
     def test_machine_reruns_share_prepass(self):
         """Machine's per-latency reruns stay identical and cached."""
         workload = make_workload("lbm", MACROS)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import baseline_config
 from repro.isa.uop import Workload
+from repro.simulator.columns import TraceColumns
 from repro.simulator.core import simulate
 from repro.simulator.trace import SimResult
 from repro.simulator.traceio import (
@@ -79,7 +80,7 @@ class TestEdgeShapes:
             workload=Workload(name="empty", uops=()),
             config=baseline_config(),
             cycles=0,
-            uops=(),
+            columns=TraceColumns.from_records(()),
             stats={},
         )
         loaded = _round_trip(result, tmp_path)
