@@ -1,4 +1,5 @@
-"""Optional C fast path for the segment walk (§IV-D) and its reduction.
+"""Optional C fast paths: the segment walk (§IV-D), its reduction, and
+the whole-graph longest path.
 
 The segment walk visits every graph node and reduces at every converging
 node — tens of thousands of times per workload — on populations of a few
@@ -52,9 +53,24 @@ Decisions are bit-identical to the spec walk
   rules verbatim.
 
 A reduce-level differential fuzz test and whole-model digest comparisons
-pin the equivalence.  Everything degrades gracefully: no compiler, a
-failed build, or ``REPRO_NATIVE=0`` all fall back to the spec walk (set
-``REPRO_NATIVE=1`` to make a missing native build an error instead).
+pin the equivalence.
+
+The same library holds ``repro_longest_path``
+(:meth:`NativeWalk.longest_path`), the compiled form of
+:meth:`DependenceGraph._relax
+<repro.graphmodel.graph.DependenceGraph._relax>` that CP1, per-design
+graph re-evaluation and the criticality toolkit run on.  It builds its
+own Kahn order from the in-edge CSR (a cycle raises
+:class:`~repro.graphmodel.graph.GraphBuildError`) and relaxes each node
+as it is dequeued: start at 0.0, then take an in-edge, in CSR order,
+only when it is strictly longer.  A node's distance and parent depend
+only on its predecessors' distances and its in-edge order, so any
+topological order gives the spec's values bit for bit.
+
+Everything degrades gracefully: no compiler, a failed build, or
+``REPRO_NATIVE=0`` all fall back to the spec walk and the spec relax
+(set ``REPRO_NATIVE=1`` to make a missing native build an error
+instead).
 The compiled library is cached under the system temp directory keyed by
 source hash, so workers spawned by ``parallel_map`` just ``dlopen`` it.
 
@@ -343,6 +359,30 @@ static void shift_rows(double *to, const double *from, int32_t cnt,
     }
 }
 
+/* Kahn's algorithm set-up over an in-edge CSR: builds the out-edge CSR
+ * (out_ptr must arrive zeroed, n + 1 entries; out_dst m entries), sets
+ * indegree to each node's in-degree and puts the sources in queue.
+ * Returns how many nodes were queued. */
+static int64_t kahn_init(
+    int64_t n, const int64_t *in_indptr, const int64_t *edge_src,
+    int64_t *out_ptr, int64_t *out_dst, int64_t *indegree, int64_t *queue)
+{
+    int64_t m = in_indptr[n];
+    for (int64_t e = 0; e < m; e++) out_ptr[edge_src[e] + 1]++;
+    for (int64_t v = 0; v < n; v++) out_ptr[v + 1] += out_ptr[v];
+    memcpy(indegree, out_ptr, (size_t)n * sizeof(int64_t)); /* cursors */
+    for (int64_t v = 0; v < n; v++) {
+        for (int64_t e = in_indptr[v]; e < in_indptr[v + 1]; e++)
+            out_dst[indegree[edge_src[e]]++] = v;
+    }
+    int64_t tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        indegree[v] = in_indptr[v + 1] - in_indptr[v];
+        if (indegree[v] == 0) queue[tail++] = v;
+    }
+    return tail;
+}
+
 /* Propagate stacks through one segment view; see the module docstring.
  *
  * n, in_indptr, edge_src: the view's local CSR over intra in-edges.
@@ -386,20 +426,9 @@ int64_t repro_walk_segment(
         goto done;
     memset(arena, 0, row_bytes); /* row 0: the shared entry (zero) set */
 
-    /* out-edge CSR for Kahn's algorithm */
-    for (int64_t e = 0; e < m; e++) out_ptr[edge_src[e] + 1]++;
-    for (int64_t v = 0; v < n; v++) out_ptr[v + 1] += out_ptr[v];
-    memcpy(indegree, out_ptr, (size_t)n * sizeof(int64_t)); /* cursors */
-    for (int64_t v = 0; v < n; v++) {
-        for (int64_t e = in_indptr[v]; e < in_indptr[v + 1]; e++)
-            out_dst[indegree[edge_src[e]]++] = v;
-    }
-    int64_t head = 0, tail = 0;
-    for (int64_t v = 0; v < n; v++) {
-        indegree[v] = in_indptr[v + 1] - in_indptr[v];
-        if (indegree[v] == 0) queue[tail++] = v;
-    }
-
+    int64_t head = 0,
+            tail = kahn_init(n, in_indptr, edge_src, out_ptr, out_dst,
+                             indegree, queue);
     while (head < tail) {
         int64_t v = queue[head++];
         int64_t begin = in_indptr[v], deg = in_indptr[v + 1] - begin;
@@ -496,6 +525,63 @@ done:
     return rc;
 }
 
+/* Longest path from the virtual start to every node of a whole graph:
+ * the compiled DependenceGraph._relax.  Kahn order over the out-edge
+ * CSR built here; each node is relaxed as it is dequeued, starting at
+ * 0.0 and taking an in-edge (in CSR order) only when it is strictly
+ * longer, so ties keep the earliest edge and a node whose every
+ * candidate is <= 0.0 keeps parent -1.  A node's result depends only
+ * on its predecessors' results and its in-edge order, so any
+ * topological order gives the spec's distances and parents exactly.
+ *
+ * n, in_indptr, edge_src: the graph's CSR over in-edges.
+ * weights:     per-edge weight in CSR order.
+ * dist:        receives n distances.
+ * parent:      receives n winning in-edge ids (-1: none), or NULL.
+ * Returns 0, or a negative REPRO_E* code.
+ */
+int64_t repro_longest_path(
+    int64_t n, const int64_t *in_indptr, const int64_t *edge_src,
+    const double *weights, double *dist, int64_t *parent)
+{
+    int64_t m = in_indptr[n];
+    for (int64_t e = 0; e < m; e++) {
+        if (edge_src[e] < 0 || edge_src[e] >= n) return REPRO_EINPUT;
+    }
+    int64_t rc = REPRO_ENOMEM;
+    int64_t *out_ptr = calloc((size_t)n + 1, sizeof(int64_t));
+    int64_t *out_dst = malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+    int64_t *indegree = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    int64_t *queue = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (!out_ptr || !out_dst || !indegree || !queue) goto done;
+
+    int64_t head = 0,
+            tail = kahn_init(n, in_indptr, edge_src, out_ptr, out_dst,
+                             indegree, queue);
+    while (head < tail) {
+        int64_t v = queue[head++];
+        double best = 0.0;
+        int64_t best_edge = -1;
+        for (int64_t e = in_indptr[v]; e < in_indptr[v + 1]; e++) {
+            double cand = dist[edge_src[e]] + weights[e];
+            if (cand > best) {
+                best = cand;
+                best_edge = e;
+            }
+        }
+        dist[v] = best;
+        if (parent) parent[v] = best_edge;
+        for (int64_t k = out_ptr[v]; k < out_ptr[v + 1]; k++) {
+            int64_t w = out_dst[k];
+            if (--indegree[w] == 0) queue[tail++] = w;
+        }
+    }
+    rc = head == n ? 0 : REPRO_ECYCLE;
+done:
+    free(out_ptr); free(out_dst); free(indegree); free(queue);
+    return rc;
+}
+
 void repro_free(void *ptr) { free(ptr); }
 """
 
@@ -529,7 +615,8 @@ def _policy_args(policy: ReductionPolicy) -> Tuple[int, float, int, int]:
 
 
 class NativeWalk:
-    """ctypes wrapper around the compiled segment walk and its reducer."""
+    """ctypes wrapper around the compiled segment walk, its reducer and
+    the whole-graph longest path."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         reduce_node = lib.repro_reduce_node
@@ -563,10 +650,21 @@ class NativeWalk:
             ctypes.POINTER(ctypes.POINTER(ctypes.c_double)),  # out_rows
             ctypes.c_void_p,  # counts
         ]
+        longest = lib.repro_longest_path
+        longest.restype = ctypes.c_int64
+        longest.argtypes = [
+            ctypes.c_int64,  # n
+            ctypes.c_void_p,  # in_indptr
+            ctypes.c_void_p,  # edge_src
+            ctypes.c_void_p,  # weights
+            ctypes.c_void_p,  # dist
+            ctypes.c_void_p,  # parent (NULL: not tracked)
+        ]
         lib.repro_free.restype = None
         lib.repro_free.argtypes = [ctypes.c_void_p]
         self._reduce_node = reduce_node
         self._walk = walk
+        self._longest = longest
         self._free = lib.repro_free
 
     def reduce_node_indices(
@@ -633,6 +731,40 @@ class NativeWalk:
         finally:
             self._free(rows)
         return stacks, int(counts[0]), int(counts[1])
+
+    def longest_path(
+        self,
+        in_indptr: np.ndarray,
+        edge_src: np.ndarray,
+        weights: np.ndarray,
+        track_parents: bool,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Longest-path distance (and winning in-edge) of every node.
+
+        *in_indptr* and *edge_src* are a whole graph's in-edge CSR
+        (int64), *weights* its per-edge weights in the same order.
+        Returns ``(dist, parent)`` as :meth:`DependenceGraph._relax`
+        computes them, with ``parent`` ``None`` unless *track_parents*;
+        raises :class:`GraphBuildError` on a cyclic graph.
+        """
+        n = in_indptr.shape[0] - 1
+        in_indptr = np.ascontiguousarray(in_indptr, dtype=np.int64)
+        edge_src = np.ascontiguousarray(edge_src, dtype=np.int64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        dist = np.empty(n, dtype=np.float64)
+        parent = np.empty(n, dtype=np.int64) if track_parents else None
+        _check(
+            self._longest(
+                n,
+                in_indptr.ctypes.data,
+                edge_src.ctypes.data,
+                weights.ctypes.data,
+                dist.ctypes.data,
+                None if parent is None else parent.ctypes.data,
+            ),
+            "longest path",
+        )
+        return dist, parent
 
 
 #: Loaded kernels by name; ``None`` records a failed best-effort load.
@@ -740,11 +872,12 @@ def load_gated(what: str, builder: Callable[[], object]):
 
 
 def load_native() -> Optional[NativeWalk]:
-    """The compiled segment walk, or ``None`` when unavailable.
+    """The compiled segment walk and longest path, or ``None`` when
+    unavailable.
 
     Gated by ``REPRO_NATIVE`` (see :func:`load_gated`): ``0`` disables
     the native path, ``1`` turns a build/load failure into an error
-    instead of a silent fallback to the spec walk.
+    instead of a silent fallback to the spec walk and relax.
     """
     return load_gated(
         "reducer",

@@ -167,7 +167,6 @@ def measure_overhead(
         with observer.span("profile.graph_build", workload=workload.name):
             start = clock.perf_seconds()
             graph = build_graph(result)
-            graph.topological_order()
             graph_build_seconds = clock.perf_seconds() - start
 
         with observer.span("profile.stack_gen", workload=workload.name):

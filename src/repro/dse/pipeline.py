@@ -16,6 +16,7 @@ from repro.baselines.fmt import FMTPredictor
 from repro.common.config import LatencyConfig, MicroarchConfig, baseline_config
 from repro.core.generator import generate_rpstacks
 from repro.core.model import RpStacksModel
+from repro.core.native import load_native
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import Explorer, ExplorationResult
 from repro.graphmodel.builder import build_graph
@@ -210,7 +211,11 @@ def _analyze_instrumented(
             include_base_in_similarity=include_base_in_similarity,
             jobs=jobs,
         )
-        with obs.span("baselines.init", workload=workload.name):
+        with obs.span(
+            "baselines.init",
+            workload=workload.name,
+            native=load_native() is not None,
+        ):
             session = AnalysisSession(
                 workload=workload,
                 config=config,

@@ -61,24 +61,9 @@ class CriticalityAnalysis:
         self.graph = graph
         self.latency = latency
         self._weights = graph.edge_weights(latency).tolist()
-        self._forward = self._relax_forward()
+        self._forward = graph.node_distances(latency)
         self._backward = self._relax_backward()
         self.length = self._forward[graph.sink]
-
-    def _relax_forward(self) -> List[float]:
-        graph = self.graph
-        src = graph.edge_src.tolist()
-        indptr = graph.in_indptr.tolist()
-        dist = [0.0] * graph.num_nodes
-        weights = self._weights
-        for v in graph.topological_order():
-            best = 0.0
-            for e in range(indptr[v], indptr[v + 1]):
-                cand = dist[src[e]] + weights[e]
-                if cand > best:
-                    best = cand
-            dist[v] = best
-        return dist
 
     def _relax_backward(self) -> List[float]:
         """Longest distance from each node to the sink."""

@@ -10,6 +10,12 @@ RpStacks generator exploit.
 The longest path from the virtual start (all-zero sources) to the final
 commit node is the graph model's predicted execution time; backtracking
 its parent chain yields the critical path's stall-event stack (CP1).
+:meth:`DependenceGraph._relax` is the spec of that pass: a Python relax
+loop over :meth:`DependenceGraph.topological_order`.  When the compiled
+kernel loads (:meth:`repro.core.native.NativeWalk.longest_path`, behind
+the ``REPRO_NATIVE`` gate), ``longest_path_length``, ``critical_path``
+and ``node_distances`` run on it instead, with bit-identical distances
+and parents; ``REPRO_NATIVE=0`` runs the spec.
 """
 
 from __future__ import annotations
@@ -235,10 +241,11 @@ class DependenceGraph:
         np.add.at(self.in_indptr, self.edge_dst + 1, 1)
         np.cumsum(self.in_indptr, out=self.in_indptr)
 
+        # The spec relax's whole-graph Python lists, built on its first
+        # run (the compiled kernel needs none of them).
         self._topo: Optional[List[int]] = None
-        # Hot-loop copies as plain Python lists (fast scalar indexing).
-        self._src_list = self.edge_src.tolist()
-        self._indptr_list = self.in_indptr.tolist()
+        self._src_list: Optional[List[int]] = None
+        self._indptr_list: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
 
@@ -365,8 +372,8 @@ class DependenceGraph:
 
     def longest_path_length(self, latency: LatencyConfig) -> float:
         """Predicted execution cycles: the longest path to the sink."""
-        dist, _parent = self._relax(latency, track_parents=False)
-        return dist[self.sink]
+        dist, _parent = self._longest_path(latency, track_parents=False)
+        return float(dist[self.sink])
 
     def critical_path(
         self, latency: LatencyConfig
@@ -378,13 +385,13 @@ class DependenceGraph:
             vector accumulated along the critical path — repricing it
             under θ' gives ``stack @ θ'`` cycles (the CP1 predictor).
         """
-        dist, parent = self._relax(latency, track_parents=True)
+        dist, parent = self._longest_path(latency, track_parents=True)
+        src = self.edge_src
         path_edges: List[int] = []
-        node = self.sink
-        while parent[node] >= 0:
-            edge = parent[node]
+        edge = parent.item(self.sink)
+        while edge >= 0:
             path_edges.append(edge)
-            node = self._src_list[edge]
+            edge = parent.item(src.item(edge))
         stack = np.zeros(NUM_EVENTS, dtype=np.float64)
         if path_edges:
             # Padded (event=0, units=0) slots contribute nothing.
@@ -392,12 +399,42 @@ class DependenceGraph:
             np.add.at(
                 stack, self._events[idx].ravel(), self._units[idx].ravel()
             )
-        return dist[self.sink], stack
+        return float(dist[self.sink]), stack
+
+    def _longest_path(
+        self, latency: LatencyConfig, track_parents: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(dist, parent)`` arrays over every node: the compiled kernel
+        when it loads, else the spec :meth:`_relax`, with the same
+        values.  ``parent`` holds each node's winning in-edge (-1 for
+        none), and is ``None`` unless *track_parents*.
+        """
+        # Local import: repro.core imports this module.
+        from repro.core.native import load_native
+
+        native = load_native()
+        if native is None:
+            dist, parent = self._relax(latency, track_parents)
+            return np.asarray(dist), (
+                np.asarray(parent, dtype=np.int64) if track_parents else None
+            )
+        return native.longest_path(
+            self.in_indptr,
+            self.edge_src,
+            self.edge_weights(latency),
+            track_parents,
+        )
 
     def _relax(
         self, latency: LatencyConfig, track_parents: bool
     ) -> Tuple[List[float], List[int]]:
+        """The spec longest path: relax nodes in the Python
+        :meth:`topological_order`, starting each at 0.0 and taking an
+        in-edge (in CSR order) only when it is strictly longer."""
         weights = self.edge_weights(latency).tolist()
+        if self._src_list is None:
+            self._src_list = self.edge_src.tolist()
+            self._indptr_list = self.in_indptr.tolist()
         src = self._src_list
         indptr = self._indptr_list
         dist: List[float] = [0.0] * self.num_nodes
@@ -420,5 +457,5 @@ class DependenceGraph:
 
     def node_distances(self, latency: LatencyConfig) -> List[float]:
         """Longest-path distance to every node (diagnostics, tests)."""
-        dist, _ = self._relax(latency, track_parents=False)
-        return dist
+        dist, _ = self._longest_path(latency, track_parents=False)
+        return dist.tolist()

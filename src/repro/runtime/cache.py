@@ -205,8 +205,10 @@ class ArtifactCache:
         from repro.baselines.cp1 import CP1Predictor
         from repro.baselines.fmt import FMTPredictor
         from repro.core.io import load_model
+        from repro.core.native import load_native
         from repro.dse.pipeline import AnalysisSession
         from repro.graphmodel.reeval import GraphReevalPredictor
+        from repro.obs.observer import get_observer
         from repro.runtime.graphio import load_graph
         from repro.simulator.machine import Machine
         from repro.simulator.traceio import load_result
@@ -219,17 +221,22 @@ class ArtifactCache:
         # Pre-seed the machine's memo so ``session.simulate(baseline)``
         # (and overhead accounting) match a freshly analysed session.
         machine._cache[config.latency] = result
-        return AnalysisSession(
-            workload=result.workload,
-            config=config,
-            machine=machine,
-            baseline_result=result,
-            graph=graph,
-            rpstacks=model,
-            cp1=CP1Predictor(graph, config.latency),
-            fmt=FMTPredictor(result),
-            reeval=GraphReevalPredictor(graph),
-        )
+        with get_observer().span(
+            "baselines.init",
+            workload=result.workload.name,
+            native=load_native() is not None,
+        ):
+            return AnalysisSession(
+                workload=result.workload,
+                config=config,
+                machine=machine,
+                baseline_result=result,
+                graph=graph,
+                rpstacks=model,
+                cp1=CP1Predictor(graph, config.latency),
+                fmt=FMTPredictor(result),
+                reeval=GraphReevalPredictor(graph),
+            )
 
     # ---- write path ---------------------------------------------------
 

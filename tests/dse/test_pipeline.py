@@ -4,7 +4,10 @@ import pytest
 
 from repro.common.config import CoreConfig, MicroarchConfig
 from repro.common.events import EventType
+from repro.core.native import load_native
 from repro.dse.pipeline import analyze
+from repro.obs.observer import Observer
+from repro.runtime.cache import ArtifactCache
 
 
 def test_session_components_are_consistent(tiny_session):
@@ -61,3 +64,26 @@ def test_generation_parameters_forwarded(tiny_workload):
     assert session.rpstacks.num_segments == expected_segments
     for stacks in session.rpstacks.segment_stacks:
         assert stacks.shape[0] <= 4
+
+
+@pytest.mark.parametrize("gate", ["auto", "0"])
+def test_warm_load_attributes_baseline_setup(
+    tiny_workload, tmp_path, monkeypatch, gate
+):
+    """A warm load builds CP1, FMT and re-evaluation under a
+    ``baselines.init`` span nested in ``cache.load``, like a cold run."""
+    monkeypatch.setenv("REPRO_NATIVE", gate)
+    native = load_native() is not None
+    if gate == "0":
+        assert not native
+    cache = ArtifactCache(tmp_path / "cache")
+    for outcome in ("miss", "hit"):
+        obs = Observer(enabled=True, progress_stream=None)
+        analyze(tiny_workload, cache=cache, obs=obs)
+        spans = obs.tracer.spans
+        (load,) = [s for s in spans if s.name == "cache.load"]
+        (init,) = [s for s in spans if s.name == "baselines.init"]
+        assert load.attrs["outcome"] == outcome
+        assert init.attrs["native"] is native
+    assert cache.hits == 1
+    assert init.parent_id == load.span_id

@@ -97,11 +97,20 @@ class TestStructure:
                 < position[int(graph.edge_dst[e])]
             )
 
-    def test_cycle_detection(self):
+    def test_cycle_detection(self, monkeypatch):
         a, b = node_id(0, Stage.F), node_id(0, Stage.E)
         graph = DependenceGraph(1, [a, b], [b, a], [(), ()])
         with pytest.raises(GraphBuildError, match="cycle"):
             graph.topological_order()
+        # The compiled longest path (when it loads), then the spec relax.
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        for setting in (None, "0"):
+            if setting is not None:
+                monkeypatch.setenv("REPRO_NATIVE", setting)
+            with pytest.raises(GraphBuildError, match="cycle"):
+                graph.critical_path(LatencyConfig())
+            with pytest.raises(GraphBuildError, match="cycle"):
+                graph.longest_path_length(LatencyConfig())
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(GraphBuildError):
