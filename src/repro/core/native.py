@@ -52,8 +52,37 @@ Decisions are bit-identical to the spec walk
 * sort/merge/cap tie-breaks replicate the stable argsort and priority
   rules verbatim.
 
-A reduce-level differential fuzz test and whole-model digest comparisons
-pin the equivalence.
+Most pairs the reduction looks at have an outcome known before any
+arithmetic, and two skips leave that work out without changing any
+decision or any computed float:
+
+* **pair lists.**  Cross-block dominance and the greedy merge each list
+  the pairs still undecided in one branch-free pass (dominance: the
+  later row not dropped, in another block, its support a subset of the
+  earlier row's; merge: not excluded by the bound below), then run the
+  unchanged cover test or similarity over that list, in the same order
+  and with the same early exits.  A cover test only ever drops its own
+  pair's later row, so a list made before the first test holds exactly
+  the pairs the plain loop would test, and the outcome is the same.
+* **the support bound.**  Let A and B be two rows' supports over the
+  similarity dimensions and k = |A∩B|.  Every max-normalised component
+  is at most 1, and exactly 1 on A∖B and B∖A, so the squared norms are
+  u + |A∖B| and v + |B∖A|, where u and v, each at most k, are the
+  squared norms over A∩B.  Cauchy–Schwarz bounds the dot by √(u·v), so
+  the squared modified cosine is at most u/(u + |A∖B|) · v/(v + |B∖A|)
+  ≤ k/|A| · k/|B|: the modified cosine never exceeds the support cosine
+  k/√(|A|·|B|).  The merge therefore skips a pair with
+  k² ≤ (τ − 10⁻⁹)²·|A|·|B|: its computed similarity cannot exceed τ,
+  because the 10⁻⁹ margin dwarfs the rounding of the similarity (about
+  10⁻¹⁴ relative, over at most 64 dimensions) and of the bound itself.
+  A pair whose support union is empty (similarity 1.0 by convention)
+  is never skipped, nor is any pair when τ ≤ 10⁻⁹.  Each kept mergeable
+  row's support and popcount are stored when it is kept, so the bound
+  costs a few integer operations per pair.
+
+A reduce-level differential fuzz test (including populations whose
+support cosines sit just below, on and just above τ) and whole-model
+digest comparisons pin the equivalence.
 
 The same library holds ``repro_longest_path``
 (:meth:`NativeWalk.longest_path`), the compiled form of
@@ -138,9 +167,18 @@ static double sim_pair(const double *a, const double *b, uint64_t mask) {
     return sim > 1.0 ? 1.0 : sim;
 }
 
+/* Set bits of x.  Portable and inline: without -mpopcnt,
+ * __builtin_popcountll is a call into libgcc. */
+static inline int popcount64(uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
 /* Bytes of reduction scratch per candidate row. */
-#define SCRATCH_PER_ROW (sizeof(double) + 2 * sizeof(uint64_t) \
-                         + 7 * sizeof(int32_t))
+#define SCRATCH_PER_ROW (sizeof(double) + 3 * sizeof(uint64_t) \
+                         + 9 * sizeof(int32_t))
 
 /* One full converging-node reduction.
  *
@@ -168,13 +206,16 @@ static int32_t reduce_rows(
     double *pen = (double *)scratch;
     uint64_t *supp = (uint64_t *)(pen + count);
     uint64_t *ssupp = supp + count;              /* by sorted position */
-    int32_t *order = (int32_t *)(ssupp + count); /* sorted position -> row */
+    uint64_t *msupp = ssupp + count;             /* by kept mergeable row */
+    int32_t *order = (int32_t *)(msupp + count); /* sorted position -> row */
     int32_t *block_id = order + count;
     int32_t *sblock = block_id + count;          /* by sorted position */
     int32_t *dropped = sblock + count;           /* by sorted position */
     int32_t *surv = dropped + count;             /* sorted positions */
     int32_t *uniq = surv + count;
     int32_t *kept = uniq + count;
+    int32_t *mpop = kept + count;                /* popcounts of msupp */
+    int32_t *pairs = mpop + count;               /* undecided pairs */
 
     /* baseline penalty and support bitmask of every row */
     for (int i = 0; i < count; i++) {
@@ -215,16 +256,23 @@ static int32_t reduce_rows(
      * covers r only if r's support is a subset of q's, and only r's
      * support needs comparing.  A dropped q is skipped: whatever it
      * covers, the earlier row that covers it covers too, and from
-     * another block, since blocks are internally dominance-free. */
+     * another block, since blocks are internally dominance-free.  For
+     * one q, dropped[pj] changes only in r's own cover test, so the
+     * pairs still undecided (r not dropped, another block, support
+     * subset) are listed in one branch-free pass before any is tested. */
     for (int pi = 0; pi < count; pi++) {
         if (dropped[pi]) continue;
         const double *qrow = stacks + (size_t)order[pi] * dims;
         uint64_t q_missing = ~ssupp[pi];
         int qb = sblock[pi];
+        int npairs = 0;
         for (int pj = pi + 1; pj < count; pj++) {
-            if (dropped[pj] | (sblock[pj] == qb)
-                | ((ssupp[pj] & q_missing) != 0))
-                continue;
+            pairs[npairs] = pj;
+            npairs += !dropped[pj] & (sblock[pj] != qb)
+                      & ((ssupp[pj] & q_missing) == 0);
+        }
+        for (int c = 0; c < npairs; c++) {
+            int pj = pairs[c];
             const double *rrow = stacks + (size_t)order[pj] * dims;
             int covers = 1;
             for (uint64_t m = ssupp[pj]; m; m &= m - 1) {
@@ -257,7 +305,16 @@ static int32_t reduce_rows(
         for (int i = 0; i < n2; i++) uniq[i] = 0;
     }
     /* greedy merge, lazy similarities: row i is absorbed if some kept
-     * mergeable row before it is more similar than the threshold */
+     * mergeable row before it is more similar than the threshold.  With
+     * A and B the two rows' supports within sim_mask, the modified
+     * cosine is at most |A & B| / sqrt(|A| |B|) (module docstring), so
+     * a pair with |A & B|^2 <= (threshold - 1e-9)^2 |A| |B| cannot
+     * block and is never evaluated; one with an empty union (similarity
+     * 1.0) always is, and so is every pair when threshold <= 1e-9.  The
+     * rest are listed in one branch-free pass, then evaluated in order
+     * up to the first that blocks. */
+    const int bounded = threshold > 1e-9;
+    const double bound2 = (threshold - 1e-9) * (threshold - 1e-9);
     int nkept = 0, nmerge = 0;
     int32_t *kept_merge = out_indices; /* reuse as temp: sorted positions */
     for (int i = 0; i < n2; i++) {
@@ -266,19 +323,30 @@ static int32_t reduce_rows(
             continue;
         }
         int ri = surv[i];
+        uint64_t a = ssupp[ri] & sim_mask;
+        int pa = popcount64(a);
+        int npairs = 0;
+        for (int m = 0; m < nmerge; m++) {
+            uint64_t b = msupp[m];
+            int both = popcount64(a & b);
+            pairs[npairs] = m;
+            npairs += !bounded | ((a | b) == 0)
+                      | ((double)(both * both) > bound2 * (pa * mpop[m]));
+        }
         const double *row = stacks + (size_t)order[ri] * dims;
         int blocked = 0;
-        for (int m = 0; m < nmerge; m++) {
-            int oi = kept_merge[m];
-            const double *other = stacks + (size_t)order[oi] * dims;
-            uint64_t mask = (ssupp[ri] | ssupp[oi]) & sim_mask;
-            if (sim_pair(row, other, mask) > threshold) {
+        for (int c = 0; c < npairs; c++) {
+            int m = pairs[c];
+            const double *other = stacks + (size_t)order[kept_merge[m]] * dims;
+            if (sim_pair(row, other, a | msupp[m]) > threshold) {
                 blocked = 1;
                 break;
             }
         }
         if (blocked) continue;
-        kept_merge[nmerge++] = ri;
+        kept_merge[nmerge] = ri;
+        msupp[nmerge] = a;
+        mpop[nmerge++] = pa;
         kept[nkept++] = i;
     }
     /* cap: row 0 first, then uniqueness witnesses, then index order —

@@ -203,6 +203,55 @@ def _tied_binary_population(rng):
     return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
 
 
+#: Support shapes on each merge threshold τ: (k, e) with k/(k + e) = τ.
+THRESHOLD_SHAPES = {0.5: (2, 2), 0.7: (7, 3), 0.9: (9, 1)}
+
+
+def _support_bound_population(rng):
+    """Block populations whose pairwise support cosines straddle τ.
+
+    Every row's stall support is one core of k dimensions, shared by
+    the whole population, plus e - 1, e or e + 1 extras drawn from the
+    other stall dimensions (``THRESHOLD_SHAPES``).  Two rows with p and
+    q disjoint extras have support cosine |A∩B|/√(|A||B|) =
+    k/√((k+p)(k+q)): exactly τ at p = q = e, just above or below it
+    otherwise, and higher where extras overlap.  Most rows copy the
+    population's core values, and then the modified cosine meets that
+    bound, so merges are decided just below, on and just above τ:
+    the pairs the compiled reducer's skip bound must never drop.
+    Raw values are 0-9, blocks are reduced and BASE-shifted, and the
+    cap of 64 rows lets every merge decision show in the result.
+    """
+    threshold = float(rng.choice(sorted(THRESHOLD_SHAPES)))
+    core_size, extras = THRESHOLD_SHAPES[threshold]
+    policy = ReductionPolicy(
+        similarity_threshold=threshold,
+        max_paths=64,
+        preserve_unique=bool(rng.integers(0, 2)),
+    )
+    theta = rng.integers(1, 5, size=NUM_EVENTS).astype(np.float64)
+    stall = rng.permutation(np.arange(EventType.BASE + 1, NUM_EVENTS))
+    core, pool = stall[:core_size], stall[core_size:]
+    core_values = rng.integers(1, 10, size=core_size)
+    blocks = []
+    for _ in range(int(rng.integers(2, 5))):
+        raw = np.zeros((int(rng.integers(1, 8)), NUM_EVENTS))
+        for row in raw:
+            row[EventType.BASE] = rng.integers(0, 10)
+            row[core] = (
+                core_values
+                if rng.random() < 0.75
+                else rng.integers(1, 10, size=core_size)
+            )
+            count = extras + int(rng.integers(-1, 2))
+            row[rng.choice(pool, count, False)] = rng.integers(1, 10, count)
+        shift = np.zeros(NUM_EVENTS)
+        shift[EventType.BASE] = rng.integers(0, 3)
+        blocks.append(reduce_stacks(raw, theta, policy) + shift)
+    sizes = np.asarray([b.shape[0] for b in blocks], dtype=np.int32)
+    return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
+
+
 def _assert_native_matches_spec(native, populations):
     out = np.empty(256, dtype=np.int32)
     for stacks, sizes, theta, policy in populations:
@@ -245,6 +294,18 @@ class TestNativeReducerParity:
         rng = np.random.default_rng(11)
         _assert_native_matches_spec(
             native, (_tied_binary_population(rng) for _ in range(150))
+        )
+
+    def test_native_matches_spec_across_the_support_bound(self):
+        """Catches a merge-pair skip bound that is not an upper bound on
+        the modified cosine, such as a Jaccard |A∩B|/|A∪B| in place of
+        the support cosine."""
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        rng = np.random.default_rng(13)
+        _assert_native_matches_spec(
+            native, (_support_bound_population(rng) for _ in range(200))
         )
 
     @pytest.mark.parametrize(

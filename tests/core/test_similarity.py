@@ -87,6 +87,35 @@ def test_property_range(a, b):
     assert 0.0 <= value <= 1.0
 
 
+#: Rows mixing zeros, ties and magnitudes from 1 to 1e6.
+support_vectors = hnp.arrays(
+    dtype=np.float64,
+    shape=NUM_EVENTS,
+    elements=st.one_of(
+        st.just(0.0),
+        st.sampled_from([1.0, 3.0, 1e6]),
+        st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
+    ),
+)
+
+
+@given(a=support_vectors, b=support_vectors)
+@settings(max_examples=300, deadline=None)
+def test_property_support_cosine_bounds_similarity(a, b):
+    """The modified cosine never exceeds the support cosine
+    |A∩B|/√(|A||B|) over the rows' nonzero entries: every
+    max-normalised component is at most 1, so Cauchy–Schwarz bounds
+    it.  The compiled reducer skips a merge pair on this bound."""
+    value = modified_cosine(a, b)
+    in_a, in_b = a > 0, b > 0
+    if not (in_a | in_b).any():
+        assert value == 1.0
+        return
+    sizes = in_a.sum() * in_b.sum()
+    bound = (in_a & in_b).sum() / math.sqrt(sizes) if sizes else 0.0
+    assert value <= bound + 1e-12
+
+
 @given(a=vectors)
 @settings(max_examples=100, deadline=None)
 def test_property_self_similarity(a)	:
