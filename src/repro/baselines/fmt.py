@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.common.config import LatencyConfig
 from repro.common.events import EventType
-from repro.simulator.columns import workload_columns
 from repro.simulator.trace import SimResult
 
 
@@ -124,7 +123,7 @@ class FMTPredictor:
         in_window = (renamed != -1) & (renamed <= cycle)
         # A completed head is held by the macro-op commit gate: blame
         # the last µop of its macro-op instead.
-        macro_id = workload_columns(result.workload).macro_id
+        macro_id = result.workload.columns.macro_id
         macro_ends = np.flatnonzero(
             np.append(macro_id[1:] != macro_id[:-1], True)
         )

@@ -157,17 +157,25 @@ def _sweep_chunks(
         wall_tick = clock.wall_ns() if instrumented else 0
         tick = clock.perf_seconds()
         cpis, thetas = _chunk_cpis(predictor, space, lo, hi)
+        # ``kept`` stays None while every point meets the target, which
+        # spares the chunk's gather copies.
+        kept = None
         if target_cpi is not None:
-            kept = np.flatnonzero(cpis <= target_cpi)
+            meets = cpis <= target_cpi
+            if not meets.all():
+                kept = np.flatnonzero(meets)
+        if kept is None:
+            indices = np.arange(lo, hi, dtype=np.int64)
         else:
-            kept = np.arange(cpis.size)
-        meeting += int(kept.size)
-        indices = kept.astype(np.int64) + lo
-        cpis = cpis[kept]
+            indices = kept.astype(np.int64) + lo
+            cpis = cpis[kept]
+        meeting += int(indices.size)
         if vector_costs:
             if thetas is None:
                 thetas = space.theta_matrix(lo, hi)
-            costs = default_cost_model_matrix(thetas[:, kept], space.base)
+            if kept is not None:
+                thetas = thetas[:, kept]
+            costs = default_cost_model_matrix(thetas, space.base)
         else:
             costs = np.array(
                 [

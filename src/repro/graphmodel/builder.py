@@ -484,9 +484,7 @@ def _build_graph_columns(
     if n == 0:
         return DependenceGraph(0, [], [], [])
 
-    from repro.simulator.columns import workload_columns
-
-    wc = workload_columns(result.workload)
+    wc = result.workload.columns
     idx = np.arange(n, dtype=np.int64)
     base = idx * NODES_PER_UOP
 

@@ -8,6 +8,7 @@ from repro.isa.uop import (
     MicroOp,
     OpClass,
     Workload,
+    WorkloadColumns,
     validate_stream,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "MicroOp",
     "OpClass",
     "Workload",
+    "WorkloadColumns",
     "validate_stream",
 ]

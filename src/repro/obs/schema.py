@@ -105,8 +105,8 @@ class BenchRecord:
     warmup: int
     samples: List[float]
     stages: Dict[str, float] = field(default_factory=dict)
-    counters: Dict[str, float] = field(default_factory=dict)
-    aux: Dict[str, float] = field(default_factory=dict)
+    counters: Dict[str, Union[int, float]] = field(default_factory=dict)
+    aux: Dict[str, Union[int, float]] = field(default_factory=dict)
     digest: Optional[str] = None
     env: Dict[str, object] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -214,17 +214,25 @@ class BenchRecord:
                 for k, v in data.get("stages", {}).items()
             },
             counters={
-                str(k): float(v)
+                str(k): _number(v)
                 for k, v in data.get("counters", {}).items()
             },
             aux={
-                str(k): float(v) for k, v in data.get("aux", {}).items()
+                str(k): _number(v) for k, v in data.get("aux", {}).items()
             },
             digest=data.get("digest"),
             env=dict(data.get("env", {})),
             schema_version=version,
             extras=extras,
         )
+
+
+def _number(value) -> Union[int, float]:
+    """A counter or aux value as stored: integers stay integral, so a
+    load and save rewrites no committed record."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return float(value)
 
 
 def trajectory_path(

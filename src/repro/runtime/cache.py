@@ -217,10 +217,9 @@ class ArtifactCache:
         graph = load_graph(entry / "graph.npz")
         model = load_model(entry / "model.npz")
         config = result.config
-        machine = Machine(result.workload, config)
-        # Pre-seed the machine's memo so ``session.simulate(baseline)``
-        # (and overhead accounting) match a freshly analysed session.
-        machine._cache[config.latency] = result
+        # The stored run answers ``session.simulate(baseline)`` (and
+        # overhead accounting) as in a freshly analysed session.
+        machine = Machine.from_baseline(result)
         with get_observer().span(
             "baselines.init",
             workload=result.workload.name,

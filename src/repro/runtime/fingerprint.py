@@ -67,8 +67,6 @@ def workload_fingerprint(workload: Workload) -> str:
     with identical content hash identically regardless of how they were
     produced.
     """
-    from repro.simulator.columns import workload_columns
-
     digest = hashlib.sha256()
     digest.update(workload.name.encode("utf-8"))
     digest.update(
@@ -79,9 +77,8 @@ def workload_fingerprint(workload: Workload) -> str:
     )
     # Stream content hashes via the canonical column encoding: fixed
     # dtypes and field order, so equal content gives equal bytes with no
-    # per-µop Python loop (the columns are memoised per workload, so
-    # repeated fingerprinting of one workload is near-free).
-    digest.update(workload_columns(workload).canonical_bytes())
+    # per-µop Python loop.
+    digest.update(workload.columns.canonical_bytes())
     return digest.hexdigest()
 
 

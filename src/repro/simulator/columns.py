@@ -8,8 +8,9 @@ numpy columns instead — timestamps, witnesses and flags as dense
 register producers) in CSR ``indptr``/``values`` form, mirroring the
 packed dependence-graph layout.
 
-:class:`TraceColumns` is latency-stamped trace state;
-:class:`WorkloadColumns` is the latency-invariant µop stream.  Both
+:class:`TraceColumns` is latency-stamped trace state; the
+latency-invariant µop stream is the workload's own
+:class:`~repro.isa.uop.WorkloadColumns` (re-exported here).  Both
 offer ``canonical_bytes()`` — a fixed-dtype, fixed-order byte encoding
 that :func:`repro.simulator.traceio.result_digest` hashes, so the
 native and Python paths digest identically *by construction* (equal
@@ -26,14 +27,18 @@ from __future__ import annotations
 
 import gc
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.events import EventType
-from repro.isa.uop import MicroOp, OpClass, Workload
+from repro.isa.uop import (
+    Workload,
+    WorkloadColumns,
+    _canonical,
+    _csr_from_lists,
+)
 from repro.simulator.trace import UopTrace
 
 #: Index-to-member lookup (EventType(i) is ~5x slower in per-row loops).
@@ -59,23 +64,6 @@ WITNESS_COLUMNS = (
 )
 
 
-def _csr_from_lists(
-    rows: Sequence[Sequence[int]], dtype=np.int64
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack a list of variable-length rows into (indptr, values)."""
-    lengths = np.fromiter(
-        (len(row) for row in rows), np.int64, count=len(rows)
-    )
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    values = np.fromiter(
-        (value for row in rows for value in row),
-        dtype,
-        count=int(indptr[-1]),
-    )
-    return indptr, values
-
-
 def _charge_csr(
     charges: Sequence[Tuple[Tuple[EventType, int], ...]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,12 +85,6 @@ def _charge_csr(
         count=total,
     )
     return indptr, events, units
-
-
-def _canonical(chunks: List[bytes], tag: str, array: np.ndarray, dtype):
-    """Append one column's canonical byte encoding."""
-    chunks.append(tag.encode("ascii") + b"\x00")
-    chunks.append(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
 @dataclass(eq=False)
@@ -326,155 +308,6 @@ def columns_equal(a: TraceColumns, b: TraceColumns) -> bool:
     )
 
 
-# ----------------------------------------------------------------------
-# workload columns
-# ----------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class WorkloadColumns:
-    """Latency-invariant µop stream in struct-of-arrays form.
-
-    Unlike the native simulator's :class:`PackedWorkload` this layout is
-    fully general — register ids and address-source counts are
-    unbounded (CSR), so every workload the Python simulator accepts can
-    be expressed, archived and fingerprinted.
-    """
-
-    n: int
-    macro_id: np.ndarray   # int64
-    som: np.ndarray        # bool_
-    eom: np.ndarray        # bool_
-    opclass: np.ndarray    # int16
-    pc: np.ndarray         # int64
-    dst_reg: np.ndarray    # int64, -1 when no destination
-    mem_addr: np.ndarray   # int64, -1 for non-memory µops
-    taken: np.ndarray      # bool_
-    target_pc: np.ndarray  # int64, -1 when absent
-    src_indptr: np.ndarray   # int64 (n + 1)
-    src_values: np.ndarray   # int64
-    asrc_indptr: np.ndarray  # int64 (n + 1)
-    asrc_values: np.ndarray  # int64
-
-    @classmethod
-    def from_workload(cls, workload: Workload) -> "WorkloadColumns":
-        uops = workload.uops
-        n = len(uops)
-        src_indptr, src_values = _csr_from_lists(
-            [u.src_regs for u in uops]
-        )
-        asrc_indptr, asrc_values = _csr_from_lists(
-            [u.addr_src_regs for u in uops]
-        )
-        return cls(
-            n=n,
-            macro_id=np.fromiter(
-                (u.macro_id for u in uops), np.int64, count=n
-            ),
-            som=np.fromiter((u.som for u in uops), np.bool_, count=n),
-            eom=np.fromiter((u.eom for u in uops), np.bool_, count=n),
-            opclass=np.fromiter(
-                (u.opclass for u in uops), np.int16, count=n
-            ),
-            pc=np.fromiter((u.pc for u in uops), np.int64, count=n),
-            dst_reg=np.fromiter(
-                (-1 if u.dst_reg is None else u.dst_reg for u in uops),
-                np.int64,
-                count=n,
-            ),
-            mem_addr=np.fromiter(
-                (-1 if u.mem_addr is None else u.mem_addr for u in uops),
-                np.int64,
-                count=n,
-            ),
-            taken=np.fromiter((u.taken for u in uops), np.bool_, count=n),
-            target_pc=np.fromiter(
-                (-1 if u.target_pc is None else u.target_pc for u in uops),
-                np.int64,
-                count=n,
-            ),
-            src_indptr=src_indptr,
-            src_values=src_values,
-            asrc_indptr=asrc_indptr,
-            asrc_values=asrc_values,
-        )
-
-    def to_uops(self) -> Tuple[MicroOp, ...]:
-        """Rebuild the :class:`MicroOp` tuple (archive loading)."""
-        macro_l = self.macro_id.tolist()
-        som_l = self.som.tolist()
-        eom_l = self.eom.tolist()
-        oc_l = self.opclass.tolist()
-        pc_l = self.pc.tolist()
-        dst_l = self.dst_reg.tolist()
-        mem_l = self.mem_addr.tolist()
-        taken_l = self.taken.tolist()
-        target_l = self.target_pc.tolist()
-        si = self.src_indptr.tolist()
-        ai = self.asrc_indptr.tolist()
-        src_vals = self.src_values.tolist()
-        asrc_vals = self.asrc_values.tolist()
-        return tuple(
-            MicroOp(
-                seq=i,
-                macro_id=macro_l[i],
-                som=som_l[i],
-                eom=eom_l[i],
-                opclass=OpClass(oc_l[i]),
-                pc=pc_l[i],
-                src_regs=tuple(src_vals[si[i]:si[i + 1]]),
-                dst_reg=None if dst_l[i] < 0 else dst_l[i],
-                mem_addr=None if mem_l[i] < 0 else mem_l[i],
-                addr_src_regs=tuple(asrc_vals[ai[i]:ai[i + 1]]),
-                taken=taken_l[i],
-                target_pc=None if target_l[i] < 0 else target_l[i],
-            )
-            for i in range(self.n)
-        )
-
-    _CANONICAL_FIELDS = (
-        ("macro_id", np.int64),
-        ("som", np.bool_),
-        ("eom", np.bool_),
-        ("opclass", np.int16),
-        ("pc", np.int64),
-        ("dst_reg", np.int64),
-        ("mem_addr", np.int64),
-        ("taken", np.bool_),
-        ("target_pc", np.int64),
-        ("src_indptr", np.int64),
-        ("src_values", np.int64),
-        ("asrc_indptr", np.int64),
-        ("asrc_values", np.int64),
-    )
-
-    def canonical_bytes(self) -> bytes:
-        """Fixed-dtype, fixed-order byte encoding for fingerprinting."""
-        chunks: List[bytes] = [b"workload-columns-v1\x00"]
-        chunks.append(int(self.n).to_bytes(8, "little"))
-        for name, dtype in self._CANONICAL_FIELDS:
-            _canonical(chunks, name, getattr(self, name), dtype)
-        return b"".join(chunks)
-
-
-#: id-keyed weak cache so one workload is packed once per process (the
-#: same shape as the native packer's memo: a WeakKeyDictionary would
-#: re-hash the full µop tuple on every lookup).
-_COLUMN_CACHE: Dict[int, Tuple[object, WorkloadColumns]] = {}
-
-
 def workload_columns(workload: Workload) -> WorkloadColumns:
-    """Column view of *workload*, memoised per workload object."""
-    key = id(workload)
-    hit = _COLUMN_CACHE.get(key)
-    if hit is not None and hit[0]() is workload:
-        return hit[1]
-    columns = WorkloadColumns.from_workload(workload)
-    try:
-        ref = weakref.ref(
-            workload, lambda _ref, _key=key: _COLUMN_CACHE.pop(_key, None)
-        )
-    except TypeError:
-        return columns
-    _COLUMN_CACHE[key] = (ref, columns)
-    return columns
+    """The columns of *workload* (its one in-memory form)."""
+    return workload.columns

@@ -53,9 +53,40 @@ class Machine:
     ) -> None:
         self.workload = workload
         self.config = config or baseline_config()
+        self._prepass_args = (
+            warm_caches, warm_stream, predictor_extra_stream, native,
+        )
+        self._prepass: Union[PackedPrepass, PrepassResult, None] = None
+        self._cache: Dict[LatencyConfig, SimResult] = {}
+        #: count of timing runs actually executed (for overhead reports)
+        self.timing_runs = 0
+        self._run_prepass()
+
+    @classmethod
+    def from_baseline(cls, result: SimResult) -> "Machine":
+        """The machine behind a stored baseline run (an artifact-cache hit).
+
+        *result* answers the baseline latency, so the pre-pass (warm
+        caches, auto-selected simulator) waits for the first run at
+        another latency; loading a session builds no µop view.
+        """
+        machine = cls.__new__(cls)
+        machine.workload = result.workload
+        machine.config = result.config
+        machine._prepass_args = (True, None, None, None)
+        machine._prepass = None
+        machine._cache = {result.config.latency: result}
+        machine.timing_runs = 0
+        return machine
+
+    def _run_prepass(self) -> Union[PackedPrepass, PrepassResult]:
         # The observer is resolved ambiently (never stored) so Machine —
         # and the AnalysisSession wrapping it — stays picklable across
         # the worker pool and the artifact cache.
+        workload = self.workload
+        warm_caches, warm_stream, predictor_extra_stream, native = (
+            self._prepass_args
+        )
         with get_observer().span(
             "sim.prepass", workload=workload.name, uops=len(workload)
         ):
@@ -66,13 +97,11 @@ class Machine:
                 warm_stream,
                 predictor_extra_stream,
             )
-            self._prepass: Union[PackedPrepass, PrepassResult] = (
+            self._prepass = (
                 try_native_prepass(*args, native=native)
                 or run_prepass(*args)
             )
-        self._cache: Dict[LatencyConfig, SimResult] = {}
-        #: count of timing runs actually executed (for overhead reports)
-        self.timing_runs = 0
+        return self._prepass
 
     def simulate(
         self, latency: Optional[LatencyConfig] = None
@@ -83,18 +112,19 @@ class Machine:
         if cached is not None:
             return cached
         design = self.config.with_latency(latency)
+        prepass = self._prepass
+        if prepass is None:
+            prepass = self._run_prepass()
         obs = get_observer()
         start = clock.perf_seconds()
-        used_native = isinstance(self._prepass, PackedPrepass)
+        used_native = isinstance(prepass, PackedPrepass)
         with obs.span(
             "sim.run", workload=self.workload.name, uops=len(self.workload)
         ):
             if used_native:
-                result = native_timing(self.workload, design, self._prepass)
+                result = native_timing(self.workload, design, prepass)
             else:
-                result = TimingSimulator(
-                    self.workload, design, self._prepass
-                ).run()
+                result = TimingSimulator(self.workload, design, prepass).run()
         if obs.enabled:
             obs.counter("sim.runs").inc()
             if used_native:

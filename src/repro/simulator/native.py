@@ -37,7 +37,6 @@ than two address sources) silently fall back to the Python path.
 from __future__ import annotations
 
 import ctypes
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -885,37 +884,36 @@ class PackedWorkload:
     is_branch: np.ndarray   # int8
 
 
-def _pack_stream(workload: Workload) -> PackedWorkload:
-    # Column-wise list comprehensions: one attribute walk per field is
-    # roughly twice as fast as one row-wise loop at trace scale.
-    uops = workload.uops
-    n = len(uops)
-    pc = np.array([u.pc for u in uops], np.int64)
-    mem = np.array(
-        [-1 if u.mem_addr is None else u.mem_addr for u in uops], np.int64
+def _first_two(indptr: np.ndarray, values: np.ndarray):
+    """First and second entry of each CSR row (-1 where absent), and
+    the row lengths."""
+    counts = np.diff(indptr)
+    padded = np.append(values, -1)
+    starts = indptr[:-1]
+    first = np.where(counts > 0, padded[starts], -1)
+    second = np.where(
+        counts > 1, padded[np.minimum(starts + 1, len(values))], -1
     )
-    opclass = np.array([u.opclass for u in uops], np.int8)
-    som = np.array([u.som for u in uops], np.int8)
-    taken = np.array([u.taken for u in uops], np.int8)
-    dst = np.array(
-        [-1 if u.dst_reg is None else u.dst_reg for u in uops], np.int64
-    )
-    srcs = [u.src_regs for u in uops]
-    asrcs = [u.addr_src_regs for u in uops]
-    if any(len(a) > 2 for a in asrcs):
+    return first, second, counts.astype(np.int8)
+
+
+def pack_workload(workload: Workload) -> PackedWorkload:
+    """Derive the C kernels' flat arrays from *workload*'s columns.
+
+    Raises :class:`UnsupportedWorkloadError` when the stream cannot be
+    expressed (callers treat that as "use the Python path").
+    """
+    cols = workload.columns
+    n = cols.n
+    if (np.diff(cols.asrc_indptr) > 2).any():
         raise UnsupportedWorkloadError(
             "packed format supports at most two address sources"
         )
-    n_src = np.array([len(s) for s in srcs], np.int8)
-    n_asrc = np.array([len(a) for a in asrcs], np.int8)
-    src0 = np.array([s[0] if s else -1 for s in srcs], np.int64)
-    src1 = np.array([s[1] if len(s) > 1 else -1 for s in srcs], np.int64)
-    asrc0 = np.array([a[0] if a else -1 for a in asrcs], np.int64)
-    asrc1 = np.array(
-        [a[1] if len(a) > 1 else -1 for a in asrcs], np.int64
-    )
-    is_branch = (opclass == np.int8(int(OpClass.BRANCH))).astype(np.int8)
-
+    src0, src1, n_src = _first_two(cols.src_indptr, cols.src_values)
+    asrc0, asrc1, n_asrc = _first_two(cols.asrc_indptr, cols.asrc_values)
+    pc = cols.pc
+    mem = cols.mem_addr
+    dst = cols.dst_reg
     if pc.min(initial=0) < 0 or mem.min(initial=-1) < -1:
         raise UnsupportedWorkloadError("negative pc/address")
     for regs in (dst, src0, src1, asrc0, asrc1):
@@ -923,48 +921,18 @@ def _pack_stream(workload: Workload) -> PackedWorkload:
             raise UnsupportedWorkloadError(
                 f"register ids must be below {MAX_REGS}"
             )
-
-    macro_last = np.empty(n, np.int64)
+    opclass = cols.opclass.astype(np.int8)
     # Macro-ops are contiguous: the last µop of each macro is the one
     # before the next SoM (or the end of the stream).
-    som_l = som.tolist()
-    end = n - 1
-    for i in range(n - 1, -1, -1):
-        macro_last[i] = end
-        if som_l[i]:
-            end = i - 1
+    heads = np.flatnonzero(cols.som)
+    macro_last = (np.append(heads[1:], n) - 1)[np.cumsum(cols.som) - 1]
     return PackedWorkload(
-        n=n, pc=pc, mem=mem, opclass=opclass, som=som, taken=taken,
+        n=n, pc=pc, mem=mem, opclass=opclass,
+        som=cols.som.astype(np.int8), taken=cols.taken.astype(np.int8),
         dst=dst, src0=src0, src1=src1, asrc0=asrc0, asrc1=asrc1,
         n_src=n_src, n_asrc=n_asrc, macro_last=macro_last,
-        is_branch=is_branch,
+        is_branch=(opclass == int(OpClass.BRANCH)).astype(np.int8),
     )
-
-
-#: id-keyed weak cache so one workload is packed once per process (a
-#: WeakKeyDictionary would re-hash the full µop tuple on every lookup).
-_PACK_CACHE: Dict[int, Tuple[object, PackedWorkload]] = {}
-
-
-def pack_workload(workload: Workload) -> PackedWorkload:
-    """Pack (and memoise) *workload* into flat arrays.
-
-    Raises :class:`UnsupportedWorkloadError` when the stream cannot be
-    expressed (callers treat that as "use the Python path").
-    """
-    key = id(workload)
-    hit = _PACK_CACHE.get(key)
-    if hit is not None and hit[0]() is workload:
-        return hit[1]
-    packed = _pack_stream(workload)
-    try:
-        ref = weakref.ref(
-            workload, lambda _ref, _key=key: _PACK_CACHE.pop(_key, None)
-        )
-    except TypeError:
-        return packed
-    _PACK_CACHE[key] = (ref, packed)
-    return packed
 
 
 @dataclass

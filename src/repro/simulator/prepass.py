@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.common.config import MicroarchConfig
 from repro.common.events import EventType
 from repro.isa.uop import MicroOp, OpClass, Workload
@@ -78,14 +80,12 @@ def _declared_footprint(workload: Workload, key: str) -> Optional[int]:
 
 def _observed_footprint(workload: Workload, data_side: bool) -> int:
     """Fallback footprint estimate: distinct 64-byte lines in the stream."""
-    lines = set()
-    for uop in workload:
-        if data_side:
-            if uop.mem_addr is not None:
-                lines.add(uop.mem_addr >> 6)
-        else:
-            lines.add(uop.pc >> 6)
-    return 64 * len(lines)
+    columns = workload.columns
+    if data_side:
+        addresses = columns.mem_addr[columns.mem_addr >= 0]
+    else:
+        addresses = columns.pc
+    return 64 * len(np.unique(addresses >> 6))
 
 
 def _warm_structures(

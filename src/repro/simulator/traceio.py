@@ -30,13 +30,11 @@ from repro.common.config import (
     TLBConfig,
 )
 from repro.common.events import EventType
-from repro.isa.uop import MicroOp, OpClass, Workload
+from repro.isa.uop import MicroOp, OpClass, Workload, WorkloadColumns
 from repro.simulator.columns import (
     TIMESTAMP_COLUMNS,
     WITNESS_COLUMNS,
     TraceColumns,
-    WorkloadColumns,
-    workload_columns,
 )
 from repro.simulator.trace import SimResult, UopTrace
 
@@ -155,7 +153,7 @@ def save_result(
     path = normalise_archive_path(path)
 
     workload = result.workload
-    uop_cols = workload_columns(workload)
+    uop_cols = workload.columns
     trace_cols = result.columns
 
     meta = {
@@ -208,7 +206,7 @@ def result_digest(result: SimResult) -> str:
             "utf-8"
         )
     )
-    digest.update(workload_columns(workload).canonical_bytes())
+    digest.update(workload.columns.canonical_bytes())
     digest.update(result.columns.canonical_bytes())
     return digest.hexdigest()
 
@@ -257,14 +255,12 @@ def _meta_workload_params(meta) -> tuple:
 
 
 def _load_v2(meta, uop, rec) -> SimResult:
-    """Columnar archive: adopt the arrays, rebuild µops once."""
+    """Columnar archive: adopt the arrays as the workload's columns."""
     uop_cols = WorkloadColumns(
         n=len(uop["macro_id"]), **{attr: uop[key[4:]] for attr, key in _V2_UOP_KEYS}
     )
-    workload = Workload(
-        name=meta["workload_name"],
-        uops=uop_cols.to_uops(),
-        params=_meta_workload_params(meta),
+    workload = Workload.from_columns(
+        meta["workload_name"], uop_cols, _meta_workload_params(meta)
     )
     columns = TraceColumns(
         n=uop_cols.n, **{attr: rec[key[4:]] for attr, key in _V2_TRACE_KEYS}

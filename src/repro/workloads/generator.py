@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.uop import MicroOp, OpClass, Workload
+from repro.isa.uop import OpClass, Workload, WorkloadColumns, _csr_from_lists
 
 #: Architectural integer/FP register file size used by generated code.
 NUM_ARCH_REGS = 64
@@ -126,35 +126,66 @@ class WorkloadSpec:
 
 
 class _StreamBuilder:
-    """Incremental construction of a valid micro-op stream."""
+    """Incremental construction of a valid µop stream's columns.
+
+    Each µop is one row; macro ids and EoM flags follow from the SoM
+    flags, since every macro-op starts with its first µop.
+    """
 
     def __init__(self) -> None:
-        self.uops: List[MicroOp] = []
-        self._macro_id = -1
-        self._pending: List[dict] = []
+        self.rows: List[tuple] = []
+        self._som = True
 
     def begin_macro(self) -> None:
-        assert not self._pending, "previous macro-op not flushed"
-        self._macro_id += 1
+        self._som = True
 
-    def add(self, **kwargs) -> int:
-        """Queue one µop of the current macro-op; returns its seq."""
-        seq = len(self.uops) + len(self._pending)
-        self._pending.append(kwargs)
-        return seq
-
-    def end_macro(self) -> None:
-        for i, kwargs in enumerate(self._pending):
-            self.uops.append(
-                MicroOp(
-                    seq=len(self.uops),
-                    macro_id=self._macro_id,
-                    som=(i == 0),
-                    eom=(i == len(self._pending) - 1),
-                    **kwargs,
-                )
+    def add(
+        self,
+        opclass: OpClass,
+        pc: int,
+        src_regs: Tuple[int, ...] = (),
+        dst_reg: Optional[int] = None,
+        mem_addr: Optional[int] = None,
+        addr_src_regs: Tuple[int, ...] = (),
+        taken: bool = False,
+        target_pc: Optional[int] = None,
+    ) -> None:
+        """Append one µop to the current macro-op."""
+        self.rows.append(
+            (
+                self._som, opclass, pc,
+                -1 if dst_reg is None else dst_reg,
+                -1 if mem_addr is None else mem_addr,
+                taken,
+                -1 if target_pc is None else target_pc,
+                src_regs, addr_src_regs,
             )
-        self._pending.clear()
+        )
+        self._som = False
+
+    def columns(self) -> WorkloadColumns:
+        som, opclass, pc, dst, mem, taken, target, srcs, addr_srcs = (
+            zip(*self.rows)
+        )
+        som = np.array(som)
+        src_indptr, src_values = _csr_from_lists(srcs)
+        asrc_indptr, asrc_values = _csr_from_lists(addr_srcs)
+        return WorkloadColumns(
+            n=len(som),
+            macro_id=np.cumsum(som) - 1,
+            som=som,
+            eom=np.append(som[1:], True),
+            opclass=opclass,
+            pc=pc,
+            dst_reg=dst,
+            mem_addr=mem,
+            taken=taken,
+            target_pc=target,
+            src_indptr=src_indptr,
+            src_values=src_values,
+            asrc_indptr=asrc_indptr,
+            asrc_values=asrc_values,
+        )
 
 
 def _pick_sources(
@@ -182,7 +213,13 @@ def _pick_sources(
 def generate(spec: WorkloadSpec, seed: int = 0) -> Workload:
     """Materialise the dynamic micro-op stream for *spec*.
 
-    The same ``(spec, seed)`` pair always produces the same stream.
+    The same ``(spec, seed)`` pair always produces the same stream, and
+    streams are prefix-stable: everything drawn before the macro-op
+    loop (the pointer-chase order, branch-site styles, the static code
+    template) is independent of ``num_macro_ops``, and the loop never
+    reads it, so the stream at *m* macro-ops is exactly the first *m*
+    macro-ops of the stream at any longer length.  Phased composition
+    relies on this (:mod:`repro.workloads.phased`).
     """
     rng = np.random.default_rng(seed)
     builder = _StreamBuilder()
@@ -354,9 +391,8 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> Workload:
                 src_regs=srcs,
                 dst_reg=alloc_dst(),
             )
-        builder.end_macro()
 
     params = tuple(
         (f.name, getattr(spec, f.name)) for f in fields(spec) if f.name != "name"
     ) + (("seed", seed),)
-    return Workload(name=spec.name, uops=tuple(builder.uops), params=params)
+    return Workload.from_columns(spec.name, builder.columns(), params)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.isa.uop import MicroOp, Workload
+import numpy as np
+
+from repro.isa.uop import Workload, WorkloadColumns
 from repro.workloads.generator import WorkloadSpec, generate
 
 #: Address stride separating consecutive phases' code regions.
@@ -43,50 +45,44 @@ def make_phased_workload(
     """
     if not phases:
         raise ValueError("a phased workload needs at least one phase")
-    combined: List[MicroOp] = []
-    seq = 0
-    macro_base = 0
-    max_ws = 0
-    max_code = 0
     # A spec appearing in several blocks is the *same static code*: it
     # keeps one region and one generation seed, so re-entering the phase
-    # re-executes identical instructions (loops repeat).
+    # re-executes identical instructions (loops repeat).  By the
+    # generator's prefix property each region is generated once, at its
+    # longest block, and every block takes a prefix of that stream.
     region_of_spec = {}
     region_specs: List[WorkloadSpec] = []
-    for spec, _macros in phases:
+    region_macros: List[int] = []
+    for spec, macros in phases:
+        if macros <= 0:
+            raise ValueError("num_macro_ops must be positive")
         if spec not in region_of_spec:
             region_of_spec[spec] = len(region_specs)
             region_specs.append(spec)
+            region_macros.append(0)
+        index = region_of_spec[spec]
+        region_macros[index] = max(region_macros[index], macros)
+    streams = [
+        generate(spec.resized(macros), seed=seed + index).columns
+        for index, (spec, macros) in enumerate(
+            zip(region_specs, region_macros)
+        )
+    ]
+    blocks: List[WorkloadColumns] = []
+    macro_base = 0
     for spec, macros in phases:
         index = region_of_spec[spec]
-        phase = generate(spec.resized(macros), seed=seed + index)
-        code_offset = index * CODE_REGION_BYTES
-        data_offset = index * DATA_REGION_BYTES
-        max_ws = max(max_ws, spec.working_set_bytes)
-        max_code = max(max_code, spec.code_footprint_bytes)
-        for uop in phase:
-            combined.append(
-                MicroOp(
-                    seq=seq,
-                    macro_id=macro_base + uop.macro_id,
-                    som=uop.som,
-                    eom=uop.eom,
-                    opclass=uop.opclass,
-                    pc=uop.pc + code_offset,
-                    src_regs=uop.src_regs,
-                    dst_reg=uop.dst_reg,
-                    mem_addr=(
-                        uop.mem_addr + data_offset
-                        if uop.mem_addr is not None
-                        else None
-                    ),
-                    addr_src_regs=uop.addr_src_regs,
-                    taken=uop.taken,
-                    target_pc=uop.target_pc,
-                )
-            )
-            seq += 1
-        macro_base += phase.num_macro_ops
+        stream = streams[index]
+        block = stream.window(0, np.searchsorted(stream.macro_id, macros))
+        # Relocate into the region's code and data ranges (branch
+        # targets keep their region-relative pcs).
+        block.macro_id += macro_base
+        block.pc += index * CODE_REGION_BYTES
+        block.mem_addr[block.mem_addr >= 0] += index * DATA_REGION_BYTES
+        blocks.append(block)
+        macro_base += macros
+    max_ws = max(spec.working_set_bytes for spec in region_specs)
+    max_code = max(spec.code_footprint_bytes for spec in region_specs)
     params = (
         ("working_set_bytes", max_ws),
         ("code_footprint_bytes", max_code),
@@ -104,4 +100,6 @@ def make_phased_workload(
             tuple(spec.code_footprint_bytes for spec in region_specs),
         ),
     )
-    return Workload(name=name, uops=tuple(combined), params=params)
+    return Workload.from_columns(
+        name, WorkloadColumns.concatenate(blocks), params
+    )

@@ -1,6 +1,7 @@
 """Schema round-trip properties for the BENCH_<scenario>.json store."""
 
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -224,3 +225,23 @@ def test_trajectory_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(BenchSchemaError, match="not valid JSON"):
         TrajectoryFile.load(path)
+
+
+#: The committed trajectory files at the repository root.
+_COMMITTED = sorted(
+    pathlib.Path(__file__).resolve().parents[2].glob("BENCH_*.json")
+)
+
+
+def test_committed_trajectories_exist():
+    assert len(_COMMITTED) >= 8
+
+
+@pytest.mark.parametrize("path", _COMMITTED, ids=lambda p: p.name)
+def test_committed_trajectory_load_save_is_byte_stable(path, tmp_path):
+    """Loading and saving a committed file rewrites none of its bytes,
+    so appending a run changes nothing but the appended record
+    (integer counters stay integers)."""
+    copy = tmp_path / path.name
+    TrajectoryFile.load(path).save(copy)
+    assert copy.read_bytes() == path.read_bytes()
