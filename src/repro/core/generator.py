@@ -16,38 +16,33 @@ the true end-to-end critical path — is preserved and tested.
 
 Because segments are independent by construction, the traversal shards:
 each segment's nodes and intra-segment edges are sliced out as a
-:class:`~repro.graphmodel.graph.SegmentView` and walked on their own,
-either in-process or fanned out across worker processes through
-:func:`repro.runtime.runner.parallel_map` (``jobs > 1``), inheriting its
-worker span capture.  Per-segment results are merged back in segment
-order, so serial and parallel generation produce bit-identical models
-(pinned by a differential test over the full workload suite).
-
+:class:`~repro.graphmodel.graph.SegmentView` and walked on their own.
 Each segment is walked by one call into the compiled kernel
 (:mod:`repro.core.native`) when it loads, and otherwise by the spec walk
 :func:`_walk_segment`, which reduces each converging node with
-:func:`~repro.core.reduction.reduce_stacks`.
-``RpStacksGenerator._generate_reference`` is the whole-graph walk spec:
-a dict-of-lists walk over the unsliced graph that checks
-``segment_view`` slicing independently, and the baseline for
-``benchmarks/bench_generate.py``.
+:func:`~repro.core.reduction.reduce_stacks`.  With ``jobs > 1`` the
+kernel's calls run on a thread pool, since ctypes releases the
+interpreter lock for each call; the spec walk stays serial.  Per-segment
+results are kept in segment order, so serial and threaded generation
+produce bit-identical models (pinned by a differential test over the
+full workload suite).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
-from repro.core.native import load_native
+from repro.core.native import NativeWalk, load_native
 from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.obs import clock
-from repro.obs.observer import get_observer
+from repro.obs.observer import Observer, get_observer
 from repro.graphmodel.graph import DependenceGraph, SegmentView
-from repro.graphmodel.nodes import NODES_PER_UOP
 
 
 def _walk_segment(
@@ -119,51 +114,35 @@ def _walk_segment(
     return sets[view.sink_local].copy(), candidate_stacks, reductions
 
 
-def _segment_batch_task(
-    views: Sequence[SegmentView],
-    base_theta: np.ndarray,
+def _walk_view(
+    view: SegmentView,
+    theta: np.ndarray,
     policy: ReductionPolicy,
-) -> Tuple[List[np.ndarray], int, int, int]:
-    """Walk a batch of segment views (one :func:`parallel_map` task).
+    native: Optional[NativeWalk],
+    obs: Observer,
+) -> Tuple[np.ndarray, int, int]:
+    """Walk one segment view under its ``stacks.segment`` span.
 
-    Each view is walked by the compiled kernel in one call when it
-    loads, and by the spec walk :func:`_walk_segment` otherwise.
-    Module-level so it pickles into pool workers.  Spans and metrics
-    record into the ambient observer: in-process that is the caller's
-    observer directly; in a worker it is the capturing observer whose
-    events :func:`~repro.runtime.runner.parallel_map` merges back into
-    the parent timeline.
+    One call into the compiled kernel when it is loaded (*native*), the
+    spec walk :func:`_walk_segment` otherwise.  The serial and the
+    threaded walk both call this, so each segment records the same span
+    and ``stacks.segment_seconds`` observation either way.
     """
-    obs = get_observer()
-    native = load_native()
-    theta = np.ascontiguousarray(base_theta, dtype=np.float64)
-    results: List[np.ndarray] = []
-    nodes_visited = 0
-    candidate_stacks = 0
-    reductions = 0
-    for view in views:
-        start = clock.perf_seconds()
-        with obs.span(
-            "stacks.segment", segment=view.segment, uops=view.num_uops
-        ) as span:
-            if native is None:
-                stacks, candidates, reduces = _walk_segment(
-                    view, base_theta, policy
-                )
-            else:
-                stacks, candidates, reduces = native.walk_segment(
-                    view, theta, policy
-                )
-        if obs.enabled:
-            span.set(paths=stacks.shape[0], reductions=reduces)
-            obs.histogram("stacks.segment_seconds").observe(
-                clock.perf_seconds() - start
-            )
-        results.append(stacks)
-        nodes_visited += view.num_nodes
-        candidate_stacks += candidates
-        reductions += reduces
-    return results, nodes_visited, candidate_stacks, reductions
+    start = clock.perf_seconds()
+    with obs.span(
+        "stacks.segment", segment=view.segment, uops=view.num_uops
+    ) as span:
+        if native is None:
+            result = _walk_segment(view, theta, policy)
+        else:
+            result = native.walk_segment(view, theta, policy)
+    if obs.enabled:
+        stacks, _, reductions = result
+        span.set(paths=stacks.shape[0], reductions=reductions)
+        obs.histogram("stacks.segment_seconds").observe(
+            clock.perf_seconds() - start
+        )
+    return result
 
 
 class RpStacksGenerator:
@@ -180,10 +159,13 @@ class RpStacksGenerator:
             the Fig 14 bench sweeps this and shows the same U-shaped
             error curve (small segments over-predict via boundary
             traversals, large segments lose hidden paths to reduction).
-        jobs: worker processes for the segment walk; ``1`` (default)
-            walks every segment in-process.  Results are bit-identical
-            either way — parallelism only reorders which segment is
-            walked when, never what any segment computes.
+        jobs: the most threads the segment walk may use; ``1``
+            (default) walks every segment serially.  Segments run on
+            ``min(jobs, segments)`` threads when the compiled kernel is
+            loaded; the spec walk holds the interpreter lock and stays
+            serial.  Results are bit-identical either way — threads only
+            reorder which segment is walked when, never what any segment
+            computes.
     """
 
     def __init__(
@@ -207,14 +189,20 @@ class RpStacksGenerator:
     def generate(self) -> RpStacksModel:
         """Run the traversal and return the model."""
         obs = get_observer()
+        native = load_native()
+        num_segments = self.graph.num_segments(self.segment_length)
+        # Only the kernel's walk gains from threads: ctypes releases the
+        # interpreter lock for each call, and the spec walk holds it.
+        threads = min(self.jobs, num_segments) if native is not None else 1
         with obs.span(
             "stacks.generate",
             uops=self.graph.num_uops,
             segment_length=self.segment_length,
             jobs=self.jobs,
-            native=load_native() is not None,
+            native=native is not None,
+            threads=threads,
         ) as span:
-            model = self._generate()
+            model = self._generate(native, threads, obs)
         if obs.enabled:
             span.set(
                 paths=model.num_paths, segments=model.num_segments
@@ -226,168 +214,38 @@ class RpStacksGenerator:
             )
         return model
 
-    def _generate(self) -> RpStacksModel:
+    def _generate(
+        self, native: Optional[NativeWalk], threads: int, obs: Observer
+    ) -> RpStacksModel:
         start_time = clock.perf_seconds()
         graph = self.graph
-        base_theta = self.baseline.as_vector()
-        policy = self.policy
         seg_len = self.segment_length
+        views = [
+            graph.segment_view(s, seg_len)
+            for s in range(graph.num_segments(seg_len))
+        ]
+        theta = self.baseline.as_vector()
 
-        num_segments = graph.num_segments(seg_len)
-        views = [graph.segment_view(s, seg_len) for s in range(num_segments)]
+        def walk(view: SegmentView) -> Tuple[np.ndarray, int, int]:
+            return _walk_view(view, theta, self.policy, native, obs)
 
-        stats = GenerationStats()
-        segment_results: List[np.ndarray] = []
-        if self.jobs <= 1 or num_segments <= 1:
-            # In-process: one batch, spans record straight into the
-            # ambient observer.
-            if views:
-                results, nodes, candidates, reduces = _segment_batch_task(
-                    views, base_theta, policy
-                )
-                segment_results.extend(results)
-                stats.nodes_visited += nodes
-                stats.candidate_stacks += candidates
-                stats.reductions += reduces
+        if threads > 1:
+            # map() yields in segment order.  When a walk raises, or the
+            # wait for one is interrupted, its iterator cancels the
+            # queued walks before the exception propagates.
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                walked = list(pool.map(walk, views))
         else:
-            from repro.runtime.runner import parallel_map
+            walked = [walk(view) for view in views]
 
-            # Several batches per worker for load balance; contiguous
-            # slices keep task order == segment order, so flattening the
-            # (order-preserving) outcomes order-merges the segments.
-            batches = min(num_segments, self.jobs * 4)
-            bounds = np.linspace(0, num_segments, batches + 1).astype(int)
-            tasks = [
-                (views[lo:hi], base_theta, policy)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            outcomes = parallel_map(
-                _segment_batch_task,
-                tasks,
-                jobs=self.jobs,
-                obs=get_observer(),
-            )
-            for outcome in outcomes:
-                if not outcome.ok:
-                    raise RuntimeError(
-                        "segment batch failed after "
-                        f"{outcome.attempts} attempt(s): {outcome.error}"
-                    )
-                results, nodes, candidates, reduces = outcome.value
-                segment_results.extend(results)
-                stats.nodes_visited += nodes
-                stats.candidate_stacks += candidates
-                stats.reductions += reduces
-
-        stats.analysis_seconds = clock.perf_seconds() - start_time
-        return RpStacksModel(
-            segment_results,
-            baseline=self.baseline,
-            num_uops=graph.num_uops,
-            stats=stats,
+        stats = GenerationStats(
+            nodes_visited=sum(view.num_nodes for view in views),
+            candidate_stacks=sum(candidates for _, candidates, _ in walked),
+            reductions=sum(reductions for _, _, reductions in walked),
         )
-
-    def _generate_reference(self) -> RpStacksModel:
-        """Whole-graph serial walk: the spec of the segment walk.
-
-        Dict-of-lists node state and a per-edge Python inner loop over
-        the unsliced graph, dropping cross-segment edges as it meets
-        them, with :func:`reduce_stacks` at every converging node.  It
-        never calls ``segment_view``, so differential tests against it
-        check the slicing as well as the walk.
-        """
-        start_time = clock.perf_seconds()
-        graph = self.graph
-        base_theta = self.baseline.as_vector()
-        policy = self.policy
-        seg_len = self.segment_length
-
-        topo = graph.topological_order()
-        src = graph.edge_src.tolist()
-        indptr = graph.in_indptr.tolist()
-        charge_rows = graph.edge_charge_vectors()
-        edge_has_charge = (charge_rows != 0).any(axis=1).tolist()
-
-        num_nodes = graph.num_nodes
-        # Remaining consumers per node, for releasing stack sets early.
-        remaining = [0] * num_nodes
-        for s in src:
-            remaining[s] += 1
-
-        zero_set = np.zeros((1, NUM_EVENTS))
-        node_sets: Dict[int, np.ndarray] = {}
-        segment_results: List[np.ndarray] = []
-        num_segments = (graph.num_uops + seg_len - 1) // seg_len
-        segment_sinks = set()
-        for segment in range(num_segments):
-            last_uop = min((segment + 1) * seg_len, graph.num_uops) - 1
-            segment_sinks.add(last_uop * NODES_PER_UOP + (NODES_PER_UOP - 1))
-
-        stats = GenerationStats()
-        sink_results: Dict[int, np.ndarray] = {}
-
-        for v in topo:
-            segment = (v // NODES_PER_UOP) // seg_len
-            begin, end = indptr[v], indptr[v + 1]
-            gathered: List[np.ndarray] = []
-            single: Optional[np.ndarray] = None
-            single_edge = -1
-            intra_edges = 0
-            for e in range(begin, end):
-                s = src[e]
-                remaining[s] -= 1
-                released = remaining[s] == 0
-                if (s // NODES_PER_UOP) // seg_len != segment:
-                    if released:
-                        node_sets.pop(s, None)
-                    continue  # segment boundary: cross edges are dropped
-                intra_edges += 1
-                pred_set = node_sets.get(s, zero_set)
-                if intra_edges == 1:
-                    single = pred_set
-                    single_edge = e
-                else:
-                    if single is not None:
-                        gathered.append(
-                            single + charge_rows[single_edge]
-                            if edge_has_charge[single_edge]
-                            else single
-                        )
-                        single = None
-                    gathered.append(
-                        pred_set + charge_rows[e]
-                        if edge_has_charge[e]
-                        else pred_set
-                    )
-                if released:
-                    node_sets.pop(s, None)
-
-            if intra_edges == 0:
-                result = zero_set  # segment entry: start from nothing
-            elif single is not None:
-                result = (
-                    single + charge_rows[single_edge]
-                    if edge_has_charge[single_edge]
-                    else single
-                )
-            else:
-                candidates = np.vstack(gathered)
-                stats.candidate_stacks += candidates.shape[0]
-                result = reduce_stacks(candidates, base_theta, policy)
-                stats.reductions += 1
-            node_sets[v] = result
-            stats.nodes_visited += 1
-            if v in segment_sinks:
-                sink_results[v] = result.copy()
-
-        # Order the segment results by segment index.
-        for sink in sorted(sink_results):
-            segment_results.append(sink_results[sink])
-
         stats.analysis_seconds = clock.perf_seconds() - start_time
         return RpStacksModel(
-            segment_results,
+            [stacks for stacks, _, _ in walked],
             baseline=self.baseline,
             num_uops=graph.num_uops,
             stats=stats,

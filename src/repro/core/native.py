@@ -101,7 +101,11 @@ Everything degrades gracefully: no compiler, a failed build, or
 (set ``REPRO_NATIVE=1`` to make a missing native build an error
 instead).
 The compiled library is cached under the system temp directory keyed by
-source hash, so workers spawned by ``parallel_map`` just ``dlopen`` it.
+source hash, so later processes just ``dlopen`` it.  The C walk keeps
+every buffer per call and has no global mutable state, and ctypes
+releases the interpreter lock for each call, so concurrent
+:meth:`NativeWalk.walk_segment` calls are safe and run in parallel: the
+generator walks segments on threads at ``jobs > 1``.
 
 The build/cache/gate machinery (:func:`native_mode`,
 :func:`compile_shared_library`, :func:`load_gated`) is generic and

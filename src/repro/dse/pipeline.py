@@ -122,10 +122,11 @@ def analyze(
         similarity_threshold / segment_length / max_paths /
             preserve_unique / include_base_in_similarity: RpStacks
             generation parameters (§III-C).
-        jobs: worker processes for segment-parallel stack generation.
-            Segments are independent (§IV-D) and results are
-            order-merged, so any ``jobs`` value yields a byte-identical
-            model; ``jobs`` therefore never enters the cache key.
+        jobs: the most threads the compiled segment walk may use (the
+            spec walk stays serial).  Segments are independent (§IV-D)
+            and results are order-merged, so any ``jobs`` value yields a
+            byte-identical model; ``jobs`` therefore never enters the
+            cache key.
         warm_caches: warm caches/TLBs to steady state before measuring.
         cache: an :class:`~repro.runtime.cache.ArtifactCache` (or a
             cache directory path) for content-addressed reuse: when the

@@ -75,12 +75,12 @@ class SegmentView:
     from a fresh zero stack.  A view therefore carries everything a
     traversal of that segment needs — the intra-segment edges in local
     (segment-relative) CSR form plus their packed event charges — and
-    nothing else, which keeps it cheap to pickle into pool workers.
+    nothing else, so each segment walks on its own.
 
     Local node ``v`` corresponds to global node ``node_offset + v``; the
     in-edge order per node matches the parent graph's CSR order, so a
-    walk over a view gathers predecessor blocks in exactly the order the
-    whole-graph walk would.
+    walk over a view gathers predecessor blocks in the parent graph's
+    in-edge order.
     """
 
     segment: int
@@ -282,10 +282,6 @@ class DependenceGraph:
             vec[int(event)] += count
         return vec
 
-    def edge_charge_vectors(self) -> np.ndarray:
-        """Dense (num_edges x NUM_EVENTS) unit matrix (RpStacks traversal)."""
-        return _charge_matrix(self._events, self._units)
-
     # ------------------------------------------------------------------
 
     def num_segments(self, segment_length: int) -> int:
@@ -303,7 +299,7 @@ class DependenceGraph:
         outside the segment) are masked out — the paper's rule that
         boundary-crossing dependences are dropped.  The surviving edges
         keep their relative CSR order, so per-node predecessor order is
-        identical to the whole-graph walk's.
+        the parent graph's.
         """
         count = self.num_segments(segment_length)
         if not 0 <= segment < count:

@@ -227,9 +227,8 @@ def parallel_map(
     """Apply ``fn(*args)`` to every argument tuple, optionally across
     worker processes.
 
-    This is the pool machinery shared by the suite runner and the
-    segment-parallel stack generator, with the conventions both rely
-    on:
+    This is the suite runner's pool machinery, with the conventions it
+    relies on:
 
     * **deterministic ordering** — outcomes follow *tasks* order, not
       completion order;
@@ -468,7 +467,7 @@ def parallel_map(
     except BaseException:
         # Interrupt / internal error: reap every worker before
         # propagating so no orphan outlives the call (the Ctrl-C path
-        # of `repro suite` and `repro analyze --jobs` rides on this).
+        # of `repro suite` rides on this).
         _terminate_pool(pool)
         raise
     pool.shutdown(wait=True, cancel_futures=True)

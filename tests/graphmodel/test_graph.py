@@ -1,6 +1,5 @@
 """Dependence-graph container tests on small hand-built graphs."""
 
-import numpy as np
 import pytest
 
 from repro.common.config import LatencyConfig
@@ -79,12 +78,6 @@ class TestStructure:
         assert vec[EventType.L2D] == 2
         assert vec[EventType.BASE] == 3
         assert vec.sum() == 5
-
-    def test_edge_charge_vectors_match_weights(self):
-        graph = diamond_graph()
-        theta = LatencyConfig().as_vector()
-        dense = graph.edge_charge_vectors() @ theta
-        assert np.allclose(dense, graph.edge_weights(LatencyConfig()))
 
     def test_topological_order_is_complete_and_valid(self):
         graph = diamond_graph()
