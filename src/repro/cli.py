@@ -135,6 +135,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.jobs < 1:
+        raise SystemExit("--jobs must be at least 1")
+    if args.segment_length < 1:
+        raise SystemExit("--segment-length must be at least 1")
     if args.from_trace:
         from repro.core.generator import generate_rpstacks
         from repro.graphmodel.builder import build_graph
@@ -424,6 +428,8 @@ def cmd_profile(args) -> int:
     from repro.dse.overhead import measure_overhead
     from repro.obs.report import span_rollup
 
+    if args.segment_length < 1:
+        raise SystemExit("--segment-length must be at least 1")
     workload = _workload(args)
     # Profiling is the whole point of this command: collect always,
     # write files only where asked.
@@ -757,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(p)
     p.add_argument("--segment-length", type=int, default=256)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for segment-parallel stack "
-                   "generation (model is byte-identical for any value)")
+                   help="most threads for the compiled segment walk "
+                   "(model is byte-identical for any value)")
     p.add_argument("--include-base-similarity", action="store_true",
                    help="include the BASE dimension when comparing "
                    "stacks for merging (Fig 14 ablation regime)")

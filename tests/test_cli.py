@@ -109,6 +109,28 @@ class TestAnalyze:
         assert "9 design points" in out
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "gamess", "--jobs", "0"], "--jobs"),
+            (["analyze", "gamess", "--segment-length", "0"],
+             "--segment-length"),
+            (["profile", "gamess", "--segment-length", "0"],
+             "--segment-length"),
+        ],
+    )
+    def test_non_positive_values_rejected_before_simulating(
+        self, monkeypatch, argv, message
+    ):
+        def no_workload(args):
+            raise AssertionError("the workload was built before the check")
+
+        monkeypatch.setattr(cli, "_workload", no_workload)
+        with pytest.raises(SystemExit, match=f"{message} must be at least 1"):
+            main(argv)
+
+
 class TestExplore:
     def test_sweeps_and_prints_pareto(self, capsys):
         code, out = run(
