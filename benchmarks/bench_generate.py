@@ -1,4 +1,4 @@
-"""Extension — segment-parallel, compiled stack generation speed.
+"""Extension — threaded, compiled stack generation speed.
 
 The ROADMAP north star scales analysis toward the paper's
 1M-instruction SimPoints.  This bench measures cold analysis (timing
@@ -6,14 +6,14 @@ simulation + graph build + stack generation) on a long trace — a
 ``repro.workloads.make_long_trace`` stream of at least 200k µops — and
 compares the segment walk (one call into the compiled kernel per
 segment, or the Python spec walk where the kernel does not load)
-against the reference whole-graph dictionary walk
-(``RpStacksGenerator._generate_reference``, which reduces every
-converging node with the spec reducer ``reduce_stacks``).
+against the spec walk itself (``_walk_segment``, which reduces every
+converging node with the spec reducer ``reduce_stacks``), forced with
+``REPRO_NATIVE=0`` flipped in-process as the parity tests do.
 
 ``test_generate_smoke`` is the CI guard: reduced scale, asserts the
-models are byte-identical across the reference walk, ``jobs=1`` and
-``jobs=2``, and that the segment walk is at least 2x faster.  The
-full-size run backs the committed numbers in
+models are byte-identical across the spec walk, ``jobs=1`` and
+``jobs=2``, and that the segment walk is at least 2x faster than the
+spec walk.  The full-size run backs the committed numbers in
 ``results/generate_long_trace.txt`` and enforces the >=4x
 cold-analysis bar at ``jobs=8``.
 """
@@ -63,59 +63,62 @@ def _walk_label():
     return "compiled walk" if load_native() is not None else "spec walk"
 
 
-def test_generate_smoke():
-    """CI guard: byte-identity across all three walks, and the
-    segment walk must clearly beat the reference walk."""
+def _timed_spec_walk(graph, monkeypatch):
+    """The spec walk, timed with the compiled kernel gated off."""
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NATIVE", "0")
+        return timed(_generator(graph).generate)
+
+
+def test_generate_smoke(monkeypatch):
+    """CI guard: byte-identity across the spec walk, ``jobs=1`` and
+    ``jobs=2``, and the segment walk must clearly beat the spec walk."""
     workload = make_workload(WORKLOAD, 2000)
     graph, _ = _cold_setup(workload)
     serial, serial_seconds = timed(_generator(graph, jobs=1).generate)
     parallel, _ = timed(_generator(graph, jobs=2).generate)
-    reference, reference_seconds = timed(
-        _generator(graph)._generate_reference
-    )
+    spec, spec_seconds = _timed_spec_walk(graph, monkeypatch)
     assert serial.content_digest() == parallel.content_digest()
-    assert serial.content_digest() == reference.content_digest()
-    assert reference_seconds > 2 * serial_seconds, (
+    assert serial.content_digest() == spec.content_digest()
+    assert spec_seconds > 2 * serial_seconds, (
         f"{_walk_label()} ({serial_seconds:.2f}s) must be >=2x faster "
-        f"than the reference walk ({reference_seconds:.2f}s)"
+        f"than the spec walk ({spec_seconds:.2f}s)"
     )
 
 
-def test_long_trace_generation():
+def test_long_trace_generation(monkeypatch):
     workload = make_long_trace(WORKLOAD, min_uops=BENCH_UOPS)
     graph, setup_seconds = _cold_setup(workload)
 
     jobs8, jobs8_seconds = timed(_generator(graph, jobs=8).generate)
     jobs1, jobs1_seconds = timed(_generator(graph, jobs=1).generate)
-    reference, reference_seconds = timed(
-        _generator(graph)._generate_reference
-    )
+    spec, spec_seconds = _timed_spec_walk(graph, monkeypatch)
 
     digest = jobs1.content_digest()
     assert jobs8.content_digest() == digest
-    assert reference.content_digest() == digest
+    assert spec.content_digest() == digest
 
-    cold_reference = setup_seconds + reference_seconds
+    cold_spec = setup_seconds + spec_seconds
     cold_jobs8 = setup_seconds + jobs8_seconds
-    speedup = cold_reference / cold_jobs8
+    speedup = cold_spec / cold_jobs8
     full_scale = BENCH_UOPS >= LONG_TRACE_UOPS
     walk = _walk_label()
 
     lines = [
-        f"Segment-parallel stack generation ({WORKLOAD} long trace, "
+        f"Threaded stack generation ({WORKLOAD} long trace, "
         f"{len(workload):,} uops, {graph.num_segments(SEGMENT_LENGTH):,} "
-        f"segments of {SEGMENT_LENGTH} uops)",
+        f"segments of {SEGMENT_LENGTH} uops, {os.cpu_count()} CPUs)",
         "",
         f"{'stage':<42}{'wall-clock':>12}",
         f"{'-' * 42}{'-' * 12}",
         f"{'simulate + graph build (shared)':<42}"
         f"{setup_seconds:>11.2f}s",
-        f"{'reference walk (dict per node)':<42}"
-        f"{reference_seconds:>11.2f}s",
+        f"{'spec walk (REPRO_NATIVE=0, serial)':<42}"
+        f"{spec_seconds:>11.2f}s",
         f"{walk + ', jobs=1':<42}{jobs1_seconds:>11.2f}s",
         f"{walk + ', jobs=8':<42}{jobs8_seconds:>11.2f}s",
         "",
-        f"cold analysis, reference: {cold_reference:.2f}s",
+        f"cold analysis, spec walk: {cold_spec:.2f}s",
         f"cold analysis, jobs=8:    {cold_jobs8:.2f}s",
         f"cold-analysis speedup:    {speedup:.1f}x",
         "",
