@@ -31,7 +31,7 @@ full workload suite).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,7 +126,10 @@ def _walk_view(
     One call into the compiled kernel when it is loaded (*native*), the
     spec walk :func:`_walk_segment` otherwise.  The serial and the
     threaded walk both call this, so each segment records the same span
-    and ``stacks.segment_seconds`` observation either way.
+    and ``stacks.segment_seconds`` observation either way.  The kernel
+    also counts its reductions' work, recorded on the span and summed
+    into the ``stacks.cover_tests`` and ``stacks.similarity_evals``
+    counters; the spec walk counts none.
     """
     start = clock.perf_seconds()
     with obs.span(
@@ -134,11 +137,17 @@ def _walk_view(
     ) as span:
         if native is None:
             result = _walk_segment(view, theta, policy)
+            work: Dict[str, int] = {}
         else:
-            result = native.walk_segment(view, theta, policy)
+            stacks, candidates, reductions, work = native.walk_segment(
+                view, theta, policy
+            )
+            result = stacks, candidates, reductions
     if obs.enabled:
         stacks, _, reductions = result
-        span.set(paths=stacks.shape[0], reductions=reductions)
+        span.set(paths=stacks.shape[0], reductions=reductions, **work)
+        for name, count in work.items():
+            obs.counter(f"stacks.{name}").inc(count)
         obs.histogram("stacks.segment_seconds").observe(
             clock.perf_seconds() - start
         )

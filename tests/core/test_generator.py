@@ -206,6 +206,45 @@ class TestObservability:
         assert sorted(walked) == list(range(model.num_segments))
 
 
+    @pytest.mark.parametrize("gate", ["auto", "0"])
+    def test_segment_spans_count_the_reduction_work(
+        self, small_case, monkeypatch, gate
+    ):
+        """The compiled walk's cover tests and similarity evaluations
+        are the same at ``jobs=1`` and ``jobs=2``, and the counters sum
+        the spans; the spec walk records neither."""
+        result, graph = small_case
+        monkeypatch.setenv("REPRO_NATIVE", gate)
+        names = ("cover_tests", "similarity_evals")
+
+        def work(jobs):
+            obs = Observer(enabled=True, progress_stream=None)
+            with use_observer(obs):
+                generate_rpstacks(
+                    graph, result.config.latency, segment_length=32,
+                    jobs=jobs,
+                )
+            spans = sorted(
+                (s for s in obs.tracer.spans if s.name == "stacks.segment"),
+                key=lambda s: s.attrs["segment"],
+            )
+            counters = obs.metrics.snapshot()["counters"]
+            return (
+                [[s.attrs.get(name) for name in names] for s in spans],
+                [counters.get(f"stacks.{name}") for name in names],
+            )
+
+        serial = work(1)
+        assert work(2) == serial
+        per_span, totals = serial
+        if load_native() is None:
+            assert per_span == [[None, None]] * len(per_span)
+            assert totals == [None, None]
+            return
+        assert totals == [sum(column) for column in zip(*per_span)]
+        assert min(totals) > 0
+
+
 class TestThreadedWalk:
     def test_more_threads_than_cores_lose_nothing(self, small_case):
         """Eight threads over short segments, switching as often as the
