@@ -80,6 +80,12 @@ def test_sanitized_reducer_matches_spec(sanitized, population, seed, count):
     )
 
 
+def test_sanitized_reducer_carries_merge_bits(sanitized):
+    parity._assert_carried_bits_match_spec(
+        sanitized, np.random.default_rng(17), 300
+    )
+
+
 @pytest.mark.parametrize("name", WALK_GRAPHS)
 def test_sanitized_walk_matches_spec_walk(monkeypatch, sanitized, name):
     graph = build_graph(
