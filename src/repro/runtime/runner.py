@@ -37,6 +37,7 @@ the single-simulation methodology rests on.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import pathlib
 import time
 import traceback
@@ -82,6 +83,20 @@ _START_POLL_SECONDS = 0.05
 #: SIGKILL, and again before giving up on the join.
 _REAP_GRACE_SECONDS = 5.0
 
+#: A pool task's run state, which its worker writes into the call's
+#: shared flags (:func:`_timed_call`): queued, started, finished.
+_QUEUED, _STARTED, _FINISHED = 0, 1, 2
+
+#: The shared run-state flags of the pool a worker process serves (one
+#: byte per task, set by :func:`_init_worker`).
+_TASK_STATE = None
+
+
+def _init_worker(state) -> None:
+    """Pool initializer: keep the call's shared run-state flags."""
+    global _TASK_STATE
+    _TASK_STATE = state
+
 
 @dataclass
 class TaskOutcome:
@@ -113,7 +128,7 @@ class TaskOutcome:
 
 def _timed_call(
     fn: Callable, args: Tuple, capture: bool, label: str,
-    delay: float = 0.0,
+    delay: float = 0.0, slot: Optional[int] = None,
 ):
     """Worker body: run ``fn(*args)``, timed, optionally under a fresh
     capturing observer whose spans/metrics ship back with the result.
@@ -122,24 +137,33 @@ def _timed_call(
     serial path (without capture — there the parent observer is already
     ambient, so spans record directly into it).  *delay* is the retry
     backoff, slept in the worker before the timer starts so the parent
-    event loop never blocks on another task's backoff.
+    event loop never blocks on another task's backoff.  In a pool
+    worker, *slot* is the task's index into the shared run-state flags,
+    marked started once the backoff is over and finished on the way out,
+    so the parent knows which tasks a dead worker took with it.
     """
     if delay > 0:
         time.sleep(delay)
-    start = clock.perf_seconds()
-    if not capture:
-        value = fn(*args)
-        return value, clock.perf_seconds() - start, None, None
-    worker_obs = Observer(enabled=True, progress_stream=None)
-    with use_observer(worker_obs):
-        with worker_obs.span(f"task.{label}"):
+    if slot is not None:
+        _TASK_STATE[slot] = _STARTED
+    try:
+        start = clock.perf_seconds()
+        if not capture:
             value = fn(*args)
-    return (
-        value,
-        clock.perf_seconds() - start,
-        worker_obs.tracer.export_events(),
-        worker_obs.metrics.export(),
-    )
+            return value, clock.perf_seconds() - start, None, None
+        worker_obs = Observer(enabled=True, progress_stream=None)
+        with use_observer(worker_obs):
+            with worker_obs.span(f"task.{label}"):
+                value = fn(*args)
+        return (
+            value,
+            clock.perf_seconds() - start,
+            worker_obs.tracer.export_events(),
+            worker_obs.metrics.export(),
+        )
+    finally:
+        if slot is not None:
+            _TASK_STATE[slot] = _FINISHED
 
 
 def _serial_map(
@@ -239,8 +263,9 @@ def parallel_map(
       retryable exception is requeued after its deterministic backoff
       (slept worker-side), up to ``max_attempts`` tries; a
       ``BrokenProcessPool`` (worker SIGKILLed, segfaulted, OOM-killed)
-      respawns the pool, charges an attempt to the tasks that were
-      running, and requeues queued tasks for free;
+      respawns the pool, charges an attempt to the tasks that had
+      started and not finished (each worker flags its task in shared
+      memory), and requeues the others for free;
     * **per-task deadlines** — *timeout* bounds each task's wall clock
       measured from when it is first observed running (queue time is
       free); an overrun records a failed outcome with the real elapsed
@@ -280,15 +305,31 @@ def parallel_map(
     capture = obs.enabled
     outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
     attempts: List[int] = [1] * len(tasks)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    # One run-state byte per task, written by the workers: a future
+    # reads as running as soon as it enters the pool's call queue, so
+    # only the worker can say when a task really started.
+    state = multiprocessing.RawArray("b", max(len(tasks), 1))
+
+    def new_pool() -> concurrent.futures.ProcessPoolExecutor:
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(state,)
+        )
+
+    pool = new_pool()
     pending: Dict[concurrent.futures.Future, int] = {}
     started_at: Dict[concurrent.futures.Future, float] = {}
 
     def submit(index: int, delay: float = 0.0) -> None:
+        # Every earlier attempt's worker has finished or been reaped, so
+        # nothing else writes this slot.
+        state[index] = _QUEUED
         future = pool.submit(
-            _timed_call, fn, tasks[index], capture, str(index), delay
+            _timed_call, fn, tasks[index], capture, str(index), delay, index
         )
         pending[future] = index
+
+    def unfinished(index: int) -> bool:
+        return state[index] == _STARTED
 
     def finalise(index: int, outcome: TaskOutcome) -> None:
         outcomes[index] = outcome
@@ -298,7 +339,7 @@ def parallel_map(
     def respawn() -> None:
         nonlocal pool
         _terminate_pool(pool)
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+        pool = new_pool()
         obs.counter("runner.pool_respawns").inc()
 
     try:
@@ -306,27 +347,26 @@ def parallel_map(
             submit(index)
 
         while pending:
-            now = clock.perf_seconds()
-            for future, index in pending.items():
-                if future not in started_at and future.running():
-                    started_at[future] = now
             wait_timeout = None
             if timeout is not None:
+                now = clock.perf_seconds()
+                for future in pending:
+                    if future not in started_at and future.running():
+                        started_at[future] = now
                 deadlines = [
                     started_at[f] + timeout
                     for f in pending if f in started_at
                 ]
                 if deadlines:
                     wait_timeout = max(0.0, min(deadlines) - now)
-            if any(f not in started_at for f in pending):
-                # Keep polling until every pending task has a run-start
-                # stamp: deadlines measure from it, and pool-break
-                # attribution (below) relies on knowing who was running.
-                wait_timeout = (
-                    _START_POLL_SECONDS
-                    if wait_timeout is None
-                    else min(wait_timeout, _START_POLL_SECONDS)
-                )
+                if any(f not in started_at for f in pending):
+                    # Keep polling until every pending task has a
+                    # run-start stamp: deadlines measure from it.
+                    wait_timeout = (
+                        _START_POLL_SECONDS
+                        if wait_timeout is None
+                        else min(wait_timeout, _START_POLL_SECONDS)
+                    )
             done, _not_done = concurrent.futures.wait(
                 set(pending),
                 timeout=wait_timeout,
@@ -338,12 +378,12 @@ def parallel_map(
             pool_broken = False
             for future in done:
                 index = pending.pop(future)
-                was_running = started_at.pop(future, None) is not None
+                started_at.pop(future, None)
                 try:
                     value, elapsed, events, metrics = future.result()
                 except BrokenProcessPool:
                     pool_broken = True
-                    broken.append((index, was_running))
+                    broken.append((index, unfinished(index)))
                     continue
                 except Exception as error:
                     if retry is not None and retry.should_retry(
@@ -377,19 +417,18 @@ def parallel_map(
 
             if pool_broken:
                 # The whole pool is dead: every still-pending future is
-                # doomed too.  Tasks that were actually running when it
-                # broke are charged an attempt (one of them is the
-                # killer, and attribution is impossible); queued tasks
+                # doomed too.  Tasks that had started and not finished
+                # when it broke are charged an attempt (one of them is
+                # the killer, and which one cannot be told); the others
                 # requeue free.
                 for future in list(pending):
                     index = pending.pop(future)
-                    broken.append(
-                        (index, started_at.pop(future, None) is not None)
-                    )
+                    started_at.pop(future, None)
+                    broken.append((index, unfinished(index)))
                 if not any(w for _idx, w in broken):
-                    # The killer died faster than the run-start poll
-                    # could observe it.  Attribution is impossible, so
-                    # charge an attempt to every victim — this keeps a
+                    # No task had started: a worker died outside any
+                    # task.  Attribution is impossible, so charge an
+                    # attempt to every victim — this keeps a
                     # deterministically-crashing task from being
                     # requeued for free forever.
                     broken = [(index, True) for index, _w in broken]
