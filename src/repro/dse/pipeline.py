@@ -130,8 +130,9 @@ def analyze(
         warm_caches: warm caches/TLBs to steady state before measuring.
         cache: an :class:`~repro.runtime.cache.ArtifactCache` (or a
             cache directory path) for content-addressed reuse: when the
-            exact same analysis has run before, its archived trace,
-            graph and model are reloaded instead of re-simulated.
+            exact same analysis has run before, its archived trace and
+            model are reloaded instead of re-simulated, and the graph
+            is rebuilt from the trace (cheaper than archiving it).
         obs: an :class:`~repro.obs.Observer`; installed as the ambient
             observer for the duration of the call so every stage below
             (simulation, graph build, stack generation, cache probes)

@@ -6,9 +6,12 @@ hardware allows"):
 
 * :mod:`repro.runtime.fingerprint` — content-addressed keys over every
   input that determines an analysis result;
-* :mod:`repro.runtime.cache` — a checksummed on-disk store of traces,
-  dependence graphs and RpStacks models keyed by those fingerprints;
-* :mod:`repro.runtime.graphio` — lossless dependence-graph archives;
+* :mod:`repro.runtime.cache` — a checksummed on-disk store of traces
+  and RpStacks models keyed by those fingerprints (a hit rebuilds the
+  dependence graph from the trace);
+* :mod:`repro.runtime.graphio` — lossless dependence-graph archives, a
+  public format the cache no longer uses (rebuilding a graph is cheaper
+  than archiving it);
 * :mod:`repro.runtime.runner` — process-pool fan-out of ``analyze()``
   over the workload suite with error isolation, retries and per-task
   deadlines;

@@ -5,7 +5,8 @@ workload stream, the microarchitecture configuration, the dependence
 graph builder options, the RpStacks reduction policy (plus segmentation)
 and the code version of the pipeline itself.  Hashing a canonical
 encoding of exactly those inputs yields a key under which the run's
-artifacts (trace, graph, model) can be stored and later reused — the
+artifacts (trace and model; the graph is rebuilt from the trace) can
+be stored and later reused — the
 same cache-the-expensive-front-end pattern LightningSimV2 applies to
 RTL simulation.
 

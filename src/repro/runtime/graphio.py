@@ -1,12 +1,13 @@
 """Dependence-graph serialisation (``.npz``).
 
-The dependence graph is the second expensive artifact of an analysis run
-(after the timing trace): rebuildable from a trace, but large enough that
-re-deriving it on every cache hit wastes most of the saved time on big
-runs.  The format stores the graph's packed edge arrays — endpoints plus
-``(num_edges, MAX_EDGE_EVENTS)`` event/unit matrices and per-edge charge
-lengths — exactly as :meth:`DependenceGraph.from_packed` adopts them, so
-a round trip is lossless and loading needs no per-edge Python loop.
+A public archive format for a dependence graph on its own.  The
+artifact cache does not use it: a graph is a pure function of its trace,
+and the columnar builder rebuilds it faster than this archive is read
+back (see :mod:`repro.runtime.cache`).  The format stores the graph's
+packed edge arrays — endpoints plus ``(num_edges, MAX_EDGE_EVENTS)``
+event/unit matrices and per-edge charge lengths — exactly as
+:meth:`DependenceGraph.from_packed` adopts them, so a round trip is
+lossless and loading needs no per-edge Python loop.
 """
 
 from __future__ import annotations

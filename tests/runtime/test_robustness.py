@@ -60,7 +60,7 @@ def _fresh_entry(tmp_path, workload):
     return cache, session, entry
 
 
-@pytest.mark.parametrize("artifact", ["trace.npz", "graph.npz", "model.npz"])
+@pytest.mark.parametrize("artifact", ["trace.npz", "model.npz"])
 def test_corrupted_artifact_is_recomputed(tmp_path, artifact):
     workload = make_workload("gamess", MACROS)
     cache, cold, entry = _fresh_entry(tmp_path, workload)
@@ -103,7 +103,7 @@ def test_mangled_meta_is_recomputed(tmp_path):
 def test_missing_artifact_is_recomputed(tmp_path):
     workload = make_workload("gamess", MACROS)
     cache, cold, entry = _fresh_entry(tmp_path, workload)
-    os.remove(entry / "graph.npz")
+    os.remove(entry / "trace.npz")
 
     recomputed = analyze(workload, cache=cache)
     assert cache.corruptions == 1
@@ -179,9 +179,40 @@ def test_checksums_recorded_in_meta(tmp_path):
     workload = make_workload("gamess", MACROS)
     _cache, _session, entry = _fresh_entry(tmp_path, workload)
     meta = json.loads((entry / "meta.json").read_text())
-    assert set(meta["checksums"]) == {"trace.npz", "graph.npz", "model.npz"}
+    assert set(meta["checksums"]) == {"trace.npz", "model.npz"}
     assert meta["workload"] == "gamess"
     assert all(len(digest) == 64 for digest in meta["checksums"].values())
+
+
+def test_entry_holds_only_the_trace_and_the_model(tmp_path):
+    # The graph is rebuilt from the trace on a hit, never stored.
+    workload = make_workload("gamess", MACROS)
+    _cache, _session, entry = _fresh_entry(tmp_path, workload)
+    assert sorted(p.name for p in entry.iterdir()) == [
+        "meta.json", "model.npz", "trace.npz",
+    ]
+    assert entry.parent.parent.name == "v2"
+
+
+def test_entry_of_the_previous_layout_is_a_plain_miss(tmp_path):
+    workload = make_workload("gamess", MACROS)
+    cache, cold, entry = _fresh_entry(tmp_path, workload)
+    # Move the entry to where the previous layout kept it, beside the
+    # graph archive that layout also stored.
+    legacy = cache.root / "v1" / entry.parent.name / entry.name
+    legacy.parent.mkdir(parents=True)
+    os.replace(entry, legacy)
+    (legacy / "graph.npz").write_bytes(b"an archived graph")
+
+    fresh = ArtifactCache(cache.root)
+    recomputed = analyze(workload, cache=fresh)
+    assert fresh.misses == 1
+    assert fresh.corruptions == 0
+    assert fresh.hits == 0
+    assert recomputed.baseline_result.cycles == cold.baseline_result.cycles
+    # The old entry is left alone, and only the new layout is counted.
+    assert (legacy / "graph.npz").is_file()
+    assert fresh.stats().entries == 1
 
 
 def test_unknown_suite_name_fails_fast():
