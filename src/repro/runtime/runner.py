@@ -17,10 +17,13 @@ runner distributes the per-workload pipeline over a
   worker-process death (``BrokenProcessPool`` — SIGKILL, segfault, OOM
   kill) respawns the pool and requeues the unfinished tasks instead of
   failing the batch;
-* **per-task deadlines** — a wall-clock budget per task measured from
-  the moment it actually starts running; an overrunning task is
-  reported failed with its *real* elapsed time and its straggler worker
-  is reaped (terminated and joined), never orphaned;
+* **per-task deadlines** — a wall-clock budget per task, stamped at
+  the first 50 ms poll that sees its future running.  A future reports
+  running once the task enters the pool's call queue, before a worker
+  picks it up, so the budget can include queue and worker start-up
+  time; an overrunning task is reported failed with its *real* elapsed
+  time and its straggler worker is reaped (terminated and joined),
+  never orphaned;
 * **cache integration** — workers share one on-disk
   :class:`~repro.runtime.cache.ArtifactCache`, whose atomic-rename
   writes make concurrent population safe;
@@ -267,10 +270,12 @@ def parallel_map(
       started and not finished (each worker flags its task in shared
       memory), and requeues the others for free;
     * **per-task deadlines** — *timeout* bounds each task's wall clock
-      measured from when it is first observed running (queue time is
-      free); an overrun records a failed outcome with the real elapsed
-      time, and the straggling worker is terminated and joined so no
-      orphan survives the call;
+      from the first 50 ms poll that sees ``future.running()``, which
+      turns true when the task enters the pool's call queue, so queue
+      and worker start-up time can count against it; an overrun
+      records a failed outcome with the real elapsed time, and the
+      straggling worker is terminated and joined so no orphan survives
+      the call;
     * **per-task timing** — every outcome reports its own elapsed
       seconds and attempt count, and with an enabled observer each
       worker's spans and metrics are captured and merged back into the
@@ -690,8 +695,10 @@ def run_suite(
             one-worker pool when *timeout* is set).
         cache: an :class:`ArtifactCache`, a cache directory path, or
             ``None`` to disable artifact reuse.
-        timeout: per-workload wall-clock budget in seconds, measured
-            from when the task starts running; an overrunning task is
+        timeout: per-workload wall-clock budget in seconds, stamped
+            at the first 50 ms poll that sees the task in the pool's
+            call queue (see :func:`parallel_map`), so queue and worker
+            start-up time can count against it; an overrunning task is
             reported failed with its real elapsed time and its worker
             is reaped.
         workload_factory: replaces :func:`make_workload` — must be a
