@@ -183,6 +183,10 @@ def _sweep_chunks(
                     for i in indices
                 ]
             )
+        # Free this chunk's pricing vectors before the next chunk builds
+        # its own: held across the loop, two (NUM_EVENTS, chunk_size)
+        # matrices would be live at once.
+        del thetas
         indices, cpis, costs = _prune(indices, cpis, costs)
         peak = max(peak, int(held_idx.size + indices.size))
         held_idx = np.concatenate((held_idx, indices))
