@@ -66,7 +66,7 @@ keep the model consistent with our simulator's cycle semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,12 +75,11 @@ from repro.common.events import EventType
 from repro.graphmodel.graph import (
     MAX_EDGE_EVENTS,
     DependenceGraph,
-    EventCharge,
     GraphBuildError,
 )
 from repro.graphmodel.nodes import NODES_PER_UOP, Stage, node_id
 from repro.isa.uop import OpClass, Workload
-from repro.simulator.trace import SimResult, UopTrace
+from repro.simulator.trace import EventCharge, SimResult, UopTrace
 
 _ZERO: EventCharge = ()
 _ONE_CYCLE: EventCharge = ((EventType.BASE, 1),)
@@ -280,7 +279,44 @@ class DependenceGraphBuilder:
                     self._edge(node_id(member, Stage.P), rc, _ONE_CYCLE)
             self._edge(rc, c)
 
-        return DependenceGraph(n, self._src, self._dst, self._charges)
+        return pack_edges(n, self._src, self._dst, self._charges)
+
+
+def pack_edges(
+    num_uops: int,
+    src: Sequence[int],
+    dst: Sequence[int],
+    charges: Sequence[EventCharge],
+) -> DependenceGraph:
+    """The graph of edges ``src[i] -> dst[i]``, each charged
+    ``charges[i]`` (at most ``MAX_EDGE_EVENTS`` ``(event, units)``
+    pairs).
+
+    A stable sort by destination orders the edges; a destination's
+    in-edges keep their order in the lists.
+    """
+    if not len(src) == len(dst) == len(charges):
+        raise GraphBuildError("edge arrays must have equal length")
+    order = np.argsort(np.asarray(dst, dtype=np.int64), kind="stable")
+    events = np.zeros((len(order), MAX_EDGE_EVENTS), dtype=np.int16)
+    units = np.zeros((len(order), MAX_EDGE_EVENTS), dtype=np.int32)
+    for row, i in enumerate(order.tolist()):
+        charge = charges[i]
+        if len(charge) > MAX_EDGE_EVENTS:
+            raise GraphBuildError(
+                f"edge {i} carries {len(charge)} event pairs "
+                f"(max {MAX_EDGE_EVENTS})"
+            )
+        for slot, (event, count) in enumerate(charge):
+            events[row, slot] = event
+            units[row, slot] = count
+    return DependenceGraph(
+        num_uops,
+        np.asarray(src, dtype=np.int64)[order],
+        np.asarray(dst, dtype=np.int64)[order],
+        events,
+        units,
+    )
 
 
 def _split_fetch_charge(
@@ -309,8 +345,8 @@ def _split_fetch_charge(
 # *family* emitted for all µops at once, in that textual order; a
 # stable sort by dst of the families concatenated in emission order —
 # with within-family generation order matching the reference's loop
-# order — therefore reproduces the reference's stable sort-by-dst
-# exactly, which is the invariant `DependenceGraph.from_packed` adopts.
+# order — therefore reproduces the stable sort by dst in `pack_edges`
+# exactly, which is the edge order `DependenceGraph` requires.
 
 
 class _EdgeAccumulator:
@@ -322,9 +358,10 @@ class _EdgeAccumulator:
     def emit(self, src, dst, charge=None) -> None:
         """Add one family.
 
-        *charge* is ``None`` (zero charge), ``(event, units)`` applied
-        to every edge, or per-edge ``(events, units, lengths)`` arrays
-        of shapes ``(m, MAX_EDGE_EVENTS)`` / ``(m,)``.
+        *charge* is ``None`` (zero charge), one ``(event, units)`` pair
+        per edge (scalars, or per-edge columns of shape ``(m,)``), or
+        per-edge ``(events, units)`` rows of shape
+        ``(m, MAX_EDGE_EVENTS)``.
         """
         if len(src) == 0:
             return
@@ -348,91 +385,59 @@ class _EdgeAccumulator:
         edge_src = np.empty(total, np.int64)
         events = np.zeros((total, MAX_EDGE_EVENTS), np.int16)
         units = np.zeros((total, MAX_EDGE_EVENTS), np.int32)
-        lengths = np.zeros(total, np.int8)
         offset = 0
         for src, _dst, charge in self._families:
             where = slot[offset : offset + len(src)]
             edge_src[where] = src
             if charge is not None:
-                if len(charge) == 2:
-                    event, count = charge
-                    events[where, 0] = int(event)
-                    units[where, 0] = count
-                    lengths[where] = 1
+                event, count = charge
+                if np.ndim(event) == 2:
+                    events[where] = event
+                    units[where] = count
                 else:
-                    ev, un, ln = charge
-                    events[where] = ev
-                    units[where] = un
-                    lengths[where] = ln
+                    events[where, 0] = event
+                    units[where, 0] = count
             offset += len(src)
-        return DependenceGraph.from_packed(
-            num_uops, edge_src, edge_dst, events, units, lengths
-        )
+        return DependenceGraph(num_uops, edge_src, edge_dst, events, units)
 
 
-def _padded_charges(indptr, csr_events, csr_units):
-    """CSR charge rows -> zero-padded ``(m, W)`` matrices + lengths."""
-    lengths = np.diff(indptr)
-    width = max(int(lengths.max(initial=0)), 1)
-    m = len(lengths)
-    events = np.zeros((m, width), np.int16)
-    units = np.zeros((m, width), np.int32)
-    valid = np.arange(width) < lengths[:, None]
-    events[valid] = csr_events
-    units[valid] = csr_units
-    return events, units, lengths, valid
-
-
-def _fit_charges(events, units, lengths):
-    """Clamp padded charge matrices to the MAX_EDGE_EVENTS edge width."""
-    if int(lengths.max(initial=0)) > MAX_EDGE_EVENTS:
-        worst = int(np.argmax(lengths))
+def _charge_rows(counts, pair_events, pair_units):
+    """Per-µop charge pairs, grouped by µop, -> zero-padded
+    ``(n, MAX_EDGE_EVENTS)`` event and unit rows; µop ``i`` has
+    ``counts[i]`` pairs."""
+    if int(counts.max(initial=0)) > MAX_EDGE_EVENTS:
+        worst = int(np.argmax(counts))
         raise GraphBuildError(
-            f"edge for µop {worst} carries {int(lengths[worst])} event "
+            f"edge for µop {worst} carries {int(counts[worst])} event "
             f"pairs (max {MAX_EDGE_EVENTS})"
         )
-    m, width = events.shape
-    if width == MAX_EDGE_EVENTS:
-        return events, units, lengths.astype(np.int8)
-    if width > MAX_EDGE_EVENTS:
-        # Beyond-length slots are zero, so the clip is lossless.
-        return (
-            np.ascontiguousarray(events[:, :MAX_EDGE_EVENTS]),
-            np.ascontiguousarray(units[:, :MAX_EDGE_EVENTS]),
-            lengths.astype(np.int8),
-        )
-    out_events = np.zeros((m, MAX_EDGE_EVENTS), np.int16)
-    out_units = np.zeros((m, MAX_EDGE_EVENTS), np.int32)
-    out_events[:, :width] = events
-    out_units[:, :width] = units
-    return out_events, out_units, lengths.astype(np.int8)
+    valid = np.arange(MAX_EDGE_EVENTS) < counts[:, None]
+    events = np.zeros(valid.shape, np.int16)
+    units = np.zeros(valid.shape, np.int32)
+    events[valid] = pair_events
+    units[valid] = pair_units
+    return events, units
 
 
 def _split_fetch_columns(indptr, csr_events, csr_units):
     """Columnar twin of :func:`_split_fetch_charge`.
 
-    Returns per-edge ``(events, units, lengths)`` triples for the
-    F->ITLB and ITLB->IC families, partitioning each µop's fetch-charge
-    row by event identity with row order preserved on both sides.
+    Returns the F->ITLB and ITLB->IC families' ``(events, units)``
+    rows: each µop's fetch-charge pairs partitioned by event identity,
+    with their order kept on both sides.
     """
-    events, units, _lengths, valid = _padded_charges(
-        indptr, csr_events, csr_units
-    )
-    width = events.shape[1]
-    is_itlb = (events == int(EventType.ITLB)) & valid
+    n = len(indptr) - 1
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    is_itlb = csr_events == int(EventType.ITLB)
 
-    def compact(mask):
-        # Stable per-row partition: selected slots first, order kept.
-        perm = np.argsort(np.where(mask, 0, 1), axis=1, kind="stable")
-        ev = np.take_along_axis(events, perm, axis=1)
-        un = np.take_along_axis(units, perm, axis=1)
-        ln = mask.sum(axis=1)
-        keep = np.arange(width) < ln[:, None]
-        return _fit_charges(
-            np.where(keep, ev, 0), np.where(keep, un, 0), ln
+    def side(mask):
+        return _charge_rows(
+            np.bincount(owner[mask], minlength=n),
+            csr_events[mask],
+            csr_units[mask],
         )
 
-    return compact(is_itlb), compact(~is_itlb & valid)
+    return side(is_itlb), side(~is_itlb)
 
 
 def _macro_last_from_ids(macro_id: np.ndarray) -> np.ndarray:
@@ -457,32 +462,16 @@ def _expand_producers(indptr, values, row_gate):
     return values[keep], rows[keep]
 
 
-def build_graph_columns(
-    result: SimResult, options: Optional[BuilderOptions] = None
+def _graph_from_columns(
+    result: SimResult, options: BuilderOptions
 ) -> DependenceGraph:
-    """Build the Table I graph straight from columnar trace arrays.
-
-    Byte-identical output to :class:`DependenceGraphBuilder` (same edge
-    order, charges and CSR layout), with no per-µop Python loop — the
-    production path since the columnar trace rework.
-    """
-    from repro.obs.observer import get_observer
-
-    options = options or BuilderOptions()
+    """The Table I graph straight from columnar trace arrays: the
+    reference builder's graph, with no per-µop Python loop."""
     core = result.config.core
-    with get_observer().span(
-        "graph.build_columns", uops=len(result.workload)
-    ):
-        return _build_graph_columns(result, options, core)
-
-
-def _build_graph_columns(
-    result: SimResult, options: BuilderOptions, core
-) -> DependenceGraph:
     tc = result.columns
     n = tc.n
     if n == 0:
-        return DependenceGraph(0, [], [], [])
+        return pack_edges(0, [], [], [])
 
     wc = result.workload.columns
     idx = np.arange(n, dtype=np.int64)
@@ -578,22 +567,14 @@ def _build_graph_columns(
             producers * NODES_PER_UOP + int(Stage.P),
             rows * NODES_PER_UOP + int(Stage.AR1),
         )
-        m = len(mem_idx)
-        agu_events = np.zeros((m, MAX_EDGE_EVENTS), np.int16)
-        agu_units = np.zeros((m, MAX_EDGE_EVENTS), np.int32)
-        agu_events[:, 0] = np.where(
+        agu_event = np.where(
             is_load[is_mem], int(EventType.LD), int(EventType.ST)
         )
-        agu_units[:, 0] = 1
+        acc.emit(ar1_n, ar2_n, (agu_event, 1))
+        dtlb_miss = tc.dtlb_miss[is_mem].astype(np.int32)
         acc.emit(
-            ar1_n, ar2_n, (agu_events, agu_units, np.ones(m, np.int8))
+            ar2_n, dtlb_n, (dtlb_miss * int(EventType.DTLB), dtlb_miss)
         )
-        dtlb_len = tc.dtlb_miss[is_mem].astype(np.int8)
-        dtlb_events = np.zeros((m, MAX_EDGE_EVENTS), np.int16)
-        dtlb_units = np.zeros((m, MAX_EDGE_EVENTS), np.int32)
-        dtlb_events[:, 0] = dtlb_len * int(EventType.DTLB)
-        dtlb_units[:, 0] = dtlb_len
-        acc.emit(ar2_n, dtlb_n, (dtlb_events, dtlb_units, dtlb_len))
         acc.emit(dtlb_n, r_n[is_mem])
     acc.emit(d_n, r_n, one)
     if options.phys_reg_edges:
@@ -632,9 +613,7 @@ def _build_graph_columns(
     acc.emit(
         e_n,
         p_n,
-        _fit_charges(
-            *_padded_charges(tc.exec_indptr, tc.exec_events, tc.exec_units)[:3]
-        ),
+        _charge_rows(np.diff(tc.exec_indptr), tc.exec_events, tc.exec_units),
     )
     acc.emit(
         line_sharer[share] * NODES_PER_UOP + int(Stage.P), p_n[share]
@@ -674,11 +653,12 @@ def _build_graph_columns(
 def build_graph(
     result: SimResult, options: Optional[BuilderOptions] = None
 ) -> DependenceGraph:
-    """Convenience: build the dependence graph of one simulation result.
+    """Build the dependence graph of one simulation result.
 
-    Uses the columnar builder (identical output to the reference
-    :class:`DependenceGraphBuilder`, pinned by the builder-equality
-    suite) so native results never materialise per-µop records here.
+    Builds straight from the trace's columns: byte-identical output to
+    the reference :class:`DependenceGraphBuilder` (same edge order,
+    charges and CSR layout, pinned by the builder-equality suite), so
+    native results never materialise per-µop records here.
     """
     from repro.obs.observer import get_observer
 
@@ -688,7 +668,7 @@ def build_graph(
         workload=result.workload.name,
         uops=len(result.workload),
     ) as span:
-        graph = build_graph_columns(result, options=options)
+        graph = _graph_from_columns(result, options or BuilderOptions())
     if obs.enabled:
         span.set(nodes=graph.num_nodes, edges=graph.num_edges)
         obs.gauge("graph.nodes").set(graph.num_nodes)

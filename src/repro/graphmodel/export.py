@@ -18,12 +18,12 @@ from repro.graphmodel.graph import DependenceGraph
 from repro.graphmodel.nodes import Stage, node_seq, node_stage
 
 
-def _charge_label(charge) -> str:
-    if not charge:
-        return ""
+def _charge_label(events, units) -> str:
+    """``L1D+LD``-style label of one edge's packed charge row."""
     return "+".join(
-        (f"{units}x" if units != 1 else "") + event_label(event)
-        for event, units in charge
+        (f"{count}x" if count != 1 else "") + event_label(event)
+        for event, count in zip(events, units)
+        if count
     )
 
 
@@ -98,7 +98,9 @@ def to_dot(
             and first <= node_seq(d) < last
         ):
             continue
-        label = _charge_label(graph.edge_charges[e])
+        label = _charge_label(
+            graph.events[e].tolist(), graph.units[e].tolist()
+        )
         attributes = []
         if label:
             attributes.append(f'label="{label} ({weights[e]:g})"')

@@ -1,11 +1,12 @@
 """Dependence-graph container, longest-path evaluation, re-pricing.
 
 A :class:`DependenceGraph` is a DAG over pipeline-stage nodes whose edges
-carry sparse *event charges*: up to three ``(event, units)`` pairs.  An
-edge's weight under a latency configuration θ is ``Σ units · θ[event]``,
-so the whole graph re-prices for a new design point without rebuilding —
-the property both the Fields-style re-evaluation baseline and the
-RpStacks generator exploit.
+carry sparse *event charges*: one zero-padded row of up to three
+``(event, units)`` pairs per edge, held in the packed ``events`` /
+``units`` arrays.  An edge's weight under a latency configuration θ is
+``Σ units · θ[event]``, so the whole graph re-prices for a new design
+point without rebuilding — the property both the Fields-style
+re-evaluation baseline and the RpStacks generator exploit.
 
 The longest path from the virtual start (all-zero sources) to the final
 commit node is the graph model's predicted execution time; backtracking
@@ -22,23 +23,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.config import LatencyConfig
-from repro.common.events import NUM_EVENTS, EventType
+from repro.common.events import NUM_EVENTS
 from repro.graphmodel.nodes import NODES_PER_UOP, Stage, node_id
-
-#: Sparse event charge type alias: ((event, units), ...), at most 3 pairs.
-EventCharge = Tuple[Tuple[EventType, int], ...]
 
 #: Maximum (event, units) pairs an edge can carry.
 MAX_EDGE_EVENTS = 3
-
-#: Index-to-member lookup; ~5x faster than calling ``EventType(i)`` in
-#: per-edge loops.
-_EVENT_MEMBERS: Tuple[EventType, ...] = tuple(EventType)
 
 
 class GraphBuildError(ValueError):
@@ -64,6 +58,37 @@ def _charge_matrix(events: np.ndarray, units: np.ndarray) -> np.ndarray:
         minlength=count * NUM_EVENTS,
     )
     return flat.reshape(count, NUM_EVENTS)
+
+
+def _kahn_order(
+    num_nodes: int, edge_src: np.ndarray, edge_dst: np.ndarray
+) -> List[int]:
+    """Topological order of ``num_nodes`` nodes joined by the edges
+    ``edge_src[e] -> edge_dst[e]``; raises :class:`GraphBuildError` on a
+    cycle.
+
+    Kahn's algorithm over plain lists: the graphs' waves are shallow, so
+    per-wave vectorisation pays more in ufunc dispatch than it saves.
+    """
+    indegree = np.bincount(edge_dst, minlength=num_nodes).tolist()
+    out_dst = edge_dst[np.argsort(edge_src, kind="stable")].tolist()
+    out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_src, minlength=num_nodes), out=out_indptr[1:])
+    out_indptr = out_indptr.tolist()
+
+    queue = deque(v for v in range(num_nodes) if indegree[v] == 0)
+    topo: List[int] = []
+    while queue:
+        v = queue.popleft()
+        topo.append(v)
+        for e in range(out_indptr[v], out_indptr[v + 1]):
+            w = out_dst[e]
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                queue.append(w)
+    if len(topo) != num_nodes:
+        raise GraphBuildError("dependence graph contains a cycle")
+    return topo
 
 
 @dataclass
@@ -110,136 +135,73 @@ class SegmentView:
     def topological_order(self) -> np.ndarray:
         """Topological order of the segment's nodes (computed once).
 
-        Plain-list Kahn: segment graphs are small (a few thousand nodes)
-        and shallow waves make per-wave vectorisation pay more in ufunc
-        dispatch than it saves, so scalar Python wins here.  Any
-        topological order yields bit-identical traversal results (a
+        Any topological order yields bit-identical traversal results (a
         node's stacks depend only on its predecessors' stacks and its
         in-edge CSR order), so this order needs no relation to the
         parent graph's global order.
         """
-        if self._topo is not None:
-            return self._topo
-        n = self.num_nodes
-        indegree = np.diff(self.in_indptr).tolist()
-        out_order = np.argsort(self.edge_src, kind="stable")
-        out_dst = np.repeat(
-            np.arange(n, dtype=np.int64), indegree
-        )[out_order].tolist()
-        out_counts = np.bincount(self.edge_src, minlength=n)
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=out_indptr[1:])
-        out_indptr = out_indptr.tolist()
-
-        queue = deque(v for v in range(n) if indegree[v] == 0)
-        topo: List[int] = []
-        while queue:
-            v = queue.popleft()
-            topo.append(v)
-            for e in range(out_indptr[v], out_indptr[v + 1]):
-                w = out_dst[e]
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    queue.append(w)
-        if len(topo) != n:
-            raise GraphBuildError("dependence graph contains a cycle")
-        self._topo = np.asarray(topo, dtype=np.int64)
+        if self._topo is None:
+            n = self.num_nodes
+            edge_dst = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(self.in_indptr)
+            )
+            self._topo = np.asarray(
+                _kahn_order(n, self.edge_src, edge_dst), dtype=np.int64
+            )
         return self._topo
 
 
 class DependenceGraph:
     """Immutable dependence graph over ``13 * num_uops`` nodes.
 
-    Build via :class:`~repro.graphmodel.builder.DependenceGraphBuilder`;
-    construct directly only in tests.  Both constructors reject a
-    negative unit count with :class:`GraphBuildError`: stall-event
-    stacks are non-negative, which the compiled segment walk relies on.
+    Build via :func:`~repro.graphmodel.builder.build_graph`; tests build
+    small graphs by hand with :func:`~repro.graphmodel.builder.pack_edges`.
+    The one constructor adopts packed edge arrays and checks their
+    layout, raising :class:`GraphBuildError` on a violation:
+
+    * ``edge_src`` / ``edge_dst`` are equal-length and sorted by
+      destination, which makes ``in_indptr`` a CSR over in-edges;
+    * ``events`` / ``units`` are ``(num_edges, MAX_EDGE_EVENTS)`` rows
+      of ``(event, units)`` pairs, zero-padded: a slot with zero units
+      holds event 0;
+    * no unit count is negative: stall-event stacks are non-negative,
+      which the compiled segment walk relies on.
     """
 
     def __init__(
         self,
         num_uops: int,
-        edge_src: Sequence[int],
-        edge_dst: Sequence[int],
-        edge_charges: Sequence[EventCharge],
-    ) -> None:
-        if not (len(edge_src) == len(edge_dst) == len(edge_charges)):
-            raise GraphBuildError("edge arrays must have equal length")
-        self.num_uops = num_uops
-        self.num_nodes = num_uops * NODES_PER_UOP
-        self.num_edges = len(edge_src)
-
-        order = np.argsort(np.asarray(edge_dst, dtype=np.int64), kind="stable")
-        self.edge_src = np.asarray(edge_src, dtype=np.int64)[order]
-        self.edge_dst = np.asarray(edge_dst, dtype=np.int64)[order]
-        charges = [edge_charges[i] for i in order]
-        self._edge_charges: Optional[Tuple[EventCharge, ...]] = tuple(charges)
-
-        events = np.zeros((self.num_edges, MAX_EDGE_EVENTS), dtype=np.int16)
-        units = np.zeros((self.num_edges, MAX_EDGE_EVENTS), dtype=np.int32)
-        for i, charge in enumerate(charges):
-            if len(charge) > MAX_EDGE_EVENTS:
-                raise GraphBuildError(
-                    f"edge {i} carries {len(charge)} event pairs "
-                    f"(max {MAX_EDGE_EVENTS})"
-                )
-            for j, (event, count) in enumerate(charge):
-                if count < 0:
-                    raise GraphBuildError(
-                        f"edge {i} carries a negative unit count ({count})"
-                    )
-                events[i, j] = int(event)
-                units[i, j] = int(count)
-        self._charge_lengths = np.array(
-            [len(charge) for charge in charges], dtype=np.int8
-        )
-        self._events = events
-        self._units = units
-        self._finish_init()
-
-    @classmethod
-    def from_packed(
-        cls,
-        num_uops: int,
         edge_src: np.ndarray,
         edge_dst: np.ndarray,
         events: np.ndarray,
         units: np.ndarray,
-        charge_lengths: np.ndarray,
-    ) -> "DependenceGraph":
-        """Deserialisation fast path: adopt pre-packed edge arrays.
+    ) -> None:
+        self.num_uops = num_uops
+        self.num_nodes = num_uops * NODES_PER_UOP
+        self.edge_src = np.asarray(edge_src, dtype=np.int64)
+        self.edge_dst = np.asarray(edge_dst, dtype=np.int64)
+        self.events = np.asarray(events, dtype=np.int16)
+        self.units = np.asarray(units, dtype=np.int32)
+        self.num_edges = len(self.edge_src)
+        shape = (self.num_edges,)
+        if self.edge_src.shape != shape or self.edge_dst.shape != shape:
+            raise GraphBuildError("edge arrays must have equal length")
+        rows = (self.num_edges, MAX_EDGE_EVENTS)
+        if self.events.shape != rows or self.units.shape != rows:
+            raise GraphBuildError(f"events and units must have shape {rows}")
+        if not (self.edge_dst[:-1] <= self.edge_dst[1:]).all():
+            raise GraphBuildError("edges must be sorted by destination")
+        if (self.units < 0).any():
+            raise GraphBuildError("edges carry a negative unit count")
+        if ((self.units == 0) & (self.events != 0)).any():
+            raise GraphBuildError("a zero-unit slot must hold event 0")
 
-        The arrays must already be sorted by destination node (the
-        invariant the normal constructor establishes), with *events* and
-        *units* of shape ``(num_edges, MAX_EDGE_EVENTS)`` zero-padded
-        beyond each edge's *charge_lengths* entry, and every unit count
-        non-negative (the compiled segment walk relies on it; a cache
-        file violating it is rejected).  Sparse charge tuples
-        are materialised lazily on first ``edge_charges`` access, which
-        keeps cache-hit loading free of per-edge Python loops.
-        """
-        graph = cls.__new__(cls)
-        graph.num_uops = num_uops
-        graph.num_nodes = num_uops * NODES_PER_UOP
-        graph.num_edges = len(edge_src)
-        graph.edge_src = np.asarray(edge_src, dtype=np.int64)
-        graph.edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        if not (graph.edge_dst[:-1] <= graph.edge_dst[1:]).all():
-            raise GraphBuildError("packed edges must be sorted by dst")
-        graph._edge_charges = None
-        graph._charge_lengths = np.asarray(charge_lengths, dtype=np.int8)
-        graph._events = np.asarray(events, dtype=np.int16)
-        graph._units = np.asarray(units, dtype=np.int32)
-        if (graph._units < 0).any():
-            raise GraphBuildError("packed edges carry a negative unit count")
-        graph._finish_init()
-        return graph
-
-    def _finish_init(self) -> None:
-        # CSR over incoming edges (edges are already sorted by dst).
+        # CSR over incoming edges (edges are sorted by dst).
         self.in_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.add.at(self.in_indptr, self.edge_dst + 1, 1)
-        np.cumsum(self.in_indptr, out=self.in_indptr)
+        np.cumsum(
+            np.bincount(self.edge_dst, minlength=self.num_nodes),
+            out=self.in_indptr[1:],
+        )
 
         # The spec relax's whole-graph Python lists, built on its first
         # run (the compiled kernel needs none of them).
@@ -250,22 +212,6 @@ class DependenceGraph:
     # ------------------------------------------------------------------
 
     @property
-    def edge_charges(self) -> Tuple[EventCharge, ...]:
-        """Sparse per-edge charges, materialised on demand."""
-        if self._edge_charges is None:
-            lengths = self._charge_lengths.tolist()
-            events = self._events.tolist()
-            units = self._units.tolist()
-            self._edge_charges = tuple(
-                tuple(
-                    (_EVENT_MEMBERS[events[i][j]], units[i][j])
-                    for j in range(lengths[i])
-                )
-                for i in range(self.num_edges)
-            )
-        return self._edge_charges
-
-    @property
     def sink(self) -> int:
         """Commit node of the last µop — the end of every execution path."""
         return node_id(self.num_uops - 1, Stage.C)
@@ -273,14 +219,7 @@ class DependenceGraph:
     def edge_weights(self, latency: LatencyConfig) -> np.ndarray:
         """Per-edge weights (cycles) under *latency*."""
         theta = latency.as_vector()
-        return (self._units * theta[self._events]).sum(axis=1)
-
-    def charge_vector(self, charge: EventCharge) -> np.ndarray:
-        """Dense event-unit vector of a sparse charge."""
-        vec = np.zeros(NUM_EVENTS, dtype=np.float64)
-        for event, count in charge:
-            vec[int(event)] += count
-        return vec
+        return (self.units * theta[self.events]).sum(axis=1)
 
     # ------------------------------------------------------------------
 
@@ -328,8 +267,8 @@ class DependenceGraph:
             num_nodes=n,
             in_indptr=in_indptr,
             edge_src=(src[intra] - lo).astype(np.int64),
-            events=self._events[begin:end][intra],
-            units=self._units[begin:end][intra],
+            events=self.events[begin:end][intra],
+            units=self.units[begin:end][intra],
         )
 
     # ------------------------------------------------------------------
@@ -339,32 +278,11 @@ class DependenceGraph:
 
         Kahn's algorithm; raises :class:`GraphBuildError` on a cycle.
         """
-        if self._topo is not None:
-            return self._topo
-        indegree = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(indegree, self.edge_dst, 1)
-        out_order = np.argsort(self.edge_src, kind="stable")
-        out_dst = self.edge_dst[out_order].tolist()
-        out_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.add.at(out_indptr, self.edge_src + 1, 1)
-        np.cumsum(out_indptr, out=out_indptr)
-        out_indptr = out_indptr.tolist()
-
-        indegree = indegree.tolist()
-        queue = deque(v for v in range(self.num_nodes) if indegree[v] == 0)
-        topo: List[int] = []
-        while queue:
-            v = queue.popleft()
-            topo.append(v)
-            for k in range(out_indptr[v], out_indptr[v + 1]):
-                w = out_dst[k]
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    queue.append(w)
-        if len(topo) != self.num_nodes:
-            raise GraphBuildError("dependence graph contains a cycle")
-        self._topo = topo
-        return topo
+        if self._topo is None:
+            self._topo = _kahn_order(
+                self.num_nodes, self.edge_src, self.edge_dst
+            )
+        return self._topo
 
     def longest_path_length(self, latency: LatencyConfig) -> float:
         """Predicted execution cycles: the longest path to the sink."""
@@ -393,7 +311,7 @@ class DependenceGraph:
             # Padded (event=0, units=0) slots contribute nothing.
             idx = np.asarray(path_edges, dtype=np.int64)
             np.add.at(
-                stack, self._events[idx].ravel(), self._units[idx].ravel()
+                stack, self.events[idx].ravel(), self.units[idx].ravel()
             )
         return float(dist[self.sink]), stack
 

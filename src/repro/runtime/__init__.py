@@ -7,11 +7,9 @@ hardware allows"):
 * :mod:`repro.runtime.fingerprint` — content-addressed keys over every
   input that determines an analysis result;
 * :mod:`repro.runtime.cache` — a checksummed on-disk store of traces
-  and RpStacks models keyed by those fingerprints (a hit rebuilds the
-  dependence graph from the trace);
-* :mod:`repro.runtime.graphio` — lossless dependence-graph archives, a
-  public format the cache no longer uses (rebuilding a graph is cheaper
-  than archiving it);
+  and RpStacks models keyed by those fingerprints; a hit rebuilds the
+  dependence graph from the trace, which is faster than reading an
+  archived graph back;
 * :mod:`repro.runtime.runner` — process-pool fan-out of ``analyze()``
   over the workload suite with error isolation, retries and per-task
   deadlines;
@@ -25,7 +23,6 @@ from repro.runtime.fingerprint import (
     code_version,
     workload_fingerprint,
 )
-from repro.runtime.graphio import GraphFormatError, load_graph, save_graph
 from repro.runtime.resilience import (
     CheckpointError,
     CheckpointMismatchError,
@@ -51,7 +48,6 @@ __all__ = [
     "EXIT_ALL_FAILED",
     "EXIT_OK",
     "EXIT_PARTIAL_FAILURE",
-    "GraphFormatError",
     "RetryPolicy",
     "SuiteCheckpoint",
     "SuiteReport",
@@ -60,9 +56,7 @@ __all__ = [
     "parallel_map",
     "analysis_fingerprint",
     "code_version",
-    "load_graph",
     "open_cache",
     "run_suite",
-    "save_graph",
     "workload_fingerprint",
 ]

@@ -25,7 +25,7 @@ from repro.common.events import NUM_EVENTS, EventType
 from repro.core.generator import RpStacksGenerator, generate_rpstacks
 from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy, reduce_stacks
-from repro.graphmodel.builder import build_graph
+from repro.graphmodel.builder import build_graph, pack_edges
 from repro.graphmodel.graph import (
     MAX_EDGE_EVENTS,
     DependenceGraph,
@@ -184,8 +184,8 @@ class TestSegmentView:
             assert view.in_indptr[0] == 0
             assert np.array_equal(np.diff(view.in_indptr), in_degree)
             assert np.array_equal(view.edge_src, graph.edge_src[kept] - offset)
-            assert np.array_equal(view.events, graph._events[kept])
-            assert np.array_equal(view.units, graph._units[kept])
+            assert np.array_equal(view.events, graph.events[kept])
+            assert np.array_equal(view.units, graph.units[kept])
 
 
 def _random_block_population(rng):
@@ -570,7 +570,7 @@ class TestCompiledWalkMatchesSpecWalk:
         else:
             monkeypatch.setenv("REPRO_NATIVE", setting)
         a, b = node_id(0, Stage.F), node_id(0, Stage.E)
-        graph = DependenceGraph(1, [a, b], [b, a], [(), ()])
+        graph = pack_edges(1, [a, b], [b, a], [(), ()])
         with pytest.raises(GraphBuildError, match="cycle"):
             generate_rpstacks(graph, baseline_config().latency)
 
@@ -585,7 +585,7 @@ class TestCompiledWalkMatchesSpecWalk:
         else:
             monkeypatch.setenv("REPRO_NATIVE", setting)
         a, b = node_id(1, Stage.F), node_id(1, Stage.E)
-        graph = DependenceGraph(2, [a, b], [b, a], [(), ()])
+        graph = pack_edges(2, [a, b], [b, a], [(), ()])
         with pytest.raises(GraphBuildError, match="cycle"):
             generate_rpstacks(
                 graph, baseline_config().latency, segment_length=1, jobs=2
@@ -594,12 +594,9 @@ class TestCompiledWalkMatchesSpecWalk:
     def test_constructors_reject_negative_units(self):
         a, b = node_id(0, Stage.F), node_id(0, Stage.E)
         with pytest.raises(GraphBuildError, match="negative"):
-            DependenceGraph(1, [a], [b], [((EventType.L1D, -1),)])
+            pack_edges(1, [a], [b], [((EventType.L1D, -1),)])
         events = np.zeros((1, MAX_EDGE_EVENTS), dtype=np.int16)
         units = np.zeros((1, MAX_EDGE_EVENTS), dtype=np.int32)
         units[0, 0] = -1
         with pytest.raises(GraphBuildError, match="negative"):
-            DependenceGraph.from_packed(
-                1, np.array([a]), np.array([b]), events, units,
-                np.ones(1, dtype=np.int8),
-            )
+            DependenceGraph(1, np.array([a]), np.array([b]), events, units)

@@ -1,11 +1,10 @@
 """Columnar graph builder vs the per-record reference implementation.
 
-``build_graph_columns`` claims byte-identical output to the original
-:class:`DependenceGraphBuilder` — same edges in the same order with the
-same charges — for every workload and every ablation-option setting.
-The reference builder is kept in the tree exactly so this suite can
-hold that claim down; ``build_graph`` (the production entry point)
-dispatches to the columnar builder.
+``build_graph`` builds from trace columns and claims byte-identical
+output to :class:`DependenceGraphBuilder` — same edges in the same
+order with the same packed charge rows — for every workload and every
+ablation-option setting.  The reference builder is kept in the tree
+exactly so this suite can hold that claim down.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.graphmodel.builder import (
     BuilderOptions,
     DependenceGraphBuilder,
     build_graph,
-    build_graph_columns,
 )
 from repro.isa.uop import MicroOp, OpClass, Workload
 from repro.simulator.core import simulate
@@ -38,19 +36,12 @@ def _assert_graphs_identical(columnar, reference) -> None:
     assert columnar.num_uops == reference.num_uops
     assert np.array_equal(columnar.edge_src, reference.edge_src)
     assert np.array_equal(columnar.edge_dst, reference.edge_dst)
-    assert np.array_equal(columnar._events, reference._events)
-    assert np.array_equal(columnar._units, reference._units)
-    # Both constructors store the per-edge lengths: check the packed
-    # ones against the reference's sparse tuples, then compare the
-    # materialised sparse charges themselves.
-    assert columnar._charge_lengths.tolist() == [
-        len(charge) for charge in reference.edge_charges
-    ]
-    assert columnar.edge_charges == reference.edge_charges
+    assert np.array_equal(columnar.events, reference.events)
+    assert np.array_equal(columnar.units, reference.units)
 
 
 def _compare(result, options=None) -> None:
-    columnar = build_graph_columns(result, options=options)
+    columnar = build_graph(result, options=options)
     reference = DependenceGraphBuilder(result, options=options).build()
     _assert_graphs_identical(columnar, reference)
 

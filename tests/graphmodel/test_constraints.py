@@ -13,11 +13,19 @@ from repro.workloads.suite import make_workload
 
 
 def edges_of(graph):
-    """Set of (src, dst) pairs plus a charge lookup."""
+    """Set of (src, dst) pairs plus a charge lookup: each edge's
+    ``((event, units), ...)`` pairs, read off its packed row."""
     pairs = {}
+    events = graph.events.tolist()
+    units = graph.units.tolist()
     for e in range(graph.num_edges):
         key = (int(graph.edge_src[e]), int(graph.edge_dst[e]))
-        pairs.setdefault(key, []).append(graph.edge_charges[e])
+        charge = tuple(
+            (EventType(event), count)
+            for event, count in zip(events[e], units[e])
+            if count
+        )
+        pairs.setdefault(key, []).append(charge)
     return pairs
 
 

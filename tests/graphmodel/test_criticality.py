@@ -11,7 +11,7 @@ from repro.graphmodel.criticality import (
     interaction_cost,
     interaction_matrix,
 )
-from repro.graphmodel.graph import DependenceGraph
+from repro.graphmodel.builder import pack_edges
 from repro.graphmodel.nodes import Stage, node_id
 
 
@@ -21,7 +21,7 @@ def diamond_graph():
     e0 = node_id(0, Stage.E)
     p0 = node_id(0, Stage.P)
     sink = node_id(1, Stage.C)
-    return DependenceGraph(
+    return pack_edges(
         2,
         [f0, f0, e0, p0],
         [e0, p0, sink, sink],
@@ -45,14 +45,12 @@ class TestSlack:
         fp_edges = [
             e
             for e in range(graph.num_edges)
-            if graph.edge_charges[e]
-            and graph.edge_charges[e][0][0] is EventType.FP_ADD
+            if graph.units[e, 0] and graph.events[e, 0] == EventType.FP_ADD
         ]
         mem_edges = [
             e
             for e in range(graph.num_edges)
-            if graph.edge_charges[e]
-            and graph.edge_charges[e][0][0] is EventType.L1D
+            if graph.units[e, 0] and graph.events[e, 0] == EventType.L1D
         ]
         assert analysis.edge_slack(fp_edges[0]) == 0.0
         assert analysis.edge_slack(mem_edges[0]) == 8.0
@@ -131,7 +129,7 @@ class TestInteractionCost:
         a = node_id(0, Stage.F)
         b = node_id(0, Stage.E)
         c = node_id(1, Stage.C)
-        graph = DependenceGraph(
+        graph = pack_edges(
             2,
             [a, b],
             [b, c],

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.common.config import baseline_config
-from repro.graphmodel.builder import build_graph
+from repro.common.events import EventType
+from repro.graphmodel.builder import build_graph, pack_edges
 from repro.graphmodel.export import to_dot
+from repro.graphmodel.nodes import Stage, node_id
 from repro.simulator.core import simulate
 from repro.workloads.kernels import serial_chain
 
@@ -39,6 +41,32 @@ def test_edges_within_window_only(graph):
 def test_event_labels_present(graph):
     dot = to_dot(graph, first=0, count=6)
     assert "Fadd" in dot  # the chain's execution edges
+
+
+def test_label_format():
+    f0, e0, p0 = (node_id(0, stage) for stage in (Stage.F, Stage.E, Stage.P))
+    sink = node_id(1, Stage.C)
+    graph = pack_edges(
+        2,
+        [f0, f0, e0],
+        [e0, p0, sink],
+        [
+            ((EventType.FP_ADD, 2),),
+            ((EventType.L1D, 1), (EventType.LD, 1)),
+            (),
+        ],
+    )
+    edges = {
+        line.strip()
+        for line in to_dot(graph, count=2, highlight_critical=False)
+        .splitlines()
+        if "->" in line
+    }
+    assert edges == {
+        f'n{f0} -> n{e0} [label="2xFadd (12)"];',
+        f'n{f0} -> n{p0} [label="L1D+LD (6)"];',
+        f"n{e0} -> n{sink};",
+    }
 
 
 def test_critical_path_highlighted(graph):

@@ -1,10 +1,16 @@
 """Dependence-graph container tests on small hand-built graphs."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import LatencyConfig
-from repro.common.events import NUM_EVENTS, EventType
-from repro.graphmodel.graph import DependenceGraph, GraphBuildError
+from repro.common.events import EventType
+from repro.graphmodel.builder import pack_edges
+from repro.graphmodel.graph import (
+    MAX_EDGE_EVENTS,
+    DependenceGraph,
+    GraphBuildError,
+)
 from repro.graphmodel.nodes import NODES_PER_UOP, Stage, node_id
 
 
@@ -26,7 +32,7 @@ def diamond_graph():
         (),
         ((EventType.BASE, 1),),
     ]
-    return DependenceGraph(2, src, dst, charges)
+    return pack_edges(2, src, dst, charges)
 
 
 class TestLongestPath:
@@ -72,13 +78,6 @@ class TestStructure:
         total = weights.sum()
         assert total == 12 + 6 + 0 + 1
 
-    def test_charge_vector_round_trip(self):
-        graph = diamond_graph()
-        vec = graph.charge_vector(((EventType.L2D, 2), (EventType.BASE, 3)))
-        assert vec[EventType.L2D] == 2
-        assert vec[EventType.BASE] == 3
-        assert vec.sum() == 5
-
     def test_topological_order_is_complete_and_valid(self):
         graph = diamond_graph()
         topo = graph.topological_order()
@@ -92,7 +91,7 @@ class TestStructure:
 
     def test_cycle_detection(self, monkeypatch):
         a, b = node_id(0, Stage.F), node_id(0, Stage.E)
-        graph = DependenceGraph(1, [a, b], [b, a], [(), ()])
+        graph = pack_edges(1, [a, b], [b, a], [(), ()])
         with pytest.raises(GraphBuildError, match="cycle"):
             graph.topological_order()
         # The compiled longest path (when it loads), then the spec relax.
@@ -107,7 +106,7 @@ class TestStructure:
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(GraphBuildError):
-            DependenceGraph(1, [0], [1, 2], [()])
+            pack_edges(1, [0], [1, 2], [()])
 
     def test_too_many_event_pairs_rejected(self):
         charge = (
@@ -117,7 +116,22 @@ class TestStructure:
             (EventType.DTLB, 1),
         )
         with pytest.raises(GraphBuildError, match="pairs"):
-            DependenceGraph(1, [0], [1], [charge])
+            pack_edges(1, [0], [1], [charge])
+
+    def test_constructor_checks_the_packed_layout(self):
+        a, b, c = (node_id(0, s) for s in (Stage.F, Stage.E, Stage.P))
+        rows = np.zeros((2, MAX_EDGE_EVENTS), dtype=np.int16)
+        DependenceGraph(1, [a, b], [b, c], rows, rows)
+        with pytest.raises(GraphBuildError, match="equal length"):
+            DependenceGraph(1, [a, b], [b], rows, rows)
+        with pytest.raises(GraphBuildError, match="sorted by destination"):
+            DependenceGraph(1, [b, a], [c, b], rows, rows)
+        with pytest.raises(GraphBuildError, match="shape"):
+            DependenceGraph(1, [a, b], [b, c], rows[:, :2], rows[:, :2])
+        padded = rows.copy()
+        padded[0, 1] = int(EventType.L1D)
+        with pytest.raises(GraphBuildError, match="zero-unit slot"):
+            DependenceGraph(1, [a, b], [b, c], padded, rows)
 
     def test_sink_is_last_commit_node(self):
         graph = diamond_graph()

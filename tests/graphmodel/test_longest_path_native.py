@@ -17,7 +17,7 @@ import pytest
 from repro.common.config import baseline_config
 from repro.common.events import EventType
 from repro.core.native import load_native
-from repro.graphmodel.builder import build_graph
+from repro.graphmodel.builder import build_graph, pack_edges
 from repro.graphmodel.graph import DependenceGraph
 from repro.simulator.core import simulate
 from repro.workloads import STRESS_KERNELS
@@ -47,7 +47,7 @@ WORKLOADS = {
 @functools.lru_cache(maxsize=None)
 def _graph(name: str) -> DependenceGraph:
     if name == "no-edges":
-        return DependenceGraph(2, [], [], [])
+        return pack_edges(2, [], [], [])
     return build_graph(simulate(WORKLOADS[name](), baseline_config()))
 
 

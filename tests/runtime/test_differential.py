@@ -34,7 +34,8 @@ def _assert_sessions_identical(mine, theirs):
     assert mine.baseline_result.stats == theirs.baseline_result.stats
     assert (mine.graph.edge_src == theirs.graph.edge_src).all()
     assert (mine.graph.edge_dst == theirs.graph.edge_dst).all()
-    assert mine.graph.edge_charges == theirs.graph.edge_charges
+    assert (mine.graph.events == theirs.graph.events).all()
+    assert (mine.graph.units == theirs.graph.units).all()
     assert mine.rpstacks.num_segments == theirs.rpstacks.num_segments
     for a, b in zip(
         mine.rpstacks.segment_stacks, theirs.rpstacks.segment_stacks

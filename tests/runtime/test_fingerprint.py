@@ -9,7 +9,6 @@ the input space in the style of ``tests/simulator/test_sim_properties``.
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +23,6 @@ from repro.runtime.fingerprint import (
     analysis_fingerprint,
     workload_fingerprint,
 )
-from repro.runtime.graphio import load_graph, save_graph
 from repro.workloads.generator import WorkloadSpec, generate
 from repro.workloads.suite import make_workload
 
@@ -165,54 +163,6 @@ def test_structure_domain_changes_key(fp_workload):
 
 
 # ---- lossless round trips ------------------------------------------------
-
-
-@given(spec=specs, seed=st.integers(min_value=0, max_value=10 ** 4))
-@settings(max_examples=10, deadline=None)
-def test_graph_roundtrip_is_lossless(tmp_path_factory, spec, seed):
-    from repro.simulator.core import simulate
-
-    workload = generate(spec, seed=seed)
-    result = simulate(workload, baseline_config())
-    graph = build_graph(result)
-    path = tmp_path_factory.mktemp("graphs") / "g.npz"
-    save_graph(graph, path)
-    loaded = load_graph(path)
-    assert loaded.num_uops == graph.num_uops
-    assert (loaded.edge_src == graph.edge_src).all()
-    assert (loaded.edge_dst == graph.edge_dst).all()
-    assert loaded.edge_charges == graph.edge_charges
-    base = baseline_config().latency
-    assert loaded.longest_path_length(base) == graph.longest_path_length(
-        base
-    )
-
-
-@pytest.mark.parametrize("constructor", ["from_packed", "__init__"])
-def test_graph_roundtrip_from_either_constructor(tmp_path, constructor):
-    from repro.graphmodel.builder import (
-        DependenceGraphBuilder,
-        build_graph_columns,
-    )
-    from repro.simulator.core import simulate
-
-    result = simulate(make_workload("gamess", 60), baseline_config())
-    if constructor == "from_packed":
-        graph = build_graph_columns(result)
-    else:
-        graph = DependenceGraphBuilder(result).build()
-    save_graph(graph, tmp_path / "g.npz")
-    if constructor == "from_packed":
-        # Saving writes the packed lengths; it never builds the sparse
-        # charge tuples.
-        assert graph._edge_charges is None
-    loaded = load_graph(tmp_path / "g.npz")
-    assert loaded.num_uops == graph.num_uops
-    for name in (
-        "edge_src", "edge_dst", "_events", "_units", "_charge_lengths"
-    ):
-        assert np.array_equal(getattr(loaded, name), getattr(graph, name))
-    assert loaded.edge_charges == graph.edge_charges
 
 
 @given(

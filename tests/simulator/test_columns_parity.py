@@ -46,9 +46,8 @@ def _graphs_identical(a, b) -> bool:
         a.num_uops == b.num_uops
         and np.array_equal(a.edge_src, b.edge_src)
         and np.array_equal(a.edge_dst, b.edge_dst)
-        and np.array_equal(a._events, b._events)
-        and np.array_equal(a._units, b._units)
-        and np.array_equal(a._charge_lengths, b._charge_lengths)
+        and np.array_equal(a.events, b.events)
+        and np.array_equal(a.units, b.units)
     )
 
 
