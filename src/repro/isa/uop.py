@@ -286,11 +286,6 @@ class WorkloadColumns:
         )
 
     @classmethod
-    def from_workload(cls, workload: "Workload") -> "WorkloadColumns":
-        """The columns of *workload* (its one in-memory form)."""
-        return workload.columns
-
-    @classmethod
     def concatenate(
         cls, parts: Sequence["WorkloadColumns"]
     ) -> "WorkloadColumns":

@@ -12,7 +12,6 @@ from repro.simulator.columns import (
     TraceColumns,
     WorkloadColumns,
     columns_equal,
-    workload_columns,
 )
 from repro.simulator.core import TimingSimulator, simulate
 from repro.simulator.machine import Machine
@@ -73,5 +72,4 @@ __all__ = [
     "run_prepass",
     "simulate",
     "try_native_simulate",
-    "workload_columns",
 ]

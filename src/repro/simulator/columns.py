@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.common.events import EventType
 from repro.isa.uop import (
-    Workload,
     WorkloadColumns,
     _canonical,
     _csr_from_lists,
@@ -306,8 +305,3 @@ def columns_equal(a: TraceColumns, b: TraceColumns) -> bool:
         np.array_equal(getattr(a, name), getattr(b, name))
         for name, _dtype in TraceColumns._CANONICAL_FIELDS
     )
-
-
-def workload_columns(workload: Workload) -> WorkloadColumns:
-    """The columns of *workload* (its one in-memory form)."""
-    return workload.columns

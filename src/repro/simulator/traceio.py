@@ -373,8 +373,3 @@ def config_from_dict(data: dict) -> MicroarchConfig:
         latency=LatencyConfig(tuple(data["latency"])),
         prefetcher=data.get("prefetcher", "none"),
     )
-
-
-#: Backwards-compatible aliases for the pre-public names.
-_config_to_dict = config_to_dict
-_config_from_dict = config_from_dict

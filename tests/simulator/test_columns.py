@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import baseline_config
 from repro.isa.uop import Workload
-from repro.simulator.columns import (
-    TraceColumns,
-    WorkloadColumns,
-    columns_equal,
-    workload_columns,
-)
+from repro.simulator.columns import TraceColumns, columns_equal
 from repro.simulator.core import simulate
 from repro.simulator.trace import SimResult
 from repro.simulator.traceio import result_digest
@@ -88,16 +83,15 @@ class TestWorkloadColumnsRoundTrip:
     @pytest.mark.parametrize("name", ["gamess", "mcf", "libquantum"])
     def test_uops_round_trip_exactly(self, name):
         workload = make_workload(name, 60)
-        columns = WorkloadColumns.from_workload(workload)
-        assert columns.to_uops() == workload.uops
+        assert workload.columns.to_uops() == workload.uops
 
     def test_memoised_per_workload(self):
         workload = make_workload("gamess", 20)
-        assert workload_columns(workload) is workload_columns(workload)
+        assert workload.columns is workload.columns
 
     def test_distinct_workloads_distinct_bytes(self):
-        a = workload_columns(make_workload("gamess", 20))
-        b = workload_columns(make_workload("mcf", 20))
+        a = make_workload("gamess", 20).columns
+        b = make_workload("mcf", 20).columns
         assert a.canonical_bytes() != b.canonical_bytes()
 
 

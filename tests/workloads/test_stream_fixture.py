@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.isa.uop import OpClass
 from repro.runtime.fingerprint import workload_fingerprint
-from repro.simulator.columns import workload_columns
 from repro.workloads import kernels
 from repro.workloads.generator import WorkloadSpec, generate
 from repro.workloads.suite import make_workload, suite_names
@@ -92,7 +91,7 @@ def cases():
 
 def digests(workload) -> dict:
     """The pinned identity of one workload, JSON-ready."""
-    columns = workload_columns(workload)
+    columns = workload.columns
     return {
         "columns_sha256": hashlib.sha256(
             columns.canonical_bytes()
@@ -150,7 +149,4 @@ def test_generate_prefix_property(spec, extra, seed):
     prefix = long.slice(0, len(short))
     assert len(prefix) == len(short)
     assert prefix.num_macro_ops == short.num_macro_ops
-    assert (
-        workload_columns(prefix).canonical_bytes()
-        == workload_columns(short).canonical_bytes()
-    )
+    assert prefix.columns.canonical_bytes() == short.columns.canonical_bytes()
