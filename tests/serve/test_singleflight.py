@@ -3,6 +3,7 @@ performs exactly one computation, and everyone gets the same answer."""
 
 import asyncio
 import concurrent.futures
+import threading
 
 from repro.serve.singleflight import SingleFlight
 from tests.serve.conftest import COORD, request
@@ -106,6 +107,28 @@ def test_cold_analyze_stampede_computes_once(make_server):
     server = make_server(workers=2, queue_limit=16)
     stampede = 12
 
+    # Hold the one build until every request has joined the flight, so
+    # a late request cannot find the finished session and read it as a
+    # warm hit instead of a coalesced follower.
+    daemon = server.server
+    arrived = []
+    all_arrived = threading.Event()
+    flight_run = daemon._flight.run
+    build_session = daemon._build_session
+
+    async def counting_run(key, compute):
+        arrived.append(key)
+        if len(arrived) == stampede:
+            all_arrived.set()
+        return await flight_run(key, compute)
+
+    def held_build(coord):
+        all_arrived.wait(timeout=60)
+        return build_session(coord)
+
+    daemon._flight.run = counting_run
+    daemon._build_session = held_build
+
     def hit(_index):
         return request(
             server.port, "POST", "/analyze", COORD, timeout=120
@@ -116,6 +139,7 @@ def test_cold_analyze_stampede_computes_once(make_server):
     ) as pool:
         responses = list(pool.map(hit, range(stampede)))
 
+    assert all_arrived.is_set(), f"{len(arrived)} of {stampede} arrived"
     statuses = [status for status, _headers, _body in responses]
     assert statuses == [200] * stampede
     bodies = {body for _status, _headers, body in responses}
