@@ -11,7 +11,7 @@ whole sweep is one matrix product per segment (``predict_many``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,34 +44,68 @@ def default_cost_model(
     return cost
 
 
+def _cost_terms(old: float, values: np.ndarray) -> np.ndarray:
+    """:func:`default_cost_model`'s term for each latency in *values*.
+
+    The scalar rule applied elementwise to one event's candidate
+    latencies: ``old / new - 1.0`` where *new* lowers a positive *old*
+    (zero priced as 0.5), ``0.0`` elsewhere.  Same operations, same
+    bits.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if old <= 0:
+        return np.zeros(values.shape)
+    effective = np.where(values > 0, values, 0.5)
+    return np.where(values < old, old / effective - 1.0, 0.0)
+
+
+def default_cost_tables(
+    space: DesignSpace,
+) -> List[Tuple[EventType, np.ndarray]]:
+    """:func:`default_cost_model` as one term table per swept axis.
+
+    Returns ``(event, terms)`` pairs in ``LATENCY_DOMAIN`` order, one
+    entry per value of the event's axis, for
+    :meth:`DesignSpace.sum_axis_tables`.  Adding them in that order
+    from ``0.0`` repeats the scalar model's additions point by point, so
+    every cost is bit-identical to it.  Unswept events sit at base and
+    add nothing; an axis that never lowers its event is left out, since
+    its terms would all add ``+0.0``.
+    """
+    swept = dict(space.axes)
+    tables = []
+    for event in LATENCY_DOMAIN:
+        if event not in swept:
+            continue
+        terms = _cost_terms(space.base[event], swept[event])
+        if terms.any():
+            tables.append((event, terms))
+    return tables
+
+
 def default_cost_model_matrix(
     thetas: np.ndarray, base: LatencyConfig
 ) -> np.ndarray:
-    """Vectorised :func:`default_cost_model` over a pricing-vector chunk.
+    """:func:`default_cost_model` over arbitrary pricing vectors.
 
     Args:
-        thetas: ``(NUM_EVENTS, n)`` array, one pricing vector per column
-            (as produced by :meth:`DesignSpace.theta_matrix`).
+        thetas: ``(NUM_EVENTS, n)`` array, one pricing vector per column.
         base: the design point costs are measured from.
 
     Returns:
         ``(n,)`` costs, bit-identical to calling the scalar model per
-        column: terms accumulate in the same per-event order, with the
-        same zero-cycle halving rule.  An event no column lowers below
-        *base* is skipped; its terms would all add ``+0.0``.
+        column: each event's distinct latencies get a term table
+        (:func:`_cost_terms`), added in ``LATENCY_DOMAIN`` order.  A
+        sweep over a :class:`DesignSpace` builds the tables from its
+        axes instead (:func:`default_cost_tables`).
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     costs = np.zeros(thetas.shape[1], dtype=np.float64)
     for event in LATENCY_DOMAIN:
-        old = float(base[event])
-        if old <= 0:
-            continue
-        new = thetas[int(event)]
-        lowered = new < old
-        if not lowered.any():
-            continue
-        effective = np.where(new > 0, new, 0.5)
-        costs += np.where(lowered, old / effective - 1.0, 0.0)
+        values, inverse = np.unique(thetas[int(event)], return_inverse=True)
+        terms = _cost_terms(base[event], values)
+        if terms.any():
+            costs += terms[inverse]
     return costs
 
 
