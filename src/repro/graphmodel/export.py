@@ -9,7 +9,10 @@ windowed by µop range.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional, Set
+
+import numpy as np
 
 from repro.common.config import LatencyConfig
 from repro.common.events import event_label
@@ -66,44 +69,37 @@ def to_dot(
         '  edge [fontsize=8, fontname="Helvetica"];',
     ]
 
-    # Nodes, grouped per µop so instructions form columns.
-    used_nodes: Set[int] = set()
-    for e in range(graph.num_edges):
-        s, d = int(graph.edge_src[e]), int(graph.edge_dst[e])
-        if (
-            first <= node_seq(s) < last
-            and first <= node_seq(d) < last
-        ):
-            used_nodes.add(s)
-            used_nodes.add(d)
-
-    for seq in range(first, last):
-        members = sorted(
-            node for node in used_nodes if node_seq(node) == seq
-        )
-        if not members:
-            continue
+    # The window's edges: both endpoints inside it.  Node ids order by
+    # µop, then stage, so the sorted used nodes fall into µop columns.
+    src_seq = node_seq(graph.edge_src)
+    dst_seq = node_seq(graph.edge_dst)
+    window = np.flatnonzero(
+        (src_seq >= first) & (src_seq < last)
+        & (dst_seq >= first) & (dst_seq < last)
+    )
+    used_nodes = np.unique(
+        np.concatenate((graph.edge_src[window], graph.edge_dst[window]))
+    ).tolist()
+    for seq, members in groupby(used_nodes, key=node_seq):
         lines.append(f"  subgraph cluster_{seq} {{")
         lines.append(f'    label="uop {seq}"; fontsize=10; color=gray;')
         for node in members:
-            stage = node_stage(node)
-            lines.append(f'    n{node} [label="{stage.name}"];')
+            lines.append(f'    n{node} [label="{node_stage(node).name}"];')
         lines.append("  }")
 
     weights = graph.edge_weights(latency)
-    for e in range(graph.num_edges):
-        s, d = int(graph.edge_src[e]), int(graph.edge_dst[e])
-        if not (
-            first <= node_seq(s) < last
-            and first <= node_seq(d) < last
-        ):
-            continue
-        label = _charge_label(
-            graph.events[e].tolist(), graph.units[e].tolist()
-        )
+    for e, s, d, events, units, weight in zip(
+        window.tolist(),
+        graph.edge_src[window].tolist(),
+        graph.edge_dst[window].tolist(),
+        graph.events[window].tolist(),
+        graph.units[window].tolist(),
+        weights[window].tolist(),
+    ):
+        label = _charge_label(events, units)
         attributes = []
         if label:
-            attributes.append(f'label="{label} ({weights[e]:g})"')
+            attributes.append(f'label="{label} ({weight:g})"')
         if e in critical_edges:
             attributes.append('color=red, penwidth=2.0')
         suffix = f" [{', '.join(attributes)}]" if attributes else ""
