@@ -3,9 +3,12 @@
 An :class:`~repro.core.model.RpStacksModel` is the distilled product of
 an expensive simulation + analysis; a real exploration workflow archives
 models per (workload, structure) and re-loads them for later sweeps.
-Models serialise to a single ``.npz`` file: per-segment stack matrices,
-the generating latency configuration, and the metadata needed to verify
-compatibility at load time.
+Models serialise to a single ``.npz`` file: the stack matrices of every
+segment, the generating latency configuration, and the metadata needed
+to verify compatibility at load time.  Format 3 packs the segments into
+one ``stacks`` member, split by the ``segment_sizes`` list of its
+metadata; formats 1 and 2 (one ``segment_NNNNNN`` member per segment)
+still load.
 """
 
 from __future__ import annotations
@@ -16,16 +19,19 @@ from typing import Union
 
 import numpy as np
 
+from repro.common.archive import save_npz
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
 
 #: Bumped whenever the on-disk layout changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-#: Versions :func:`load_model` still understands (v1 lacked the full
-#: generation-statistics record; those fields load as zero).
-COMPATIBLE_VERSIONS = (1, 2)
+#: Oldest format :func:`load_model` still reads (v1 lacked the full
+#: generation-statistics record; those fields load as zero).  The
+#: artifact cache folds this, not the writer version, into its
+#: fingerprint.
+COMPAT_FORMAT_VERSION = 1
 
 
 class ModelFormatError(ValueError):
@@ -47,6 +53,7 @@ def save_model(
         "num_events": NUM_EVENTS,
         "num_uops": model.num_uops,
         "num_segments": model.num_segments,
+        "segment_sizes": [len(stacks) for stacks in model.segment_stacks],
         "analysis_seconds": model.stats.analysis_seconds,
         "stats": {
             "nodes_visited": model.stats.nodes_visited,
@@ -56,17 +63,14 @@ def save_model(
         },
     }
     arrays = {
-        f"segment_{index:06d}": stacks
-        for index, stacks in enumerate(model.segment_stacks)
+        "stacks": np.vstack(model.segment_stacks),
+        "baseline_cycles": np.asarray(model.baseline.cycles, dtype=np.int64),
+        "meta_json": np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        ),
     }
-    arrays["baseline_cycles"] = np.asarray(
-        model.baseline.cycles, dtype=np.int64
-    )
-    arrays["meta_json"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
+    save_npz(path, arrays)
     return path
 
 
@@ -84,21 +88,23 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
         if "meta_json" not in archive or "baseline_cycles" not in archive:
             raise ModelFormatError(f"{path} is not an RpStacks model file")
         meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        if meta.get("format_version") not in COMPATIBLE_VERSIONS:
-            raise ModelFormatError(
-                f"unsupported format version {meta.get('format_version')}"
-            )
+        version = meta.get("format_version")
+        if version not in range(COMPAT_FORMAT_VERSION, FORMAT_VERSION + 1):
+            raise ModelFormatError(f"unsupported format version {version}")
         if meta.get("num_events") != NUM_EVENTS:
             raise ModelFormatError(
                 "event taxonomy mismatch: file has "
                 f"{meta.get('num_events')} events, library has {NUM_EVENTS}"
             )
-        segments = []
-        for index in range(meta["num_segments"]):
-            key = f"segment_{index:06d}"
-            if key not in archive:
-                raise ModelFormatError(f"missing segment array {key}")
-            segments.append(np.asarray(archive[key], dtype=np.float64))
+        if version >= 3:
+            segments = _unpack_stacks(path, meta, archive)
+        else:
+            segments = []
+            for index in range(meta["num_segments"]):
+                key = f"segment_{index:06d}"
+                if key not in archive:
+                    raise ModelFormatError(f"missing segment array {key}")
+                segments.append(np.asarray(archive[key], dtype=np.float64))
         baseline = LatencyConfig(
             tuple(int(v) for v in archive["baseline_cycles"])
         )
@@ -122,3 +128,14 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
         )
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+
+
+def _unpack_stacks(path, meta, archive) -> list:
+    """Format 3's ``stacks`` member split into its segments (views)."""
+    if "stacks" not in archive:
+        raise ModelFormatError(f"{path}: missing stacks array")
+    stacks = np.asarray(archive["stacks"], dtype=np.float64)
+    sizes = meta["segment_sizes"]
+    if len(sizes) != meta["num_segments"] or sum(sizes) != len(stacks):
+        raise ModelFormatError(f"{path}: segment sizes do not match stacks")
+    return np.split(stacks, np.cumsum(sizes[:-1]))

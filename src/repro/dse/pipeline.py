@@ -1,15 +1,18 @@
 """High-level facade: one call from workload to a full analysis session.
 
-``analyze(workload)`` runs the entire RpStacks pipeline of Fig 8a —
-baseline timing simulation, dependence-graph construction, RpStacks
-generation — and also instantiates the comparison predictors, so
-examples, tests and benchmarks all start from the same object.
+``analyze(workload)`` runs the RpStacks pipeline of Fig 8a — baseline
+timing simulation, dependence-graph construction, RpStacks generation —
+and returns an :class:`AnalysisSession`, from which examples, tests and
+benchmarks reach the model, the graph and the comparison predictors.
+The graph and the predictors are derived from the baseline run when a
+consumer first asks for them, so a session read back from the artifact
+cache costs only its two archives until then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+import threading
+from typing import Dict, Optional, Tuple
 
 from repro.baselines.cp1 import CP1Predictor
 from repro.baselines.fmt import FMTPredictor
@@ -23,23 +26,99 @@ from repro.graphmodel.builder import build_graph
 from repro.graphmodel.graph import DependenceGraph
 from repro.graphmodel.reeval import GraphReevalPredictor
 from repro.isa.uop import Workload
+from repro.obs.observer import get_observer
 from repro.simulator.machine import Machine
 from repro.simulator.trace import SimResult
 
 
-@dataclass
 class AnalysisSession:
-    """Everything derived from one baseline simulation of one workload."""
+    """Everything derived from one baseline simulation of one workload.
 
-    workload: Workload
-    config: MicroarchConfig
-    machine: Machine
-    baseline_result: SimResult
-    graph: DependenceGraph
-    rpstacks: RpStacksModel
-    cp1: CP1Predictor
-    fmt: FMTPredictor
-    reeval: GraphReevalPredictor
+    ``graph`` is built from ``baseline_result`` on first access, and
+    ``cp1``, ``fmt`` and ``reeval`` together on the first access of any
+    of them, each at most once per session, unless the constructor was
+    given them (the three predictors come together or not at all).  A
+    per-session lock guards the builds, so threads sharing a session
+    (the server's) build each part once and all get the same object;
+    ``functools.cached_property`` would not do, since on Python 3.11 its
+    lock is shared by every instance of the class.  The ``graph.build``
+    and ``baselines.init`` spans land under whatever observer is ambient
+    at that first access.  Sessions pickle without their lock, built or
+    not.
+    """
+
+    def __init__(
+        self,
+        *,
+        workload: Workload,
+        config: MicroarchConfig,
+        machine: Machine,
+        baseline_result: SimResult,
+        rpstacks: RpStacksModel,
+        graph: Optional[DependenceGraph] = None,
+        cp1: Optional[CP1Predictor] = None,
+        fmt: Optional[FMTPredictor] = None,
+        reeval: Optional[GraphReevalPredictor] = None,
+    ) -> None:
+        self.workload = workload
+        self.config = config
+        self.machine = machine
+        self.baseline_result = baseline_result
+        self.rpstacks = rpstacks
+        self._graph = graph
+        baselines = (cp1, fmt, reeval)
+        given = sum(part is not None for part in baselines)
+        if given not in (0, 3):
+            raise TypeError("pass cp1, fmt and reeval together or not at all")
+        self._baselines = baselines if given else None
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    @property
+    def graph(self) -> DependenceGraph:
+        """The dependence graph of the baseline run (Table I)."""
+        if self._graph is None:
+            with self._lock:
+                if self._graph is None:
+                    self._graph = build_graph(self.baseline_result)
+        return self._graph
+
+    @property
+    def cp1(self) -> CP1Predictor:
+        return self._built_baselines()[0]
+
+    @property
+    def fmt(self) -> FMTPredictor:
+        return self._built_baselines()[1]
+
+    @property
+    def reeval(self) -> GraphReevalPredictor:
+        return self._built_baselines()[2]
+
+    def _built_baselines(self) -> Tuple:
+        if self._baselines is None:
+            graph = self.graph
+            with self._lock:
+                if self._baselines is None:
+                    with get_observer().span(
+                        "baselines.init",
+                        workload=self.workload.name,
+                        native=load_native() is not None,
+                    ):
+                        self._baselines = (
+                            CP1Predictor(graph, self.config.latency),
+                            FMTPredictor(self.baseline_result),
+                            GraphReevalPredictor(graph),
+                        )
+        return self._baselines
 
     @property
     def baseline_cpi(self) -> float:
@@ -132,15 +211,20 @@ def analyze(
             cache directory path) for content-addressed reuse: when the
             exact same analysis has run before, its archived trace and
             model are reloaded instead of re-simulated, and the graph
-            is rebuilt from the trace (cheaper than archiving it).
+            is rebuilt from the trace (cheaper than archiving it) when
+            the session is first asked for it.
         obs: an :class:`~repro.obs.Observer`; installed as the ambient
             observer for the duration of the call so every stage below
             (simulation, graph build, stack generation, cache probes)
             records spans and metrics into it.  ``None`` keeps whatever
             observer is already ambient (the disabled one by default).
+            Parts the session builds later, on first access, record
+            into the observer ambient at that access.
 
     Returns:
-        An :class:`AnalysisSession` with the model and all baselines.
+        An :class:`AnalysisSession` holding the model.  A cold run hands
+        it the graph it built; the comparison predictors (and, on a
+        cache hit, the graph) are built on first access.
     """
     from repro.obs.observer import use_observer
 
@@ -213,22 +297,14 @@ def _analyze_instrumented(
             include_base_in_similarity=include_base_in_similarity,
             jobs=jobs,
         )
-        with obs.span(
-            "baselines.init",
-            workload=workload.name,
-            native=load_native() is not None,
-        ):
-            session = AnalysisSession(
-                workload=workload,
-                config=config,
-                machine=machine,
-                baseline_result=result,
-                graph=graph,
-                rpstacks=rpstacks,
-                cp1=CP1Predictor(graph, config.latency),
-                fmt=FMTPredictor(result),
-                reeval=GraphReevalPredictor(graph),
-            )
+        session = AnalysisSession(
+            workload=workload,
+            config=config,
+            machine=machine,
+            baseline_result=result,
+            rpstacks=rpstacks,
+            graph=graph,
+        )
         if cache is not None:
             with obs.span("cache.store", workload=workload.name):
                 cache.store(key, session)

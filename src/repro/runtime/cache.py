@@ -6,9 +6,11 @@ microsecond design-point evaluations; this cache amortises it across
 its inputs (see :mod:`repro.runtime.fingerprint`) and persists the two
 artifacts that are expensive to derive — the timing trace and the
 RpStacks model — under that key.  A later call with identical inputs
-reloads them, rebuilds the dependence graph from the trace and cheaply
-reconstructs the comparison predictors instead of re-simulating,
-turning a multi-second analysis into a few tens of milliseconds.
+reloads them instead of re-simulating, turning a multi-second analysis
+into a few milliseconds.  The loaded session rebuilds the dependence
+graph from the trace, and the comparison predictors from the graph,
+only when a consumer first asks for them: a sweep or a served
+prediction needs the model alone.
 
 The graph is not stored: it is a pure function of the trace (Table I).
 On six analogues at 600 macro-ops (one pinned CPU of a 2-vCPU x86-64
@@ -208,40 +210,22 @@ class ArtifactCache:
 
     @staticmethod
     def _load_session(entry: pathlib.Path):
-        from repro.baselines.cp1 import CP1Predictor
-        from repro.baselines.fmt import FMTPredictor
         from repro.core.io import load_model
-        from repro.core.native import load_native
         from repro.dse.pipeline import AnalysisSession
-        from repro.graphmodel.builder import build_graph
-        from repro.graphmodel.reeval import GraphReevalPredictor
-        from repro.obs.observer import get_observer
         from repro.simulator.machine import Machine
         from repro.simulator.traceio import load_result
 
         result = load_result(entry / "trace.npz")
-        graph = build_graph(result)
-        model = load_model(entry / "model.npz")
-        config = result.config
         # The stored run answers ``session.simulate(baseline)`` (and
-        # overhead accounting) as in a freshly analysed session.
-        machine = Machine.from_baseline(result)
-        with get_observer().span(
-            "baselines.init",
-            workload=result.workload.name,
-            native=load_native() is not None,
-        ):
-            return AnalysisSession(
-                workload=result.workload,
-                config=config,
-                machine=machine,
-                baseline_result=result,
-                graph=graph,
-                rpstacks=model,
-                cp1=CP1Predictor(graph, config.latency),
-                fmt=FMTPredictor(result),
-                reeval=GraphReevalPredictor(graph),
-            )
+        # overhead accounting) as in a freshly analysed session.  The
+        # graph and the comparison predictors wait for a consumer.
+        return AnalysisSession(
+            workload=result.workload,
+            config=result.config,
+            machine=Machine.from_baseline(result),
+            baseline_result=result,
+            rpstacks=load_model(entry / "model.npz"),
+        )
 
     # ---- write path ---------------------------------------------------
 

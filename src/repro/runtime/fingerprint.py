@@ -44,17 +44,18 @@ def code_version() -> str:
     """Version token folded into every fingerprint.
 
     Combines the pipeline epoch, the on-disk format compatibility floors
-    and the event taxonomy size.  The trace component is the *oldest
-    readable* archive version, not the writer version: bumping the
-    writer while keeping the old reader (as the v1->v2 columnar
-    transition does) leaves existing cache entries loadable, so they
-    must keep their keys; dropping a reader raises the floor and
-    orphans (rather than mis-serves) the now-unreadable entries.
+    and the event taxonomy size.  The trace and model components are
+    each the *oldest readable* archive version, not the writer version:
+    bumping a writer while keeping the old reader (as the v1->v2->v3
+    trace and v2->v3 model transitions do) leaves existing cache entries
+    loadable, so they must keep their keys; dropping a reader raises the
+    floor and orphans (rather than mis-serves) the now-unreadable
+    entries.
     """
     return (
         f"epoch{PIPELINE_EPOCH}"
         f"-trace{traceio.COMPAT_FORMAT_VERSION}"
-        f"-model{model_io.FORMAT_VERSION}"
+        f"-model{model_io.COMPAT_FORMAT_VERSION}"
         f"-events{NUM_EVENTS}"
     )
 

@@ -142,31 +142,34 @@ def _timed_call(
     backoff, slept in the worker before the timer starts so the parent
     event loop never blocks on another task's backoff.  In a pool
     worker, *slot* is the task's index into the shared run-state flags,
-    marked started once the backoff is over and finished on the way out,
-    so the parent knows which tasks a dead worker took with it.
+    marked started once the backoff is over and finished when the task
+    returns, so the parent knows which tasks a dead worker took with it.
     """
     if delay > 0:
         time.sleep(delay)
     if slot is not None:
         _TASK_STATE[slot] = _STARTED
-    try:
-        start = clock.perf_seconds()
-        if not capture:
-            value = fn(*args)
-            return value, clock.perf_seconds() - start, None, None
+    start = clock.perf_seconds()
+    if not capture:
+        value = fn(*args)
+        result = value, clock.perf_seconds() - start, None, None
+    else:
         worker_obs = Observer(enabled=True, progress_stream=None)
         with use_observer(worker_obs):
             with worker_obs.span(f"task.{label}"):
                 value = fn(*args)
-        return (
+        result = (
             value,
             clock.perf_seconds() - start,
             worker_obs.tracer.export_events(),
             worker_obs.metrics.export(),
         )
-    finally:
-        if slot is not None:
-            _TASK_STATE[slot] = _FINISHED
+    # A task that raised stays flagged started: if the pool breaks
+    # before its error reaches the parent, it is charged an attempt like
+    # a task the dead worker was running, not requeued for free.
+    if slot is not None:
+        _TASK_STATE[slot] = _FINISHED
+    return result
 
 
 def _serial_map(
@@ -267,8 +270,9 @@ def parallel_map(
       (slept worker-side), up to ``max_attempts`` tries; a
       ``BrokenProcessPool`` (worker SIGKILLed, segfaulted, OOM-killed)
       respawns the pool, charges an attempt to the tasks that had
-      started and not finished (each worker flags its task in shared
-      memory), and requeues the others for free;
+      started and not returned (each worker flags its task in shared
+      memory; a task whose error the break swallowed counts as not
+      returned), and requeues the others for free;
     * **per-task deadlines** — *timeout* bounds each task's wall clock
       from the first 50 ms poll that sees ``future.running()``, which
       turns true when the task enters the pool's call queue, so queue

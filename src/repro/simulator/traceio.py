@@ -2,12 +2,16 @@
 
 A timing run is the expensive step of the whole pipeline; archiving its
 result lets the graph/RpStacks stages (and any later re-analysis) run
-without re-simulating.  The current format (version 2) is a compressed
+without re-simulating.  The current format (version 3) is a compressed
 ``.npz`` holding the µop stream and the trace in **columnar** form —
 the same struct-of-arrays/CSR layout :mod:`repro.simulator.columns`
 keeps in memory — so saving and loading are array copies with no
-per-µop Python encode/decode loops.  Version 1 archives (per-row JSON
-ragged metadata) remain loadable bit-identically.
+per-µop Python encode/decode loops.  Its 36 columns are packed into one
+member per dtype (four today), in the order a ``layout`` list in the
+metadata gives, because opening a member and parsing its ``.npy``
+header cost a load more than inflating the bytes.  Version 2 archives
+(one member per column) and version 1 archives (per-row JSON ragged
+metadata) remain loadable bit-identically.
 
 Only the *baseline* configuration's structure/latency identity is
 stored, not Python objects, so archives are portable across sessions.
@@ -18,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Union
+from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.common.archive import save_npz
 from repro.common.config import (
     CacheConfig,
     CoreConfig,
@@ -39,7 +44,7 @@ from repro.simulator.columns import (
 from repro.simulator.trace import SimResult, UopTrace
 
 #: Format written by :func:`save_result`.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Oldest format :func:`load_result` still reads.  The artifact cache
 #: folds this (not the writer version) into its fingerprint, so bumping
@@ -49,7 +54,7 @@ COMPAT_FORMAT_VERSION = 1
 _TIMESTAMP_FIELDS = TIMESTAMP_COLUMNS
 _WITNESS_FIELDS = WITNESS_COLUMNS
 
-#: TraceColumns attribute -> archive key, saved/loaded verbatim.
+#: TraceColumns attribute -> column key, saved/loaded verbatim.
 _V2_TRACE_KEYS = (
     ("dtlb_miss", "rec_dtlb_miss"),
     ("mispredicted", "rec_mispredicted"),
@@ -76,7 +81,7 @@ _V2_TRACE_KEYS = (
     ("addr_values", "rec_addr_values"),
 )
 
-#: WorkloadColumns attribute -> archive key.
+#: WorkloadColumns attribute -> column key.
 _V2_UOP_KEYS = (
     ("macro_id", "uop_macro_id"),
     ("som", "uop_som"),
@@ -123,9 +128,8 @@ def _encode_param_value(value):
 def normalise_archive_path(path: Union[str, pathlib.Path]) -> pathlib.Path:
     """The actual on-disk path for a requested archive path.
 
-    Archives are always ``.npz`` (that is what ``np.savez_compressed``
-    produces), so the requested name is *normalised* rather than blindly
-    suffixed:
+    Archives are always ``.npz`` (what ``np.load`` reads), so the
+    requested name is *normalised* rather than blindly suffixed:
 
     * ``trace.npz``    -> ``trace.npz``      (already correct)
     * ``trace``        -> ``trace.npz``      (extension added)
@@ -156,6 +160,14 @@ def save_result(
     uop_cols = workload.columns
     trace_cols = result.columns
 
+    columns = [
+        (key, getattr(uop_cols, attr)) for attr, key in _V2_UOP_KEYS
+    ] + [(key, getattr(trace_cols, attr)) for attr, key in _V2_TRACE_KEYS]
+    blocks: Dict[str, List[np.ndarray]] = {}
+    layout = []
+    for key, column in columns:
+        blocks.setdefault(column.dtype.name, []).append(column)
+        layout.append([key, column.dtype.name, len(column)])
     meta = {
         "format_version": FORMAT_VERSION,
         "workload_name": workload.name,
@@ -163,16 +175,14 @@ def save_result(
         "cycles": result.cycles,
         "stats": result.stats,
         "config": config_to_dict(result.config),
+        "layout": layout,
     }
-    arrays = {key: getattr(uop_cols, attr) for attr, key in _V2_UOP_KEYS}
-    arrays.update(
-        {key: getattr(trace_cols, attr) for attr, key in _V2_TRACE_KEYS}
-    )
+    arrays = {dtype: np.concatenate(parts) for dtype, parts in blocks.items()}
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
+    save_npz(path, arrays)
     return path
 
 
@@ -222,7 +232,7 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
         version = meta.get("format_version")
         if version == 1:
             loader = _load_v1
-        elif version == 2:
+        elif version in (2, 3):
             loader = _load_v2
         else:
             raise TraceFormatError(
@@ -230,22 +240,42 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
                 f"(this build reads versions "
                 f"{COMPAT_FORMAT_VERSION}..{FORMAT_VERSION})"
             )
-        # Format-version observability: how often the compatibility
-        # path (v1) still runs vs the columnar format (v2).
+        # Format-version observability: how often each archive format
+        # still loads.
         from repro.obs.observer import get_observer
 
         get_observer().counter(f"traceio.loads.v{version}").inc()
-        uop = {
-            key[4:]: archive[key]
-            for key in archive.files
-            if key.startswith("uop_")
-        }
-        rec = {
-            key[4:]: archive[key]
-            for key in archive.files
-            if key.startswith("rec_")
-        }
+        if version == 3:
+            columns = _unpack_v3(path, meta["layout"], archive)
+        else:
+            columns = {
+                key: archive[key]
+                for key in archive.files
+                if key.startswith(("uop_", "rec_"))
+            }
+    uop = {k[4:]: v for k, v in columns.items() if k.startswith("uop_")}
+    rec = {k[4:]: v for k, v in columns.items() if k.startswith("rec_")}
     return loader(meta, uop, rec)
+
+
+def _unpack_v3(path, layout, archive) -> Dict[str, np.ndarray]:
+    """Slice format 3's per-dtype blocks back into named columns (views
+    of the blocks, in ``layout`` order)."""
+    blocks: Dict[str, np.ndarray] = {}
+    ends: Dict[str, int] = {}
+    columns = {}
+    for key, dtype, length in layout:
+        if dtype not in blocks:
+            blocks[dtype] = archive[dtype]
+        start = ends.get(dtype, 0)
+        ends[dtype] = start + length
+        columns[key] = blocks[dtype][start:ends[dtype]]
+    for dtype, block in blocks.items():
+        if block.dtype.name != dtype or block.shape != (ends[dtype],):
+            raise TraceFormatError(
+                f"{path}: block {dtype} does not match its layout"
+            )
+    return columns
 
 
 def _meta_workload_params(meta) -> tuple:

@@ -1,12 +1,26 @@
 """Model serialisation round-trip tests."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from repro.common.config import LatencyConfig
+from repro.common.config import LatencyConfig, baseline_config
 from repro.common.events import NUM_EVENTS, EventType
+from repro.core.generator import generate_rpstacks
 from repro.core.io import ModelFormatError, load_model, save_model
 from repro.core.model import RpStacksModel
+from repro.graphmodel.builder import build_graph
+from repro.simulator.core import simulate
+from repro.workloads.generator import generate
+from tests.simulator.test_trace_format import GOLDEN_SEED, GOLDEN_SPEC
+
+#: Written by the format-2 writer: the model of GOLDEN_SPEC at
+#: GOLDEN_SEED, at segment length 40 (four segments).
+GOLDEN_MODEL_V2 = (
+    pathlib.Path(__file__).parent.parent / "data" / "golden_model_v2.npz"
+)
 
 
 @pytest.fixture
@@ -76,7 +90,9 @@ def test_rejects_tampered_stack_values(model, tmp_path, bad):
     path = save_model(model, tmp_path / "m")
     with np.load(path) as archive:
         arrays = {k: archive[k] for k in archive.files}
-    arrays["segment_000001"][0, EventType.L1D] = bad
+    # The first row of segment 1 in the packed stacks member.
+    row = len(model.segment_stacks[0])
+    arrays["stacks"][row, EventType.L1D] = bad
     np.savez(path, **arrays)
     with pytest.raises(ModelFormatError, match="non-negative integers") as exc:
         load_model(path)
@@ -94,3 +110,43 @@ def test_real_model_round_trip(gamess_session, tmp_path):
     assert loaded.predict_cycles(probe) == pytest.approx(
         model.predict_cycles(probe)
     )
+
+
+def _format_version(path):
+    with np.load(path) as archive:
+        return json.loads(bytes(archive["meta_json"]).decode())[
+            "format_version"
+        ]
+
+
+def test_writer_packs_segments_into_one_member(model, tmp_path):
+    path = save_model(model, tmp_path / "m")
+    with np.load(path) as archive:
+        assert sorted(archive.files) == [
+            "baseline_cycles", "meta_json", "stacks"
+        ]
+    assert _format_version(path) == 3
+
+
+def test_golden_v2_model_loads_and_resaves_bit_identically(tmp_path):
+    assert _format_version(GOLDEN_MODEL_V2) == 2
+    golden = load_model(GOLDEN_MODEL_V2)
+    result = simulate(
+        generate(GOLDEN_SPEC, seed=GOLDEN_SEED), baseline_config(),
+        native=False,
+    )
+    fresh = generate_rpstacks(
+        build_graph(result), baseline_config().latency, segment_length=40
+    )
+    assert golden.num_segments == fresh.num_segments == 4
+    assert golden.content_digest() == fresh.content_digest()
+    assert golden.baseline == fresh.baseline
+    assert golden.num_uops == fresh.num_uops
+
+    resaved = save_model(golden, tmp_path / "v3")
+    assert _format_version(resaved) == 3
+    upgraded = load_model(resaved)
+    assert upgraded.content_digest() == golden.content_digest()
+    assert upgraded.baseline == golden.baseline
+    assert upgraded.num_uops == golden.num_uops
+    assert upgraded.stats == golden.stats

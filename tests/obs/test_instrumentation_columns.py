@@ -1,6 +1,8 @@
 """Observability of the columnar paths: spans and counters added so the
 record-materialisation tax and format-version mix stay visible."""
 
+import pathlib
+
 import pytest
 
 from repro.graphmodel.builder import build_graph
@@ -38,11 +40,16 @@ def test_traceio_load_counts_format_version(tmp_path):
     result = _result()
     path = tmp_path / "trace.npz"
     save_result(result, path)
+    golden_v2 = (
+        pathlib.Path(__file__).parent.parent / "data" / "golden_trace_v2.npz"
+    )
     obs = Observer(enabled=True)
     with use_observer(obs):
         load_result(path)
         load_result(path)
-    assert obs.metrics.counter_value("traceio.loads.v2") == 2
+        load_result(golden_v2)
+    assert obs.metrics.counter_value("traceio.loads.v3") == 2
+    assert obs.metrics.counter_value("traceio.loads.v2") == 1
     assert obs.metrics.counter_value("traceio.loads.v1") == 0
 
 

@@ -162,6 +162,26 @@ def test_structure_domain_changes_key(fp_workload):
     )
 
 
+def test_model_writer_bump_keeps_keys_reader_floor_changes_them(
+    fp_workload, monkeypatch
+):
+    """Keys fold in the oldest readable model format, not the writer's:
+    a new writer leaves readable entries their keys, while dropping a
+    reader orphans the entries it can no longer read."""
+    from repro.core import io as model_io
+
+    config = baseline_config()
+    base = analysis_fingerprint(fp_workload, config)
+    monkeypatch.setattr(
+        model_io, "FORMAT_VERSION", model_io.FORMAT_VERSION + 1
+    )
+    assert analysis_fingerprint(fp_workload, config) == base
+    monkeypatch.setattr(
+        model_io, "COMPAT_FORMAT_VERSION", model_io.COMPAT_FORMAT_VERSION + 1
+    )
+    assert analysis_fingerprint(fp_workload, config) != base
+
+
 # ---- lossless round trips ------------------------------------------------
 
 

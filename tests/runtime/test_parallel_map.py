@@ -241,6 +241,20 @@ class TestPoolBreaks:
         assert_no_orphans()
 
 
+def test_worker_flags_only_a_returned_task_finished(monkeypatch):
+    """A task that raised stays flagged started: when a pool break
+    swallows its error before the parent reads it, the parent charges it
+    an attempt instead of re-running it for free."""
+    from repro.runtime import runner
+
+    state = multiprocessing.RawArray("b", 2)
+    monkeypatch.setattr(runner, "_TASK_STATE", state)
+    runner._timed_call(square, (3,), False, "0", slot=0)
+    with pytest.raises(RuntimeError):
+        runner._timed_call(explode, (1,), True, "1", slot=1)
+    assert list(state) == [runner._FINISHED, runner._STARTED]
+
+
 class TestOnResult:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_callback_fires_once_per_final_outcome(self, jobs):

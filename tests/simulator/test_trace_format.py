@@ -1,4 +1,4 @@
-"""Trace archive format: path normalisation, version compat, v1 golden.
+"""Trace archive format: path normalisation, version compat, goldens.
 
 Three historical bugs are pinned here:
 
@@ -11,6 +11,8 @@ Three historical bugs are pinned here:
 * The v1->v2 columnar rewrite must not orphan existing archives: a
   committed v1 golden archive has to keep loading bit-identically
   (same records, same digest as a fresh simulation of its recipe).
+  The v2->v3 packing of columns into per-dtype blocks keeps a committed
+  v2 golden archive loading the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from repro.simulator.traceio import (
 )
 from repro.workloads.generator import WorkloadSpec, generate
 
-GOLDEN_V1 = pathlib.Path(__file__).parent.parent / "data" / "golden_trace_v1.npz"
+DATA = pathlib.Path(__file__).parent.parent / "data"
+GOLDEN_V1 = DATA / "golden_trace_v1.npz"
+#: Written by the format-2 writer from GOLDEN_SPEC and GOLDEN_SEED.
+GOLDEN_V2 = DATA / "golden_trace_v2.npz"
 
 #: The exact recipe the committed golden archive was produced from.
 GOLDEN_SPEC = WorkloadSpec(
@@ -86,11 +91,15 @@ class TestPathNormalisation:
 
 
 class TestVersionCompat:
-    def test_writer_is_v2(self, tiny_result, tmp_path):
+    def test_writer_is_v3(self, tiny_result, tmp_path):
         path = save_result(tiny_result, tmp_path / "trace.npz")
         with np.load(path) as archive:
             meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        assert meta["format_version"] == FORMAT_VERSION == 2
+            members = sorted(archive.files)
+        assert meta["format_version"] == FORMAT_VERSION == 3
+        # One member per column dtype, beside the metadata.
+        assert members == ["bool", "int16", "int32", "int64", "meta_json"]
+        assert len(meta["layout"]) == 36
 
     def test_compat_floor_is_v1(self):
         assert COMPAT_FORMAT_VERSION == 1
@@ -145,3 +154,33 @@ class TestGoldenV1:
         upgraded = load_result(save_result(golden, tmp_path / "v2"))
         assert upgraded.uops == golden.uops
         assert result_digest(upgraded) == result_digest(golden)
+
+
+def _fresh_golden():
+    workload = generate(GOLDEN_SPEC, seed=GOLDEN_SEED)
+    return simulate(workload, baseline_config(), native=False)
+
+
+class TestGoldenV2:
+    """The committed one-member-per-column archive keeps loading
+    bit-identically and re-saves to format 3 bit-identically."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        assert GOLDEN_V2.exists(), "committed golden archive missing"
+        with np.load(GOLDEN_V2) as archive:
+            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+        assert meta["format_version"] == 2
+        return load_result(GOLDEN_V2)
+
+    def test_digest_matches_fresh_simulation(self, golden):
+        assert result_digest(golden) == result_digest(_fresh_golden())
+
+    def test_resave_upgrades_to_v3_bit_identically(self, golden, tmp_path):
+        path = save_result(golden, tmp_path / "v3")
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+        assert meta["format_version"] == 3
+        upgraded = load_result(path)
+        assert result_digest(upgraded) == result_digest(golden)
+        assert upgraded.uops == golden.uops
