@@ -2,7 +2,7 @@
 
 Each scenario wraps one measurement this repo's PR history committed a
 speedup for (warm-cache analysis, parallel stack generation, the native
-simulator, columnar traces, the streaming sweep) as a
+simulator, columnar traces, the streaming sweep, the suite runner) as a
 :class:`~repro.obs.bench.Scenario` recipe.  The recipe builds the
 workload once (untimed), returns the timed body plus a digest function,
 and relies on the pipeline's own spans/counters for per-stage
@@ -14,7 +14,7 @@ imported by :mod:`repro.obs.bench` (via :func:`ensure_registered`), and
 
 Tier scales are sized for seconds-per-scenario on a development box
 ("full", the committed baselines) and sub-second gating on a PR runner
-("ci").  Every knob is env-overridable (``REPRO_BENCH_*``).
+("ci").  Most knobs are env-overridable (``REPRO_BENCH_*``).
 """
 
 from __future__ import annotations
@@ -109,6 +109,30 @@ def _generate_jobs8_recipe(scale: Dict[str, int]):
 
     def digest():
         return holder["model"].content_digest()
+
+    return body, digest
+
+
+def _suite_jobs_recipe(scale: Dict[str, int]):
+    from repro.runtime.runner import run_suite
+    from repro.workloads.suite import suite_names
+
+    names = suite_names()
+    holder = {}
+
+    def body():
+        holder["report"] = run_suite(
+            names, macros=scale["macros"], jobs=scale["jobs"]
+        )
+
+    def digest():
+        report = holder["report"]
+        combined = hashlib.sha256()
+        for name in names:
+            combined.update(
+                report.session(name).rpstacks.content_digest().encode()
+            )
+        return combined.hexdigest()
 
     return body, digest
 
@@ -334,6 +358,17 @@ def ensure_registered() -> None:
             env_overrides={
                 "macros": "REPRO_BENCH_GENERATE_MACROS",
                 "jobs": "REPRO_BENCH_GENERATE_JOBS",
+            },
+        )
+    )
+    register(
+        Scenario(
+            name="suite_jobs",
+            title="suite runner, 12 analogues over two worker processes",
+            recipe=_suite_jobs_recipe,
+            scales={
+                "full": {"macros": 1000, "jobs": 2},
+                "ci": {"macros": 150, "jobs": 2},
             },
         )
     )
