@@ -860,11 +860,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="artifact cache directory (reuse prior analyses)")
     p.add_argument("--timeout", type=float,
                    help="per-workload wall-clock budget in seconds, "
-                   "measured from task start; stragglers are reaped")
+                   "from when a worker is handed it; a straggler's "
+                   "worker is killed")
     p.add_argument("--retries", type=int, default=0,
                    help="retry a failing workload up to this many extra "
-                   "times (exponential backoff; worker deaths respawn "
-                   "the pool)")
+                   "times (exponential backoff; a worker death costs "
+                   "its own workload an attempt)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="journal completed workloads to this file after "
                    "each one finishes")

@@ -10,9 +10,9 @@ hardware allows"):
   and RpStacks models keyed by those fingerprints; a hit rebuilds the
   dependence graph from the trace, which is faster than reading an
   archived graph back;
-* :mod:`repro.runtime.runner` — process-pool fan-out of ``analyze()``
-  over the workload suite with error isolation, retries and per-task
-  deadlines;
+* :mod:`repro.runtime.runner` — fan-out of ``analyze()`` over the
+  workload suite on worker processes, one pipe each, with error
+  isolation, retries and per-task deadlines;
 * :mod:`repro.runtime.resilience` — retry policies with deterministic
   backoff, the crash-safe suite journal, stale-resume rejection.
 """

@@ -72,10 +72,9 @@ class RetryPolicy:
         jitter_fraction: delays stretch by up to this fraction.
         seed: folded into the jitter hash (vary to decorrelate runs).
         retryable: exception classes considered transient; anything
-            else fails the task immediately.
-        retry_pool_breaks: whether a worker-process death
-            (``BrokenProcessPool`` — e.g. a SIGKILL or segfault) counts
-            as a retryable event for the tasks that were running.
+            else fails the task immediately.  A worker-process death
+            (a SIGKILL or segfault) has no exception: it is retried
+            whatever this holds, while attempts remain.
     """
 
     max_attempts: int = 3
@@ -85,7 +84,6 @@ class RetryPolicy:
     jitter_fraction: float = 0.1
     seed: int = 0
     retryable: Tuple[type, ...] = (Exception,)
-    retry_pool_breaks: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -230,7 +228,7 @@ class SuiteCheckpoint:
     A tiny JSON file rewritten atomically after every completed
     workload.  On ``--resume`` the runner validates the fingerprint,
     skips the recorded names (reloading their sessions through the
-    artifact cache) and only dispatches the remainder to the pool.
+    artifact cache) and only dispatches the remainder to the workers.
     """
 
     fingerprint: str

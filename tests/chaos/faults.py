@@ -1,18 +1,18 @@
 """Deterministic fault injection for chaos tests.
 
-The execution layer's resilience claims (retries, pool respawn,
+The execution layer's resilience claims (retries, worker replacement,
 checkpoint/resume) only mean something if tests can make workers fail
 *on demand, reproducibly, in another process*.  This module is that
 seam.
 
 Faults are described by a **plan** — a mapping from task id to a fault
 spec — published to worker processes through two environment variables
-(set them before the pool forks and every worker sees the plan):
+(set them before the workers fork and every worker sees the plan):
 
 * ``REPRO_CHAOS_PLAN`` — path of the JSON plan file;
 * ``REPRO_CHAOS_DIR`` — a scratch directory where each probe claims an
   attempt marker with ``O_CREAT | O_EXCL``, so attempts are counted
-  across process boundaries (workers are separate, possibly respawned,
+  across process boundaries (workers are separate, possibly replaced,
   processes — an in-memory counter would reset with every retry).
 
 A task under test calls :func:`probe` with its task id.  If the ambient
@@ -21,8 +21,8 @@ attempts, the probe injects the fault:
 
 * ``raise`` — raise :class:`ChaosError` (a transient, retryable error);
 * ``hang`` — sleep ``hang_seconds`` (drives deadline/straggler tests);
-* ``sigkill`` — ``SIGKILL`` its own process (drives
-  ``BrokenProcessPool`` recovery: no cleanup, no excuses).
+* ``sigkill`` — ``SIGKILL`` its own process (drives worker-death
+  recovery: EOF on that worker's pipe, no cleanup, no excuses).
 
 Everything is deterministic: :func:`make_plan` derives the victim set
 and fault kinds from a seed, and the injector itself has no randomness
@@ -103,7 +103,7 @@ def _load_plan() -> Optional[Tuple[Dict[str, dict], pathlib.Path]]:
 def _claim_attempt(scratch: pathlib.Path, task_id: str) -> int:
     """Claim the next attempt number for *task_id* (1-based) by creating
     the first marker file that doesn't exist yet — atomic across
-    processes, monotonic across pool respawns."""
+    processes, monotonic across worker replacements."""
     for attempt in range(1, _MAX_ATTEMPTS_TRACKED):
         marker = scratch / f"{task_id}.attempt{attempt}"
         try:
@@ -148,8 +148,8 @@ def probe(task_id: str) -> int:
 def chaos_workload(name: str, macros: int, seed: int = 1):
     """Drop-in ``workload_factory`` for :func:`repro.runtime.run_suite`
     that probes the fault plan (task id = workload name) before
-    generating the real workload.  Module-level, so it pickles into pool
-    workers."""
+    generating the real workload.  Module-level, so it pickles into
+    worker processes."""
     from repro.workloads.suite import make_workload
 
     probe(name)
