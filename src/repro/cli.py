@@ -45,8 +45,8 @@ from repro.dse.report import format_table, render_cpi_stack
 from repro.simulator.machine import Machine
 from repro.workloads.suite import SPEC_LABELS, make_workload, suite_names
 
-#: Exit code of any command stopped by Ctrl-C.  Only a journalling
-#: ``suite --checkpoint`` run can be continued (with ``--resume``).
+#: Exit code of any command stopped by Ctrl-C.  A ``suite --cache-dir``
+#: run continues when rerun on the same cache.
 EXIT_INTERRUPTED = 4
 
 
@@ -85,31 +85,23 @@ def _workload(args) -> object:
 
 
 def _observer_from_args(args, force_enabled: bool = False):
-    """Build the command's observer from ``--trace-out`` /
-    ``--metrics-json`` flags, falling back to the ``REPRO_TRACE_OUT`` /
-    ``REPRO_METRICS_JSON`` / ``REPRO_OBS`` environment toggles."""
-    import os
+    """The command's observer: the environment's
+    (:func:`~repro.obs.observer.from_env`), enabled as well by
+    *force_enabled*, ``--progress``, ``--trace-out`` or
+    ``--metrics-json``, whose paths override the environment's."""
+    from repro.obs.observer import Observer, from_env
 
-    from repro.obs.observer import NULL_OBSERVER, Observer
-
-    trace_out = getattr(args, "trace_out", None) or os.environ.get(
-        "REPRO_TRACE_OUT"
-    )
-    metrics_out = getattr(args, "metrics_json", None) or os.environ.get(
-        "REPRO_METRICS_JSON"
-    )
+    env = from_env()
+    trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_json", None)
     progress = getattr(args, "progress", None)
-    env_flag = os.environ.get("REPRO_OBS", "").strip().lower()
-    enabled = (
-        force_enabled
-        or bool(trace_out or metrics_out)
-        or progress is not None
-        or env_flag in {"1", "true", "on"}
-    )
-    if not enabled:
-        return NULL_OBSERVER
+    if not (force_enabled or trace_out or metrics_out
+            or progress is not None):
+        return env
     return Observer(
-        enabled=True, trace_out=trace_out, metrics_out=metrics_out
+        enabled=True,
+        trace_out=trace_out or env.trace_out,
+        metrics_out=metrics_out or env.metrics_out,
     )
 
 
@@ -335,7 +327,6 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from repro.runtime.resilience import CheckpointError, RetryPolicy
     from repro.runtime.runner import run_suite
     from repro.workloads.suite import resolve_names
 
@@ -347,26 +338,17 @@ def cmd_suite(args) -> int:
         raise SystemExit("--jobs must be at least 1")
     if args.retries < 0:
         raise SystemExit("--retries must be non-negative")
-    retry = (
-        RetryPolicy(max_attempts=args.retries + 1)
-        if args.retries > 0 else None
-    )
     obs = _observer_from_args(args)
-    try:
-        report = run_suite(
-            names=tuple(args.only or ()),
-            macros=args.macros,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache=args.cache_dir,
-            timeout=args.timeout,
-            obs=obs,
-            retry=retry,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
-    except (CheckpointError, ValueError) as error:
-        raise SystemExit(str(error))
+    report = run_suite(
+        names=tuple(args.only or ()),
+        macros=args.macros,
+        seed=args.seed,
+        jobs=args.jobs,
+        cache=args.cache_dir,
+        timeout=args.timeout,
+        obs=obs,
+        retries=args.retries,
+    )
     _finish_observer(obs)
     rows = []
     for outcome in report:
@@ -392,7 +374,6 @@ def cmd_suite(args) -> int:
     print(format_table(["application", "baseline CPI", "bottlenecks"], rows))
     hits = sum(1 for outcome in report if outcome.cache_hit)
     retried = sum(1 for outcome in report if outcome.attempts > 1)
-    resumed = sum(1 for outcome in report if outcome.resumed)
     summary = (
         f"{len(report.succeeded)}/{len(report)} workloads in "
         f"{report.wall_seconds:.2f}s ({report.jobs} job(s))"
@@ -401,8 +382,6 @@ def cmd_suite(args) -> int:
         summary += f", {hits} cache hit(s)"
     if retried:
         summary += f", {retried} retried"
-    if resumed:
-        summary += f", {resumed} resumed"
     slowest = report.slowest
     if slowest is not None:
         summary += (
@@ -864,15 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "worker is killed")
     p.add_argument("--retries", type=int, default=0,
                    help="retry a failing workload up to this many extra "
-                   "times (exponential backoff; a worker death costs "
-                   "its own workload an attempt)")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="journal completed workloads to this file after "
-                   "each one finishes")
-    p.add_argument("--resume", action="store_true",
-                   help="skip workloads the --checkpoint journal records "
-                   "as completed (requires --cache-dir; stale journals "
-                   "are rejected)")
+                   "times (backoff 0.05 s, doubling, at most 2 s; a "
+                   "worker death costs its own workload an attempt)")
     add_obs_args(p)
     p.set_defaults(func=cmd_suite)
 
@@ -1024,12 +996,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Ctrl-C is a clean stop, not a traceback.  Only ``suite
-        # --checkpoint`` journals as it goes (after every workload), so
-        # only it can be continued.
-        if getattr(args, "checkpoint", None):
-            print("interrupted; rerun with --resume to continue",
-                  file=sys.stderr)
+        # Ctrl-C is a clean stop, not a traceback.  A suite stores each
+        # finished workload in its cache atomically, so rerunning it on
+        # that cache continues where it stopped.
+        if args.command == "suite" and args.cache_dir:
+            print(f"interrupted; rerun with --cache-dir {args.cache_dir} "
+                  "to continue", file=sys.stderr)
         else:
             print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

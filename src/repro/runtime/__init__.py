@@ -12,9 +12,9 @@ hardware allows"):
   archived graph back;
 * :mod:`repro.runtime.runner` — fan-out of ``analyze()`` over the
   workload suite on worker processes, one pipe each, with error
-  isolation, retries and per-task deadlines;
-* :mod:`repro.runtime.resilience` — retry policies with deterministic
-  backoff, the crash-safe suite journal, stale-resume rejection.
+  isolation, a retry count with fixed backoff and per-task deadlines.
+  An interrupted suite continues by running again on the same cache,
+  where every finished workload is a hit.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, open_cache
@@ -22,12 +22,6 @@ from repro.runtime.fingerprint import (
     analysis_fingerprint,
     code_version,
     workload_fingerprint,
-)
-from repro.runtime.resilience import (
-    CheckpointError,
-    CheckpointMismatchError,
-    RetryPolicy,
-    SuiteCheckpoint,
 )
 from repro.runtime.runner import (
     EXIT_ALL_FAILED,
@@ -43,13 +37,9 @@ from repro.runtime.runner import (
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "CheckpointError",
-    "CheckpointMismatchError",
     "EXIT_ALL_FAILED",
     "EXIT_OK",
     "EXIT_PARTIAL_FAILURE",
-    "RetryPolicy",
-    "SuiteCheckpoint",
     "SuiteReport",
     "TaskOutcome",
     "WorkloadOutcome",

@@ -271,7 +271,7 @@ class ArtifactCache:
                 # A concurrent writer won the rename race; its entry has
                 # identical content, so ours is redundant.
                 shutil.rmtree(staging, ignore_errors=True)
-        except Exception:
+        except BaseException:  # Ctrl-C included: leave no staging behind
             shutil.rmtree(staging, ignore_errors=True)
             raise
         return entry
@@ -286,7 +286,11 @@ class ArtifactCache:
             if not shard.is_dir():
                 continue
             for entry in sorted(shard.iterdir()):
-                if (entry / "meta.json").is_file():
+                # A dot-prefixed directory is a writer's staging area,
+                # complete with meta.json just before its rename.
+                if not entry.name.startswith(".") and (
+                    entry / "meta.json"
+                ).is_file():
                     yield entry
 
     @staticmethod
@@ -331,11 +335,15 @@ class ArtifactCache:
         return stats
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, and the staging directories writers
+        killed mid-store left behind; returns how many entries were
+        removed."""
         removed = 0
         for entry in list(self._entries()):
             shutil.rmtree(entry, ignore_errors=True)
             removed += 1
+        for staging in self.root.glob(f"{LAYOUT_VERSION}/*/.*"):
+            shutil.rmtree(staging, ignore_errors=True)
         return removed
 
 

@@ -11,22 +11,20 @@ processes, each driven over its own pipe, with:
 * **error isolation** — a workload whose generator or simulation raises
   is reported as a failed outcome (with its traceback) without sinking
   the rest of the suite;
-* **fault tolerance** — with a
-  :class:`~repro.runtime.resilience.RetryPolicy`, transient failures
-  are retried with exponential backoff (deterministic jitter); a
-  worker-process death (SIGKILL, segfault, OOM kill) is charged to the
-  one task that worker ran, retried like any transient failure, and
-  only that worker is replaced;
+* **fault tolerance** — with ``retries=N``, a task that raises, or
+  whose worker process dies (SIGKILL, segfault, OOM kill), runs again
+  up to ``N`` more times after a fixed exponential backoff
+  (:func:`backoff_delay`); a death is charged to the one task that
+  worker ran, and only that worker is replaced;
 * **per-task deadlines** — a wall-clock budget per task, running from
   when a worker is handed the attempt, after its backoff; an
   overrunning task is reported failed with its *real* elapsed time and
   its worker alone is killed and joined, never orphaned;
 * **cache integration** — workers share one on-disk
   :class:`~repro.runtime.cache.ArtifactCache`, whose atomic-rename
-  writes make concurrent population safe;
-* **checkpoint/resume** — ``run_suite(checkpoint=..., resume=True)``
-  journals completed workloads and skips them on the next run (see
-  :class:`~repro.runtime.resilience.SuiteCheckpoint`).
+  writes make concurrent population safe, and which is also how an
+  interrupted suite continues: rerun it on the same cache and every
+  finished workload loads as a hit.
 
 Processes rather than threads, because a thread can neither be killed
 at a deadline nor survive a segfault (measurements in ``docs/cli.md``).
@@ -55,11 +53,6 @@ from repro.dse.pipeline import AnalysisSession, analyze
 from repro.obs import clock
 from repro.obs.observer import Observer, get_observer, use_observer
 from repro.runtime.cache import ArtifactCache, open_cache
-from repro.runtime.resilience import (
-    RetryPolicy,
-    SuiteCheckpoint,
-    suite_fingerprint,
-)
 from repro.workloads.suite import make_workload, resolve_names, suite_names
 
 #: Suite exit codes (`python -m repro suite`): every workload analysed.
@@ -72,24 +65,29 @@ EXIT_ALL_FAILED = 1
 EXIT_PARTIAL_FAILURE = 3
 
 
+def backoff_delay(failures: int) -> float:
+    """Seconds a task waits before its next attempt after its
+    *failures*-th failed one: 0.05, 0.1, 0.2, ... doubling up to 2.0."""
+    return min(2.0, 0.05 * 2 ** (failures - 1))
+
+
 @dataclass
 class TaskOutcome:
     """Result of one :func:`parallel_map` task (value or traceback).
 
     Besides the payload, each outcome carries its own wall-clock cost,
-    how many attempts it took (>1 means the retry policy earned its
-    keep), and — when the parent ran with an enabled observer — the
-    trace events and metrics its worker recorded, so worker-side spans
-    merge into the parent's timeline instead of vanishing with the
-    process.
+    how many attempts it took (>1 means a retry earned its keep), and —
+    when the parent ran with an enabled observer — the trace events and
+    metrics its worker recorded, so worker-side spans merge into the
+    parent's timeline instead of vanishing with the process.
     """
 
     ok: bool
     value: Any = None
     error: Optional[str] = None
-    #: wall-clock seconds the final attempt spent executing (on a
-    #: timeout this is the real time the task ran before its worker
-    #: was killed)
+    #: wall-clock seconds the final attempt spent executing, until it
+    #: returned, raised, its worker died, or (on a timeout) its worker
+    #: was killed
     elapsed_seconds: float = 0.0
     #: Chrome trace events recorded inside the worker (capture mode)
     trace_events: Optional[List[dict]] = None
@@ -101,28 +99,17 @@ class TaskOutcome:
     timed_out: bool = False
 
 
-def _failure(
-    error: BaseException, retry: Optional[RetryPolicy], attempt: int
-) -> Tuple[bool, Tuple[str, bool]]:
-    """The reply for an attempt that raised *error* (call it while the
-    error is being handled): its traceback and the policy's verdict."""
-    transient = retry is not None and retry.should_retry(error, attempt)
-    return False, (traceback.format_exc(), transient)
-
-
-def _attempt(
-    fn: Callable, args: Tuple, capture: bool, label: str,
-    delay: float, retry: Optional[RetryPolicy], attempt: int,
-):
+def _attempt(fn: Callable, args: Tuple, capture: bool, label: str,
+             delay: float):
     """Run one attempt at ``fn(*args)``, after sleeping its backoff
     *delay*: timed, and with *capture* under a fresh observer whose
     spans and metrics ship back with the result.
 
-    Returns ``(True, (value, elapsed, events, metrics))`` or
-    ``(False, (traceback, transient))``, the retry policy's verdict
-    taken here so no exception object has to cross a pipe.  Worker
-    processes run it with capture; the in-process path runs it without,
-    the parent observer being ambient there.
+    Returns ``(True, (value, elapsed, events, metrics))`` or, if it
+    raised, ``(False, (traceback, elapsed))``, so no exception object
+    has to cross a pipe.  Worker processes run it with capture; the
+    in-process path runs it without, the parent observer being ambient
+    there.
     """
     if delay > 0:
         time.sleep(delay)
@@ -141,22 +128,32 @@ def _attempt(
             worker_obs.tracer.export_events(),
             worker_obs.metrics.export(),
         )
-    except Exception as error:
-        return _failure(error, retry, attempt)
+    except Exception:
+        return False, (traceback.format_exc(), clock.perf_seconds() - start)
 
 
-def _serve(conn) -> None:
+def _serve(conn, parent_end) -> None:
     """Worker process body: run each attempt the parent sends over
-    *conn* and reply with its outcome, until the parent sends ``None``.
-    Ctrl-C is the parent's to handle: it kills its workers."""
+    *conn* and reply with its outcome, until the parent sends ``None``
+    or is gone.  Ctrl-C is the parent's to handle: it kills its
+    workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for message in iter(conn.recv, None):
-        reply = _attempt(*message)
-        try:
-            data = ForkingPickler.dumps(reply)
-        except Exception as error:  # an unpicklable return value
-            data = ForkingPickler.dumps(_failure(error, *message[-2:]))
-        conn.send_bytes(data)
+    # The forked copy of the parent's end would keep this pipe open
+    # after the parent dies, and recv() would wait forever.
+    parent_end.close()
+    try:
+        for message in iter(conn.recv, None):
+            reply = _attempt(*message)
+            try:
+                data = ForkingPickler.dumps(reply)
+            except Exception:  # an unpicklable return value
+                elapsed = reply[1][1]
+                data = ForkingPickler.dumps(
+                    (False, (traceback.format_exc(), elapsed))
+                )
+            conn.send_bytes(data)
+    except (EOFError, OSError):
+        pass  # the parent died; _attempt itself raises neither
 
 
 class _Worker:
@@ -166,7 +163,7 @@ class _Worker:
     def __init__(self) -> None:
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_serve, args=(child,), daemon=True
+            target=_serve, args=(child, self.conn), daemon=True
         )
         self.process.start()
         # Only the worker may hold its end, or its death shows no EOF.
@@ -190,8 +187,7 @@ def parallel_map(
     jobs: int = 1,
     timeout: Optional[float] = None,
     obs=None,
-    retry: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, TaskOutcome], None]] = None,
+    retries: int = 0,
 ) -> List["TaskOutcome"]:
     """Apply ``fn(*args)`` to every argument tuple, optionally across
     worker processes.
@@ -207,12 +203,11 @@ def parallel_map(
     * **error isolation** — a task that raises, or whose arguments or
       value do not pickle, yields a failed :class:`TaskOutcome`
       carrying its traceback instead of sinking the whole batch;
-    * **retries** — with a *retry* policy, a task failing with a
-      retryable exception runs again after its deterministic backoff
-      (slept worker-side), up to ``max_attempts`` tries; a worker death
-      (EOF on its pipe: SIGKILL, segfault, OOM kill) is charged to that
-      worker's task alone, retried the same way, and one worker
-      replaces the dead one;
+    * **retries** — a failed attempt, or a worker death (EOF on its
+      pipe: SIGKILL, segfault, OOM kill) charged to that worker's task
+      alone, runs again while the task has used at most *retries*
+      attempts, after :func:`backoff_delay` (slept worker-side); one
+      worker replaces a dead one;
     * **per-task deadlines** — *timeout* bounds each attempt's wall
       clock from when its worker is handed it, after its backoff; an
       overrun records a failed outcome with the real elapsed time and
@@ -223,7 +218,8 @@ def parallel_map(
       parent (:meth:`~repro.obs.observer.Observer.absorb`).
 
     Every worker is stopped and joined before the call returns or
-    raises, an interrupted call included.
+    raises, an interrupted call included.  A worker whose parent is
+    killed outright exits once its current attempt ends.
 
     Args:
         fn: a picklable module-level callable.
@@ -234,18 +230,16 @@ def parallel_map(
             with a *timeout* runs on one worker process.
         timeout: per-task wall-clock budget in seconds.
         obs: observer to record into; defaults to the ambient one.
-        retry: a :class:`~repro.runtime.resilience.RetryPolicy`;
-            ``None`` fails tasks on their first error.
-        on_result: called as ``on_result(index, outcome)`` in the
-            parent the moment each task reaches a final outcome (in
-            completion order) — the hook incremental checkpointing
-            hangs off.
+        retries: extra attempts a failing task may take; ``0`` fails
+            tasks on their first error.
 
     Returns:
         One :class:`TaskOutcome` per task, in *tasks* order.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
     obs = obs if obs is not None else get_observer()
     tasks = list(tasks)
     outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
@@ -253,35 +247,29 @@ def parallel_map(
     #: attempts waiting for a worker, as (task index, backoff delay)
     queue = deque((index, 0.0) for index in range(len(tasks)))
 
-    def finalise(index: int, outcome: TaskOutcome) -> None:
-        outcomes[index] = outcome
-        if on_result is not None:
-            on_result(index, outcome)
-
     def settle(index: int, reply) -> None:
-        """Record an attempt's reply: requeue a transient failure first
-        in line, else finalise the task."""
+        """Record an attempt's reply: requeue a failure first in line
+        while retries remain, else finalise the task."""
         ok, payload = reply
         if ok:
             value, elapsed, events, metrics = payload
             obs.absorb(events, metrics)
-            finalise(index, TaskOutcome(
+            outcomes[index] = TaskOutcome(
                 ok=True, value=value, elapsed_seconds=elapsed,
                 trace_events=events, metrics=metrics,
                 attempts=attempts[index],
-            ))
+            )
             return
-        error, transient = payload
-        if not transient:
-            finalise(index, TaskOutcome(
-                ok=False, error=error, attempts=attempts[index]
-            ))
+        error, elapsed = payload
+        if attempts[index] > retries:
+            outcomes[index] = TaskOutcome(
+                ok=False, error=error, elapsed_seconds=elapsed,
+                attempts=attempts[index],
+            )
             return
         obs.counter("runner.retries").inc()
         obs.event("task.retry", index=index, attempt=attempts[index])
-        queue.appendleft(
-            (index, retry.delay_for(attempts[index], task_key=index))
-        )
+        queue.appendleft((index, backoff_delay(attempts[index])))
         attempts[index] += 1
 
     if jobs == 1 and timeout is None:
@@ -289,10 +277,8 @@ def parallel_map(
             while queue:
                 index, delay = queue.popleft()
                 with obs.span("task", index=index, attempt=attempts[index]):
-                    reply = _attempt(
-                        fn, tasks[index], False, str(index), delay, retry,
-                        attempts[index],
-                    )
+                    reply = _attempt(fn, tasks[index], False, str(index),
+                                     delay)
                 settle(index, reply)
         return outcomes
 
@@ -306,14 +292,11 @@ def parallel_map(
         (an attempt whose arguments do not is settled as failed)."""
         while queue:
             index, delay = queue.popleft()
-            message = (
-                fn, tasks[index], capture, str(index), delay, retry,
-                attempts[index],
-            )
+            message = (fn, tasks[index], capture, str(index), delay)
             try:
                 data = ForkingPickler.dumps(message)
-            except Exception as error:
-                settle(index, _failure(error, retry, attempts[index]))
+            except Exception:
+                settle(index, (False, (traceback.format_exc(), 0.0)))
                 continue
             try:
                 worker.conn.send_bytes(data)
@@ -351,8 +334,7 @@ def parallel_map(
                         f"{worker.process.exitcode}: killed, segfaulted "
                         f"or out of memory) while running task "
                         f"{worker.index}",
-                        retry is not None
-                        and attempts[worker.index] < retry.max_attempts,
+                        max(0.0, clock.perf_seconds() - worker.started),
                     )))
                     continue
                 # Keep the worker busy while the parent unpickles.
@@ -370,7 +352,7 @@ def parallel_map(
                 workers.remove(worker)
                 worker.kill()
                 obs.counter("runner.timeouts").inc()
-                finalise(worker.index, TaskOutcome(
+                outcomes[worker.index] = TaskOutcome(
                     ok=False,
                     error=(
                         f"timed out after {elapsed:.3f}s "
@@ -380,7 +362,7 @@ def parallel_map(
                     elapsed_seconds=elapsed,
                     attempts=attempts[worker.index],
                     timed_out=True,
-                ))
+                )
     except BaseException:
         for worker in workers:
             worker.kill()
@@ -409,8 +391,6 @@ class WorkloadOutcome:
     cache_hit: bool = False
     #: tries the runner spent on this workload (>1 = retried)
     attempts: int = 1
-    #: completed in a previous run and skipped via ``resume``
-    resumed: bool = False
 
     @property
     def baseline_cycles(self) -> Optional[int]:
@@ -482,8 +462,6 @@ class SuiteReport:
         for outcome in self.outcomes:
             if outcome.ok:
                 source = "cache" if outcome.cache_hit else "fresh"
-                if outcome.resumed:
-                    source = "resumed"
                 note = (
                     f", {outcome.attempts} attempts"
                     if outcome.attempts > 1 else ""
@@ -513,40 +491,21 @@ def _analyze_one(
     analyze_kwargs: Dict,
     cache_dir: Optional[str],
     factory: Optional[Callable] = None,
-    raise_errors: bool = False,
 ) -> WorkloadOutcome:
     """Worker body: generate, analyse (through the cache) and report.
 
     Module-level so it pickles into worker processes; the cache is
     re-opened per worker from its path rather than shipped as an object.
-    With *raise_errors* the exception propagates instead of being folded
-    into a failed outcome — the suite runner sets it when a retry policy
-    is armed, so :func:`parallel_map` (not this wrapper) decides whether
-    a failure is transient.
+    A failure raises, so :func:`parallel_map` records (or retries) it.
     """
-    start = clock.perf_seconds()
-    try:
-        build = factory or make_workload
-        workload = build(name, macros, seed=seed)
-        cache = ArtifactCache(cache_dir) if cache_dir else None
-        session = analyze(workload, config=config, cache=cache,
-                          **analyze_kwargs)
-        return WorkloadOutcome(
-            name=name,
-            ok=True,
-            session=session,
-            elapsed_seconds=clock.perf_seconds() - start,
-            cache_hit=bool(cache and cache.hits),
-        )
-    except Exception:
-        if raise_errors:
-            raise
-        return WorkloadOutcome(
-            name=name,
-            ok=False,
-            error=traceback.format_exc(),
-            elapsed_seconds=clock.perf_seconds() - start,
-        )
+    build = factory or make_workload
+    workload = build(name, macros, seed=seed)
+    cache = ArtifactCache(cache_dir) if cache_dir else None
+    session = analyze(workload, config=config, cache=cache, **analyze_kwargs)
+    return WorkloadOutcome(
+        name=name, ok=True, session=session,
+        cache_hit=bool(cache and cache.hits),
+    )
 
 
 def run_suite(
@@ -559,12 +518,14 @@ def run_suite(
     timeout: Optional[float] = None,
     workload_factory: Optional[Callable] = None,
     obs=None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: Union[None, str, pathlib.Path] = None,
-    resume: bool = False,
+    retries: int = 0,
     **analyze_kwargs,
 ) -> SuiteReport:
     """Analyse a set of suite workloads, optionally in parallel.
+
+    An interrupted run is continued by running it again on the same
+    *cache*: each workload that finished is stored there atomically and
+    loads as a hit.
 
     Args:
         names: workload names (the full canonical suite if empty).
@@ -584,20 +545,11 @@ def run_suite(
         obs: an :class:`~repro.obs.Observer`; per-workload pipeline
             spans (worker-side in parallel mode) are merged into its
             trace.  Defaults to the ambient observer.
-        retry: a :class:`~repro.runtime.resilience.RetryPolicy` applied
-            per workload — transient failures and worker deaths are
-            retried with backoff; a workload still failing afterwards
-            degrades gracefully into a failed outcome in an otherwise
-            complete report (see :attr:`SuiteReport.exit_code`).
-        checkpoint: path to a
-            :class:`~repro.runtime.resilience.SuiteCheckpoint` journal,
-            atomically rewritten as each workload completes.
-        resume: skip workloads the checkpoint records as completed,
-            reloading their sessions through the (required) artifact
-            cache; the journal's fingerprint must match this run's
-            configuration or a
-            :class:`~repro.runtime.resilience.CheckpointMismatchError`
-            is raised.
+        retries: extra attempts per workload after a failure or a
+            worker death, with :func:`backoff_delay` between them; a
+            workload still failing afterwards degrades gracefully into
+            a failed outcome in an otherwise complete report (see
+            :attr:`SuiteReport.exit_code`).
         **analyze_kwargs: forwarded to :func:`repro.dse.pipeline.analyze`
             (reduction knobs, ``warm_caches``, ...).
 
@@ -613,86 +565,30 @@ def run_suite(
         selected = tuple(names) or suite_names()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if resume and checkpoint is None:
-        raise ValueError("resume requires a checkpoint path")
-    if resume and cache is None:
-        raise ValueError(
-            "resuming a suite requires an artifact cache (completed "
-            "workloads reload their sessions from it)"
-        )
     obs = obs if obs is not None else get_observer()
     cache = open_cache(cache)
     cache_dir = str(cache.root) if cache is not None else None
     start = clock.perf_seconds()
-
-    journal: Optional[SuiteCheckpoint] = None
-    journal_path: Optional[pathlib.Path] = None
-    completed: frozenset = frozenset()
-    if checkpoint is not None:
-        journal_path = pathlib.Path(checkpoint).expanduser()
-        fingerprint = suite_fingerprint(
-            selected, macros, seed, config, analyze_kwargs,
-            factory=workload_factory,
-        )
-        if resume and journal_path.exists():
-            journal = SuiteCheckpoint.load(journal_path)
-            journal.validate(fingerprint)
-            completed = frozenset(journal.completed) & frozenset(selected)
-        else:
-            journal = SuiteCheckpoint(fingerprint=fingerprint)
-            journal.save(journal_path)
-
+    tasks = [
+        (name, macros, seed, config, analyze_kwargs, cache_dir,
+         workload_factory)
+        for name in selected
+    ]
     with obs.span("suite.run", workloads=len(selected), jobs=jobs):
-        # Workloads journalled as done reload in-process through the
-        # cache (a hit is ~ms); everything else goes to the workers.
-        resumed: Dict[str, WorkloadOutcome] = {}
-        for name in sorted(completed):
-            outcome = _analyze_one(
-                name, macros, seed, config, analyze_kwargs, cache_dir,
-                workload_factory,
-            )
-            outcome.resumed = True
-            resumed[name] = outcome
-        if resumed:
-            obs.counter("suite.resumed_workloads").inc(len(resumed))
-        remaining = [name for name in selected if name not in resumed]
-        tasks = [
-            (name, macros, seed, config, analyze_kwargs, cache_dir,
-             workload_factory, retry is not None)
-            for name in remaining
-        ]
-
-        def journal_result(index: int, outcome: TaskOutcome) -> None:
-            if journal is None or not outcome.ok:
-                return
-            workload_outcome = outcome.value
-            if workload_outcome.ok:
-                journal.mark(remaining[index], journal_path)
-
         results = parallel_map(
             _analyze_one, tasks, jobs=jobs, timeout=timeout, obs=obs,
-            retry=retry,
-            on_result=journal_result if journal is not None else None,
+            retries=retries,
         )
-    by_name: Dict[str, WorkloadOutcome] = dict(resumed)
-    for name, result in zip(remaining, results):
-        if result.ok:
-            outcome = result.value
-            # _analyze_one's in-worker measurement is authoritative, but
-            # a task that failed to even report gets the runner's timing.
-            if outcome.elapsed_seconds == 0.0:
-                outcome.elapsed_seconds = result.elapsed_seconds
-        else:
-            outcome = WorkloadOutcome(
-                name=name,
-                ok=False,
-                error=result.error,
-                elapsed_seconds=result.elapsed_seconds,
-            )
+    outcomes = []
+    for name, result in zip(selected, results):
+        outcome = result.value if result.ok else WorkloadOutcome(
+            name=name, ok=False, error=result.error
+        )
+        outcome.elapsed_seconds = result.elapsed_seconds
         outcome.attempts = result.attempts
-        by_name[name] = outcome
+        outcomes.append(outcome)
     report = SuiteReport(
-        outcomes=[by_name[name] for name in selected],
+        outcomes=outcomes,
         wall_seconds=clock.perf_seconds() - start,
         jobs=jobs,
     )

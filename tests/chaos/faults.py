@@ -1,9 +1,9 @@
 """Deterministic fault injection for chaos tests.
 
 The execution layer's resilience claims (retries, worker replacement,
-checkpoint/resume) only mean something if tests can make workers fail
-*on demand, reproducibly, in another process*.  This module is that
-seam.
+continuing a suite from its cache) only mean something if tests can
+make workers fail *on demand, reproducibly, in another process*.  This
+module is that seam.
 
 Faults are described by a **plan** — a mapping from task id to a fault
 spec — published to worker processes through two environment variables
@@ -48,7 +48,7 @@ _MAX_ATTEMPTS_TRACKED = 10_000
 
 
 class ChaosError(RuntimeError):
-    """The injected transient failure (retryable by default policies)."""
+    """The injected transient failure (retried while retries remain)."""
 
 
 def make_plan(

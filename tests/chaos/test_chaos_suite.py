@@ -1,10 +1,11 @@
 """Chaos acceptance: the 12-workload suite survives injected faults.
 
-Workers raise transient errors or SIGKILL themselves mid-suite; with a
-retry policy the run must still complete, the faulted workloads must
+Workers raise transient errors or SIGKILL themselves mid-suite; with
+retries the run must still complete, the faulted workloads must
 succeed on a later attempt, and a workload that *keeps* failing must
 degrade into a partial report with the dedicated exit code instead of
-sinking the suite.
+sinking the suite.  Rerun on the same cache, a suite redoes only what
+failed.
 
 The fault seed comes from ``REPRO_CHAOS_SEED`` when set (the CI
 chaos-smoke matrix), otherwise both CI seeds run locally.
@@ -14,12 +15,7 @@ import os
 
 import pytest
 
-from repro.runtime import (
-    EXIT_OK,
-    EXIT_PARTIAL_FAILURE,
-    RetryPolicy,
-    run_suite,
-)
+from repro.runtime import EXIT_OK, EXIT_PARTIAL_FAILURE, run_suite
 from repro.workloads.suite import suite_names
 from tests.chaos import faults
 
@@ -47,17 +43,11 @@ def test_suite_survives_injected_faults(tmp_path, monkeypatch, chaos_seed):
     _arm(plan, tmp_path, monkeypatch)
     # A death is charged to its own workload only, so every victim
     # needs exactly one retry and every other workload one attempt.
-    retry = RetryPolicy(
-        max_attempts=2,
-        base_delay=0.01,
-        max_delay=0.05,
-        seed=chaos_seed,
-    )
     report = run_suite(
         names=names,
         macros=MACROS,
         jobs=3,
-        retry=retry,
+        retries=1,
         workload_factory=faults.chaos_workload,
         cache=tmp_path / "cache",
     )
@@ -80,58 +70,54 @@ def test_exhausted_retries_degrade_to_partial_report(
     _arm(
         {victim: {"kind": "raise", "attempts": 99}}, tmp_path, monkeypatch
     )
-    retry = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02)
     report = run_suite(
         names=names,
         macros=MACROS,
         jobs=2,
-        retry=retry,
+        retries=1,
         workload_factory=faults.chaos_workload,
     )
     assert [o.name for o in report.failed] == [victim]
     assert len(report.succeeded) == len(names) - 1
     assert report.exit_code == EXIT_PARTIAL_FAILURE
     failed = report.failed[0]
-    assert failed.attempts == retry.max_attempts
+    assert failed.attempts == 2
     assert "ChaosError" in (failed.error or "")
     assert "FAILED" in report.describe()
 
 
-def test_suite_resume_skips_journalled_workloads(tmp_path, monkeypatch):
-    """Crash drill for the journal: a first run with one hopeless
-    workload journals the survivors; after the fault clears, ``resume``
-    reloads them through the cache and only re-runs the failure."""
+def test_rerun_on_the_cache_redoes_only_the_failed_workload(
+    tmp_path, monkeypatch
+):
+    """Crash drill for continuing a suite: a first run with one hopeless
+    workload stores the survivors; after the fault clears, a rerun on
+    the same cache loads them as hits and analyses only the failure."""
     names = list(suite_names())[:4]
     victim = names[2]
     _arm(
         {victim: {"kind": "raise", "attempts": 99}}, tmp_path, monkeypatch
     )
-    journal = tmp_path / "suite.journal.json"
     cache = tmp_path / "cache"
     first = run_suite(
         names=names,
         macros=MACROS,
         jobs=2,
         cache=cache,
-        checkpoint=journal,
         workload_factory=faults.chaos_workload,
     )
     assert first.exit_code == EXIT_PARTIAL_FAILURE
-    assert journal.exists()
 
-    # The fault zone ends: re-arm with an empty plan and resume.
+    # The fault zone ends: re-arm with an empty plan and rerun.
     _arm({}, tmp_path / "clear", monkeypatch)
     second = run_suite(
         names=names,
         macros=MACROS,
         jobs=2,
         cache=cache,
-        checkpoint=journal,
-        resume=True,
         workload_factory=faults.chaos_workload,
     )
     assert second.exit_code == EXIT_OK
-    resumed = {o.name for o in second if o.resumed}
-    assert resumed == set(names) - {victim}
+    hits = {o.name for o in second if o.cache_hit}
+    assert hits == set(names) - {victim}
     fresh = next(o for o in second if o.name == victim)
-    assert fresh.ok and not fresh.resumed
+    assert fresh.ok and not fresh.cache_hit

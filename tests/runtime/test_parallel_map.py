@@ -1,8 +1,13 @@
 """Generic runner tests: ordering, isolation, timeouts, per-task
-timing, retries, worker deaths and worker-side instrumentation
-capture."""
+timing, retries, worker deaths, interrupts, a killed parent and
+worker-side instrumentation capture."""
 
 import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -10,9 +15,10 @@ import pytest
 
 from repro.obs import clock
 from repro.obs.observer import Observer
-from repro.runtime.resilience import RetryPolicy
 from repro.runtime.runner import TaskOutcome, parallel_map
 from tests.chaos import faults
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def square(value):
@@ -30,6 +36,11 @@ def explode(value):
 def nap_and_square(value):
     time.sleep(0.02)
     return value * value
+
+
+def nap_and_explode(value):
+    time.sleep(0.2)
+    raise RuntimeError(f"boom {value}")
 
 
 def hang_then_square(value):
@@ -52,6 +63,12 @@ def probe_then_nap(index):
     faults.probe(str(index))
     time.sleep(0.3)
     return index * index
+
+
+def record_pid_then_nap(pid_dir, seconds):
+    """Leave this worker's pid in *pid_dir*, then sleep."""
+    (pathlib.Path(pid_dir) / str(os.getpid())).touch()
+    time.sleep(seconds)
 
 
 def assert_no_orphans(grace=5.0):
@@ -126,6 +143,16 @@ def test_outcomes_carry_elapsed_seconds(jobs):
     assert [o.value for o in outcomes] == [4, 9]
     for outcome in outcomes:
         assert outcome.elapsed_seconds >= 0.02
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_outcome_carries_its_attempts_elapsed_seconds(jobs):
+    """A task that fails twice reports the time of its final 0.2 s
+    attempt: not 0, and neither both attempts nor the backoff."""
+    (outcome,) = parallel_map(nap_and_explode, [(1,)], jobs=jobs, retries=1)
+    assert not outcome.ok
+    assert outcome.attempts == 2
+    assert 0.2 <= outcome.elapsed_seconds < 0.4
 
 
 def test_disabled_observer_captures_nothing():
@@ -208,13 +235,9 @@ class TestRetries:
         self, tmp_path, monkeypatch, jobs
     ):
         _arm({"0": {"kind": "raise", "attempts": 2}}, tmp_path, monkeypatch)
-        retry = RetryPolicy(
-            max_attempts=3, base_delay=0.01, max_delay=0.02
-        )
         obs = Observer(enabled=True, progress_stream=None)
         outcomes = parallel_map(
-            faults.chaos_task, [(0,), (1,)], jobs=jobs, retry=retry,
-            obs=obs,
+            faults.chaos_task, [(0,), (1,)], jobs=jobs, retries=2, obs=obs,
         )
         assert [o.value for o in outcomes] == [0, 1]
         assert outcomes[0].attempts == 3
@@ -228,11 +251,8 @@ class TestRetries:
         _arm(
             {"0": {"kind": "raise", "attempts": 99}}, tmp_path, monkeypatch
         )
-        retry = RetryPolicy(
-            max_attempts=2, base_delay=0.01, max_delay=0.02
-        )
         outcomes = parallel_map(
-            faults.chaos_task, [(0,), (1,)], jobs=jobs, retry=retry
+            faults.chaos_task, [(0,), (1,)], jobs=jobs, retries=1
         )
         assert not outcomes[0].ok
         assert outcomes[0].attempts == 2
@@ -257,15 +277,12 @@ class TestPoolBreaks:
         _arm(
             {"1": {"kind": "sigkill", "attempts": 1}}, tmp_path, monkeypatch
         )
-        retry = RetryPolicy(
-            max_attempts=3, base_delay=0.01, max_delay=0.02
-        )
         obs = Observer(enabled=True, progress_stream=None)
         outcomes = parallel_map(
             probe_then_nap,
             [(0,), (1,), (2,), (3,)],
             jobs=2,
-            retry=retry,
+            retries=2,
             obs=obs,
         )
         assert [o.value for o in outcomes] == [0, 1, 4, 9]
@@ -286,29 +303,77 @@ class TestPoolBreaks:
         assert_no_orphans()
 
 
-class TestOnResult:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_callback_fires_once_per_final_outcome(self, jobs):
-        seen = []
-        parallel_map(
-            square,
-            [(n,) for n in range(4)],
-            jobs=jobs,
-            on_result=lambda i, o: seen.append((i, o.ok, o.value)),
-        )
-        assert sorted(seen) == [(n, True, n * n) for n in range(4)]
+def _exited(pid):
+    """Whether process *pid* has exited; a zombie waiting for its
+    reaper counts."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
+
+class TestInterrupts:
     def test_interrupt_kills_every_worker(self):
         """A Ctrl-C in the parent leaves no worker process behind."""
 
-        def interrupt(index, outcome):
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
-            parallel_map(
-                nap_and_square,
-                [(n,) for n in range(4)],
-                jobs=2,
-                on_result=interrupt,
-            )
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                parallel_map(
+                    slow_square, [(n,) for n in range(4)], jobs=2
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/stat").exists(),
+        reason="reads process states from /proc",
+    )
+    def test_workers_exit_when_the_parent_is_sigkilled(self, tmp_path):
+        """Each worker of a SIGKILLed parent exits once its nap ends,
+        instead of waiting for a next attempt forever."""
+        nap = 2.0
+        script = (
+            "from repro.runtime.runner import parallel_map\n"
+            "from tests.runtime.test_parallel_map import "
+            "record_pid_then_nap\n"
+            f"parallel_map(record_pid_then_nap, [({str(tmp_path)!r}, "
+            f"{nap})] * 4, jobs=2)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], cwd=str(ROOT), env=env
+        )
+        pids = []
+        try:
+            deadline = clock.perf_seconds() + 60
+            while len(pids) < 2:
+                assert parent.poll() is None, "the map ended unkilled"
+                assert clock.perf_seconds() < deadline, "no workers"
+                time.sleep(0.01)
+                pids = [int(path.name) for path in tmp_path.iterdir()]
+            parent.kill()
+            parent.wait()
+            deadline = clock.perf_seconds() + nap + 5
+            while not all(_exited(pid) for pid in pids):
+                assert clock.perf_seconds() < deadline, (
+                    f"workers {[p for p in pids if not _exited(p)]} "
+                    "outlived their SIGKILLed parent"
+                )
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)

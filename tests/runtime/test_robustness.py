@@ -124,6 +124,55 @@ def test_clear_and_stats(tmp_path):
     assert cache.clear() == 0
 
 
+def _staging_dirs(cache):
+    return sorted(cache.root.glob("v2/*/.*"))
+
+
+def test_interrupted_store_leaves_no_staging_directory(
+    tmp_path, monkeypatch
+):
+    """A Ctrl-C while an entry is being written removes its staging
+    directory and publishes nothing."""
+    import repro.core.io
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.core.io, "save_model", interrupt)
+    cache = ArtifactCache(tmp_path / "cache")
+    with pytest.raises(KeyboardInterrupt):
+        analyze(make_workload("gamess", MACROS), cache=cache)
+    assert (cache.root / "v2").is_dir()
+    assert _staging_dirs(cache) == []
+    assert cache.stats().entries == 0
+
+
+def test_stats_skip_a_staging_directory_that_holds_meta(tmp_path):
+    """A writer killed between writing meta.json and its rename leaves
+    a complete-looking staging directory: not an entry, but cleared."""
+    import shutil
+
+    workload = make_workload("gamess", MACROS)
+    cache, _session, entry = _fresh_entry(tmp_path, workload)
+    shutil.copytree(entry, entry.parent / f".{entry.name[:8]}-killed")
+    stats = cache.stats()
+    assert stats.entries == 1
+    assert stats.workloads == {"gamess": 1}
+    assert cache.clear() == 1
+    assert _staging_dirs(cache) == []
+
+
+def test_clear_removes_a_staging_directory_without_meta(tmp_path):
+    workload = make_workload("gamess", MACROS)
+    cache, _session, entry = _fresh_entry(tmp_path, workload)
+    staging = entry.parent / f".{entry.name[:8]}-killed"
+    staging.mkdir()
+    (staging / "trace.npz").write_bytes((entry / "trace.npz").read_bytes())
+    assert cache.clear() == 1
+    assert _staging_dirs(cache) == []
+    assert cache.stats().entries == 0
+
+
 def test_created_stamp_is_wall_clock_iso(tmp_path):
     workload = make_workload("gamess", MACROS)
     cache, _session, entry = _fresh_entry(tmp_path, workload)

@@ -1,9 +1,10 @@
 """Cross-run and cross-process simulation determinism.
 
 The whole RpStacks pipeline assumes a simulation is a pure function of
-(workload, configuration): artifact caching, suite resume and the
-native/Python differential all compare results produced at different
-times, in different processes, on either execution path.
+(workload, configuration): artifact caching, continuing a suite from
+its cache and the native/Python differential all compare results
+produced at different times, in different processes, on either
+execution path.
 These tests pin that down with canonical digests — twice in the same
 process, across ``parallel_map`` workers, and between worker and
 parent.

@@ -400,6 +400,19 @@ class TestObservability:
         assert "sim.run" in names
         assert "graph.build" in names
 
+    def test_trace_out_environment_alone_writes_the_trace(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.obs.tracer import load_chrome_trace
+
+        trace = tmp_path / "env-trace.json"
+        monkeypatch.setenv("REPRO_TRACE_OUT", str(trace))
+        code, out = run(capsys, "analyze", "gamess", "--macros", "60")
+        assert code == 0
+        assert f"instrumentation written to {trace}" in out
+        names = {event["name"] for event in load_chrome_trace(trace)}
+        assert {"analyze", "sim.run"} <= names
+
     def test_suite_metrics_json_snapshot(self, capsys, tmp_path):
         import json
 
@@ -427,45 +440,9 @@ class TestObservability:
 
 
 class TestFaultToleranceCli:
-    def test_suite_checkpoint_then_resume_reports_resumed(
-        self, capsys, tmp_path
-    ):
-        journal = tmp_path / "suite.journal.json"
-        cache = tmp_path / "cache"
-        base = ["suite", "--only", "gamess", "--macros", "60",
-                "--cache-dir", str(cache), "--checkpoint", str(journal)]
-        code, _out = run(capsys, *base)
-        assert code == 0
-        assert journal.exists()
-        code, out = run(capsys, *base, "--resume")
-        assert code == 0
-        assert "1 resumed" in out
-
-    def test_suite_stale_journal_rejected(self, capsys, tmp_path):
-        journal = tmp_path / "suite.journal.json"
-        cache = tmp_path / "cache"
-        code, _out = run(
-            capsys, "suite", "--only", "gamess", "--macros", "60",
-            "--cache-dir", str(cache), "--checkpoint", str(journal),
-        )
-        assert code == 0
-        with pytest.raises(SystemExit, match="suite configuration"):
-            main(
-                ["suite", "--only", "gamess", "--macros", "80",
-                 "--cache-dir", str(cache),
-                 "--checkpoint", str(journal), "--resume"]
-            )
-
-    def test_suite_flag_validation(self, tmp_path):
+    def test_suite_flag_validation(self):
         with pytest.raises(SystemExit, match="retries"):
             main(["suite", "--only", "gamess", "--retries", "-1"])
-        with pytest.raises(SystemExit, match="checkpoint"):
-            main(["suite", "--only", "gamess", "--resume"])
-        with pytest.raises(SystemExit, match="cache"):
-            main(
-                ["suite", "--only", "gamess",
-                 "--checkpoint", str(tmp_path / "j.json"), "--resume"]
-            )
 
 
 def _interrupt(args):
@@ -474,24 +451,25 @@ def _interrupt(args):
 
 class TestInterrupt:
     @pytest.mark.parametrize(
-        "command, argv, journalling",
+        "command, argv, hint",
         [
             ("cmd_analyze", ["analyze", "gamess"], False),
+            ("cmd_analyze", ["analyze", "gamess", "--cache-dir", "c"], False),
             ("cmd_explore", ["explore", "gamess", "--axis", "L1D=1,2"], False),
             ("cmd_dse_sweep", ["dse", "sweep", "gamess", "--axis", "L1D=1"],
              False),
             ("cmd_suite", ["suite", "--only", "gamess"], False),
-            ("cmd_suite",
-             ["suite", "--only", "gamess", "--checkpoint", "journal.json"],
+            ("cmd_suite", ["suite", "--only", "gamess", "--cache-dir", "c"],
              True),
         ],
     )
-    def test_ctrl_c_exits_4_and_hints_resume_only_when_journalling(
-        self, capsys, monkeypatch, command, argv, journalling
+    def test_ctrl_c_exits_4_and_hints_a_cache_rerun(
+        self, capsys, monkeypatch, command, argv, hint
     ):
-        # The patched command never runs, so the journal is never written.
+        """Every command exits 4; only ``suite --cache-dir c`` hints a
+        rerun on that cache."""
         monkeypatch.setattr(cli, command, _interrupt)
         assert main(argv) == EXIT_INTERRUPTED == 4
         err = capsys.readouterr().err
         assert "interrupted" in err
-        assert ("rerun with --resume" in err) == journalling
+        assert ("rerun with --cache-dir c to continue" in err) == hint

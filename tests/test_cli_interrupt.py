@@ -1,12 +1,14 @@
-"""Ctrl-C regression test: an interrupted journalling ``suite`` run must
-flush its journal and exit 4 (the documented interrupted code), never
-traceback — and a ``--resume`` must finish the work.
+"""Ctrl-C regression test: an interrupted ``suite --cache-dir`` run must
+exit 4 (the documented interrupted code), never traceback — and a rerun
+on the same cache must finish the work, loading every workload that
+finished before the interrupt as a cache hit.
 
 Real subprocesses, real SIGINT: the drill launches ``python -m repro``
 in its own session and signals it mid-run."""
 
-import json
+import glob
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import time
 
 from repro.cli import EXIT_INTERRUPTED
 from repro.obs import clock
+from repro.runtime.cache import ArtifactCache
 
 
 def launch(*argv, **popen_kwargs):
@@ -35,11 +38,11 @@ def launch(*argv, **popen_kwargs):
     )
 
 
-def interrupt_once_checkpointed(process, checkpoint_ready, grace=60.0):
-    """SIGINT *process* as soon as *checkpoint_ready* reports progress
+def interrupt_once_stored(process, stored, grace=60.0):
+    """SIGINT *process* as soon as *stored* reports a finished workload
     on disk; returns (returncode, stdout, stderr)."""
     deadline = clock.perf_seconds() + grace
-    while not checkpoint_ready():
+    while not stored():
         if process.poll() is not None:
             out, err = process.communicate()
             raise AssertionError(
@@ -48,7 +51,7 @@ def interrupt_once_checkpointed(process, checkpoint_ready, grace=60.0):
             )
         if clock.perf_seconds() > deadline:
             process.kill()
-            raise AssertionError("checkpoint never appeared")
+            raise AssertionError("no cache entry ever appeared")
         time.sleep(0.01)
     process.send_signal(signal.SIGINT)
     out, err = process.communicate(timeout=60)
@@ -56,42 +59,28 @@ def interrupt_once_checkpointed(process, checkpoint_ready, grace=60.0):
 
 
 class TestSuiteInterrupt:
-    def test_sigint_exits_4_with_journal_and_resume_finishes(
+    def test_sigint_exits_4_and_a_rerun_on_the_cache_finishes(
         self, tmp_path
     ):
-        journal = tmp_path / "suite.json"
         cache = tmp_path / "cache"
         names = ["gamess", "mcf", "milc", "soplex", "lbm", "omnetpp"]
-        only = [arg for name in names for arg in ("--only", name)]
+        argv = [arg for name in names for arg in ("--only", name)]
+        argv += ["--macros", "200", "--cache-dir", str(cache)]
 
-        def journalled_progress():
-            if not journal.exists():
-                return False
-            try:
-                return bool(
-                    json.loads(journal.read_text()).get("completed")
-                )
-            except (ValueError, OSError):
-                return False  # mid-rewrite; poll again
+        def stored():
+            # glob's "*" skips the dot-prefixed staging directories.
+            return bool(glob.glob(str(cache / "v2" / "*" / "*" / "meta.json")))
 
-        interrupted = launch(
-            "suite", *only, "--macros", "200",
-            "--checkpoint", str(journal), "--cache-dir", str(cache),
-        )
-        rc, out, err = interrupt_once_checkpointed(
-            interrupted, journalled_progress
-        )
+        rc, out, err = interrupt_once_stored(launch("suite", *argv), stored)
         assert rc == EXIT_INTERRUPTED, (out, err)
         assert "Traceback" not in err
-        completed = json.loads(journal.read_text())["completed"]
-        assert completed  # flushed before exiting
+        assert f"rerun with --cache-dir {cache} to continue" in err
+        entries = ArtifactCache(cache).stats().entries
+        assert entries >= 1
 
-        resumed = launch(
-            "suite", *only, "--macros", "200",
-            "--checkpoint", str(journal), "--cache-dir", str(cache),
-            "--resume",
-        )
-        out, err = resumed.communicate(timeout=300)
-        assert resumed.returncode == 0, err
+        rerun = launch("suite", *argv)
+        out, err = rerun.communicate(timeout=300)
+        assert rerun.returncode == 0, err
         assert f"{len(names)}/{len(names)} workloads" in out
-        assert "resumed" in out
+        hits = re.search(r"(\d+) cache hit", out)
+        assert hits and int(hits.group(1)) >= entries, out
