@@ -5,10 +5,9 @@ Commands mirror the workflow of the paper's Figure 6a:
 * ``simulate``   — run the timing simulator once, print CPI and stats;
 * ``analyze``    — full single-simulation analysis: bottleneck stacks,
   optionally archive the RpStacks model to ``.npz``;
-* ``explore``    — sweep a latency design space (from a live analysis or
-  a previously saved model) and print the Pareto front;
-* ``dse sweep``  — the streaming million-point version of ``explore``:
-  chunked, bounded memory;
+* ``dse sweep``  — sweep a latency design space (from a live analysis,
+  the artifact cache or a previously saved model) in chunks of bounded
+  memory and print the Pareto front;
 * ``compare``    — score RpStacks / CP1 / FMT against a ground-truth
   re-simulation on given latency overrides;
 * ``pipeline``   — textbook-style ASCII pipeline diagram of a run;
@@ -39,9 +38,9 @@ from repro.common.config import LatencyConfig
 from repro.common.events import LATENCY_DOMAIN, EventType, parse_event
 from repro.core.io import load_model, save_model
 from repro.dse.designspace import DesignSpace
-from repro.dse.explorer import Explorer
 from repro.dse.pipeline import analyze
 from repro.dse.report import format_table, render_cpi_stack
+from repro.dse.sweep import sweep_space
 from repro.simulator.machine import Machine
 from repro.workloads.suite import SPEC_LABELS, make_workload, suite_names
 
@@ -176,44 +175,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_explore(args) -> int:
-    axes = dict(_parse_axis(spec) for spec in args.axis)
-    if not axes:
-        raise SystemExit("explore needs at least one --axis")
-    try:
-        space = DesignSpace.from_mapping(axes)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-    if args.model:
-        model = load_model(args.model)
-        print(f"loaded model: {model.num_paths} paths, "
-              f"{model.num_uops} uops")
-    else:
-        workload = _workload(args)
-        model = analyze(workload).rpstacks
-    target = args.target_cpi
-    if target is None and args.target_fraction is not None:
-        target = model.predict_cpi(model.baseline) * args.target_fraction
-    result = Explorer(model).explore(space, target_cpi=target)
-    if args.json:
-        import json
-
-        print(json.dumps(result.as_dict(), indent=2))
-        return 0
-    print(
-        f"{result.num_points} design points, "
-        f"{result.num_meeting_target} meet the target"
-        + (f" CPI {target:.3f}" if target is not None else "")
-    )
-    rows = [
-        [c.latency.describe(), f"{c.predicted_cpi:.3f}", f"{c.cost:.2f}"]
-        for c in result.pareto_front()[: args.top]
-    ]
-    print(format_table(["design point", "predicted CPI", "cost"], rows))
-    return 0
-
-
 def cmd_dse_sweep(args) -> int:
     axes = dict(_parse_axis(spec) for spec in args.axis)
     if not axes:
@@ -237,7 +198,8 @@ def cmd_dse_sweep(args) -> int:
     if target is None and args.target_fraction is not None:
         target = model.predict_cpi(model.baseline) * args.target_fraction
     try:
-        result = Explorer(model).sweep(
+        result = sweep_space(
+            model,
             space,
             target_cpi=target,
             chunk_size=args.chunk_size,
@@ -754,20 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="artifact cache directory (reuse prior analyses)")
     add_obs_args(p)
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("explore", help="sweep a latency design space")
-    add_workload_args(p)
-    p.add_argument("--axis", action="append", default=[],
-                   metavar="EVENT=V1,V2,...")
-    p.add_argument("--model", help="load a saved model instead of analysing")
-    p.add_argument("--target-cpi", type=float)
-    p.add_argument("--target-fraction", type=float,
-                   help="target = baseline CPI x fraction")
-    p.add_argument("--top", type=int, default=10,
-                   help="Pareto entries to print")
-    p.add_argument("--json", action="store_true",
-                   help="emit the result as JSON")
-    p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser(
         "dse",

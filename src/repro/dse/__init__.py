@@ -7,7 +7,6 @@ from repro.dse.explorer import (
     Explorer,
     SweepMetrics,
     default_cost_model,
-    default_cost_model_matrix,
 )
 from repro.dse.sweep import sweep_space
 from repro.dse.literature import (
@@ -76,7 +75,6 @@ __all__ = [
     "analyze",
     "bottleneck_reduction_scenarios",
     "default_cost_model",
-    "default_cost_model_matrix",
     "exploration_curves",
     "measure_overhead",
     "reduction_space",

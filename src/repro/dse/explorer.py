@@ -6,6 +6,11 @@ optimisation-cost estimate, and returns the Pareto-optimal candidates —
 the "compare the selected designs to finalize the decision" step of the
 paper's scenario.  With an :class:`~repro.core.model.RpStacksModel` the
 whole sweep is one matrix product per segment (``predict_many``).
+
+:meth:`Explorer.explore` materialises every point and is the reference
+for any predictor and any cost model; the streaming fast path for large
+spaces, which needs the model's matrix kernel and the default costs, is
+:func:`repro.dse.sweep.sweep_space`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from repro.common.config import LatencyConfig
 from repro.common.events import LATENCY_DOMAIN, EventType
 from repro.dse.designspace import DesignSpace
+from repro.obs.metrics import Histogram
 
 
 def default_cost_model(
@@ -83,32 +89,6 @@ def default_cost_tables(
     return tables
 
 
-def default_cost_model_matrix(
-    thetas: np.ndarray, base: LatencyConfig
-) -> np.ndarray:
-    """:func:`default_cost_model` over arbitrary pricing vectors.
-
-    Args:
-        thetas: ``(NUM_EVENTS, n)`` array, one pricing vector per column.
-        base: the design point costs are measured from.
-
-    Returns:
-        ``(n,)`` costs, bit-identical to calling the scalar model per
-        column: each event's distinct latencies get a term table
-        (:func:`_cost_terms`), added in ``LATENCY_DOMAIN`` order.  A
-        sweep over a :class:`DesignSpace` builds the tables from its
-        axes instead (:func:`default_cost_tables`).
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    costs = np.zeros(thetas.shape[1], dtype=np.float64)
-    for event in LATENCY_DOMAIN:
-        values, inverse = np.unique(thetas[int(event)], return_inverse=True)
-        terms = _cost_terms(base[event], values)
-        if terms.any():
-            costs += terms[inverse]
-    return costs
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One explored design point with its prediction and cost."""
@@ -139,10 +119,8 @@ class Candidate:
 class SweepMetrics:
     """Instrumentation of one streaming sweep run.
 
-    A structured snapshot of the sweep's
-    :class:`~repro.obs.metrics.MetricsRegistry` (built by
-    :meth:`from_registry`), kept as a dataclass so CLI/JSON consumers
-    have a stable schema.
+    Built from the sweep's chunk timings (:meth:`from_chunk_seconds`),
+    and kept as a dataclass so CLI/JSON consumers have a stable schema.
     """
 
     #: design points priced end to end
@@ -168,25 +146,25 @@ class SweepMetrics:
     rolling_points_per_second: float = 0.0
 
     @classmethod
-    def from_registry(
+    def from_chunk_seconds(
         cls,
-        registry,
+        chunk_seconds: Sequence[float],
         *,
         num_points: int,
         total_seconds: float,
-        chunk_size: int = 0,
+        chunk_size: int,
+        peak_candidates: int,
     ) -> "SweepMetrics":
-        """Snapshot the sweep's metrics registry into the stable shape.
+        """The run's figures from its per-chunk seconds, in chunk order.
 
-        Reads the ``sweep.chunk_seconds`` histogram and the
-        ``sweep.peak_candidates`` / ``sweep.points_per_sec`` gauges the
-        sweep engine records (:func:`repro.dse.sweep.sweep_space`).
+        The percentile is :class:`~repro.obs.metrics.Histogram`'s
+        linearly interpolated one.  The trailing-window rate assumes
+        full chunks of *chunk_size* points (the final partial chunk
+        slightly understates it, acceptable for an ETA signal).
         """
-        chunks = registry.histogram("sweep.chunk_seconds")
-        # Trailing-window rate: the histogram keeps observations in
-        # arrival order, so the tail is the run's final few chunks.
-        # Full chunks carry chunk_size points (the final partial chunk
-        # slightly understates the rate — acceptable for an ETA signal).
+        chunks = Histogram("sweep.chunk_seconds")
+        for seconds in chunk_seconds:
+            chunks.observe(seconds)
         window = chunks.values[-8:]
         window_seconds = sum(window)
         rolling = (
@@ -197,14 +175,16 @@ class SweepMetrics:
         return cls(
             num_points=num_points,
             total_seconds=total_seconds,
-            points_per_second=registry.gauge_value("sweep.points_per_sec"),
+            points_per_second=(
+                num_points / total_seconds
+                if total_seconds > 0
+                else float("inf")
+            ),
             num_chunks=chunks.count,
             max_chunk_seconds=chunks.max,
             mean_chunk_seconds=chunks.mean,
             p95_chunk_seconds=chunks.percentile(95.0),
-            peak_candidates=int(
-                registry.gauge_value("sweep.peak_candidates")
-            ),
+            peak_candidates=peak_candidates,
             chunk_size=chunk_size,
             rolling_points_per_second=rolling,
         )
@@ -313,41 +293,6 @@ class Explorer:
             candidates=candidates,
             num_points=len(points),
             target_cpi=target_cpi,
-        )
-
-    def sweep(
-        self,
-        space: DesignSpace,
-        target_cpi: Optional[float] = None,
-        *,
-        chunk_size: int = 65536,
-        top_k: Optional[int] = None,
-        obs=None,
-        progress_interval: Optional[float] = None,
-    ) -> ExplorationResult:
-        """Stream *space* through the bounded-memory sweep engine.
-
-        Unlike :meth:`explore`, the space is never materialised: chunks
-        of pricing vectors are priced in bulk
-        (:meth:`~repro.core.model.RpStacksModel.predict_cycles_matrix`)
-        and reduced on the fly to the candidates that can still reach
-        the cost/CPI Pareto front, so million-point spaces sweep in
-        bounded memory.  The returned front is bit-identical to the
-        materialised path's.  See :func:`repro.dse.sweep.sweep_space`
-        (including the ``obs`` / ``progress_interval`` instrumentation
-        knobs forwarded here).
-        """
-        from repro.dse.sweep import sweep_space
-
-        return sweep_space(
-            self.predictor,
-            space,
-            target_cpi=target_cpi,
-            chunk_size=chunk_size,
-            top_k=top_k,
-            cost_model=self.cost_model,
-            obs=obs,
-            progress_interval=progress_interval,
         )
 
     def _predict_all(self, points: Sequence[LatencyConfig]) -> np.ndarray:

@@ -148,33 +148,6 @@ class AnalysisSession:
         """Sweep *space* with the RpStacks predictor (Fig 6a, step 2)."""
         return Explorer(self.rpstacks).explore(space, target_cpi=target_cpi)
 
-    def sweep(
-        self,
-        space: DesignSpace,
-        target_cpi: Optional[float] = None,
-        *,
-        chunk_size: int = 65536,
-        top_k: Optional[int] = None,
-        obs=None,
-        progress_interval: Optional[float] = None,
-    ) -> ExplorationResult:
-        """Stream *space* through the bounded-memory sweep engine.
-
-        The million-point version of :meth:`explore`: same Pareto front
-        (bit-identical), but chunked and never materialising the space.
-        ``obs`` / ``progress_interval`` forward to
-        :func:`repro.dse.sweep.sweep_space` for chunk spans, metrics
-        and progress lines.
-        """
-        return Explorer(self.rpstacks).sweep(
-            space,
-            target_cpi=target_cpi,
-            chunk_size=chunk_size,
-            top_k=top_k,
-            obs=obs,
-            progress_interval=progress_interval,
-        )
-
     def simulate(self, latency: LatencyConfig) -> SimResult:
         """Ground-truth re-simulation (validation only — the slow path)."""
         return self.machine.simulate(latency)

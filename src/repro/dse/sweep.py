@@ -6,7 +6,12 @@ hardware, not the Python object layer.  :class:`~repro.dse.explorer.Explorer.exp
 materialises every point as a :class:`~repro.common.config.LatencyConfig`
 — fine for thousands of points, memory- and CPU-bound for millions.
 
-This module is the array-native replacement:
+This module is the one fast path beside that materialised reference.
+It prices only through a predictor's matrix kernel
+(``predict_cycles_matrix`` and ``num_uops``, which
+:class:`~repro.core.model.RpStacksModel` provides) and costs only with
+:func:`~repro.dse.explorer.default_cost_model`; any other predictor or
+cost model goes through ``Explorer.explore``:
 
 * before any chunk is priced, the model is restricted to the space's
   box (:meth:`DesignSpace.bounds`, :meth:`RpStacksModel.restricted`):
@@ -58,11 +63,10 @@ explorer's, which prices the full model and which
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
@@ -70,11 +74,9 @@ from repro.dse.explorer import (
     Candidate,
     ExplorationResult,
     SweepMetrics,
-    default_cost_model,
     default_cost_tables,
 )
 from repro.obs import clock
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import get_observer
 
 #: Default points per evaluation chunk: big enough to amortise the BLAS
@@ -177,31 +179,16 @@ def _screen(
     return kept
 
 
-def _chunk_cpis(
-    predictor, points: list, thetas: Optional[np.ndarray]
-) -> np.ndarray:
-    """CPIs of one chunk: from *thetas* on the matrix path, else from
-    the chunk's decoded *points*."""
-    num_uops = getattr(predictor, "num_uops", None)
-    if thetas is not None:
-        return predictor.predict_cycles_matrix(thetas) / num_uops
-    predict_many = getattr(predictor, "predict_many", None)
-    if predict_many is not None and num_uops:
-        return np.asarray(predict_many(points)) / num_uops
-    return np.array([predictor.predict_cpi(p) for p in points])
-
-
 def _sweep_chunks(
     predictor,
     space: DesignSpace,
     chunk_size: int,
     target_cpi: Optional[float],
-    cost_model: Optional[Callable],
     top_k: Optional[int],
     obs,
     progress_interval: Optional[float],
 ) -> dict:
-    """Evaluate every point of *space* chunk by chunk, merging each
+    """Price every point of *space* chunk by chunk, merging each
     chunk's survivors into a running pruned candidate set.
 
     Returns a handful of small arrays and counts, not design points.
@@ -218,20 +205,12 @@ def _sweep_chunks(
     )
     last_progress = clock.perf_seconds()
     total = space.num_points
-    # The matrix path refills one block of pricing vectors per chunk:
-    # unswept rows hold the base latency from the start, and each chunk
-    # rewrites only the swept rows.
-    block = None
-    if hasattr(predictor, "predict_cycles_matrix") and getattr(
-        predictor, "num_uops", None
-    ):
-        block = np.empty((NUM_EVENTS, min(chunk_size, total)))
-        block[...] = space.base.as_vector()[:, np.newaxis]
-    cost_tables = (
-        default_cost_tables(space)
-        if cost_model is None or cost_model is default_cost_model
-        else None
-    )
+    # One block of pricing vectors, refilled per chunk: unswept rows
+    # hold the base latency from the start, and each chunk rewrites only
+    # the swept rows.
+    block = np.empty((NUM_EVENTS, min(chunk_size, total)))
+    block[...] = space.base.as_vector()[:, np.newaxis]
+    cost_tables = default_cost_tables(space)
     held_idx = np.empty(0, dtype=np.int64)
     held_cpi = np.empty(0, dtype=np.float64)
     held_cost = np.empty(0, dtype=np.float64)
@@ -245,14 +224,10 @@ def _sweep_chunks(
         hi = min(lo + chunk_size, total)
         wall_tick = clock.wall_ns() if instrumented else 0
         ticks = [clock.perf_seconds()]
-        thetas = points = None
-        if block is not None:
-            thetas = block[:, :hi - lo]
-            space.fill_thetas(thetas, lo)
-        else:
-            points = [space.point_at(i) for i in range(lo, hi)]
+        thetas = block[:, :hi - lo]
+        space.fill_thetas(thetas, lo)
         ticks.append(clock.perf_seconds())
-        cpis = _chunk_cpis(predictor, points, thetas)
+        cpis = predictor.predict_cycles_matrix(thetas) / predictor.num_uops
         # ``kept`` stays None while every point meets the target, which
         # spares the chunk's gather copies.
         kept = None
@@ -263,18 +238,9 @@ def _sweep_chunks(
                 cpis = cpis[kept]
         meeting += int(cpis.size)
         ticks.append(clock.perf_seconds())
-        if cost_tables is not None:
-            costs = space.sum_axis_tables(cost_tables, lo, hi)
-            if kept is not None:
-                costs = costs[kept]
-        else:
-            positions = range(hi - lo) if kept is None else kept
-            costs = np.array(
-                [
-                    cost_model(space.point_at(lo + int(p)), space.base)
-                    for p in positions
-                ]
-            )
+        costs = space.sum_axis_tables(cost_tables, lo, hi)
+        if kept is not None:
+            costs = costs[kept]
         ticks.append(clock.perf_seconds())
         screened = _screen(cpis, costs)
         if screened is not None:
@@ -362,21 +328,21 @@ def sweep_space(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     top_k: Optional[int] = None,
-    cost_model: Callable[[LatencyConfig, LatencyConfig], float] = None,
     obs=None,
     progress_interval: Optional[float] = None,
 ) -> ExplorationResult:
     """Sweep *space* in bounded memory, streaming chunks of pricing
-    vectors through the predictor and a Pareto reduction.
+    vectors through the predictor's matrix kernel and a Pareto
+    reduction.
 
     Args:
-        predictor: an :class:`~repro.core.model.RpStacksModel` (or any
-            object with ``predict_cycles_matrix`` + ``num_uops``) rides
-            the array-native fast path; predictors offering only
-            ``predict_many`` or ``predict_cpi`` still stream chunk by
-            chunk, just slower.  An ``RpStacksModel`` is priced through
+        predictor: an :class:`~repro.core.model.RpStacksModel`, or any
+            object with ``predict_cycles_matrix`` and ``num_uops``.  An
+            ``RpStacksModel`` is priced through
             :meth:`~repro.core.model.RpStacksModel.restricted` to the
             space's :meth:`~repro.dse.designspace.DesignSpace.bounds`.
+            Any other predictor, or another cost model, is priced by the
+            materialised :meth:`~repro.dse.explorer.Explorer.explore`.
         space: the design space; never materialised.
         target_cpi: drop points whose predicted CPI exceeds this.
         chunk_size: design points priced per matrix product.
@@ -384,10 +350,6 @@ def sweep_space(
             best *k* by ``(cost, cpi)``.  A cap smaller than the true
             front trades exactness for memory; with ``None`` the front
             is bit-identical to :meth:`Explorer.explore`'s.
-        cost_model: scalar cost callable.  The default model is costed
-            from one term table per swept axis
-            (:func:`~repro.dse.explorer.default_cost_tables`); a custom
-            one is applied per point that meets the target.
         obs: an :class:`~repro.obs.Observer`; when enabled, every chunk
             becomes a ``sweep.chunk`` span split into
             :data:`CHUNK_STAGES`, chunk timings land in the
@@ -407,14 +369,26 @@ def sweep_space(
     Returns:
         An :class:`ExplorationResult` whose candidates are the pruned
         front-reachable set, with ``meeting_target`` counting every
-        point that met the target and ``metrics`` — snapshotted from
-        the sweep's metrics registry — recording throughput, chunk
-        timings and the peak candidate-set size.
+        point that met the target and ``metrics`` recording throughput,
+        chunk timings and the peak candidate-set size.
+
+    Raises:
+        TypeError: *predictor* has no ``predict_cycles_matrix`` or no
+            ``num_uops``.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1 (or None)")
+    if not (
+        hasattr(predictor, "predict_cycles_matrix")
+        and getattr(predictor, "num_uops", None)
+    ):
+        raise TypeError(
+            f"sweep_space prices through predict_cycles_matrix and "
+            f"num_uops, which {type(predictor).__name__} lacks; "
+            f"price it with Explorer.explore"
+        )
     obs = obs if obs is not None else get_observer()
     total = space.num_points
     start = clock.perf_seconds()
@@ -426,9 +400,10 @@ def sweep_space(
             ) as span:
                 priced_model = predictor.restricted(*space.bounds())
                 span.set(stacks_priced=priced_model.num_paths)
+            obs.gauge("sweep.stacks_priced").set(priced_model.num_paths)
         state = _sweep_chunks(
-            priced_model, space, chunk_size, target_cpi, cost_model,
-            top_k, obs, progress_interval,
+            priced_model, space, chunk_size, target_cpi, top_k, obs,
+            progress_interval,
         )
     elapsed = clock.perf_seconds() - start
 
@@ -442,35 +417,19 @@ def sweep_space(
             state["indices"], state["cpis"], state["costs"]
         )
     ]
-    # The sweep's run record is a metrics registry first; SweepMetrics
-    # is snapshotted from it (and the registry is folded into the
-    # caller's observer so --metrics-json sees the same numbers).
-    registry = MetricsRegistry()
-    chunk_histogram = registry.histogram("sweep.chunk_seconds")
-    for seconds in state["chunk_seconds"]:
-        chunk_histogram.observe(seconds)
-    registry.counter("sweep.points").inc(total)
-    registry.counter("sweep.meeting_target").inc(state["meeting"])
-    registry.gauge("sweep.peak_candidates").set(state["peak"])
-    registry.gauge("sweep.points_per_sec").set(
-        total / elapsed if elapsed > 0 else float("inf")
-    )
-    registry.gauge("prune.survivors").set(len(candidates))
-    if isinstance(priced_model, RpStacksModel):
-        registry.gauge("sweep.stacks_priced").set(priced_model.num_paths)
-    if obs.enabled:
-        exported = registry.export()
-        # The chunk loop already recorded these into obs; only merge
-        # what is new here.
-        exported["counters"].pop("sweep.points", None)
-        exported["histograms"].pop("sweep.chunk_seconds", None)
-        obs.metrics.merge(exported)
-    metrics = SweepMetrics.from_registry(
-        registry,
+    metrics = SweepMetrics.from_chunk_seconds(
+        state["chunk_seconds"],
         num_points=total,
         total_seconds=elapsed,
         chunk_size=chunk_size,
+        peak_candidates=state["peak"],
     )
+    # The chunk loop counted sweep.points and sweep.chunk_seconds; the
+    # run's totals land beside them.
+    obs.counter("sweep.meeting_target").inc(state["meeting"])
+    obs.gauge("sweep.peak_candidates").set(state["peak"])
+    obs.gauge("sweep.points_per_sec").set(metrics.points_per_second)
+    obs.gauge("prune.survivors").set(len(candidates))
     return ExplorationResult(
         candidates=candidates,
         num_points=total,

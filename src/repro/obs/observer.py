@@ -3,18 +3,23 @@
 An observer bundles one :class:`~repro.obs.tracer.Tracer` and one
 :class:`~repro.obs.metrics.MetricsRegistry` behind a single ``enabled``
 flag.  Instrumented code holds an observer (explicitly passed or
-resolved from the process-wide *ambient* observer) and calls
-``obs.span(...)`` / ``obs.counter(...)`` unconditionally; when the
-observer is disabled every call returns a shared, stateless null object,
-so the cost on a hot path is one attribute check and one dictionary-free
-method dispatch.  Hot loops that cannot afford even that hoist the check
-once: ``if obs.enabled: ...``.
+resolved from the *ambient* observer of its thread or asyncio task) and
+calls ``obs.span(...)`` / ``obs.counter(...)`` unconditionally; when
+the observer is disabled every call returns a shared, stateless null
+object, so the cost on a hot path is one attribute check and one
+dictionary-free method dispatch.  Hot loops that cannot afford even
+that hoist the check once: ``if obs.enabled: ...``.
 
 Ambient resolution keeps the pipeline's dataclasses free of observer
 references (they stay picklable and cache-serialisable): ``analyze()``
 installs its observer with :func:`use_observer` and every stage below it
 — the simulator, the graph builder, the stack generator, cache probes —
 picks it up via :func:`get_observer` without any constructor plumbing.
+The ambient observer is a :class:`contextvars.ContextVar`, so two
+threads that each scope their own observer (the daemon's overlapping
+cold builds) never see or restore each other's, and a thread started
+inside a scope starts with the null observer: work handed to other
+threads takes its observer explicitly, as the segment walk's does.
 
 Environment toggles (the zero-code path)::
 
@@ -29,6 +34,7 @@ Environment toggles (the zero-code path)::
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import sys
 from typing import Iterator, List, Optional
@@ -203,25 +209,31 @@ class Observer:
 #: The module default: disabled, allocation-free instrumentation.
 NULL_OBSERVER = Observer(enabled=False)
 
-_ambient: Observer = NULL_OBSERVER
+#: The ambient observer of the current context: each thread, and each
+#: asyncio task, installs and restores its own.  A new thread starts
+#: with the null observer.
+_ambient: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_ambient_observer", default=NULL_OBSERVER
+)
 
 
 def get_observer() -> Observer:
-    """The process-wide ambient observer (the null one by default)."""
-    return _ambient
+    """This context's ambient observer (the null one by default)."""
+    return _ambient.get()
 
 
 def set_observer(obs: Optional[Observer]) -> Observer:
-    """Install *obs* as ambient; returns the previous one."""
-    global _ambient
-    previous = _ambient
-    _ambient = obs if obs is not None else NULL_OBSERVER
+    """Install *obs* as this context's ambient; returns the previous
+    one."""
+    previous = _ambient.get()
+    _ambient.set(obs if obs is not None else NULL_OBSERVER)
     return previous
 
 
 @contextlib.contextmanager
 def use_observer(obs: Optional[Observer]) -> Iterator[Observer]:
-    """Scope *obs* as the ambient observer; restores the previous one.
+    """Scope *obs* as this context's ambient observer; restores the
+    previous one.
 
     ``use_observer(None)`` is a no-op scope (the current ambient stays),
     which lets ``analyze(obs=None)`` wrap its body unconditionally.
@@ -229,16 +241,16 @@ def use_observer(obs: Optional[Observer]) -> Iterator[Observer]:
     if obs is None:
         yield get_observer()
         return
-    previous = set_observer(obs)
+    token = _ambient.set(obs)
     try:
         yield obs
     finally:
-        set_observer(previous)
+        _ambient.reset(token)
 
 
 def resolve(obs: Optional[Observer]) -> Observer:
     """An explicit observer if given, else the ambient one."""
-    return obs if obs is not None else _ambient
+    return obs if obs is not None else _ambient.get()
 
 
 def from_env(environ=None) -> Observer:

@@ -67,36 +67,21 @@ class CacheError(RuntimeError):
 
 @dataclass
 class CacheStats:
-    """Aggregate cache state plus this process's hit/miss counters.
+    """What a scan of the cache root finds on disk: entries, sizes and
+    ages.
 
-    The session counters (hits / misses / corruptions) are a snapshot of
-    the cache's :class:`~repro.obs.metrics.MetricsRegistry`
-    (``cache.hit`` / ``cache.miss`` / ``cache.corruption``); the
-    on-disk figures (entries, sizes, ages) come from scanning the root.
+    A cache's hit, miss and corruption counts belong to the process
+    that probed it (:attr:`ArtifactCache.hits` and its metrics
+    registry), so they are not part of this snapshot.
     """
 
     root: str
     entries: int = 0
     total_bytes: int = 0
-    hits: int = 0
-    misses: int = 0
-    corruptions: int = 0
     workloads: Dict[str, int] = field(default_factory=dict)
     #: seconds since each entry was created, newest first (wall clock;
     #: empty when no entry carries a parsable ``created`` stamp)
     entry_ages_seconds: List[float] = field(default_factory=list)
-
-    @classmethod
-    def from_registry(cls, root: str, registry: MetricsRegistry,
-                      **extra) -> "CacheStats":
-        """Session counters straight from the cache's metrics registry."""
-        return cls(
-            root=root,
-            hits=int(registry.counter_value("cache.hit")),
-            misses=int(registry.counter_value("cache.miss")),
-            corruptions=int(registry.counter_value("cache.corruption")),
-            **extra,
-        )
 
     @property
     def newest_age_seconds(self) -> Optional[float]:
@@ -121,9 +106,6 @@ class CacheStats:
             f"cache root      {self.root}",
             f"entries         {self.entries}",
             f"total size      {self.total_bytes / 1024:.1f} KiB",
-            f"session hits    {self.hits}",
-            f"session misses  {self.misses}",
-            f"corrupt entries {self.corruptions}",
         ]
         if self.entry_ages_seconds:
             lines.append(
@@ -295,24 +277,17 @@ class ArtifactCache:
 
     @staticmethod
     def _entry_age_seconds(created) -> Optional[float]:
-        """Age of an entry from its ``created`` stamp.
-
-        Current entries carry ISO-8601 strings; pre-rebase entries
-        stored epoch floats — both are honoured so old caches keep
-        reporting ages after an upgrade.
-        """
+        """Age of an entry from its ISO-8601 ``created`` stamp (``None``
+        when the stamp is missing or unparsable)."""
         try:
-            if isinstance(created, str):
-                then = clock.parse_wall_iso(created).timestamp()
-            else:
-                then = float(created)
+            then = clock.parse_wall_iso(created).timestamp()
         except (TypeError, ValueError):
             return None
         return max(0.0, clock.wall_ns() / 1e9 - then)
 
     def stats(self) -> CacheStats:
-        """Entry counts, sizes and ages plus this process's counters."""
-        stats = CacheStats.from_registry(str(self.root), self.metrics)
+        """Entry counts, sizes and ages, as found on disk."""
+        stats = CacheStats(root=str(self.root))
         ages: List[float] = []
         for entry in self._entries():
             stats.entries += 1

@@ -13,11 +13,7 @@ from hypothesis import strategies as st
 from repro.common.config import LatencyConfig
 from repro.common.events import LATENCY_DOMAIN, NUM_EVENTS, EventType
 from repro.dse.designspace import DesignSpace
-from repro.dse.explorer import (
-    default_cost_model,
-    default_cost_model_matrix,
-    default_cost_tables,
-)
+from repro.dse.explorer import default_cost_model, default_cost_tables
 from repro.dse.pipeline import analyze
 from repro.dse.sweep import _prune, _screen, sweep_space
 from repro.workloads.suite import make_workload, suite_names
@@ -132,16 +128,6 @@ class TestCostTables:
         scalar = [
             default_cost_model(DIRECT_SPACE.point_at(i), DIRECT_SPACE.base)
             for i in range(lo, hi)
-        ]
-        assert bits(costs) == bits(scalar)
-
-    def test_matrix_form_matches_the_scalar_model(self):
-        costs = default_cost_model_matrix(
-            DIRECT_SPACE.theta_matrix(), DIRECT_SPACE.base
-        )
-        scalar = [
-            default_cost_model(point, DIRECT_SPACE.base)
-            for point in DIRECT_SPACE.points()
         ]
         assert bits(costs) == bits(scalar)
 

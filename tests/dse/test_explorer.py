@@ -179,20 +179,3 @@ class TestZeroCycleCost:
             for cycles in (133, 66, 12, 4, 1, 0)
         ]
         assert all(b > a for a, b in zip(costs, costs[1:]))
-
-    def test_matrix_cost_model_bit_identical_to_scalar(self):
-        from repro.dse.designspace import DesignSpace
-        from repro.dse.explorer import default_cost_model_matrix
-
-        space = DesignSpace.from_mapping(
-            {
-                EventType.L1D: [0, 1, 2, 4, 8],
-                EventType.FP_ADD: [1, 3, 6],
-                EventType.MEM_D: [33, 133, 266],
-            }
-        )
-        vectorised = default_cost_model_matrix(
-            space.theta_matrix(), space.base
-        )
-        scalar = [default_cost_model(p, space.base) for p in space.points()]
-        assert list(vectorised) == scalar

@@ -12,7 +12,7 @@ from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
-from repro.dse.explorer import Explorer
+from repro.dse.explorer import Explorer, SweepMetrics
 from repro.dse.pipeline import analyze
 from repro.dse.sweep import _prune, sweep_space
 from repro.obs.observer import Observer
@@ -62,9 +62,7 @@ class TestDifferential:
         self, model, reference_space, chunk_size
     ):
         seed = Explorer(model).explore(reference_space)
-        swept = Explorer(model).sweep(
-            reference_space, chunk_size=chunk_size
-        )
+        swept = sweep_space(model, reference_space, chunk_size=chunk_size)
         assert front_key(swept) == front_key(seed)
 
     @pytest.mark.parametrize("chunk_size", [13, 50])
@@ -73,8 +71,8 @@ class TestDifferential:
     ):
         target = model.predict_cpi(LatencyConfig()) * 0.9
         seed = Explorer(model).explore(reference_space, target_cpi=target)
-        swept = Explorer(model).sweep(
-            reference_space, target_cpi=target, chunk_size=chunk_size
+        swept = sweep_space(
+            model, reference_space, target_cpi=target, chunk_size=chunk_size
         )
         assert front_key(swept) == front_key(seed)
         assert swept.num_meeting_target == seed.num_meeting_target
@@ -105,8 +103,8 @@ class TestDifferential:
         )
         target = gamess_session.baseline_cpi * 0.9
         seed = gamess_session.explore(space, target_cpi=target)
-        swept = gamess_session.sweep(
-            space, target_cpi=target, chunk_size=17
+        swept = sweep_space(
+            gamess_session.rpstacks, space, target_cpi=target, chunk_size=17
         )
         assert front_key(swept) == front_key(seed)
         assert swept.num_meeting_target == seed.num_meeting_target
@@ -178,26 +176,62 @@ class TestStreaming:
         assert summary["metrics"]["chunk_size"] == 16
         assert summary["num_points"] == reference_space.num_points
 
-
-class TestFallbacks:
-    def test_scalar_only_predictor_streams_correctly(self, reference_space):
-        class Scalar:
-            def predict_cpi(self, latency):
-                return latency[EventType.L1D] / 4.0
-
-        seed = Explorer(Scalar()).explore(reference_space)
-        swept = Explorer(Scalar()).sweep(reference_space, chunk_size=16)
-        assert front_key(swept) == front_key(seed)
-
-    def test_custom_cost_model_applies_per_point(self, model, reference_space):
-        def flat_cost(point, base):
-            return float(point[EventType.L1D])
-
-        seed = Explorer(model, cost_model=flat_cost).explore(reference_space)
-        swept = Explorer(model, cost_model=flat_cost).sweep(
-            reference_space, chunk_size=16
+    def test_metrics_from_fixed_chunk_timings(self):
+        seconds = [0.25, 1.0, 0.5, 0.125, 2.0, 0.75, 0.5, 0.25, 1.5, 0.375]
+        metrics = SweepMetrics.from_chunk_seconds(
+            seconds,
+            num_points=2_900,
+            total_seconds=7.25,
+            chunk_size=300,
+            peak_candidates=12,
         )
-        assert front_key(swept) == front_key(seed)
+        assert metrics.num_chunks == 10
+        assert metrics.max_chunk_seconds == 2.0
+        assert metrics.mean_chunk_seconds == pytest.approx(0.725)
+        # Sorted, the 95th percentile sits 0.55 of the way from the
+        # ninth value (1.5) to the tenth (2.0).
+        assert metrics.p95_chunk_seconds == pytest.approx(1.775)
+        # The last eight chunks take 6.0 s for 8 x 300 points.
+        assert metrics.rolling_points_per_second == pytest.approx(400.0)
+        assert metrics.points_per_second == pytest.approx(400.0)
+        assert metrics.peak_candidates == 12
+        assert metrics.chunk_size == 300
+        empty = SweepMetrics.from_chunk_seconds(
+            [], num_points=0, total_seconds=0.5, chunk_size=300,
+            peak_candidates=0,
+        )
+        assert (empty.num_chunks, empty.max_chunk_seconds) == (0, 0.0)
+        assert (empty.p95_chunk_seconds, empty.rolling_points_per_second) == (
+            0.0, 0.0
+        )
+
+    def test_enabled_observer_gets_the_run_metrics(
+        self, model, reference_space
+    ):
+        obs = Observer(enabled=True, progress_stream=None)
+        target = model.predict_cpi(LatencyConfig()) * 0.9
+        result = sweep_space(
+            model, reference_space, target_cpi=target, chunk_size=16, obs=obs
+        )
+        exported = obs.metrics.export()
+        # Chunks of 16 points are too small to screen, so every point
+        # that meets the target reaches the exact prune.
+        assert result.num_meeting_target == 96
+        assert exported["counters"] == {
+            "sweep.points": reference_space.num_points,
+            "sweep.prune_inputs": 96,
+            "sweep.meeting_target": 96,
+        }
+        assert exported["gauges"] == {
+            "sweep.peak_candidates": result.metrics.peak_candidates,
+            "sweep.points_per_sec": result.metrics.points_per_second,
+            "prune.survivors": len(result.candidates),
+            "sweep.stacks_priced": 4,
+        }
+        assert list(exported["histograms"]) == ["sweep.chunk_seconds"]
+        chunks = exported["histograms"]["sweep.chunk_seconds"]
+        assert len(chunks) == result.metrics.num_chunks
+        assert max(chunks) == result.metrics.max_chunk_seconds
 
 
 class TestEdgeCases:
@@ -227,6 +261,16 @@ class TestEdgeCases:
         assert result.candidates == []
         assert result.num_meeting_target == 0
         assert result.pareto_front() == []
+
+    def test_predictor_without_the_matrix_kernel_is_rejected(
+        self, reference_space
+    ):
+        class Scalar:
+            def predict_cpi(self, latency):
+                return latency[EventType.L1D] / 4.0
+
+        with pytest.raises(TypeError, match="Explorer.explore"):
+            sweep_space(Scalar(), reference_space)
 
     def test_bad_arguments_rejected(self, model, reference_space):
         with pytest.raises(ValueError, match="chunk_size"):

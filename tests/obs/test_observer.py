@@ -1,6 +1,7 @@
 """Observer facade tests: null fast path, ambient scoping, env toggles."""
 
 import io
+import threading
 
 from repro.obs import observer as obs_mod
 from repro.obs.observer import (
@@ -110,6 +111,49 @@ class TestAmbientScoping:
         with use_observer(outer):
             with use_observer(None) as active:
                 assert active is outer
+
+    def test_overlapping_scopes_on_two_threads_stay_apart(self):
+        """Thread A scopes its observer, thread B scopes its own, A
+        leaves first and B records after that: each sees only its own
+        observer, and neither scope leaks into the other thread or
+        outlives itself."""
+        first = Observer(enabled=True, progress_stream=None)
+        second = Observer(enabled=True, progress_stream=None)
+        a_entered = threading.Event()
+        b_entered = threading.Event()
+        a_left = threading.Event()
+        seen = {}
+
+        def thread_a():
+            with use_observer(first):
+                a_entered.set()
+                b_entered.wait(10)
+                seen["a inside"] = get_observer()
+            a_left.set()
+
+        def thread_b():
+            a_entered.wait(10)
+            with use_observer(second):
+                b_entered.set()
+                a_left.wait(10)
+                with get_observer().span("b.after_a_left"):
+                    pass
+            seen["b after"] = get_observer()
+
+        threads = [threading.Thread(target=run) for run in (thread_a,
+                                                            thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert seen["a inside"] is first
+        assert [span.name for span in second.tracer.spans] == [
+            "b.after_a_left"
+        ]
+        assert first.tracer.spans == []
+        assert seen["b after"] is NULL_OBSERVER
+        assert get_observer() is NULL_OBSERVER
 
 
 class TestFromEnv:

@@ -197,31 +197,19 @@ def test_stats_report_entry_ages(tmp_path):
     assert "newest" in stats.describe()
 
 
-def test_legacy_epoch_created_stamp_still_ages(tmp_path):
-    workload = make_workload("gamess", MACROS)
-    cache, _session, entry = _fresh_entry(tmp_path, workload)
-    meta = json.loads((entry / "meta.json").read_text())
-    from repro.obs import clock
-
-    meta["created"] = clock.wall_ns() / 1e9 - 120.0  # pre-rebase format
-    (entry / "meta.json").write_text(json.dumps(meta))
-    # Rewriting meta.json invalidates nothing age-wise (checksums only
-    # cover artifacts); the epoch float is honoured.
-    stats = cache.stats()
-    assert stats.entry_ages_seconds
-    assert 115.0 <= stats.oldest_age_seconds <= 600.0
-
-
 def test_unparsable_created_stamp_is_skipped(tmp_path):
     workload = make_workload("gamess", MACROS)
     cache, _session, entry = _fresh_entry(tmp_path, workload)
     meta = json.loads((entry / "meta.json").read_text())
-    meta["created"] = "not-a-date"
-    (entry / "meta.json").write_text(json.dumps(meta))
-    stats = cache.stats()
-    assert stats.entries == 1
-    assert stats.entry_ages_seconds == []
-    assert "entry age" not in stats.describe()
+    # Every entry of this layout carries an ISO-8601 stamp, so an epoch
+    # float is as unparsable as any other junk.
+    for stamp in ("not-a-date", 1_700_000_000.0):
+        meta["created"] = stamp
+        (entry / "meta.json").write_text(json.dumps(meta))
+        stats = cache.stats()
+        assert stats.entries == 1
+        assert stats.entry_ages_seconds == []
+        assert "entry age" not in stats.describe()
 
 
 def test_checksums_recorded_in_meta(tmp_path):

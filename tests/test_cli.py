@@ -102,7 +102,7 @@ class TestAnalyze:
         assert code == 0
         assert model_path.exists()
         code, out = run(
-            capsys, "explore", "gamess", "--model", str(model_path),
+            capsys, "dse", "sweep", "gamess", "--model", str(model_path),
             "--axis", "L1D=1,2,4", "--axis", "Fadd=1,3,6",
         )
         assert code == 0
@@ -129,30 +129,6 @@ class TestFlagValidation:
         monkeypatch.setattr(cli, "_workload", no_workload)
         with pytest.raises(SystemExit, match=f"{message} must be at least 1"):
             main(argv)
-
-
-class TestExplore:
-    def test_sweeps_and_prints_pareto(self, capsys):
-        code, out = run(
-            capsys, "explore", "gamess", "--macros", "100",
-            "--axis", "L1D=1,2,4", "--axis", "Fadd=1,3,6",
-            "--target-fraction", "0.9",
-        )
-        assert code == 0
-        assert "design points" in out
-        assert "predicted CPI" in out
-
-    def test_requires_an_axis(self):
-        with pytest.raises(SystemExit, match="at least one --axis"):
-            main(["explore", "gamess"])
-
-    def test_rejects_structure_domain_axis(self):
-        with pytest.raises(SystemExit):
-            main(["explore", "gamess", "--axis", "BrMisp=1,2"])
-
-    def test_rejects_malformed_axis(self):
-        with pytest.raises(SystemExit, match="bad axis"):
-            main(["explore", "gamess", "--axis", "L1D="])
 
 
 class TestCompare:
@@ -198,11 +174,11 @@ class TestTraceWorkflow:
 
 
 class TestJsonOutput:
-    def test_explore_json(self, capsys):
+    def test_dse_sweep_json(self, capsys):
         import json
 
         code = main(
-            ["explore", "gamess", "--macros", "100",
+            ["dse", "sweep", "gamess", "--macros", "100",
              "--axis", "L1D=1,2,4", "--json"]
         )
         assert code == 0
@@ -280,6 +256,23 @@ class TestCacheCommand:
         code, out = run(capsys, "cache", "stats", "--cache-dir", cache_dir)
         assert code == 0
 
+    def test_stats_report_what_is_on_disk(self, capsys, tmp_path):
+        """A corrupted entry is still one entry on disk; ``stats`` runs
+        in its own process, so it has no hit, miss or corruption counts
+        to report."""
+        cache_dir = tmp_path / "cache"
+        run(capsys, "analyze", "gamess", "--macros", "50",
+            "--cache-dir", str(cache_dir))
+        (model,) = cache_dir.glob("v2/*/*/model.npz")
+        model.write_bytes(b"junk")
+        code, out = run(capsys, "cache", "stats", "--cache-dir",
+                        str(cache_dir))
+        assert code == 0
+        assert "entries         1" in out
+        assert "gamess         1 entries" in out
+        assert "session" not in out
+        assert "corrupt" not in out
+
     def test_analyze_cache_dir_is_reused(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         _code, first = run(capsys, "analyze", "gamess", "--macros", "60",
@@ -322,23 +315,25 @@ class TestDseSweep:
         assert "predicted CPI" in out
 
     def test_sweep_matches_explore_front(self, capsys):
-        argv = [
-            "gamess", "--macros", "100",
-            "--axis", "L1D=1,2,4", "--axis", "Fadd=1,3,6",
-        ]
-        _code, explore_out = run(capsys, "explore", *argv)
-        _code, sweep_out = run(
-            capsys, "dse", "sweep", *argv, "--chunk-size", "5"
-        )
-        def table(out):
-            lines = out.splitlines()
-            header = next(
-                i for i, line in enumerate(lines)
-                if line.startswith("design point")
-            )
-            return lines[header:]
+        import json
 
-        assert table(explore_out) == table(sweep_out)
+        from repro.common.events import EventType
+        from repro.dse.designspace import DesignSpace
+        from repro.dse.explorer import Explorer
+        from repro.dse.pipeline import analyze
+        from repro.workloads.suite import make_workload
+
+        _code, out = run(
+            capsys, "dse", "sweep", "gamess", "--macros", "100",
+            "--axis", "L1D=1,2,4", "--axis", "Fadd=1,3,6",
+            "--chunk-size", "5", "--json",
+        )
+        model = analyze(make_workload("gamess", 100)).rpstacks
+        space = DesignSpace.from_mapping(
+            {EventType.L1D: [1, 2, 4], EventType.FP_ADD: [1, 3, 6]}
+        )
+        explored = Explorer(model).explore(space).as_dict()
+        assert json.loads(out)["pareto_front"] == explored["pareto_front"]
 
     def test_json_includes_metrics(self, capsys):
         code, out = run(
@@ -355,6 +350,14 @@ class TestDseSweep:
     def test_requires_an_axis(self):
         with pytest.raises(SystemExit, match="at least one --axis"):
             main(["dse", "sweep", "gamess"])
+
+    def test_rejects_structure_domain_axis(self):
+        with pytest.raises(SystemExit, match="BR_MISP is structure-domain"):
+            main(["dse", "sweep", "gamess", "--axis", "BrMisp=1,2"])
+
+    def test_rejects_malformed_axis(self):
+        with pytest.raises(SystemExit, match="bad axis"):
+            main(["dse", "sweep", "gamess", "--axis", "L1D="])
 
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(SystemExit, match="chunk-size"):
@@ -455,7 +458,8 @@ class TestInterrupt:
         [
             ("cmd_analyze", ["analyze", "gamess"], False),
             ("cmd_analyze", ["analyze", "gamess", "--cache-dir", "c"], False),
-            ("cmd_explore", ["explore", "gamess", "--axis", "L1D=1,2"], False),
+            ("cmd_compare", ["compare", "gamess", "--override", "L1D=2"],
+             False),
             ("cmd_dse_sweep", ["dse", "sweep", "gamess", "--axis", "L1D=1"],
              False),
             ("cmd_suite", ["suite", "--only", "gamess"], False),
