@@ -99,7 +99,7 @@ def workload_report(
                 continue
             probe_overrides[event] = max(1, base[event] // 2)
     probe = base.with_overrides(probe_overrides)
-    simulated = session.simulate(probe).cpi
+    simulated = session.machine.cpi(probe)
     rows = []
     for name, predictor in session.predictors().items():
         predicted = predictor.predict_cycles(probe) / num_uops

@@ -14,7 +14,7 @@ Either way each run starts with unbound structural witnesses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, TypeVar, Union
 
 from repro.common.config import LatencyConfig, MicroarchConfig, baseline_config
 from repro.isa.uop import Workload
@@ -23,11 +23,15 @@ from repro.obs.observer import get_observer
 from repro.simulator.core import TimingSimulator
 from repro.simulator.native import (
     PackedPrepass,
+    native_cycles,
     native_timing,
+    resolve_native,
     try_native_prepass,
 )
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.trace import SimResult
+
+_T = TypeVar("_T")
 
 
 class Machine:
@@ -35,11 +39,20 @@ class Machine:
 
     The functional pre-pass runs once (it depends only on the structure
     domain); each :meth:`simulate` call prices it under a different
-    latency configuration.  Results are memoised per latency point.
-    *native* selects the implementation for every run: ``None`` uses
-    the compiled simulator when ``REPRO_NATIVE`` allows, ``False`` the
-    Python one, ``True`` requires the compiled one.  Both are bit
-    identical, so cached results are portable.
+    latency configuration.  *native* selects the implementation for
+    every run: ``None`` uses the compiled simulator when
+    ``REPRO_NATIVE`` allows, ``False`` the Python one, ``True``
+    requires the compiled one.  Both are bit identical, so cached
+    results are portable.
+
+    What is memoised, per latency point: :meth:`simulate` keeps its
+    :class:`SimResult`, and :meth:`cycles` / :meth:`cpi` keep only the
+    cycle count.  On the compiled simulator those two run the timing
+    kernel alone and assemble no trace; on the Python one they read
+    :meth:`simulate`'s result.  The compiled results of one machine
+    share the pre-pass's latency-independent trace columns (charges,
+    producers, miss flags and pre-pass witnesses), which are read-only;
+    each run's timestamps and structural witnesses are its own.
     """
 
     def __init__(
@@ -58,6 +71,7 @@ class Machine:
         )
         self._prepass: Union[PackedPrepass, PrepassResult, None] = None
         self._cache: Dict[LatencyConfig, SimResult] = {}
+        self._cycles: Dict[LatencyConfig, int] = {}
         #: count of timing runs actually executed (for overhead reports)
         self.timing_runs = 0
         self._run_prepass()
@@ -76,6 +90,7 @@ class Machine:
         machine._prepass_args = (True, None, None, None)
         machine._prepass = None
         machine._cache = {result.config.latency: result}
+        machine._cycles = {}
         machine.timing_runs = 0
         return machine
 
@@ -89,7 +104,7 @@ class Machine:
         )
         with get_observer().span(
             "sim.prepass", workload=workload.name, uops=len(workload)
-        ):
+        ) as span:
             args = (
                 workload,
                 self.config,
@@ -97,11 +112,47 @@ class Machine:
                 warm_stream,
                 predictor_extra_stream,
             )
-            self._prepass = (
-                try_native_prepass(*args, native=native)
-                or run_prepass(*args)
+            prepass = try_native_prepass(*args, native=native)
+            if prepass is not None:
+                span.set(native=True)
+            else:
+                # A loaded kernel that returned no pre-pass could not
+                # pack this workload.
+                fell_back = resolve_native(native) is not None
+                span.set(native="fallback" if fell_back else False)
+                prepass = run_prepass(*args)
+            self._prepass = prepass
+        return prepass
+
+    def _prepared(self) -> Union[PackedPrepass, PrepassResult]:
+        prepass = self._prepass
+        if prepass is None:
+            prepass = self._run_prepass()
+        return prepass
+
+    def _timed_run(
+        self, run: Callable[[], _T], native: bool, **attrs
+    ) -> _T:
+        """Run one timing pass under the ``sim.run`` span and metrics."""
+        obs = get_observer()
+        start = clock.perf_seconds()
+        with obs.span(
+            "sim.run",
+            workload=self.workload.name,
+            uops=len(self.workload),
+            **attrs,
+        ):
+            value = run()
+        if obs.enabled:
+            obs.counter("sim.runs").inc()
+            if native:
+                obs.counter("sim.native_runs").inc()
+            obs.counter("sim.uops_retired").inc(len(self.workload))
+            obs.histogram("sim.seconds").observe(
+                clock.perf_seconds() - start
             )
-        return self._prepass
+        self.timing_runs += 1
+        return value
 
     def simulate(
         self, latency: Optional[LatencyConfig] = None
@@ -112,35 +163,39 @@ class Machine:
         if cached is not None:
             return cached
         design = self.config.with_latency(latency)
-        prepass = self._prepass
-        if prepass is None:
-            prepass = self._run_prepass()
-        obs = get_observer()
-        start = clock.perf_seconds()
-        used_native = isinstance(prepass, PackedPrepass)
-        with obs.span(
-            "sim.run", workload=self.workload.name, uops=len(self.workload)
-        ):
-            if used_native:
-                result = native_timing(self.workload, design, prepass)
-            else:
-                result = TimingSimulator(self.workload, design, prepass).run()
-        if obs.enabled:
-            obs.counter("sim.runs").inc()
-            if used_native:
-                obs.counter("sim.native_runs").inc()
-            obs.counter("sim.uops_retired").inc(len(self.workload))
-            obs.histogram("sim.seconds").observe(
-                clock.perf_seconds() - start
+        prepass = self._prepared()
+        if isinstance(prepass, PackedPrepass):
+            result = self._timed_run(
+                lambda: native_timing(self.workload, design, prepass),
+                native=True,
             )
-        self.timing_runs += 1
+        else:
+            result = self._timed_run(
+                lambda: TimingSimulator(self.workload, design, prepass).run(),
+                native=False,
+            )
         self._cache[latency] = result
         return result
 
     def cycles(self, latency: Optional[LatencyConfig] = None) -> int:
         """Total cycles under *latency*."""
-        return self.simulate(latency).cycles
+        latency = latency or self.config.latency
+        cached = self._cache.get(latency)
+        if cached is not None:
+            return cached.cycles
+        count = self._cycles.get(latency)
+        if count is not None:
+            return count
+        prepass = self._prepared()
+        if not isinstance(prepass, PackedPrepass):
+            return self.simulate(latency).cycles
+        design = self.config.with_latency(latency)
+        count = self._timed_run(
+            lambda: native_cycles(design, prepass), native=True, trace=False
+        )
+        self._cycles[latency] = count
+        return count
 
     def cpi(self, latency: Optional[LatencyConfig] = None) -> float:
         """Cycles per µop under *latency*."""
-        return self.simulate(latency).cpi
+        return self.cycles(latency) / len(self.workload)

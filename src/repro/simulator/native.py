@@ -21,32 +21,49 @@ cache, ``REPRO_NATIVE`` gate, automatic Python fallback):
   timestamps and structural witnesses directly.
 
 The implementation is chosen once per run: a packed prepass is only
-ever priced by the compiled timing loop, and the result is assembled
-straight into :class:`~repro.simulator.columns.TraceColumns` with no
-per-µop Python objects.  Everything is integer arithmetic, so the
-native path is **bit identical** to the Python reference by
-construction; a 12-workload differential test
-(``tests/simulator/test_native_parity.py``) and the stress-kernel
-oracles pin the equivalence.  The Python implementation stays the
-executable specification.
+ever priced by the compiled timing loop, with no per-µop Python
+objects.  Everything is integer arithmetic, so the native path is
+**bit identical** to the Python reference by construction; a
+12-workload differential test (``tests/simulator/test_native_parity.py``)
+and the stress-kernel oracles pin the equivalence.  The Python
+implementation stays the executable specification.
+
+A timing run splits into what no latency changes and what one latency
+point sets.  A :class:`PackedPrepass` builds the first on first use and
+keeps it for every run over it: the per-µop table keys
+(:attr:`PackedPrepass.keys`) and the latency-independent trace columns
+(:attr:`PackedPrepass.columns`: charge and producer CSRs, DTLB-miss,
+misprediction, store-barrier and line-sharer columns).  Every array of
+both is read-only, and the columns are shared, not copied, by every
+:class:`~repro.simulator.trace.SimResult` built over the prepass.  Per
+point, :func:`_design_arrays` builds small tables from θ and gathers
+the kernel's latency arrays by those keys, and each run allocates only
+its own timestamps and witnesses.  :func:`native_cycles` runs the
+kernel and returns its cycle count without assembling a trace;
+:func:`native_timing` adds the run's stamps to the shared columns.
 
 Workloads the packer cannot express (register ids outside 0..255, more
-than two address sources) silently fall back to the Python path.
+than two address sources) fall back to the Python path in auto mode.
+The fallback counts ``sim.native_fallbacks`` in the ambient observer,
+and :class:`~repro.simulator.machine.Machine` marks its ``sim.prepass``
+span ``native="fallback"``.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.common.config import MicroarchConfig
-from repro.common.events import EventType
+from repro.common.events import LATENCY_DOMAIN, NUM_EVENTS, EventType
 from repro.core.native import compile_shared_library, load_gated
 from repro.isa.uop import EXEC_EVENT, OpClass, Workload
-from repro.simulator.columns import TraceColumns
+from repro.obs.observer import get_observer
+from repro.simulator.columns import TIMESTAMP_COLUMNS, TraceColumns
 from repro.simulator.trace import (
     SimResult,
     data_access_charge,
@@ -935,12 +952,30 @@ def pack_workload(workload: Workload) -> PackedWorkload:
     )
 
 
+class TimingKeys(NamedTuple):
+    """Per-µop table keys of a packed prepass (latency-independent).
+
+    Each per-point latency array of the timing kernel is a small table
+    built from θ, gathered by one of these keys.
+    """
+
+    exec_key: np.ndarray   # intp: opclass, or _LOAD_KEY + data_level
+    fetch_key: np.ndarray  # intp: fetch_level * 2 + itlb_miss
+    is_load: np.ndarray    # intp 0/1: the AGU latency key
+    dtlb_miss: np.ndarray  # intp 0/1: the DTLB latency key
+    is_demand: np.ndarray  # int8: a load that allocates an MSHR
+
+
 @dataclass
 class PackedPrepass:
     """The compiled pre-pass outcome (the compiled timing loop's input).
 
     Read-only once built: every timing run over it allocates its own
-    timestamp and witness arrays.
+    timestamp and witness arrays.  :attr:`keys` and :attr:`columns`,
+    the latency-independent part of a run, are built on first use and
+    kept; their arrays are read-only and shared by every run.  Pickling
+    drops both (they are rebuilt on first use), so a prepass ships as
+    its outcome arrays only.
     """
 
     workload: PackedWorkload
@@ -957,6 +992,75 @@ class PackedPrepass:
     line_sharer: np.ndarray    # int64
     needs_reg: np.ndarray      # int8
     stats: Dict[str, int]      # functional counters (cache/TLB/branch)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("keys", None)
+        state.pop("columns", None)
+        return state
+
+    @cached_property
+    def keys(self) -> TimingKeys:
+        """The per-µop table keys every timing run gathers by."""
+        pw = self.workload
+        opclass = pw.opclass.astype(np.intp)
+        is_load = opclass == int(OpClass.LOAD)
+        dl = self.data_level
+        return TimingKeys(*_readonly(
+            np.where(is_load, dl.astype(np.intp) + _LOAD_KEY, opclass),
+            self.fetch_level.astype(np.intp) * 2 + self.itlb_miss,
+            is_load.astype(np.intp),
+            self.dtlb_miss.astype(np.intp),
+            (is_load & (self.line_sharer < 0) & (dl >= 2)).astype(np.int8),
+        ))
+
+    @cached_property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The :class:`TraceColumns` fields no latency changes.
+
+        Pure array work, no per-row Python objects: the charge CSRs
+        expand each key's event chain from :func:`_charge_tables`, and
+        the producer CSRs pack the pre-pass's first two producers.
+        """
+        pw = self.workload
+        n = pw.n
+        tables = _charge_tables()
+        keys = self.keys
+        columns = {}
+        for side, chains, chain_len, key in (
+            ("exec", tables.exec_events, tables.exec_len, keys.exec_key),
+            ("fetch", tables.fetch_events, tables.fetch_len,
+             keys.fetch_key),
+        ):
+            lengths = chain_len[key]
+            indptr = np.zeros(n + 1, np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            columns[side + "_indptr"] = indptr
+            columns[side + "_events"] = chains[key][
+                np.arange(chains.shape[1]) < lengths[:, None]
+            ]
+            columns[side + "_units"] = np.ones(int(indptr[-1]), np.int32)
+        (
+            columns["data_indptr"], columns["data_values"],
+        ) = _producer_csr(pw.n_src, self.p0, self.p1)
+        (
+            columns["addr_indptr"], columns["addr_values"],
+        ) = _producer_csr(pw.n_asrc, self.a0, self.a1)
+        columns["dtlb_miss"] = self.dtlb_miss != 0
+        columns["mispredicted"] = self.mispredicted != 0
+        columns["store_barrier"] = np.where(
+            keys.is_load != 0, self.store_barrier, -1
+        )
+        columns["line_sharer"] = self.line_sharer.view()
+        _readonly(*columns.values())
+        return columns
+
+
+def _readonly(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Mark *arrays* read-only (they are shared between runs)."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # ----------------------------------------------------------------------
@@ -1173,55 +1277,89 @@ def try_native_prepass(
     except UnsupportedWorkloadError:
         if native is True:
             raise
+        get_observer().counter("sim.native_fallbacks").inc()
         return None
 
 
 # ----------------------------------------------------------------------
-# columnar trace assembly
+# charge chains and per-point latency tables
 # ----------------------------------------------------------------------
 
-#: (exec_events (20, 3) int16, exec_len (20,) int64,
-#:  fetch_events (8, 4) int16, fetch_len (8,) int64) — built once.
-_CHARGE_TABLES = None
+#: Execute keys: op classes 0..9, then ``_LOAD_KEY + data_level`` for
+#: loads (levels 1..3; key 16 is never used).
+_LOAD_KEY = 16
+_EXEC_KEYS = _LOAD_KEY + 4
+#: Fetch keys: ``fetch_level * 2 + itlb_miss``, level 0 meaning "no new
+#: line opened" (an empty chain).
+_FETCH_KEYS = 8
+
+#: 1 for the events whose latency a design point may change.
+_OPTIMIZABLE = np.zeros(NUM_EVENTS, np.int64)
+_OPTIMIZABLE[list(LATENCY_DOMAIN)] = 1
 
 
-def _charge_tables():
-    """Flat event-chain lookup tables for columnar charge assembly.
+class _ChargeTables(NamedTuple):
+    """The event chain of every execute and fetch key, built once.
 
-    Exec rows are keyed by opclass (0..9, stores and NOPs charge BASE)
-    or ``16 + data_level`` for loads; fetch rows by ``fetch_level * 2 +
-    itlb_miss`` with level 0 meaning "no new line opened".  Chains come
-    from the same :func:`data_access_charge` / :func:`fetch_access_charge`
-    constants the Python prepass charges, so columns and records carry
-    identical event sequences by construction.
+    ``*_events`` / ``*_len`` list each key's chain (events int16,
+    zero-padded); ``*_counts`` hold the same chains as per-event counts,
+    so a chain's cycles under θ are one row of ``counts @ θ``.
+    """
+
+    exec_events: np.ndarray   # (20, 3) int16
+    exec_len: np.ndarray      # (20,) int64
+    exec_counts: np.ndarray   # (20, NUM_EVENTS) int64
+    fetch_events: np.ndarray  # (8, 4) int16
+    fetch_len: np.ndarray     # (8,) int64
+    fetch_counts: np.ndarray  # (8, NUM_EVENTS) int64
+
+
+_CHARGE_TABLES: Optional[_ChargeTables] = None
+
+
+def _charge_tables() -> _ChargeTables:
+    """The execute and fetch key spaces' event chains.
+
+    The chains come from the same :func:`data_access_charge` /
+    :func:`fetch_access_charge` constants the Python prepass charges,
+    so columns and records carry identical event sequences, and the
+    latencies priced from them equal the Python loop's, by construction.
     """
     global _CHARGE_TABLES
     if _CHARGE_TABLES is not None:
         return _CHARGE_TABLES
-    exec_events = np.zeros((20, 3), np.int16)
-    exec_len = np.zeros(20, np.int64)
-    base = EventType.BASE
+    exec_chains = [()] * _EXEC_KEYS
     for oc in OpClass:
-        event = EXEC_EVENT[oc]
-        if oc in (OpClass.NOP, OpClass.STORE):
-            event = base
-        exec_events[int(oc), 0] = int(event)
-        exec_len[int(oc)] = 1
+        if oc is not OpClass.LOAD:
+            event = EXEC_EVENT[oc]
+            if oc is OpClass.STORE:
+                event = EventType.BASE
+            exec_chains[int(oc)] = ((event, 1),)
     for level in (1, 2, 3):
-        chain = data_access_charge(level, False)
-        for slot, (event, _units) in enumerate(chain):
-            exec_events[16 + level, slot] = int(event)
-        exec_len[16 + level] = len(chain)
-    fetch_events = np.zeros((8, 4), np.int16)
-    fetch_len = np.zeros(8, np.int64)
+        exec_chains[_LOAD_KEY + level] = data_access_charge(level, False)
+    fetch_chains = [()] * _FETCH_KEYS
     for level in (1, 2, 3):
         for miss in (0, 1):
-            chain = fetch_access_charge(level, bool(miss))
-            for slot, (event, _units) in enumerate(chain):
-                fetch_events[level * 2 + miss, slot] = int(event)
-            fetch_len[level * 2 + miss] = len(chain)
-    _CHARGE_TABLES = (exec_events, exec_len, fetch_events, fetch_len)
+            fetch_chains[level * 2 + miss] = fetch_access_charge(
+                level, bool(miss)
+            )
+    _CHARGE_TABLES = _ChargeTables(
+        *_chain_table(exec_chains, 3), *_chain_table(fetch_chains, 4)
+    )
     return _CHARGE_TABLES
+
+
+def _chain_table(chains, width: int):
+    """(events, lengths, counts) arrays of one key space's chains."""
+    events = np.zeros((len(chains), width), np.int16)
+    lengths = np.zeros(len(chains), np.int64)
+    counts = np.zeros((len(chains), NUM_EVENTS), np.int64)
+    for key, chain in enumerate(chains):
+        lengths[key] = len(chain)
+        for slot, (event, units) in enumerate(chain):
+            events[key, slot] = int(event)
+            counts[key, int(event)] += units
+    return events, lengths, counts
 
 
 def _producer_csr(counts: np.ndarray, first: np.ndarray, second: np.ndarray):
@@ -1238,76 +1376,28 @@ def _producer_csr(counts: np.ndarray, first: np.ndarray, second: np.ndarray):
     return indptr, values
 
 
-def _trace_columns(
-    pp: PackedPrepass,
-    stamps,
-    preg_freer: np.ndarray,
-    iq_freer: np.ndarray,
-) -> TraceColumns:
-    """Assemble :class:`TraceColumns` straight from the C outcome arrays.
+def _design_arrays(pp: PackedPrepass, config: MicroarchConfig):
+    """Per-design latency arrays for the timing kernel.
 
-    Pure array work — no per-row Python objects anywhere.  The run's own
-    timestamp and witness arrays become columns without a copy.
+    Mirrors the TimingSimulator constructor: each µop's execute and
+    fetch latency is its charge chain priced under θ, the DTLB and AGU
+    latencies follow its miss flag and class, and ``prod_opt`` (a chain
+    holding an event θ prices above one cycle) is the "producer result
+    comes from an optimizable event" bias of the IQ witness.  Each is a
+    small table built from θ, gathered by the prepass's :attr:`keys`.
     """
-    pw = pp.workload
-    n = pw.n
-    exec_tbl, exec_len_tbl, fetch_tbl, fetch_len_tbl = _charge_tables()
-
-    opclass = pw.opclass.astype(np.int64)
-    is_load = opclass == int(OpClass.LOAD)
-    exec_key = np.where(is_load, pp.data_level.astype(np.int64) + 16, opclass)
-    exec_len = exec_len_tbl[exec_key]
-    exec_indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(exec_len, out=exec_indptr[1:])
-    exec_events = exec_tbl[exec_key][
-        np.arange(3) < exec_len[:, None]
-    ]
-    exec_units = np.ones(int(exec_indptr[-1]), np.int32)
-
-    fetch_key = (
-        pp.fetch_level.astype(np.int64) * 2 + pp.itlb_miss.astype(np.int64)
+    theta = np.asarray(config.latency.cycles, np.int64)
+    tables = _charge_tables()
+    keys = pp.keys
+    optimizable = _OPTIMIZABLE * (theta > 1)
+    exec_lat = (tables.exec_counts @ theta).take(keys.exec_key)
+    fetch_lat = (tables.fetch_counts @ theta).take(keys.fetch_key)
+    dtlb_lat = np.array([0, theta[EventType.DTLB]]).take(keys.dtlb_miss)
+    agu_lat = theta[[EventType.ST, EventType.LD]].take(keys.is_load)
+    prod_opt = ((tables.exec_counts @ optimizable) > 0).astype(np.int8).take(
+        keys.exec_key
     )
-    fetch_len = fetch_len_tbl[fetch_key]
-    fetch_indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(fetch_len, out=fetch_indptr[1:])
-    fetch_events = fetch_tbl[fetch_key][
-        np.arange(4) < fetch_len[:, None]
-    ]
-    fetch_units = np.ones(int(fetch_indptr[-1]), np.int32)
-
-    data_indptr, data_values = _producer_csr(pw.n_src, pp.p0, pp.p1)
-    addr_indptr, addr_values = _producer_csr(pw.n_asrc, pp.a0, pp.a1)
-
-    (
-        t_fetch, t_rename, t_dispatch, t_ready, t_issue,
-        t_complete, t_commit,
-    ) = stamps
-    return TraceColumns(
-        n=n,
-        dtlb_miss=pp.dtlb_miss != 0,
-        mispredicted=pp.mispredicted != 0,
-        store_barrier=np.where(is_load, pp.store_barrier, -1),
-        line_sharer=pp.line_sharer,
-        phys_reg_freer=preg_freer,
-        iq_freer=iq_freer,
-        t_fetch=t_fetch,
-        t_rename=t_rename,
-        t_dispatch=t_dispatch,
-        t_ready=t_ready,
-        t_issue=t_issue,
-        t_complete=t_complete,
-        t_commit=t_commit,
-        exec_indptr=exec_indptr,
-        exec_events=exec_events,
-        exec_units=exec_units,
-        fetch_indptr=fetch_indptr,
-        fetch_events=fetch_events,
-        fetch_units=fetch_units,
-        data_indptr=data_indptr,
-        data_values=data_values,
-        addr_indptr=addr_indptr,
-        addr_values=addr_values,
-    )
+    return exec_lat, fetch_lat, dtlb_lat, agu_lat, prod_opt
 
 
 # ----------------------------------------------------------------------
@@ -1315,76 +1405,27 @@ def _trace_columns(
 # ----------------------------------------------------------------------
 
 
-def _design_arrays(pp: PackedPrepass, config: MicroarchConfig):
-    """Per-design latency/derived arrays for the timing kernel.
-
-    Mirrors the TimingSimulator constructor: exec/fetch/DTLB/AGU
-    latencies, the demand-miss MSHR mask, and the "producer result comes
-    from an optimizable event" bias used by the IQ witness."""
-    theta = np.asarray(config.latency.cycles, np.int64)
-    oc = pp.workload.opclass
-    exec_ids = np.asarray(
-        [int(EXEC_EVENT[OpClass(k)]) for k in range(len(OpClass))],
-        np.int64,
-    )[oc]
-    is_load = oc == int(OpClass.LOAD)
-    is_store = oc == int(OpClass.STORE)
-    dl = pp.data_level
-    base = int(theta[EventType.BASE])
-
-    load_lat = (
-        theta[EventType.L1D]
-        + np.where(dl >= 2, theta[EventType.L2D], 0)
-        + np.where(dl >= 3, theta[EventType.MEM_D], 0)
-    )
-    exec_lat = np.where(
-        is_load, load_lat, np.where(is_store, base, theta[exec_ids])
-    ).astype(np.int64)
-
-    fl = pp.fetch_level
-    fetch_lat = np.where(
-        fl > 0,
-        pp.itlb_miss * theta[EventType.ITLB]
-        + theta[EventType.L1I]
-        + np.where(fl >= 2, theta[EventType.L2I], 0)
-        + np.where(fl >= 3, theta[EventType.MEM_I], 0),
-        0,
-    ).astype(np.int64)
-
-    dtlb_lat = (pp.dtlb_miss * theta[EventType.DTLB]).astype(np.int64)
-    agu_lat = np.where(
-        is_load, theta[EventType.LD], theta[EventType.ST]
-    ).astype(np.int64)
-
-    is_demand = (is_load & (pp.line_sharer < 0) & (dl >= 2)).astype(np.int8)
-
-    load_opt = (
-        (theta[EventType.L1D] > 1)
-        | ((dl >= 2) & (theta[EventType.L2D] > 1))
-        | ((dl >= 3) & (theta[EventType.MEM_D] > 1))
-    )
-    other_opt = (exec_ids != int(EventType.BASE)) & (theta[exec_ids] > 1)
-    prod_opt = np.where(
-        is_load, load_opt, np.where(is_store, False, other_opt)
-    ).astype(np.int8)
-    return exec_lat, fetch_lat, dtlb_lat, agu_lat, is_demand, prod_opt
+#: A run's own trace columns, one row each of its stamp block.
+_STAMPED = TIMESTAMP_COLUMNS + ("phys_reg_freer", "iq_freer")
 
 
-def native_timing(
-    workload: Workload, config: MicroarchConfig, pp: PackedPrepass
-) -> SimResult:
-    """Price a compiled pre-pass under *config* with the compiled loop.
+def _run_timing(
+    config: MicroarchConfig, pp: PackedPrepass
+) -> Tuple[int, np.ndarray]:
+    """One compiled timing run over *pp* under *config*.
 
-    Each run starts from fresh timestamp and unbound (-1) witness
-    arrays, so runs sharing *pp* are independent.  Failure modes mirror
-    the Python loop (deadlock / runaway raise ``RuntimeError``).
+    Returns the cycle count and the run's own block of timestamps and
+    witnesses (rows in :data:`_STAMPED` order), all starting at -1
+    (unset / unbound), so runs sharing *pp* are independent.  Failure
+    modes mirror the Python loop (deadlock / runaway raise
+    ``RuntimeError``).
     """
     sim = resolve_native(True)
     pw = pp.workload
     n = pw.n
     core = config.core
-    exec_lat, fetch_lat, dtlb_lat, agu_lat, is_demand, prod_opt = (
-        _design_arrays(pp, config)
+    exec_lat, fetch_lat, dtlb_lat, agu_lat, prod_opt = _design_arrays(
+        pp, config
     )
     theta = config.latency.cycles
     cfg = np.array(
@@ -1398,16 +1439,8 @@ def native_timing(
         ],
         np.int64,
     )
-    t_fetch = np.full(n, -1, np.int64)
-    t_ic = np.full(n, -1, np.int64)
-    t_rename = np.full(n, -1, np.int64)
-    t_dispatch = np.full(n, -1, np.int64)
-    t_ready = np.full(n, -1, np.int64)
-    t_issue = np.full(n, -1, np.int64)
-    t_complete = np.full(n, -1, np.int64)
-    t_commit = np.full(n, -1, np.int64)
-    preg_freer = np.full(n, -1, np.int64)
-    iq_freer = np.full(n, -1, np.int64)
+    stamps = np.full((len(_STAMPED), n), -1, np.int64)
+    t_ic = np.full(n, -1, np.int64)  # decode-entry times: kernel scratch
     out = np.zeros(4, np.int64)
 
     rc, at_cycle, committed = sim.run_timing(
@@ -1417,10 +1450,9 @@ def native_timing(
             pp.p0, pp.p1, pp.a0, pp.a1,
             pp.store_barrier, pp.line_sharer,
             pp.mispredicted, pp.needs_reg,
-            exec_lat, fetch_lat, dtlb_lat, agu_lat, is_demand, prod_opt,
-            t_fetch, t_ic, t_rename, t_dispatch, t_ready, t_issue,
-            t_complete, t_commit,
-            preg_freer, iq_freer,
+            exec_lat, fetch_lat, dtlb_lat, agu_lat,
+            pp.keys.is_demand, prod_opt,
+            stamps[0], t_ic, *stamps[1:],
             out,
         ]
     )
@@ -1436,18 +1468,35 @@ def native_timing(
         )
     if rc != 0:
         raise MemoryError("native timing allocation failed")
-    stamps = (
-        t_fetch, t_rename, t_dispatch, t_ready, t_issue,
-        t_complete, t_commit,
-    )
+    return int(out[0]), stamps
+
+
+def native_cycles(config: MicroarchConfig, pp: PackedPrepass) -> int:
+    """Total cycles of *pp* under *config*; no trace is assembled."""
+    return _run_timing(config, pp)[0]
+
+
+def native_timing(
+    workload: Workload, config: MicroarchConfig, pp: PackedPrepass
+) -> SimResult:
+    """Price a compiled pre-pass under *config* with the compiled loop.
+
+    The result's columns are *pp*'s shared, read-only
+    :attr:`~PackedPrepass.columns` plus this run's own timestamps and
+    witnesses.
+    """
+    cycles, stamps = _run_timing(config, pp)
+    n = pp.workload.n
     stats = dict(pp.stats)
     stats["uops"] = n
     stats["macro_ops"] = workload.num_macro_ops
     return SimResult(
         workload=workload,
         config=config,
-        cycles=int(out[0]),
-        columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
+        cycles=cycles,
+        columns=TraceColumns(
+            n=n, **dict(zip(_STAMPED, stamps)), **pp.columns
+        ),
         stats=stats,
     )
 
