@@ -490,10 +490,13 @@ def cmd_bench_compare(args) -> int:
     """Re-measure scenarios and gate them against committed baselines.
 
     Exit status 1 iff any scenario regressed (or broke digest parity) —
-    the contract the ``bench-trajectory`` CI job enforces.
+    the contract the ``bench-trajectory`` CI job enforces.  The summary
+    counts the findings per status and the scenarios whose timings were
+    compared; "all gates passed" is printed only when every scenario's
+    were.
     """
     from repro.obs.bench import REPO_ROOT
-    from repro.obs.regress import GatePolicy, compare_records
+    from repro.obs.regress import GatePolicy, Verdict, compare_records
     from repro.obs.schema import TrajectoryFile, trajectory_path
 
     directory = args.dir or REPO_ROOT
@@ -501,7 +504,9 @@ def cmd_bench_compare(args) -> int:
         args.tier,
         env_policy="strict" if args.strict_env else "warn",
     )
-    failures = 0
+    timed = (Verdict.OK, Verdict.REGRESSION, Verdict.IMPROVEMENT)
+    failures = compared = 0
+    statuses: Dict[str, int] = {}
     for scenario in _bench_scenarios(args):
         trajectory = TrajectoryFile.open(directory, scenario.name)
         if args.latest:
@@ -512,10 +517,12 @@ def cmd_bench_compare(args) -> int:
                     "to compare"
                 )
                 failures += 1
+                statuses["no-run"] = statuses.get("no-run", 0) + 1
                 continue
         else:
             record = _bench_measure(args, scenario)
             if record is None:
+                statuses["skipped"] = statuses.get("skipped", 0) + 1
                 continue
             trajectory.append(record)
             trajectory.save(trajectory_path(directory, scenario.name))
@@ -523,12 +530,29 @@ def cmd_bench_compare(args) -> int:
             record, trajectory.baseline_for(args.tier), policy
         )
         print(finding.describe())
+        status = finding.verdict.value
+        statuses[status] = statuses.get(status, 0) + 1
+        compared += finding.verdict in timed
         if finding.failed:
             failures += 1
+    total = sum(statuses.values())
+    print(
+        "bench compare: "
+        + ", ".join(
+            f"{count} {status}" for status, count in sorted(statuses.items())
+        )
+    )
+    print(f"bench compare: timings compared on {compared} of {total} scenarios")
     if failures:
         print(f"bench compare: {failures} scenario(s) failed the gates")
         return 1
-    print("bench compare: all gates passed")
+    if compared == total:
+        print("bench compare: all gates passed")
+    else:
+        print(
+            f"bench compare: no gate failed, but {total - compared} "
+            "scenario(s) compared no timing"
+        )
     return 0
 
 
@@ -737,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-fraction", type=float,
                    help="target = baseline CPI x fraction")
     p.add_argument("--chunk-size", type=int, default=65536,
-                   help="design points priced per matrix product")
+                   help="design points per chunk, the unit of the "
+                        "Pareto prune")
     p.add_argument("--top-k", type=int,
                    help="hard cap on the held candidate set (memory bound)")
     p.add_argument("--top", type=int, default=10,

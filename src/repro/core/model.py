@@ -200,8 +200,9 @@ class RpStacksModel:
         Counts and latencies are integers, so every margin is exact and
         the restricted model prices every point of the box bit-identically
         to this one.  ``num_uops`` and ``baseline`` carry over.  Each
-        segment's test holds a ``k × k × NUM_EVENTS`` intermediate; the
-        reduction caps ``k`` at its ``max_paths``.
+        segment's test holds a ``k × k × e`` intermediate for the ``e``
+        events the box spans; the reduction caps ``k`` at its
+        ``max_paths``.
 
         Args:
             lo, hi: ``(NUM_EVENTS,)`` pricing vectors bounding the box
@@ -215,12 +216,21 @@ class RpStacksModel:
             raise ValueError("the box needs lo <= hi in every event")
         singles: List[np.ndarray] = []
         kept: List[np.ndarray] = []
+        # min(d·lo, d·hi) = d·lo + min(0, d·(hi − lo)): the second term
+        # needs only the events the box spans.
+        spanned = np.flatnonzero(hi > lo)
+        width = (hi - lo)[spanned]
         for stacks in self.segment_stacks:
             count = stacks.shape[0]
             if count > 1:
-                diff = stacks[:, np.newaxis, :] - stacks[np.newaxis, :, :]
+                at_lo = stacks @ lo
+                part = stacks[:, spanned]
+                diff = part[:, np.newaxis, :] - part[np.newaxis, :, :]
                 # covers[r, q]: stack r prices >= stack q all over the box.
-                covers = np.minimum(diff * lo, diff * hi).sum(axis=2) >= 0
+                covers = (
+                    at_lo[:, np.newaxis] - at_lo[np.newaxis, :]
+                    + np.minimum(diff * width, 0.0).sum(axis=2)
+                ) >= 0
                 earlier = np.triu(np.ones((count, count), dtype=bool), 1)
                 beaten = covers & (~covers.T | earlier)
                 stacks = stacks[~beaten.any(axis=0)]

@@ -124,9 +124,9 @@ class DesignSpace:
 
         *thetas* is a ``(NUM_EVENTS, n)`` float64 array with contiguous
         rows.  Only the swept rows are written, so a block that holds
-        the base vector can be refilled chunk after chunk, as the
-        streaming sweep does.  Each row is laid out from the runs of its
-        axis (:func:`_spread`), not from per-point index arithmetic.
+        the base vector can be refilled chunk after chunk.  Each row is
+        laid out from the runs of its axis (:func:`_spread`), not from
+        per-point index arithmetic.
         """
         if (
             thetas.dtype != np.float64
@@ -145,29 +145,6 @@ class DesignSpace:
                 stride,
                 start,
             )
-
-    def sum_axis_tables(
-        self,
-        tables: Sequence[Tuple[EventType, np.ndarray]],
-        start: int,
-        stop: int,
-    ) -> np.ndarray:
-        """Per-point sums of per-value tables over points ``[start, stop)``.
-
-        Each ``(event, table)`` pair gives one entry per value of the
-        event's axis; point ``i`` adds the entry of its value.  Tables
-        are added in the order given, starting from ``0.0``, so a caller
-        controls the floating-point summation order exactly.
-        """
-        events = (event for event, _values in self.axes)
-        strides = dict(zip(events, self._strides()))
-        sums = np.zeros(stop - start, dtype=np.float64)
-        terms = np.empty_like(sums)
-        for event, table in tables:
-            table = np.asarray(table, dtype=np.float64)
-            _spread(terms, table, strides[event], start)
-            sums += terms
-        return sums
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` pricing vectors of the box holding every point.

@@ -71,9 +71,8 @@ def default_cost_tables(
     """:func:`default_cost_model` as one term table per swept axis.
 
     Returns ``(event, terms)`` pairs in ``LATENCY_DOMAIN`` order, one
-    entry per value of the event's axis, for
-    :meth:`DesignSpace.sum_axis_tables`.  Adding them in that order
-    from ``0.0`` repeats the scalar model's additions point by point, so
+    entry per value of the event's axis.  Adding a point's entries in
+    that order from ``0.0`` repeats the scalar model's additions, so
     every cost is bit-identical to it.  Unswept events sit at base and
     add nothing; an axis that never lowers its event is left out, since
     its terms would all add ``+0.0``.

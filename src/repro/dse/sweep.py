@@ -7,33 +7,45 @@ materialises every point as a :class:`~repro.common.config.LatencyConfig`
 — fine for thousands of points, memory- and CPU-bound for millions.
 
 This module is the one fast path beside that materialised reference.
-It prices only through a predictor's matrix kernel
-(``predict_cycles_matrix`` and ``num_uops``, which
-:class:`~repro.core.model.RpStacksModel` provides) and costs only with
-:func:`~repro.dse.explorer.default_cost_model`; any other predictor or
-cost model goes through ``Explorer.explore``:
+It prices an :class:`~repro.core.model.RpStacksModel` from the
+space's mixed-radix structure and costs only with
+:func:`~repro.dse.explorer.default_cost_model`; any other predictor
+with a matrix kernel (``predict_cycles_matrix`` and ``num_uops``) is
+priced chunk by chunk from pricing vectors, and any other cost model
+goes through ``Explorer.explore``:
 
-* before any chunk is priced, the model is restricted to the space's
+* before any point is priced, the model is restricted to the space's
   box (:meth:`DesignSpace.bounds`, :meth:`RpStacksModel.restricted`):
   per segment, only the stacks that can be the maximum somewhere in
-  the space are kept, so pricing cost follows the stacks that can win
-  in the explored space rather than the size of the model;
-* points are enumerated as pricing-vector *chunks* into one
-  ``(NUM_EVENTS, chunk)`` block allocated per sweep: the unswept rows
-  hold the base latency throughout, and each chunk rewrites only the
-  swept rows, each laid out from the runs of its axis' value pattern
-  (:meth:`DesignSpace.fill_thetas`), with no per-point index arithmetic
-  and no per-point objects;
-* each chunk is priced by one matrix product per segment of the
-  restricted model (:meth:`RpStacksModel.predict_cycles_matrix`) and
-  costed from one term table per swept axis, laid out the same way
-  (:func:`default_cost_tables`, :meth:`DesignSpace.sum_axis_tables`);
+  the space are kept;
+* the fastest axes form an *inner block* of ``B`` points (whole axes,
+  at most a sixteenth of a chunk) and the rest the outer axes, so a
+  point's price per stack is its block's *constant* plus its inner
+  price.  Per segment the stacks are priced over the inner block once
+  per sweep, and once per block at its outer vector;
+* per block the restriction is repeated on the block's sub-box (the
+  outer axes fixed).  Where every segment keeps one stack, the block is
+  *summed*: its cycles are its constant plus one inner row, whose
+  screened front is found once per sweep and reused by every such
+  block.  The part of a summed block that a chunk boundary cuts is
+  priced point by point.  Blocks that keep several stacks are laid out
+  again over a smaller inner block while one of at least 16 points
+  exists, and are otherwise priced point by point as the highest of
+  their stacks;
+* a *screen* drops points that a strictly cheaper point of the same
+  chunk with no more cycles dominates: whole blocks that a summed
+  block of the chunk dominates point by point, and within a block the
+  points behind its front.  It compares costs split into an outer and
+  an inner share, which round differently from the exact sum, so
+  "strictly cheaper" needs a margin above that rounding;
+* the survivors are costed exactly: each point's ``default_cost_tables``
+  terms are gathered and added in ``LATENCY_DOMAIN`` order from
+  ``0.0``, the scalar model's additions;
 * a bounded-memory reduction keeps only the candidates that can still
   reach the cost/CPI Pareto front, so a multi-million-point space never
-  resides in RAM at once.  Before the exact prune, a *staircase
-  screen* drops the chunk's points that a strided sample of the chunk
-  dominates; it costs a few array passes where the prune's sort costs
-  ``n log n``.
+  resides in RAM at once.  Chunks are laid out, priced and costed in
+  batches of at least :data:`DEFAULT_CHUNK_SIZE` points, and pruned
+  one by one.
 
 **Exactness.** The reduction keeps every point whose CPI is strictly
 below the minimum CPI of all points preceding it in ``(cost, cpi,
@@ -49,14 +61,15 @@ point precedes it in the order, so the prune would drop it as well.
 Removing it changes no other verdict: whatever it preceded, its
 dominator (or, if that was dropped too, the end of the chain of
 strictly cheaper dominators) precedes with a CPI no higher, so every
-running minimum stays the same.  The screen reads only the chunk, so
-the candidate set, ``meeting_target`` and ``peak_candidates`` are the
-unscreened sweep's.
+running minimum stays the same.  The screen reads only the chunk, and
+every screened point is still counted against the target, so the
+candidate set, ``meeting_target`` and ``peak_candidates`` are the
+unscreened sweep's at every chunk size.
 Stack unit counts and latencies are integers (the model's
-constructor enforces it), so every matmul intermediate is exact in
-float64, and neither chunking nor the restriction can change a single
-bit: the streamed front is **bit-identical** to the materialised
-explorer's, which prices the full model and which
+constructor enforces it), so every constant, inner price and sum is
+exact in float64, and neither blocks, chunking nor the restrictions can
+change a single bit: the streamed front is **bit-identical** to the
+materialised explorer's, which prices the full model and which
 ``tests/dse/test_sweep.py`` asserts against differentially.
 """
 
@@ -79,8 +92,8 @@ from repro.dse.explorer import (
 from repro.obs import clock
 from repro.obs.observer import get_observer
 
-#: Default points per evaluation chunk: big enough to amortise the BLAS
-#: call, small enough that a chunk's intermediates stay cache-friendly.
+#: Default points per chunk: big enough for blocks of a thousand points,
+#: small enough that a chunk's intermediates stay cache-friendly.
 DEFAULT_CHUNK_SIZE = 65536
 
 #: Default seconds between progress lines when an interval isn't given
@@ -91,15 +104,14 @@ DEFAULT_PROGRESS_INTERVAL = 10.0
 #: points/s and ETA (and SweepMetrics' end-of-run rolling rate).
 ROLLING_WINDOW_CHUNKS = 8
 
-#: Points in the strided sample behind each staircase pass of a chunk.
-_STAIRCASE_SAMPLE = 1024
-
-#: Cost buckets of a staircase pass.
-_STAIRCASE_BUCKETS = 4096
-
 #: Spans that split each ``sweep.chunk`` under an enabled observer, in
 #: the order the chunk runs them.
 CHUNK_STAGES = ("sweep.enumerate", "sweep.price", "sweep.cost", "sweep.prune")
+
+#: A block holds at most a sixteenth of a chunk's points, so chunk
+#: boundaries cut few of them, and a finer level's blocks at most a
+#: sixteenth of its parent's; no level has blocks of fewer points.
+_BLOCKS_PER_CHUNK = 16
 
 
 def _prune(
@@ -124,59 +136,473 @@ def _prune(
     return indices[chosen], cpis[chosen], costs[chosen]
 
 
-def _staircase_pass(
-    cpis: np.ndarray, costs: np.ndarray
-) -> Optional[np.ndarray]:
-    """Positions of the points a strided sample does not dominate.
+def _cost_terms(space: DesignSpace) -> List[Tuple[int, int, np.ndarray]]:
+    """:func:`default_cost_tables` as ``(stride, length, terms)`` triples.
 
-    A point is dropped when some sample point is strictly cheaper and
-    has a CPI no higher.  Costs are cut into ``_STAIRCASE_BUCKETS``
-    equal buckets; a sample point counts against every point of a
-    higher bucket, where it is strictly cheaper because the bucket map
-    is monotone.  The staircase is the running CPI minimum of the
-    sample over the buckets, so the test costs a few array passes
-    rather than a sort.  ``None`` when the costs cannot be bucketed:
-    all equal, not all finite, or spread too little to scale.
+    Point ``i`` takes ``terms[i // stride % length]`` from each triple;
+    the triples keep the tables' ``LATENCY_DOMAIN`` order.
     """
-    low = float(costs.min())
-    spread = float(costs.max()) - low
-    scale = (_STAIRCASE_BUCKETS - 1) / spread if spread > 0 else math.inf
-    if not (math.isfinite(spread) and math.isfinite(scale)):
-        return None
-    # An odd stride keeps the sample from locking onto one value of the
-    # fast axes, whose periods are often powers of two.
-    step = (cpis.size // _STAIRCASE_SAMPLE) | 1
-    sample = ((costs[::step] - low) * scale).astype(np.intp)
-    # stair[b]: the lowest sample CPI in buckets below b.
-    stair = np.full(_STAIRCASE_BUCKETS + 1, np.inf)
-    np.minimum.at(stair, sample + 1, cpis[::step])
-    np.minimum.accumulate(stair, out=stair)
-    buckets = ((costs - low) * scale).astype(np.intp)
-    return np.flatnonzero(~(stair[buckets] <= cpis))
+    strides = dict(
+        zip((event for event, _values in space.axes), space._strides())
+    )
+    return [
+        (strides[event], terms.size, terms)
+        for event, terms in default_cost_tables(space)
+    ]
 
 
-def _screen(
-    cpis: np.ndarray, costs: np.ndarray
-) -> Optional[np.ndarray]:
-    """Positions that survive repeated staircase passes (``None``: all).
+def _exact_costs(
+    terms: List[Tuple[int, int, np.ndarray]], indices: np.ndarray
+) -> np.ndarray:
+    """Default costs of the points at *indices*, bit for bit.
 
-    Passes repeat while each at least halves the set.  Every dropped
-    point has a strictly cheaper point with CPI no higher, so
-    :func:`_prune` would drop it too and keeps the same set with or
-    without it (the confluence argument in the module docstring).
+    Each point's terms are added in ``LATENCY_DOMAIN`` order from
+    ``0.0``, the additions :func:`default_cost_model` makes.
     """
-    kept = None
-    while cpis.size > _STAIRCASE_SAMPLE:
-        survivors = _staircase_pass(cpis, costs)
-        if survivors is None:
-            break
-        before = cpis.size
-        kept = survivors if kept is None else kept[survivors]
-        cpis = cpis[survivors]
-        costs = costs[survivors]
-        if 2 * survivors.size > before:
-            break
-    return kept
+    costs = np.zeros(indices.size)
+    for stride, length, table in terms:
+        costs += table[indices // stride % length]
+    return costs
+
+
+def _cycle_limit(target_cpi: Optional[float], num_uops) -> float:
+    """The most cycles a point may take and meet *target_cpi*.
+
+    Cycles are non-negative integers and ``cycles / num_uops`` is
+    monotone in them, so a point meets the target iff its cycles are at
+    most the limit: ``inf`` when every point does, ``-1`` when none can.
+    """
+    if target_cpi is None or target_cpi == math.inf:
+        return math.inf
+    if not target_cpi >= 0:
+        return -1.0
+    uops = float(num_uops)
+    if target_cpi * uops >= 2.0 ** 53:
+        return math.inf
+    limit = float(math.floor(target_cpi * uops))
+    while (limit + 1) / uops <= target_cpi:
+        limit += 1
+    while limit >= 0 and limit / uops > target_cpi:
+        limit -= 1
+    return limit
+
+
+def _inner_axes(axes, most: int) -> Tuple[int, int]:
+    """The first inner axis and the inner block's size: the most
+    trailing whole axes whose points number at most *most*."""
+    split = len(axes)
+    size = 1
+    while split and size * len(axes[split - 1][1]) <= most:
+        split -= 1
+        size *= len(axes[split][1])
+    return split, size
+
+
+class _Pieces:
+    """Ranges of points cut at a level's block boundaries, with the
+    data of their blocks (:meth:`_Blocks.layout`)."""
+
+    __slots__ = (
+        "parent", "blocks", "local", "begin", "end", "chunk", "consts",
+        "winners", "singles", "tuples", "keys", "summed", "whole",
+        "screened",
+    )
+
+
+class _Blocks:
+    """A restricted model priced block by block over the space.
+
+    The space's fastest axes form the *inner* block of ``size`` points,
+    the rest the *outer* axes: block ``b`` holds points ``[b * size,
+    (b + 1) * size)``, and a point's pricing vector is its block's outer
+    vector plus its inner vector.  Per segment each stack is priced over
+    the inner block once per sweep, and once per block at the outer
+    vector (the block's *constant*).  Counts and latencies are integers,
+    so every sum is exact.
+
+    A block whose segments keep one stack each over the whole block is
+    *summed*: its cycles are its constant plus one inner row, whose
+    screened front is priced once per sweep.  The part of a summed block
+    inside a chunk that cuts it is priced point by point.  A block that
+    keeps several stacks goes to ``finer``, the same layout over a
+    smaller inner block, or where there is none is priced point by
+    point as the highest of its stacks.
+
+    Inner points are kept in *rank* order: by their share of the cost,
+    the sum of the inner axes' cost terms.  Within one block that order
+    is the points' cost order up to float re-association, which
+    ``cheaper`` allows for: in every block, the point of rank ``i`` is
+    strictly cheaper than every point of rank ``cheaper[i]`` or more.
+    """
+
+    def __init__(
+        self, segments, space: DesignSpace, most: int, margin: float,
+        tally: List[int],
+    ) -> None:
+        axes = space.axes
+        split, size = _inner_axes(axes, most)
+        self.size = size
+        self.margin = margin
+        #: pieces laid out and pieces summed, over every level
+        self.tally = tally
+        # Inner events sit at 0 in the outer vectors, every other event
+        # at 0 in the inner ones.  An outer axis whose event a later
+        # axis sets again is shadowed, as in point_at.
+        shadowed = sorted({int(event) for event, _values in axes[split:]})
+        thetas = np.zeros((NUM_EVENTS, size))
+        thetas[shadowed] = DesignSpace(
+            space.base, axes[split:]
+        ).theta_matrix()[shadowed]
+        self.base = space.base.as_vector()
+        self.base[shadowed] = 0.0
+        #: (event, values, stride in blocks) of the outer axes
+        self.outer_axes = [
+            (int(event), np.asarray(values, dtype=np.float64), stride // size)
+            for (event, values), stride in zip(axes, space._strides())
+            if stride >= size and int(event) not in shadowed
+        ]
+        positions = np.arange(size)
+        share = np.zeros(size)
+        #: (stride in blocks, length, terms) of the outer cost tables
+        self.outer_terms = []
+        for stride, length, table in _cost_terms(space):
+            if stride < size:
+                share += table[positions // stride % length]
+            else:
+                self.outer_terms.append((stride // size, length, table))
+        self.order = np.argsort(share, kind="stable")
+        ranked = share[self.order]
+        self.cheaper = np.searchsorted(ranked, ranked - margin, side="left")
+        thetas = thetas[:, self.order]
+        lo, hi = thetas.min(axis=1), thetas.max(axis=1)
+        #: per segment: inner prices (k × size, rank order) and the
+        #: k × k least inner margins of stack r over stack q
+        self.segments = []
+        for stacks in segments:
+            margins = None
+            if stacks.shape[0] > 1:
+                diff = stacks[:, np.newaxis, :] - stacks[np.newaxis, :, :]
+                margins = np.minimum(diff * lo, diff * hi).sum(axis=2)
+            self.segments.append((stacks, stacks @ thetas, margins))
+        #: winners per segment -> their inner cycles, and the inner
+        #: front of a summed block
+        self.inner, self.fronts = {}, {}
+        # A finer level pays while its blocks hold a few points.
+        finer = size // _BLOCKS_PER_CHUNK
+        self.finer = (
+            _Blocks(segments, space, finer, margin, tally)
+            if _inner_axes(axes, finer)[1] >= _BLOCKS_PER_CHUNK else None
+        )
+
+    def layout(self, starts, stops, chunks) -> _Pieces:
+        """Cut the ranges ``[starts[i], stops[i])``, each inside chunk
+        ``chunks[i]``, into pieces: the parts of blocks inside them.
+        Then restrict their blocks and screen them."""
+        size = self.size
+        pieces = _Pieces()
+        firsts = starts // size
+        parts = (stops - 1) // size - firsts + 1
+        pieces.parent = parent = np.repeat(np.arange(starts.size), parts)
+        pieces.blocks = blocks = (
+            np.arange(parent.size)
+            - np.repeat(np.cumsum(parts) - parts, parts)
+            + firsts[parent]
+        )
+        pieces.begin = np.maximum(starts[parent], blocks * size)
+        pieces.end = np.minimum(stops[parent], blocks * size + size)
+        pieces.chunk = chunks[parent]
+        # The ranges are sorted, so a block repeats only in a run.
+        fresh = np.empty(blocks.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(blocks[1:], blocks[:-1], out=fresh[1:])
+        pieces.local = np.cumsum(fresh) - 1
+        summed, share = self._blocks(blocks[fresh], pieces)
+        pieces.keys = pieces.keys[pieces.local]
+        pieces.summed = summed[pieces.local]
+        pieces.whole = pieces.summed & (pieces.end - pieces.begin == size)
+        pieces.screened = self._screen_blocks(pieces, share[pieces.local])
+        self.tally[0] += parent.size
+        self.tally[1] += int(np.count_nonzero(pieces.whole))
+        return pieces
+
+    def _blocks(self, blocks: np.ndarray, pieces: _Pieces):
+        """Set the data of *blocks* on *pieces*: per segment the
+        constants, the first stack that can win and whether it is the
+        only one (``None`` for a one-stack segment), and a key per
+        distinct winner tuple.  Returns which blocks keep one stack in
+        every segment (*summed*) and their outer share of the cost."""
+        count = blocks.size
+        outer = np.empty((NUM_EVENTS, count))
+        outer[...] = self.base[:, np.newaxis]
+        for event, values, stride in self.outer_axes:
+            outer[event] = values[blocks // stride % values.size]
+        every = np.arange(count)
+        pieces.consts, pieces.winners, pieces.singles = [], [], []
+        summed = np.ones(count, dtype=bool)
+        code = np.zeros(count, dtype=np.intp)
+        for stacks, inner, margins in self.segments:
+            const = (stacks @ outer).T
+            winner = np.zeros(count, dtype=np.intp)
+            single = None
+            if margins is not None:
+                # The one stack left, if any, prices highest all over
+                # the block, so at rank 0 too; it must cover each other
+                # stack by RpStacksModel.restricted's vertex margin with
+                # the outer axes fixed.
+                winner = (const + inner[:, 0]).argmax(axis=1)
+                lead = const[every, winner][:, np.newaxis]
+                single = (lead - const + margins[winner] >= 0).all(axis=1)
+                summed &= single
+                # Number the distinct winner tuples so far densely, so
+                # the codes stay below count × stacks.
+                code = np.unique(
+                    code * stacks.shape[0] + winner, return_inverse=True
+                )[1]
+            pieces.consts.append(const)
+            pieces.winners.append(winner)
+            pieces.singles.append(single)
+        # Each block's key numbers its winner tuple.
+        _codes, first, pieces.keys = np.unique(
+            code, return_index=True, return_inverse=True
+        )
+        pieces.tuples = [
+            tuple(int(winner[block]) for winner in pieces.winners)
+            for block in first.tolist()
+        ]
+        share = np.zeros(count)
+        for stride, length, table in self.outer_terms:
+            share += table[blocks // stride % length]
+        return summed, share
+
+    def _screen_blocks(self, pieces: _Pieces, share: np.ndarray):
+        """Which pieces a whole summed block of their chunk dominates
+        point by point.
+
+        A summed block prices inner point ``j`` at its constant plus
+        ``I_w(j)``, where ``w`` picks one stack per segment.  Any block
+        prices ``j`` at least at its own constants of ``w`` plus
+        ``I_w(j)``; a summed block with winners ``v`` prices it at its
+        constant plus ``I_v(j)``, so at least at that constant plus the
+        least of ``I_v - I_w`` plus ``I_w(j)``.  So a summed block whose
+        outer cost share is lower by the margin, and whose constant is
+        no higher than either bound, holds a strictly cheaper point with
+        no more cycles beside every point of the piece.
+        """
+        local, chunk, keys = pieces.local, pieces.chunk, pieces.keys
+        screened = np.zeros(local.size, dtype=bool)
+        if len(pieces.tuples) > 1:
+            inner = np.stack([self.prices(t) for t in pieces.tuples])
+            own = np.zeros(local.size)
+            for const, winner in zip(pieces.consts, pieces.winners):
+                own += const[local, winner[local]]
+        for key in np.flatnonzero(np.bincount(keys[pieces.whole])):
+            mine = np.flatnonzero(pieces.whole & (keys == key))
+            sums = np.zeros(local.size)
+            for const, winner in zip(pieces.consts, pieces.tuples[key]):
+                sums += const[local, winner]
+            if len(pieces.tuples) > 1:
+                least = (inner - inner[key]).min(axis=1)
+                sums = np.where(
+                    pieces.summed, np.maximum(sums, own + least[keys]), sums
+                )
+            # Dominators in (chunk, share) order, with a running minimum
+            # of their constants that restarts at every chunk: the lift
+            # puts each earlier chunk above any later one.
+            ranked = np.sort(share[mine])
+            width = mine.size + 1
+            place = chunk[mine] * width + np.searchsorted(
+                ranked, share[mine], side="left"
+            )
+            order = np.argsort(place, kind="stable")
+            place = place[order]
+            values = sums[mine][order].astype(np.int64)
+            lift = chunk[mine][order] * (values.max() - values.min() + 1)
+            best = np.minimum.accumulate(values - lift) + lift
+            # A piece's cheaper dominators sit before its place.
+            ahead = np.searchsorted(
+                place,
+                chunk * width + np.searchsorted(
+                    ranked, share - self.margin, side="left"
+                ),
+                side="left",
+            )
+            hit = ahead > np.searchsorted(place, chunk * width, side="left")
+            screened[hit] |= best[ahead[hit] - 1] <= sums[hit]
+        return screened
+
+    def price(self, pieces: _Pieces, limit: float):
+        """The pieces' screened points.
+
+        Returns the survivors' flat indices, cycles and ranges (indices
+        into :meth:`layout`'s), and per range the count of its points
+        within *limit* cycles.  Every point dropped has a strictly
+        cheaper point of its chunk with no more cycles.
+        """
+        size = self.size
+        counted = limit != math.inf
+        wanted = counted | ~pieces.screened
+        counts = (pieces.end - pieces.begin).astype(np.float64)
+        found = []
+        fronts = np.flatnonzero(pieces.whole & wanted)
+        keys = pieces.keys[fronts]
+        for key in np.flatnonzero(np.bincount(keys)):
+            mine = fronts[keys == key]
+            base = np.zeros(mine.size)
+            for const, winner in zip(pieces.consts, pieces.tuples[key]):
+                base += const[pieces.local[mine], winner]
+            ranks, prices, ordered = self.front(pieces.tuples[key])
+            if counted:
+                counts[mine] = np.searchsorted(
+                    ordered, limit - base, side="right"
+                )
+                kept = ~pieces.screened[mine]
+                mine, base = mine[kept], base[kept]
+            found.append((
+                ((pieces.blocks[mine] * size)[:, np.newaxis]
+                 + self.order[ranks]).ravel(),
+                (base[:, np.newaxis] + prices).ravel(),
+                np.repeat(mine, ranks.size),
+            ))
+        rest = ~pieces.whole & wanted
+        if self.finer is not None:
+            # Parts of summed blocks take one row each; the rest is
+            # laid out again over the finer blocks.
+            finer = np.flatnonzero(rest & ~pieces.summed)
+            rest &= pieces.summed
+        rest = np.flatnonzero(rest)
+        if self.finer is not None and finer.size:
+            laid = self.finer.layout(
+                pieces.begin[finer], pieces.end[finer], pieces.chunk[finer]
+            )
+            indices, cycles, which, counts[finer] = self.finer.price(
+                laid, limit
+            )
+            which = finer[which]
+            kept = ~pieces.screened[which]
+            found.append((indices[kept], cycles[kept], which[kept]))
+        if rest.size:
+            rows = self._rows(pieces, rest)
+            if counted:
+                counts[rest] = np.count_nonzero(rows <= limit, axis=1)
+                rows[pieces.screened[rest]] = np.inf
+            row, rank = np.nonzero(self._screen(rows))
+            found.append((
+                pieces.blocks[rest[row]] * size + self.order[rank],
+                rows[row, rank],
+                rest[row],
+            ))
+        inside = np.bincount(
+            pieces.parent, weights=counts,
+            minlength=int(pieces.parent[-1]) + 1,
+        )
+        if not found:
+            return (
+                np.empty(0, dtype=np.int64), np.empty(0),
+                np.empty(0, dtype=np.int64), inside,
+            )
+        indices, cycles, which = (
+            np.concatenate(column) for column in zip(*found)
+        )
+        return indices, cycles, pieces.parent[which], inside
+
+    def _rows(self, pieces: _Pieces, rest: np.ndarray) -> np.ndarray:
+        """Cycles of the *rest* pieces' points in rank order, ``inf``
+        outside a piece: per segment the one stack left, else the
+        highest."""
+        local = pieces.local[rest]
+        rows = np.zeros((rest.size, self.size))
+        for (_stacks, inner, _margins), const, winner, single in zip(
+            self.segments, pieces.consts, pieces.winners, pieces.singles
+        ):
+            won = winner[local]
+            part = inner[won]
+            part += const[local, won][:, np.newaxis]
+            if single is not None and not single[local].all():
+                several = local[~single[local]]
+                highest = np.full((several.size, self.size), -np.inf)
+                for stack, prices in enumerate(inner):
+                    np.maximum(
+                        highest,
+                        prices + const[several, stack][:, np.newaxis],
+                        out=highest,
+                    )
+                part[~single[local]] = highest
+            rows += part
+        begin = pieces.begin[rest] - pieces.blocks[rest] * self.size
+        end = pieces.end[rest] - pieces.blocks[rest] * self.size
+        cut = np.flatnonzero((begin > 0) | (end < self.size))
+        if cut.size:
+            outside = (self.order < begin[cut, np.newaxis]) | (
+                self.order >= end[cut, np.newaxis]
+            )
+            rows[cut] = np.where(outside, np.inf, rows[cut])
+        return rows
+
+    def _screen(self, rows: np.ndarray) -> np.ndarray:
+        """Which points of *rows* no cheaper point of their row
+        dominates.
+
+        *rows* holds cycles in rank order, ``inf`` outside a piece.  A
+        point is dropped when a point of a lower ``cheaper`` rank, so
+        strictly cheaper, takes no more cycles; ``inf`` never survives.
+        """
+        best = np.empty((rows.shape[0], rows.shape[1] + 1))
+        best[:, 0] = np.inf
+        np.minimum.accumulate(rows, axis=1, out=best[:, 1:])
+        return best[:, self.cheaper] > rows
+
+    def prices(self, winners: Tuple[int, ...]) -> np.ndarray:
+        """``I_w``: inner cycles in rank order of one stack per segment."""
+        if winners not in self.inner:
+            prices = np.zeros(self.size)
+            for (_stacks, inner, _margins), winner in zip(
+                self.segments, winners
+            ):
+                prices += inner[winner]
+            self.inner[winners] = prices
+        return self.inner[winners]
+
+    def front(self, winners: Tuple[int, ...]):
+        """Ranks of a summed block's points that no cheaper point of the
+        block dominates, their inner cycles, and all inner cycles
+        sorted."""
+        if winners not in self.fronts:
+            prices = self.prices(winners)
+            ranks = np.flatnonzero(self._screen(prices[np.newaxis])[0])
+            self.fronts[winners] = (ranks, prices[ranks], np.sort(prices))
+        return self.fronts[winners]
+
+
+class _Matrix:
+    """Any predictor with the matrix kernel, priced chunk by chunk from
+    pricing vectors and never screened."""
+
+    #: no blocks
+    size = None
+
+    def __init__(self, predictor, space: DesignSpace, target_cpi) -> None:
+        self.predictor = predictor
+        self.space = space
+        self.target_cpi = target_cpi
+        self.tally = [0, 0]
+
+    def layout(self, starts, stops, chunks):
+        return int(starts[0]), self.space.theta_matrix(
+            int(starts[0]), int(stops[0])
+        )
+
+    def price(self, pieces, limit: float):
+        lo, thetas = pieces
+        cycles = self.predictor.predict_cycles_matrix(thetas)
+        meeting = cycles.size
+        if self.target_cpi is not None:
+            meeting = np.count_nonzero(
+                cycles / self.predictor.num_uops <= self.target_cpi
+            )
+        return (
+            np.arange(lo, lo + cycles.size, dtype=np.int64), cycles,
+            np.zeros(cycles.size, dtype=np.int64), np.array([meeting]),
+        )
 
 
 def _sweep_chunks(
@@ -205,12 +631,24 @@ def _sweep_chunks(
     )
     last_progress = clock.perf_seconds()
     total = space.num_points
-    # One block of pricing vectors, refilled per chunk: unswept rows
-    # hold the base latency from the start, and each chunk rewrites only
-    # the swept rows.
-    block = np.empty((NUM_EVENTS, min(chunk_size, total)))
-    block[...] = space.base.as_vector()[:, np.newaxis]
-    cost_tables = default_cost_tables(space)
+    terms = _cost_terms(space)
+    batch_chunks = 1
+    if isinstance(predictor, RpStacksModel) and total:
+        # Exact costs and their inner + outer splits differ by under
+        # ``n`` ulps of the largest cost each; the margin covers both
+        # sides of a comparison twice over.
+        largest = sum(float(table.max()) for _s, _n, table in terms)
+        pricer = _Blocks(
+            predictor.segment_stacks, space,
+            chunk_size // _BLOCKS_PER_CHUNK,
+            4 * len(terms) * np.finfo(float).eps * largest, [0, 0],
+        )
+        # Chunks laid out together: a default chunk's points at least,
+        # and few enough that chunk offsets stay exact in int64.
+        batch_chunks = min(1024, max(1, DEFAULT_CHUNK_SIZE // chunk_size))
+    else:
+        pricer = _Matrix(predictor, space, target_cpi)
+    limit = _cycle_limit(target_cpi, predictor.num_uops)
     held_idx = np.empty(0, dtype=np.int64)
     held_cpi = np.empty(0, dtype=np.float64)
     held_cost = np.empty(0, dtype=np.float64)
@@ -220,40 +658,47 @@ def _sweep_chunks(
     total_chunks = -(-total // chunk_size)
     # Trailing (points, seconds) window for the progress line's rate.
     recent: List[Tuple[int, float]] = []
+    batch_hi = 0
     for lo in range(0, total, chunk_size):
         hi = min(lo + chunk_size, total)
         wall_tick = clock.wall_ns() if instrumented else 0
         ticks = [clock.perf_seconds()]
-        thetas = block[:, :hi - lo]
-        space.fill_thetas(thetas, lo)
-        ticks.append(clock.perf_seconds())
-        cpis = predictor.predict_cycles_matrix(thetas) / predictor.num_uops
-        # ``kept`` stays None while every point meets the target, which
-        # spares the chunk's gather copies.
-        kept = None
-        if target_cpi is not None:
-            meets = cpis <= target_cpi
-            if not meets.all():
-                kept = np.flatnonzero(meets)
-                cpis = cpis[kept]
-        meeting += int(cpis.size)
-        ticks.append(clock.perf_seconds())
-        costs = space.sum_axis_tables(cost_tables, lo, hi)
-        if kept is not None:
-            costs = costs[kept]
-        ticks.append(clock.perf_seconds())
-        screened = _screen(cpis, costs)
-        if screened is not None:
-            kept = screened if kept is None else kept[screened]
-            cpis = cpis[screened]
-            costs = costs[screened]
-        indices = (
-            np.arange(lo, hi, dtype=np.int64)
-            if kept is None
-            else kept.astype(np.int64) + lo
+        if lo == batch_hi:
+            # A batch of whole chunks is laid out, priced and costed at
+            # its first chunk; every chunk then prunes its own slice.
+            batch_lo = lo
+            batch_hi = min(lo + batch_chunks * chunk_size, total)
+            starts = np.arange(lo, batch_hi, chunk_size)
+            stops = np.minimum(starts + chunk_size, batch_hi)
+            pieces = pricer.layout(starts, stops, np.arange(starts.size))
+            ticks.append(clock.perf_seconds())
+            found, cycles, chunk_of, meets = pricer.price(pieces, limit)
+            found_cpi = cycles / predictor.num_uops
+            if target_cpi is not None:
+                kept = np.flatnonzero(found_cpi <= target_cpi)
+                found, found_cpi, chunk_of = (
+                    found[kept], found_cpi[kept], chunk_of[kept]
+                )
+            if meets.size > 1:
+                order = np.argsort(chunk_of, kind="stable")
+                found, found_cpi, chunk_of = (
+                    found[order], found_cpi[order], chunk_of[order]
+                )
+            bounds = np.searchsorted(
+                chunk_of, np.arange(meets.size + 1)
+            ).tolist()
+            ticks.append(clock.perf_seconds())
+            found_cost = _exact_costs(terms, found)
+            ticks.append(clock.perf_seconds())
+        else:
+            ticks *= 4
+        position = (lo - batch_lo) // chunk_size
+        begin, stop = bounds[position], bounds[position + 1]
+        meeting += int(meets[position])
+        prune_inputs = stop - begin
+        indices, cpis, costs = _prune(
+            found[begin:stop], found_cpi[begin:stop], found_cost[begin:stop]
         )
-        prune_inputs = int(indices.size)
-        indices, cpis, costs = _prune(indices, cpis, costs)
         peak = max(peak, int(held_idx.size + indices.size))
         held_idx = np.concatenate((held_idx, indices))
         held_cpi = np.concatenate((held_cpi, cpis))
@@ -318,6 +763,9 @@ def _sweep_chunks(
         "meeting": meeting,
         "peak": peak,
         "chunk_seconds": chunk_seconds,
+        "blocks": pricer.tally[0],
+        "summed": pricer.tally[1],
+        "block_size": pricer.size,
     }
 
 
@@ -331,9 +779,8 @@ def sweep_space(
     obs=None,
     progress_interval: Optional[float] = None,
 ) -> ExplorationResult:
-    """Sweep *space* in bounded memory, streaming chunks of pricing
-    vectors through the predictor's matrix kernel and a Pareto
-    reduction.
+    """Sweep *space* in bounded memory, pricing it block by block and
+    streaming each chunk's survivors through a Pareto reduction.
 
     Args:
         predictor: an :class:`~repro.core.model.RpStacksModel`, or any
@@ -345,7 +792,10 @@ def sweep_space(
             materialised :meth:`~repro.dse.explorer.Explorer.explore`.
         space: the design space; never materialised.
         target_cpi: drop points whose predicted CPI exceeds this.
-        chunk_size: design points priced per matrix product.
+        chunk_size: design points per chunk, the unit of the Pareto
+            prune: the screen compares points of one chunk only.  Blocks
+            hold at most a sixteenth of a chunk, and chunks are priced
+            in batches of at least :data:`DEFAULT_CHUNK_SIZE` points.
         top_k: optional hard cap on the held candidate set, keeping the
             best *k* by ``(cost, cpi)``.  A cap smaller than the true
             front trades exactness for memory; with ``None`` the front
@@ -354,8 +804,12 @@ def sweep_space(
             becomes a ``sweep.chunk`` span split into
             :data:`CHUNK_STAGES`, chunk timings land in the
             ``sweep.chunk_seconds`` histogram, the ``sweep.prune_inputs``
-            counter counts the points that reach the exact prune, and
-            progress lines are emitted.  The restriction is a
+            counter counts the points that reach the exact prune, the
+            ``sweep.blocks`` and ``sweep.blocks_summed`` counters the
+            blocks laid out at every level and those priced from a
+            reused inner front, the ``sweep.run`` span carries the
+            inner block's ``block_size``, and progress lines are
+            emitted.  The restriction is a
             ``sweep.restrict`` span (``stacks`` in the caller's model,
             ``stacks_priced`` after it) and a ``sweep.stacks_priced``
             gauge.  Defaults to the
@@ -392,7 +846,7 @@ def sweep_space(
     obs = obs if obs is not None else get_observer()
     total = space.num_points
     start = clock.perf_seconds()
-    with obs.span("sweep.run", points=total, chunk_size=chunk_size):
+    with obs.span("sweep.run", points=total, chunk_size=chunk_size) as run:
         priced_model = predictor
         if isinstance(predictor, RpStacksModel):
             with obs.span(
@@ -405,6 +859,8 @@ def sweep_space(
             priced_model, space, chunk_size, target_cpi, top_k, obs,
             progress_interval,
         )
+        if state["block_size"] is not None:
+            run.set(block_size=state["block_size"])
     elapsed = clock.perf_seconds() - start
 
     candidates = [
@@ -427,6 +883,8 @@ def sweep_space(
     # The chunk loop counted sweep.points and sweep.chunk_seconds; the
     # run's totals land beside them.
     obs.counter("sweep.meeting_target").inc(state["meeting"])
+    obs.counter("sweep.blocks").inc(state["blocks"])
+    obs.counter("sweep.blocks_summed").inc(state["summed"])
     obs.gauge("sweep.peak_candidates").set(state["peak"])
     obs.gauge("sweep.points_per_sec").set(metrics.points_per_second)
     obs.gauge("prune.survivors").set(len(candidates))

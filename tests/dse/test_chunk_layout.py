@@ -1,8 +1,8 @@
-"""The sweep's per-axis chunk layout against per-point references.
+"""The sweep's layouts against per-point references.
 
-Enumeration by runs, per-axis cost tables and the staircase screen
-must not change a bit of what the sweep returns: pricing vectors,
-costs, candidates, ``meeting_target`` and ``peak_candidates``.
+Enumeration by runs, per-axis cost tables and the block pricing must
+not change a bit of what the sweep returns: pricing vectors, costs,
+candidates, ``meeting_target`` and ``peak_candidates``.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.common.events import LATENCY_DOMAIN, NUM_EVENTS, EventType
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import default_cost_model, default_cost_tables
 from repro.dse.pipeline import analyze
-from repro.dse.sweep import _prune, _screen, sweep_space
+from repro.dse.sweep import _cost_terms, _exact_costs, _prune, sweep_space
 from repro.workloads.suite import make_workload, suite_names
 
 #: The e2e benchmark's latency ladder (829,440 points).
@@ -103,8 +103,8 @@ class TestEnumeration:
         )
         assert space.num_points == 0
         assert space.theta_matrix(0, 0).shape == (NUM_EVENTS, 0)
-        assert space.sum_axis_tables(
-            default_cost_tables(space), 0, 0
+        assert _exact_costs(
+            _cost_terms(space), np.arange(0)
         ).shape == (0,)
 
     def test_fill_thetas_rejects_rows_it_cannot_write_in_place(self):
@@ -122,8 +122,8 @@ class TestEnumeration:
 class TestCostTables:
     @pytest.mark.parametrize("lo, hi", SPLIT_BOUNDS + ((0, 240),))
     def test_axis_tables_match_the_scalar_model(self, lo, hi):
-        costs = DIRECT_SPACE.sum_axis_tables(
-            default_cost_tables(DIRECT_SPACE), lo, hi
+        costs = _exact_costs(
+            _cost_terms(DIRECT_SPACE), np.arange(lo, hi)
         )
         scalar = [
             default_cost_model(DIRECT_SPACE.point_at(i), DIRECT_SPACE.base)
@@ -139,46 +139,6 @@ class TestCostTables:
             EventType.L1D, EventType.MEM_D, EventType.FP_ADD,
         ]
         assert bits(tables[0][1]) == bits([0.0, 7.0, 1.0, 0.0])
-
-
-class TestScreen:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        size=st.integers(0, 6000),
-        cost_levels=st.integers(1, 50),
-        cpi_levels=st.integers(1, 50),
-    )
-    def test_screened_prune_equals_prune(
-        self, seed, size, cost_levels, cpi_levels
-    ):
-        rng = np.random.default_rng(seed)
-        costs = rng.integers(-cost_levels, cost_levels, size).astype(float)
-        cpis = rng.integers(0, cpi_levels, size).astype(float)
-        # Shuffled indices, so index tie-breaks differ from positions.
-        indices = rng.permutation(size).astype(np.int64) + 1000
-        kept = _screen(cpis, costs)
-        if kept is None:
-            kept = np.arange(size)
-        expected = _prune(indices, cpis, costs)
-        screened = _prune(indices[kept], cpis[kept], costs[kept])
-        for ours, theirs in zip(screened, expected):
-            assert ours.dtype == theirs.dtype
-            assert ours.tobytes() == theirs.tobytes()
-        # Every dropped point has a strictly cheaper point with a CPI no
-        # higher: the lowest CPI among strictly cheaper points is <= its.
-        dropped = np.setdiff1d(np.arange(size), kept)
-        order = np.argsort(costs, kind="stable")
-        running = np.minimum.accumulate(cpis[order])
-        cheaper = np.searchsorted(costs[order], costs[dropped], side="left")
-        assert (cheaper > 0).all()
-        assert (running[cheaper - 1] <= cpis[dropped]).all()
-
-    @pytest.mark.parametrize("odd_cost", [np.inf, -np.inf, np.nan, 5e-324])
-    def test_costs_that_cannot_be_bucketed_are_not_screened(self, odd_cost):
-        costs = np.zeros(3000)
-        costs[5] = odd_cost
-        assert _screen(np.ones(3000), costs) is None
 
 
 # ---- the full sweep against a per-point reference ----------------------

@@ -12,7 +12,7 @@ from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
-from repro.dse.explorer import Explorer, SweepMetrics
+from repro.dse.explorer import Explorer, SweepMetrics, default_cost_model
 from repro.dse.pipeline import analyze
 from repro.dse.sweep import _prune, sweep_space
 from repro.obs.observer import Observer
@@ -214,13 +214,35 @@ class TestStreaming:
             model, reference_space, target_cpi=target, chunk_size=16, obs=obs
         )
         exported = obs.metrics.export()
-        # Chunks of 16 points are too small to screen, so every point
-        # that meets the target reaches the exact prune.
+        # Chunks of 16 points are priced in one-point blocks, which
+        # always keep one stack, and the block screen drops exactly the
+        # points that a strictly cheaper point of their chunk with no
+        # higher CPI dominates.  The rest of those meeting the target
+        # reach the exact prune.
+        points = reference_space.points()
+        cpis = [model.predict_cpi(point) for point in points]
+        costs = [
+            default_cost_model(point, reference_space.base)
+            for point in points
+        ]
+        undominated = 0
+        for lo in range(0, len(points), 16):
+            chunk = range(lo, min(lo + 16, len(points)))
+            undominated += sum(
+                cpis[p] <= target
+                and not any(
+                    costs[q] < costs[p] and cpis[q] <= cpis[p] for q in chunk
+                )
+                for p in chunk
+            )
+        assert undominated == 46
         assert result.num_meeting_target == 96
         assert exported["counters"] == {
             "sweep.points": reference_space.num_points,
-            "sweep.prune_inputs": 96,
+            "sweep.prune_inputs": undominated,
             "sweep.meeting_target": 96,
+            "sweep.blocks": reference_space.num_points,
+            "sweep.blocks_summed": reference_space.num_points,
         }
         assert exported["gauges"] == {
             "sweep.peak_candidates": result.metrics.peak_candidates,

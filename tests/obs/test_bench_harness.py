@@ -228,6 +228,35 @@ class TestBenchCli:
         assert "regression" in out
         assert "sim.run" in out  # attributed to the stage by name
 
+    def test_compare_says_when_no_timing_was_compared(
+        self, capsys, tmp_path, fast_bench_env
+    ):
+        self._run_cli(
+            capsys,
+            "bench", "run", "simulate_python",
+            "--tier", "ci", "--dir", str(tmp_path),
+            "--repeats", "2", "--warmup", "0", "--update-baseline",
+        )
+        # A baseline from another host: under --strict-env no timing is
+        # compared, which must not read as every gate passing.
+        path = trajectory_path(tmp_path, "simulate_python")
+        trajectory = TrajectoryFile.load(path)
+        baseline = trajectory.baseline_for("ci")
+        baseline.env["cpu_count"] = baseline.env["cpu_count"] + 1
+        trajectory.set_baseline(baseline)
+        trajectory.save(path)
+        code, out = self._run_cli(
+            capsys,
+            "bench", "compare", "simulate_python", "--latest",
+            "--tier", "ci", "--dir", str(tmp_path), "--strict-env",
+        )
+        assert code == 0
+        assert "simulate_python: env-mismatch" in out
+        assert "bench compare: 1 env-mismatch\n" in out
+        assert "timings compared on 0 of 1 scenarios" in out
+        assert "1 scenario(s) compared no timing" in out
+        assert "all gates passed" not in out
+
     def test_report_renders_markdown_table(
         self, capsys, tmp_path, fast_bench_env
     ):
