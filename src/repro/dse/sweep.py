@@ -10,9 +10,10 @@ This module is the one fast path beside that materialised reference.
 It prices an :class:`~repro.core.model.RpStacksModel` from the
 space's mixed-radix structure and costs only with
 :func:`~repro.dse.explorer.default_cost_model`; any other predictor
-with a matrix kernel (``predict_cycles_matrix`` and ``num_uops``) is
-priced chunk by chunk from pricing vectors, and any other cost model
-goes through ``Explorer.explore``:
+with a matrix kernel (``predict_cycles_matrix`` and ``num_uops``), or
+a model whose costs overflow or whose cycles pass ``2 ** 51``, is
+priced chunk by chunk from pricing vectors, unscreened, and any other
+cost model goes through ``Explorer.explore``:
 
 * before any point is priced, the model is restricted to the space's
   box (:meth:`DesignSpace.bounds`, :meth:`RpStacksModel.restricted`):
@@ -66,8 +67,9 @@ every screened point is still counted against the target, so the
 candidate set, ``meeting_target`` and ``peak_candidates`` are the
 unscreened sweep's at every chunk size.
 Stack unit counts and latencies are integers (the model's
-constructor enforces it), so every constant, inner price and sum is
-exact in float64, and neither blocks, chunking nor the restrictions can
+constructor enforces it) and the blocks take cycles of at most
+``2 ** 51``, so every constant, inner price and sum is exact in
+float64, and neither blocks, chunking nor the restrictions can
 change a single bit: the streamed front is **bit-identical** to the
 materialised explorer's, which prices the full model and which
 ``tests/dse/test_sweep.py`` asserts against differentially.
@@ -163,6 +165,37 @@ def _exact_costs(
     for stride, length, table in terms:
         costs += table[indices // stride % length]
     return costs
+
+
+def _screen_margin(terms: List[Tuple[int, int, np.ndarray]]) -> float:
+    """How much lower a cost split into outer + inner shares must be to
+    count as strictly cheaper.
+
+    Exact costs and their splits differ by under ``n`` ulps of the
+    largest cost each (``n`` cost tables); the margin covers both sides
+    of a comparison twice over.  ``inf`` where the costs overflow.
+    """
+    largest = sum(float(table.max()) for _s, _n, table in terms)
+    return 4 * len(terms) * np.finfo(float).eps * largest
+
+
+def _blocks_are_exact(predictor, space: DesignSpace, margin: float) -> bool:
+    """Whether :class:`_Blocks` prices and screens *space* exactly.
+
+    It needs an ``RpStacksModel``, a finite screen *margin*, and cycles
+    of at most ``2 ** 51`` (each segment's highest stack at the top of
+    the box, summed): then every constant, inner price, sum and vertex
+    margin is an integer float64 holds exactly, and the screen's chunk
+    lift fits in int64.  Anything else is priced chunk by chunk from
+    pricing vectors, unscreened.
+    """
+    if not isinstance(predictor, RpStacksModel) or not space.num_points:
+        return False
+    top = space.bounds()[1]
+    most = sum(
+        float((stacks @ top).max()) for stacks in predictor.segment_stacks
+    )
+    return margin < math.inf and most <= 2.0 ** 51
 
 
 def _cycle_limit(target_cpi: Optional[float], num_uops) -> float:
@@ -632,16 +665,12 @@ def _sweep_chunks(
     last_progress = clock.perf_seconds()
     total = space.num_points
     terms = _cost_terms(space)
+    margin = _screen_margin(terms)
     batch_chunks = 1
-    if isinstance(predictor, RpStacksModel) and total:
-        # Exact costs and their inner + outer splits differ by under
-        # ``n`` ulps of the largest cost each; the margin covers both
-        # sides of a comparison twice over.
-        largest = sum(float(table.max()) for _s, _n, table in terms)
+    if _blocks_are_exact(predictor, space, margin):
         pricer = _Blocks(
             predictor.segment_stacks, space,
-            chunk_size // _BLOCKS_PER_CHUNK,
-            4 * len(terms) * np.finfo(float).eps * largest, [0, 0],
+            chunk_size // _BLOCKS_PER_CHUNK, margin, [0, 0],
         )
         # Chunks laid out together: a default chunk's points at least,
         # and few enough that chunk offsets stay exact in int64.

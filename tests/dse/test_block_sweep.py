@@ -9,17 +9,24 @@ must be those of pricing every point with ``theta_matrix`` and
 pruning chunk by chunk.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import LatencyConfig
-from repro.common.events import LATENCY_DOMAIN, NUM_EVENTS, EventType
+from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import default_cost_model
 from repro.dse.sweep import sweep_space
-from tests.dse.test_chunk_layout import bits, reference_sweep
+from tests.dse.test_chunk_layout import (
+    bits,
+    draw_model_and_space,
+    reference_sweep,
+)
 
 
 def assert_matches_reference(model, space, chunk_size, target_cpi, top_k):
@@ -49,41 +56,7 @@ def assert_matches_reference(model, space, chunk_size, target_cpi, top_k):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_any_model_space_and_chunk_match_the_reference(data):
-    # Axes in any order, so their events interleave LATENCY_DOMAIN;
-    # values unsorted, repeated, zero (costed as 0.5 cycles) or single.
-    events = data.draw(
-        st.lists(
-            st.sampled_from(LATENCY_DOMAIN), min_size=1, max_size=5,
-            unique=True,
-        )
-    )
-    axes = tuple(
-        (event, tuple(data.draw(
-            st.lists(st.integers(0, 24), min_size=1, max_size=6)
-        )))
-        for event in events
-    )
-    base = LatencyConfig().with_overrides({
-        event: data.draw(st.integers(0, 24)) for event in events
-    })
-    space = DesignSpace(base=base, axes=axes)
-    # Integer stacks over the swept events and BASE, so each segment's
-    # winner changes across the space and between blocks.
-    columns = [int(EventType.BASE)] + [int(event) for event in events]
-    segments = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        rows = data.draw(st.lists(
-            st.lists(st.integers(0, 9), min_size=len(columns),
-                     max_size=len(columns)),
-            min_size=1, max_size=5,
-        ))
-        stacks = np.zeros((len(rows), NUM_EVENTS))
-        stacks[:, columns] = rows
-        segments.append(stacks)
-    model = RpStacksModel(
-        segments, baseline=LatencyConfig(),
-        num_uops=data.draw(st.integers(1, 50)),
-    )
+    model, space = draw_model_and_space(data)
     chunk_size = data.draw(st.sampled_from(
         [1, 13, 97, 331, space.num_points + 1]
     ))
@@ -157,3 +130,41 @@ def test_an_axis_set_again_by_a_later_axis_is_shadowed():
     model = RpStacksModel([stacks], baseline=LatencyConfig(), num_uops=7)
     for chunk_size in (1, 64, 100):
         assert_matches_reference(model, space, chunk_size, None, None)
+
+
+#: A latency near float64's largest value.
+HUGE = 10**308
+
+
+@pytest.mark.parametrize("overflowing", ["costs", "cycles"])
+def test_spaces_that_overflow_are_priced_unscreened(overflowing):
+    """Halving a ``HUGE`` base latency costs ``inf``, and a ``HUGE``
+    latency twice over takes ``inf`` cycles.  Such costs leave the
+    screen no margin and such cycles no exact sums, so the sweep prices
+    the space unscreened and keeps its cheapest point, whose cost or
+    CPI is ``inf``."""
+    base = LatencyConfig().with_overrides(
+        {EventType.L1D: HUGE, EventType.L2D: 8}
+    )
+    if overflowing == "costs":
+        rows, l1d = ((10, 1, 2),), (0, 1, 3)
+    else:
+        rows, l1d = ((10, 2, 2), (10, 0, 3)), (HUGE, 5, 3)
+    stacks = np.zeros((len(rows), NUM_EVENTS))
+    stacks[:, [EventType.BASE, EventType.L1D, EventType.L2D]] = rows
+    space = DesignSpace(
+        base=base,
+        axes=((EventType.L1D, l1d), (EventType.L2D, (1, 2, 4, 8))),
+    )
+    model = RpStacksModel([stacks], baseline=LatencyConfig(), num_uops=4)
+    # The point of lowest CPI costs inf, or the cheapest takes inf cycles.
+    odd = space.point_at(0 if overflowing == "costs" else 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.inf in (
+            default_cost_model(odd, base), model.predict_cycles(odd)
+        )
+        for chunk_size in (1, 5, 64):
+            result = assert_matches_reference(
+                model, space, chunk_size, None, None
+            )
+            assert odd in [c.latency for c in result.candidates]

@@ -1,9 +1,11 @@
 """The sweep's layouts against per-point references.
 
-Enumeration by runs, per-axis cost tables and the block pricing must
-not change a bit of what the sweep returns: pricing vectors, costs,
-candidates, ``meeting_target`` and ``peak_candidates``.
+Enumeration by runs, per-axis cost tables, the block pricing and its
+screen must not change a bit of what the sweep returns: pricing
+vectors, costs, candidates, ``meeting_target`` and ``peak_candidates``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,19 @@ from hypothesis import strategies as st
 
 from repro.common.config import LatencyConfig
 from repro.common.events import LATENCY_DOMAIN, NUM_EVENTS, EventType
+from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import default_cost_model, default_cost_tables
 from repro.dse.pipeline import analyze
-from repro.dse.sweep import _cost_terms, _exact_costs, _prune, sweep_space
+from repro.dse.sweep import (
+    _BLOCKS_PER_CHUNK,
+    _Blocks,
+    _cost_terms,
+    _exact_costs,
+    _prune,
+    _screen_margin,
+    sweep_space,
+)
 from repro.workloads.suite import make_workload, suite_names
 
 #: The e2e benchmark's latency ladder (829,440 points).
@@ -52,6 +63,49 @@ SPLIT_BOUNDS = ((1, 239), (7, 113), (59, 201), (121, 123), (199, 237))
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def draw_model_and_space(data):
+    """A random integer model over a directly built space.
+
+    Axes come in any order, so their events interleave
+    ``LATENCY_DOMAIN``; values are unsorted, repeated, zero (costed as
+    0.5 cycles) or single.  Stacks are integers over the swept events
+    and ``BASE``, so each segment's winner changes across the space and
+    between blocks.
+    """
+    events = data.draw(
+        st.lists(
+            st.sampled_from(LATENCY_DOMAIN), min_size=1, max_size=5,
+            unique=True,
+        )
+    )
+    axes = tuple(
+        (event, tuple(data.draw(
+            st.lists(st.integers(0, 24), min_size=1, max_size=6)
+        )))
+        for event in events
+    )
+    base = LatencyConfig().with_overrides({
+        event: data.draw(st.integers(0, 24)) for event in events
+    })
+    space = DesignSpace(base=base, axes=axes)
+    columns = [int(EventType.BASE)] + [int(event) for event in events]
+    segments = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=len(columns),
+                     max_size=len(columns)),
+            min_size=1, max_size=5,
+        ))
+        stacks = np.zeros((len(rows), NUM_EVENTS))
+        stacks[:, columns] = rows
+        segments.append(stacks)
+    model = RpStacksModel(
+        segments, baseline=LatencyConfig(),
+        num_uops=data.draw(st.integers(1, 50)),
+    )
+    return model, space
 
 
 class TestEnumeration:
@@ -139,6 +193,59 @@ class TestCostTables:
             EventType.L1D, EventType.MEM_D, EventType.FP_ADD,
         ]
         assert bits(tables[0][1]) == bits([0.0, 7.0, 1.0, 0.0])
+
+
+class TestScreen:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_screened_prune_equals_prune(self, data):
+        model, space = draw_model_and_space(data)
+        total = space.num_points
+        chunk_size = data.draw(st.sampled_from([1, 13, 97, 331, total + 1]))
+        cycles = model.predict_cycles_matrix(space.theta_matrix())
+        cpis = cycles / model.num_uops
+        costs = np.array(
+            [default_cost_model(point, space.base) for point in space]
+        )
+        limit = data.draw(st.sampled_from(
+            [math.inf, float(np.median(cycles)), -1.0]
+        ))
+        # Every chunk laid out, priced and screened as one batch.
+        terms = _cost_terms(space)
+        blocks = _Blocks(
+            model.restricted(*space.bounds()).segment_stacks, space,
+            chunk_size // _BLOCKS_PER_CHUNK, _screen_margin(terms), [0, 0],
+        )
+        starts = np.arange(0, total, chunk_size)
+        stops = np.minimum(starts + chunk_size, total)
+        kept, kept_cycles, chunk_of, inside = blocks.price(
+            blocks.layout(starts, stops, np.arange(starts.size)), limit
+        )
+        assert bits(kept_cycles) == bits(cycles[kept])
+        assert bits(_exact_costs(terms, kept)) == bits(costs[kept])
+        for chunk, (lo, hi) in enumerate(zip(starts, stops)):
+            everything = np.arange(lo, hi)
+            mine = np.sort(kept[chunk_of == chunk])
+            assert np.unique(mine).size == mine.size
+            assert ((lo <= mine) & (mine < hi)).all()
+            # Screened points still count against the limit.
+            assert inside[chunk] == np.count_nonzero(cycles[lo:hi] <= limit)
+            expected = _prune(everything, cpis[lo:hi], costs[lo:hi])
+            screened = _prune(mine, cpis[mine], costs[mine])
+            for ours, theirs in zip(screened, expected):
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
+            # Every dropped point has a strictly cheaper point of its
+            # chunk with a CPI no higher: the lowest CPI among strictly
+            # cheaper points is <= its.
+            dropped = np.setdiff1d(everything, mine)
+            order = lo + np.argsort(costs[lo:hi], kind="stable")
+            running = np.minimum.accumulate(cpis[order])
+            cheaper = np.searchsorted(
+                costs[order], costs[dropped], side="left"
+            )
+            assert (cheaper > 0).all()
+            assert (running[cheaper - 1] <= cpis[dropped]).all()
 
 
 # ---- the full sweep against a per-point reference ----------------------
