@@ -36,12 +36,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import LatencyConfig
 from repro.common.events import LATENCY_DOMAIN, EventType, parse_event
-from repro.core.io import load_model, save_model
+from repro.core.io import ModelFormatError, load_model, save_model
 from repro.dse.designspace import DesignSpace
 from repro.dse.pipeline import analyze
 from repro.dse.report import format_table, render_cpi_stack
-from repro.dse.sweep import sweep_space
+from repro.dse.sweep import DEFAULT_CHUNK_SIZE, sweep_space
 from repro.simulator.machine import Machine
+from repro.simulator.traceio import TraceFormatError, load_result, save_result
 from repro.workloads.suite import SPEC_LABELS, make_workload, suite_names
 
 #: Exit code of any command stopped by Ctrl-C.  A ``suite --cache-dir``
@@ -83,6 +84,17 @@ def _workload(args) -> object:
     return make_workload(args.workload, args.macros, seed=args.seed)
 
 
+def _load_archive(load, path):
+    """``load(path)``, or a one-line exit naming *path* when the file
+    cannot be read or is not an archive of the kind *load* reads."""
+    try:
+        return load(path)
+    except OSError as error:
+        raise SystemExit(f"cannot read {path}: {error.strerror or error}")
+    except (TraceFormatError, ModelFormatError) as error:
+        raise SystemExit(str(error))
+
+
 def _observer_from_args(args, force_enabled: bool = False):
     """The command's observer: the environment's
     (:func:`~repro.obs.observer.from_env`), enabled as well by
@@ -118,8 +130,6 @@ def cmd_simulate(args) -> int:
     rows = [[key, value] for key, value in sorted(result.stats.items())]
     print(format_table(["stat", "value"], rows))
     if args.save_trace:
-        from repro.simulator.traceio import save_result
-
         path = save_result(result, args.save_trace)
         print(f"trace saved to {path}")
     return 0
@@ -133,9 +143,8 @@ def cmd_analyze(args) -> int:
     if args.from_trace:
         from repro.core.generator import generate_rpstacks
         from repro.graphmodel.builder import build_graph
-        from repro.simulator.traceio import load_result
 
-        result = load_result(args.from_trace)
+        result = _load_archive(load_result, args.from_trace)
         workload = result.workload
         base = result.config.latency
         graph = build_graph(result)
@@ -188,7 +197,7 @@ def cmd_dse_sweep(args) -> int:
 
     obs = _observer_from_args(args)
     if args.model:
-        model = load_model(args.model)
+        model = _load_archive(load_model, args.model)
         print(f"loaded model: {model.num_paths} paths, "
               f"{model.num_uops} uops")
     else:
@@ -760,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-cpi", type=float)
     p.add_argument("--target-fraction", type=float,
                    help="target = baseline CPI x fraction")
-    p.add_argument("--chunk-size", type=int, default=65536,
+    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                    help="design points per chunk, the unit of the "
                         "Pareto prune")
     p.add_argument("--top-k", type=int,

@@ -41,13 +41,11 @@ class ModelFormatError(ValueError):
 def save_model(
     model: RpStacksModel, path: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Write *model* to *path* (``.npz`` appended if missing).
+    """Write *model* at
+    :func:`~repro.common.archive.normalise_archive_path` of *path*.
 
     Returns the path actually written.
     """
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
     meta = {
         "format_version": FORMAT_VERSION,
         "num_events": NUM_EVENTS,
@@ -69,9 +67,7 @@ def save_model(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         ),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_npz(path, arrays)
-    return path
+    return save_npz(path, arrays)
 
 
 def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
@@ -90,10 +86,12 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
         meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
         version = meta.get("format_version")
         if version not in range(COMPAT_FORMAT_VERSION, FORMAT_VERSION + 1):
-            raise ModelFormatError(f"unsupported format version {version}")
+            raise ModelFormatError(
+                f"{path}: unsupported format version {version}"
+            )
         if meta.get("num_events") != NUM_EVENTS:
             raise ModelFormatError(
-                "event taxonomy mismatch: file has "
+                f"{path}: event taxonomy mismatch: file has "
                 f"{meta.get('num_events')} events, library has {NUM_EVENTS}"
             )
         if version >= 3:
@@ -103,7 +101,9 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
             for index in range(meta["num_segments"]):
                 key = f"segment_{index:06d}"
                 if key not in archive:
-                    raise ModelFormatError(f"missing segment array {key}")
+                    raise ModelFormatError(
+                        f"{path}: missing segment array {key}"
+                    )
                 segments.append(np.asarray(archive[key], dtype=np.float64))
         baseline = LatencyConfig(
             tuple(int(v) for v in archive["baseline_cycles"])

@@ -8,7 +8,7 @@ space per structure, as in Fig 6c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -104,9 +104,8 @@ class DesignSpace:
 
         Returns a ``(NUM_EVENTS, stop - start)`` float64 matrix whose
         column ``j`` is ``point_at(start + j).as_vector()``: the base
-        vector in every column, then each swept row laid out by
-        :meth:`fill_thetas`, with no per-point :class:`LatencyConfig`
-        objects.
+        vector in every column, then one gather per swept axis from its
+        flat indices, with no per-point :class:`LatencyConfig` objects.
         """
         total = self.num_points
         stop = total if stop is None else stop
@@ -116,35 +115,12 @@ class DesignSpace:
             )
         thetas = np.empty((NUM_EVENTS, stop - start), dtype=np.float64)
         thetas[...] = self.base.as_vector()[:, np.newaxis]
-        self.fill_thetas(thetas, start)
-        return thetas
-
-    def fill_thetas(self, thetas: np.ndarray, start: int) -> None:
-        """Write the swept rows of points ``[start, start + n)``.
-
-        *thetas* is a ``(NUM_EVENTS, n)`` float64 array with contiguous
-        rows.  Only the swept rows are written, so a block that holds
-        the base vector can be refilled chunk after chunk.  Each row is
-        laid out from the runs of its axis (:func:`_spread`), not from
-        per-point index arithmetic.
-        """
-        if (
-            thetas.dtype != np.float64
-            or thetas.ndim != 2
-            or thetas.shape[0] != NUM_EVENTS
-            or (thetas.shape[1] > 1 and thetas.strides[1] != thetas.itemsize)
-        ):
-            raise ValueError(
-                "thetas must be a (NUM_EVENTS, n) float64 array with "
-                "contiguous rows"
-            )
+        flat = np.arange(start, stop)
         for (event, values), stride in zip(self.axes, self._strides()):
-            _spread(
-                thetas[int(event)],
-                np.asarray(values, dtype=np.float64),
-                stride,
-                start,
-            )
+            thetas[int(event)] = np.asarray(values, dtype=np.float64)[
+                flat // stride % len(values)
+            ]
+        return thetas
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` pricing vectors of the box holding every point.
@@ -160,14 +136,6 @@ class DesignSpace:
             lo[int(event)] = min(values)
             hi[int(event)] = max(values)
         return lo, hi
-
-    def iter_chunks(self, chunk_size: int) -> Iterator[Tuple[int, int]]:
-        """Contiguous ``(start, stop)`` index ranges covering the space."""
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        total = self.num_points
-        for start in range(0, total, chunk_size):
-            yield start, min(start + chunk_size, total)
 
     def sample(self, count: int, seed: int = 0) -> List[LatencyConfig]:
         """A deterministic uniform sample of *count* design points.
@@ -195,58 +163,6 @@ class DesignSpace:
         else:
             indices = rng.integers(0, total, size=count)
         return [self.point_at(int(index)) for index in indices]
-
-
-def _spread(
-    row: np.ndarray, table: np.ndarray, stride: int, start: int
-) -> None:
-    """Lay one axis' per-value *table* along points ``[start, start + n)``.
-
-    Point ``i`` takes ``table[i // stride % len(table)]``: runs of
-    *stride* equal entries that cycle through the table once per
-    period of ``len(table) * stride`` points.  The first
-    ``min(n, period)`` entries are written run by run (a partial run,
-    then whole runs as one broadcast slice, then a partial run, on each
-    side of at most one period boundary); the rest repeats them, so it
-    is filled by doubling copies.  A chunk therefore costs a few slice
-    writes and memcpys per axis, whatever its length.  *row* must be a
-    contiguous 1-D float64 array of length ``n``.
-    """
-    count = row.size
-    if not count:
-        return
-    period = table.size * stride
-    first = min(count, period)
-    written = 0
-    offset = start % period
-    while written < first:
-        span = min(first - written, period - offset)
-        _lay_runs(row[written:written + span], table, stride, offset)
-        written += span
-        offset = 0
-    while written < count:
-        step = min(written, count - written)
-        row[written:written + step] = row[:step]
-        written += step
-
-
-def _lay_runs(
-    row: np.ndarray, table: np.ndarray, stride: int, offset: int
-) -> None:
-    """Write positions ``[offset, offset + n)`` of one period of
-    ``np.repeat(table, stride)`` into *row* without building it."""
-    digit, into = divmod(offset, stride)
-    head = min(row.size, -into % stride)
-    if head:
-        row[:head] = table[digit]
-        digit += 1
-    whole = (row.size - head) // stride
-    body = head + whole * stride
-    row[head:body].reshape(whole, stride)[...] = table[
-        digit:digit + whole, np.newaxis
-    ]
-    if body < row.size:
-        row[body:] = table[digit + whole]
 
 
 def reduction_space(

@@ -25,6 +25,10 @@ from repro.common.events import LATENCY_DOMAIN, EventType
 from repro.dse.designspace import DesignSpace
 from repro.obs.metrics import Histogram
 
+#: chunks in the trailing window behind the sweep's progress line
+#: (rolling points/s and ETA) and SweepMetrics' end-of-run rolling rate.
+ROLLING_WINDOW_CHUNKS = 8
+
 
 def default_cost_model(
     point: LatencyConfig, base: LatencyConfig
@@ -164,7 +168,7 @@ class SweepMetrics:
         chunks = Histogram("sweep.chunk_seconds")
         for seconds in chunk_seconds:
             chunks.observe(seconds)
-        window = chunks.values[-8:]
+        window = chunks.values[-ROLLING_WINDOW_CHUNKS:]
         window_seconds = sum(window)
         rolling = (
             len(window) * chunk_size / window_seconds

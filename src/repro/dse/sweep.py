@@ -28,11 +28,9 @@ cost model goes through ``Explorer.explore``:
   outer axes fixed).  Where every segment keeps one stack, the block is
   *summed*: its cycles are its constant plus one inner row, whose
   screened front is found once per sweep and reused by every such
-  block.  The part of a summed block that a chunk boundary cuts is
-  priced point by point.  Blocks that keep several stacks are laid out
-  again over a smaller inner block while one of at least 16 points
-  exists, and are otherwise priced point by point as the highest of
-  their stacks;
+  block.  Blocks that keep several stacks, and the part of a summed
+  block that a chunk boundary cuts, are priced point by point, per
+  segment as the highest of the stacks left;
 * a *screen* drops points that a strictly cheaper point of the same
   chunk with no more cycles dominates: whole blocks that a summed
   block of the chunk dominates point by point, and within a block the
@@ -86,6 +84,7 @@ from repro.common.events import NUM_EVENTS
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import (
+    ROLLING_WINDOW_CHUNKS,
     Candidate,
     ExplorationResult,
     SweepMetrics,
@@ -102,17 +101,12 @@ DEFAULT_CHUNK_SIZE = 65536
 #: explicitly (progress is emitted only under an enabled observer).
 DEFAULT_PROGRESS_INTERVAL = 10.0
 
-#: chunks in the trailing window behind the progress line's rolling
-#: points/s and ETA (and SweepMetrics' end-of-run rolling rate).
-ROLLING_WINDOW_CHUNKS = 8
-
 #: Spans that split each ``sweep.chunk`` under an enabled observer, in
 #: the order the chunk runs them.
 CHUNK_STAGES = ("sweep.enumerate", "sweep.price", "sweep.cost", "sweep.prune")
 
 #: A block holds at most a sixteenth of a chunk's points, so chunk
-#: boundaries cut few of them, and a finer level's blocks at most a
-#: sixteenth of its parent's; no level has blocks of fewer points.
+#: boundaries cut few of them.
 _BLOCKS_PER_CHUNK = 16
 
 
@@ -220,25 +214,13 @@ def _cycle_limit(target_cpi: Optional[float], num_uops) -> float:
     return limit
 
 
-def _inner_axes(axes, most: int) -> Tuple[int, int]:
-    """The first inner axis and the inner block's size: the most
-    trailing whole axes whose points number at most *most*."""
-    split = len(axes)
-    size = 1
-    while split and size * len(axes[split - 1][1]) <= most:
-        split -= 1
-        size *= len(axes[split][1])
-    return split, size
-
-
 class _Pieces:
-    """Ranges of points cut at a level's block boundaries, with the
-    data of their blocks (:meth:`_Blocks.layout`)."""
+    """Chunks cut at block boundaries, with the data of their blocks
+    (:meth:`_Blocks.layout`)."""
 
     __slots__ = (
-        "parent", "blocks", "local", "begin", "end", "chunk", "consts",
-        "winners", "singles", "tuples", "keys", "summed", "whole",
-        "screened",
+        "chunk", "blocks", "local", "begin", "end", "consts", "winners",
+        "singles", "tuples", "keys", "summed", "whole", "screened",
     )
 
 
@@ -255,11 +237,10 @@ class _Blocks:
 
     A block whose segments keep one stack each over the whole block is
     *summed*: its cycles are its constant plus one inner row, whose
-    screened front is priced once per sweep.  The part of a summed block
-    inside a chunk that cuts it is priced point by point.  A block that
-    keeps several stacks goes to ``finer``, the same layout over a
-    smaller inner block, or where there is none is priced point by
-    point as the highest of its stacks.
+    screened front is priced once per sweep.  A block that keeps several
+    stacks, and the part of a summed block inside a chunk that cuts it,
+    are priced point by point, per segment as the highest of the stacks
+    left.
 
     Inner points are kept in *rank* order: by their share of the cost,
     the sum of the inner axes' cost terms.  Within one block that order
@@ -269,15 +250,19 @@ class _Blocks:
     """
 
     def __init__(
-        self, segments, space: DesignSpace, most: int, margin: float,
-        tally: List[int],
+        self, segments, space: DesignSpace, most: int, margin: float
     ) -> None:
         axes = space.axes
-        split, size = _inner_axes(axes, most)
+        # The inner axes: the most trailing whole axes whose points
+        # number at most *most*.
+        split, size = len(axes), 1
+        while split and size * len(axes[split - 1][1]) <= most:
+            split -= 1
+            size *= len(axes[split][1])
         self.size = size
         self.margin = margin
-        #: pieces laid out and pieces summed, over every level
-        self.tally = tally
+        #: pieces laid out and pieces summed
+        self.tally = [0, 0]
         # Inner events sit at 0 in the outer vectors, every other event
         # at 0 in the inner ones.  An outer axis whose event a later
         # axis sets again is shadowed, as in point_at.
@@ -320,31 +305,24 @@ class _Blocks:
         #: winners per segment -> their inner cycles, and the inner
         #: front of a summed block
         self.inner, self.fronts = {}, {}
-        # A finer level pays while its blocks hold a few points.
-        finer = size // _BLOCKS_PER_CHUNK
-        self.finer = (
-            _Blocks(segments, space, finer, margin, tally)
-            if _inner_axes(axes, finer)[1] >= _BLOCKS_PER_CHUNK else None
-        )
 
-    def layout(self, starts, stops, chunks) -> _Pieces:
-        """Cut the ranges ``[starts[i], stops[i])``, each inside chunk
-        ``chunks[i]``, into pieces: the parts of blocks inside them.
-        Then restrict their blocks and screen them."""
+    def layout(self, starts, stops) -> _Pieces:
+        """Cut the chunks ``[starts[i], stops[i])`` into pieces: the
+        parts of blocks inside them.  Then restrict their blocks and
+        screen them."""
         size = self.size
         pieces = _Pieces()
         firsts = starts // size
         parts = (stops - 1) // size - firsts + 1
-        pieces.parent = parent = np.repeat(np.arange(starts.size), parts)
+        pieces.chunk = chunk = np.repeat(np.arange(starts.size), parts)
         pieces.blocks = blocks = (
-            np.arange(parent.size)
+            np.arange(chunk.size)
             - np.repeat(np.cumsum(parts) - parts, parts)
-            + firsts[parent]
+            + firsts[chunk]
         )
-        pieces.begin = np.maximum(starts[parent], blocks * size)
-        pieces.end = np.minimum(stops[parent], blocks * size + size)
-        pieces.chunk = chunks[parent]
-        # The ranges are sorted, so a block repeats only in a run.
+        pieces.begin = np.maximum(starts[chunk], blocks * size)
+        pieces.end = np.minimum(stops[chunk], blocks * size + size)
+        # The chunks are sorted, so a block repeats only in a run.
         fresh = np.empty(blocks.size, dtype=bool)
         fresh[0] = True
         np.not_equal(blocks[1:], blocks[:-1], out=fresh[1:])
@@ -354,7 +332,7 @@ class _Blocks:
         pieces.summed = summed[pieces.local]
         pieces.whole = pieces.summed & (pieces.end - pieces.begin == size)
         pieces.screened = self._screen_blocks(pieces, share[pieces.local])
-        self.tally[0] += parent.size
+        self.tally[0] += chunk.size
         self.tally[1] += int(np.count_nonzero(pieces.whole))
         return pieces
 
@@ -466,8 +444,8 @@ class _Blocks:
     def price(self, pieces: _Pieces, limit: float):
         """The pieces' screened points.
 
-        Returns the survivors' flat indices, cycles and ranges (indices
-        into :meth:`layout`'s), and per range the count of its points
+        Returns the survivors' flat indices, cycles and chunks (indices
+        into :meth:`layout`'s), and per chunk the count of its points
         within *limit* cycles.  Every point dropped has a strictly
         cheaper point of its chunk with no more cycles.
         """
@@ -496,23 +474,7 @@ class _Blocks:
                 (base[:, np.newaxis] + prices).ravel(),
                 np.repeat(mine, ranks.size),
             ))
-        rest = ~pieces.whole & wanted
-        if self.finer is not None:
-            # Parts of summed blocks take one row each; the rest is
-            # laid out again over the finer blocks.
-            finer = np.flatnonzero(rest & ~pieces.summed)
-            rest &= pieces.summed
-        rest = np.flatnonzero(rest)
-        if self.finer is not None and finer.size:
-            laid = self.finer.layout(
-                pieces.begin[finer], pieces.end[finer], pieces.chunk[finer]
-            )
-            indices, cycles, which, counts[finer] = self.finer.price(
-                laid, limit
-            )
-            which = finer[which]
-            kept = ~pieces.screened[which]
-            found.append((indices[kept], cycles[kept], which[kept]))
+        rest = np.flatnonzero(~pieces.whole & wanted)
         if rest.size:
             rows = self._rows(pieces, rest)
             if counted:
@@ -524,10 +486,8 @@ class _Blocks:
                 rows[row, rank],
                 rest[row],
             ))
-        inside = np.bincount(
-            pieces.parent, weights=counts,
-            minlength=int(pieces.parent[-1]) + 1,
-        )
+        # Every chunk holds a piece, so each gets a count.
+        inside = np.bincount(pieces.chunk, weights=counts)
         if not found:
             return (
                 np.empty(0, dtype=np.int64), np.empty(0),
@@ -536,7 +496,7 @@ class _Blocks:
         indices, cycles, which = (
             np.concatenate(column) for column in zip(*found)
         )
-        return indices, cycles, pieces.parent[which], inside
+        return indices, cycles, pieces.chunk[which], inside
 
     def _rows(self, pieces: _Pieces, rest: np.ndarray) -> np.ndarray:
         """Cycles of the *rest* pieces' points in rank order, ``inf``
@@ -619,7 +579,7 @@ class _Matrix:
         self.target_cpi = target_cpi
         self.tally = [0, 0]
 
-    def layout(self, starts, stops, chunks):
+    def layout(self, starts, stops):
         return int(starts[0]), self.space.theta_matrix(
             int(starts[0]), int(stops[0])
         )
@@ -670,7 +630,7 @@ def _sweep_chunks(
     if _blocks_are_exact(predictor, space, margin):
         pricer = _Blocks(
             predictor.segment_stacks, space,
-            chunk_size // _BLOCKS_PER_CHUNK, margin, [0, 0],
+            chunk_size // _BLOCKS_PER_CHUNK, margin,
         )
         # Chunks laid out together: a default chunk's points at least,
         # and few enough that chunk offsets stay exact in int64.
@@ -699,7 +659,7 @@ def _sweep_chunks(
             batch_hi = min(lo + batch_chunks * chunk_size, total)
             starts = np.arange(lo, batch_hi, chunk_size)
             stops = np.minimum(starts + chunk_size, batch_hi)
-            pieces = pricer.layout(starts, stops, np.arange(starts.size))
+            pieces = pricer.layout(starts, stops)
             ticks.append(clock.perf_seconds())
             found, cycles, chunk_of, meets = pricer.price(pieces, limit)
             found_cpi = cycles / predictor.num_uops
@@ -835,8 +795,9 @@ def sweep_space(
             ``sweep.chunk_seconds`` histogram, the ``sweep.prune_inputs``
             counter counts the points that reach the exact prune, the
             ``sweep.blocks`` and ``sweep.blocks_summed`` counters the
-            blocks laid out at every level and those priced from a
-            reused inner front, the ``sweep.run`` span carries the
+            blocks laid out (a block cut by a chunk boundary once per
+            chunk) and those priced from a reused inner front, the
+            ``sweep.run`` span carries the
             inner block's ``block_size``, and progress lines are
             emitted.  The restriction is a
             ``sweep.restrict`` span (``stacks`` in the caller's model,

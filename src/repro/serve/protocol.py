@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.events import LATENCY_DOMAIN, EventType, parse_event
+from repro.dse.sweep import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -243,7 +244,7 @@ class JobRequest:
     coord: WorkloadCoord
     #: sweep axes: (event, candidate latencies), sorted by event.
     axes: Tuple[Tuple[EventType, Tuple[int, ...]], ...] = ()
-    chunk_size: int = 4096
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     target_cpi: Optional[float] = None
     top_k: Optional[int] = None
 
@@ -327,7 +328,7 @@ class JobRequest:
             coord=WorkloadCoord.from_mapping(payload),
             axes=tuple(axes),
             chunk_size=_int_field(
-                payload, "chunk_size", 4096, 1, 1 << 20
+                payload, "chunk_size", DEFAULT_CHUNK_SIZE, 1, 1 << 20
             ),
             target_cpi=target_cpi,
             top_k=top_k,

@@ -180,10 +180,6 @@ class SimResult:
         """Cycles per micro-op (the paper's CPI, at µop granularity)."""
         return self.cycles / max(1, self.num_uops)
 
-    @property
-    def ipc(self) -> float:
-        return self.num_uops / max(1, self.cycles)
-
     def describe(self) -> str:
         return (
             f"{self.workload.name}: {self.num_uops} uops, "

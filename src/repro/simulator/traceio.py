@@ -103,10 +103,6 @@ class TraceFormatError(ValueError):
     """Raised when a file is not a compatible trace archive."""
 
 
-def _encode_charge(charge) -> list:
-    return [[int(event), int(units)] for event, units in charge]
-
-
 def _decode_charge(data) -> tuple:
     return tuple((EventType(event), units) for event, units in data)
 
@@ -125,37 +121,12 @@ def _encode_param_value(value):
     return value
 
 
-def normalise_archive_path(path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """The actual on-disk path for a requested archive path.
-
-    Archives are always ``.npz`` (what ``np.load`` reads), so the
-    requested name is *normalised* rather than blindly suffixed:
-
-    * ``trace.npz``    -> ``trace.npz``      (already correct)
-    * ``trace``        -> ``trace.npz``      (extension added)
-    * ``trace.dat``    -> ``trace.npz``      (extension replaced — the
-      old behaviour silently produced ``trace.dat.npz``)
-    * ``trace.npz.gz`` -> ``trace.npz``      (trailing decorations after
-      ``.npz`` dropped — the old behaviour produced ``trace.npz.gz.npz``)
-    """
-    path = pathlib.Path(path)
-    name = path.name
-    if name.endswith(".npz"):
-        return path
-    if ".npz." in name:
-        stem = name[: name.index(".npz.") + len(".npz")]
-        return path.with_name(stem)
-    if path.suffix:
-        return path.with_suffix(".npz")
-    return path.with_name(name + ".npz")
-
-
 def save_result(
     result: SimResult, path: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Archive one simulation result; returns the real path written."""
-    path = normalise_archive_path(path)
-
+    """Archive one simulation result at
+    :func:`~repro.common.archive.normalise_archive_path` of *path*;
+    returns the real path written."""
     workload = result.workload
     uop_cols = workload.columns
     trace_cols = result.columns
@@ -181,9 +152,7 @@ def save_result(
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_npz(path, arrays)
-    return path
+    return save_npz(path, arrays)
 
 
 def result_digest(result: SimResult) -> str:
@@ -223,7 +192,12 @@ def result_digest(result: SimResult) -> str:
 
 def load_result(path: Union[str, pathlib.Path]) -> SimResult:
     """Load an archive written by :func:`save_result` (any readable
-    format version — see :data:`COMPAT_FORMAT_VERSION`)."""
+    format version — see :data:`COMPAT_FORMAT_VERSION`).
+
+    Raises:
+        TraceFormatError: naming the file, when it is no trace archive
+            of a readable version (a model archive, say).
+    """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as archive:
         if "meta_json" not in archive:
@@ -246,6 +220,8 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
 
         get_observer().counter(f"traceio.loads.v{version}").inc()
         if version == 3:
+            if "layout" not in meta:
+                raise TraceFormatError(f"{path} has no trace layout")
             columns = _unpack_v3(path, meta["layout"], archive)
         else:
             columns = {
@@ -255,7 +231,12 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
             }
     uop = {k[4:]: v for k, v in columns.items() if k.startswith("uop_")}
     rec = {k[4:]: v for k, v in columns.items() if k.startswith("rec_")}
-    return loader(meta, uop, rec)
+    try:
+        return loader(meta, uop, rec)
+    except KeyError as missing:
+        raise TraceFormatError(
+            f"{path} is not a trace archive: it has no {missing}"
+        ) from None
 
 
 def _unpack_v3(path, layout, archive) -> Dict[str, np.ndarray]:
@@ -266,6 +247,8 @@ def _unpack_v3(path, layout, archive) -> Dict[str, np.ndarray]:
     columns = {}
     for key, dtype, length in layout:
         if dtype not in blocks:
+            if dtype not in archive:
+                raise TraceFormatError(f"{path}: block {dtype} is missing")
             blocks[dtype] = archive[dtype]
         start = ends.get(dtype, 0)
         ends[dtype] = start + length

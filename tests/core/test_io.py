@@ -14,7 +14,12 @@ from repro.core.model import RpStacksModel
 from repro.graphmodel.builder import build_graph
 from repro.simulator.core import simulate
 from repro.workloads.generator import generate
-from tests.simulator.test_trace_format import GOLDEN_SEED, GOLDEN_SPEC
+from tests.simulator.test_trace_format import (
+    GOLDEN_SEED,
+    GOLDEN_SPEC,
+    GOLDEN_V1,
+    GOLDEN_V2,
+)
 
 #: Written by the format-2 writer: the model of GOLDEN_SPEC at
 #: GOLDEN_SEED, at segment length 40 (four segments).
@@ -57,6 +62,13 @@ def test_npz_suffix_appended(model, tmp_path):
     assert path.exists()
 
 
+def test_suffix_follows_the_trace_rule(model, tmp_path):
+    path = save_model(model, tmp_path / "m.dat")
+    assert path == tmp_path / "m.npz"
+    assert path.exists()
+    assert not (tmp_path / "m.dat.npz").exists()
+
+
 def test_parent_directories_created(model, tmp_path):
     path = save_model(model, tmp_path / "deep" / "nested" / "m.npz")
     assert path.exists()
@@ -67,6 +79,13 @@ def test_rejects_non_model_npz(tmp_path):
     np.savez(path, data=np.zeros(3))
     with pytest.raises(ModelFormatError, match="not an RpStacks model"):
         load_model(path)
+
+
+@pytest.mark.parametrize("trace", [GOLDEN_V1, GOLDEN_V2], ids=["v1", "v2"])
+def test_golden_trace_is_not_a_model(trace):
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(trace)
+    assert str(trace) in str(excinfo.value)
 
 
 def test_rejects_tampered_event_count(model, tmp_path):

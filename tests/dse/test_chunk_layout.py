@@ -1,8 +1,8 @@
 """The sweep's layouts against per-point references.
 
-Enumeration by runs, per-axis cost tables, the block pricing and its
-screen must not change a bit of what the sweep returns: pricing
-vectors, costs, candidates, ``meeting_target`` and ``peak_candidates``.
+Enumeration, per-axis cost tables, the block pricing and its screen
+must not change a bit of what the sweep returns: pricing vectors,
+costs, candidates, ``meeting_target`` and ``peak_candidates``.
 """
 
 import math
@@ -27,6 +27,7 @@ from repro.dse.sweep import (
     _screen_margin,
     sweep_space,
 )
+from repro.obs.observer import Observer
 from repro.workloads.suite import make_workload, suite_names
 
 #: The e2e benchmark's latency ladder (829,440 points).
@@ -161,17 +162,6 @@ class TestEnumeration:
             _cost_terms(space), np.arange(0)
         ).shape == (0,)
 
-    def test_fill_thetas_rejects_rows_it_cannot_write_in_place(self):
-        with pytest.raises(ValueError, match="contiguous rows"):
-            DIRECT_SPACE.fill_thetas(np.zeros((NUM_EVENTS, 8), order="F"), 0)
-        with pytest.raises(ValueError, match="contiguous rows"):
-            DIRECT_SPACE.fill_thetas(np.zeros((NUM_EVENTS - 1, 8)), 0)
-
-    def test_refilled_block_keeps_the_base_rows(self):
-        block = DIRECT_SPACE.theta_matrix(0, 100)
-        DIRECT_SPACE.fill_thetas(block, 113)
-        assert block.tobytes() == DIRECT_SPACE.theta_matrix(113, 213).tobytes()
-
 
 class TestCostTables:
     @pytest.mark.parametrize("lo, hi", SPLIT_BOUNDS + ((0, 240),))
@@ -214,12 +204,12 @@ class TestScreen:
         terms = _cost_terms(space)
         blocks = _Blocks(
             model.restricted(*space.bounds()).segment_stacks, space,
-            chunk_size // _BLOCKS_PER_CHUNK, _screen_margin(terms), [0, 0],
+            chunk_size // _BLOCKS_PER_CHUNK, _screen_margin(terms),
         )
         starts = np.arange(0, total, chunk_size)
         stops = np.minimum(starts + chunk_size, total)
         kept, kept_cycles, chunk_of, inside = blocks.price(
-            blocks.layout(starts, stops, np.arange(starts.size)), limit
+            blocks.layout(starts, stops), limit
         )
         assert bits(kept_cycles) == bits(cycles[kept])
         assert bits(_exact_costs(terms, kept)) == bits(costs[kept])
@@ -341,3 +331,27 @@ def test_ladder_sweep_matches_the_reference(ladder_case, chunk_size, bounded):
     assert bits([c.cost for c in result.candidates]) == bits(ref_costs)
     assert result.num_meeting_target == meeting
     assert result.metrics.peak_candidates == peak
+
+
+def test_ladder_sweep_lays_out_one_level_of_blocks(ladder_case):
+    """Each chunk is cut at block boundaries once: every part of a
+    block inside a chunk is one piece, whatever stacks it keeps."""
+    model, space, _cpis, _costs = ladder_case
+    chunk_size = 65536
+    # The inner block: the most trailing whole axes of at most a
+    # sixteenth of a chunk's points.
+    size = 1
+    for _event, values in reversed(space.axes):
+        if size * len(values) > chunk_size // _BLOCKS_PER_CHUNK:
+            break
+        size *= len(values)
+    assert size == 960
+    starts = np.arange(0, space.num_points, chunk_size)
+    stops = np.minimum(starts + chunk_size, space.num_points)
+    pieces = int(((stops - 1) // size - starts // size + 1).sum())
+    assert pieces == 876
+    obs = Observer(enabled=True, progress_stream=None)
+    sweep_space(model, space, chunk_size=chunk_size, obs=obs)
+    counters = obs.metrics.export()["counters"]
+    assert counters["sweep.blocks"] == pieces
+    assert counters["sweep.blocks_summed"] <= pieces

@@ -110,7 +110,10 @@ class TestArrayEnumeration:
         import numpy as np
 
         s = self.big_space()
-        chunks = [s.theta_matrix(lo, hi) for lo, hi in s.iter_chunks(7)]
+        chunks = [
+            s.theta_matrix(lo, min(lo + 7, s.num_points))
+            for lo in range(0, s.num_points, 7)
+        ]
         assert np.array_equal(np.hstack(chunks), s.theta_matrix())
 
     def test_theta_matrix_rejects_bad_ranges(self):
@@ -119,14 +122,6 @@ class TestArrayEnumeration:
             s.theta_matrix(0, 3)
         with pytest.raises(IndexError):
             s.theta_matrix(2, 1)
-
-    def test_iter_chunks_cover_exactly(self):
-        s = self.big_space()
-        ranges = list(s.iter_chunks(10))
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == s.num_points
-        total = sum(hi - lo for lo, hi in ranges)
-        assert total == s.num_points
 
     def test_bounds_box_every_point_even_over_unsorted_axes(self):
         base = LatencyConfig()

@@ -336,8 +336,10 @@ class TestChunkedPredictionProperty:
         points = space.points()
         chunked = np.concatenate(
             [
-                model.predict_cycles_matrix(space.theta_matrix(lo, hi))
-                for lo, hi in space.iter_chunks(chunk)
+                model.predict_cycles_matrix(space.theta_matrix(
+                    lo, min(lo + chunk, space.num_points)
+                ))
+                for lo in range(0, space.num_points, chunk)
             ]
         )
         singles = np.array([model.predict_cycles(p) for p in points])

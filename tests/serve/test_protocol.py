@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.events import LATENCY_DOMAIN, EVENT_LABELS
+from repro.dse.sweep import DEFAULT_CHUNK_SIZE
 from repro.serve.jobs import JobRegistry
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
@@ -117,6 +118,12 @@ def test_job_roundtrip(payload):
     again = JobRequest.from_dict(parsed.to_dict())
     assert again == parsed
     assert parsed.num_points >= 1
+
+
+def test_job_chunk_size_defaults_to_the_sweep_default():
+    parsed = JobRequest.from_dict({"workload": "gamess", "axes": {"L1D": [1]}})
+    assert parsed.chunk_size == DEFAULT_CHUNK_SIZE == 65536
+    assert JobRequest(coord=parsed.coord).chunk_size == DEFAULT_CHUNK_SIZE
 
 
 @settings(max_examples=100)

@@ -23,14 +23,15 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.common.archive import normalise_archive_path
 from repro.common.config import baseline_config
+from repro.core.io import load_model, save_model
 from repro.simulator.core import simulate
 from repro.simulator.traceio import (
     COMPAT_FORMAT_VERSION,
     FORMAT_VERSION,
     TraceFormatError,
     load_result,
-    normalise_archive_path,
     result_digest,
     save_result,
 )
@@ -40,6 +41,8 @@ DATA = pathlib.Path(__file__).parent.parent / "data"
 GOLDEN_V1 = DATA / "golden_trace_v1.npz"
 #: Written by the format-2 writer from GOLDEN_SPEC and GOLDEN_SEED.
 GOLDEN_V2 = DATA / "golden_trace_v2.npz"
+#: A format-2 model archive, the other kind of archive.
+GOLDEN_MODEL_V2 = DATA / "golden_model_v2.npz"
 
 #: The exact recipe the committed golden archive was produced from.
 GOLDEN_SPEC = WorkloadSpec(
@@ -119,6 +122,33 @@ class TestVersionCompat:
         path = tmp_path / "foreign.npz"
         np.savez(path, values=np.arange(3))
         with pytest.raises(TraceFormatError) as excinfo:
+            load_result(path)
+        assert str(path) in str(excinfo.value)
+
+
+class TestOtherArchives:
+    """Archives that are not traces fail with one error naming the
+    file."""
+
+    def test_golden_model_is_not_a_trace(self):
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_result(GOLDEN_MODEL_V2)
+        assert str(GOLDEN_MODEL_V2) in str(excinfo.value)
+
+    def test_format_3_model_is_not_a_trace(self, tmp_path):
+        path = save_model(load_model(GOLDEN_MODEL_V2), tmp_path / "m")
+        with pytest.raises(TraceFormatError, match="layout") as excinfo:
+            load_result(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_missing_block_names_file(self, tiny_result, tmp_path):
+        path = save_result(tiny_result, tmp_path / "trace")
+        with np.load(path) as archive:
+            kept = {
+                key: archive[key] for key in archive.files if key != "int16"
+            }
+        np.savez(path, **kept)
+        with pytest.raises(TraceFormatError, match="int16") as excinfo:
             load_result(path)
         assert str(path) in str(excinfo.value)
 

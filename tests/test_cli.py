@@ -1,9 +1,14 @@
 """Command-line interface tests (driving main() in-process)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import cli
 from repro.cli import EXIT_INTERRUPTED, main
+from tests.simulator.test_trace_format import GOLDEN_MODEL_V2, GOLDEN_V2
 
 
 def run(capsys, *argv):
@@ -129,6 +134,46 @@ class TestFlagValidation:
         monkeypatch.setattr(cli, "_workload", no_workload)
         with pytest.raises(SystemExit, match=f"{message} must be at least 1"):
             main(argv)
+
+
+class TestArchiveErrors:
+    """A missing archive, or one of the other kind, ends the command
+    with one line naming the path."""
+
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing", "other-kind"])
+    @pytest.mark.parametrize(
+        "argv, other",
+        [
+            (["analyze", "gamess", "--from-trace"], GOLDEN_MODEL_V2),
+            (["dse", "sweep", "gamess", "--axis", "L1D=1,2", "--model"],
+             GOLDEN_V2),
+        ],
+        ids=["from-trace", "model"],
+    )
+    def test_names_the_path(self, tmp_path, argv, other, missing):
+        path = tmp_path / "absent.npz" if missing else other
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [str(path)])
+        message = str(excinfo.value)
+        assert str(path) in message and "\n" not in message
+
+    def test_exits_1_with_one_line(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "dse", "sweep", "gamess",
+             "--model", str(path), "--axis", "L1D=1,2"],
+            capture_output=True, text=True, env=env, timeout=120,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"cannot read {path}: No such file or directory"
+        ]
 
 
 class TestCompare:
