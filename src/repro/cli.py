@@ -212,7 +212,6 @@ def cmd_dse_sweep(args) -> int:
             space,
             target_cpi=target,
             chunk_size=args.chunk_size,
-            top_k=args.top_k,
             obs=obs,
             progress_interval=args.progress,
         )
@@ -772,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                    help="design points per chunk, the unit of the "
                         "Pareto prune")
-    p.add_argument("--top-k", type=int,
-                   help="hard cap on the held candidate set (memory bound)")
     p.add_argument("--top", type=int, default=10,
                    help="Pareto entries to print")
     p.add_argument("--json", action="store_true",

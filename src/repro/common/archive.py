@@ -1,18 +1,19 @@
-"""Writing ``.npz`` archives at a fixed, fast deflate level.
+"""Writing ``.npz`` archives at a fixed, fast deflate level; opening them.
 
 ``np.savez_compressed`` always deflates at zlib's default level (6),
 which made deflation most of the time a store spends writing an
 analysis.  The trace and model archives are written here instead, with
 ``zipfile`` and ``np.lib.format.write_array`` at level 1: the same
 ``.npz`` container, so ``np.load`` reads it unchanged.  Both writers
-name their files by one rule, :func:`normalise_archive_path`.
+name their files by one rule, :func:`normalise_archive_path`, and both
+loaders open their files through :func:`open_npz`.
 """
 
 from __future__ import annotations
 
 import pathlib
 import zipfile
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -64,3 +65,22 @@ def save_npz(
                     member, np.asanyarray(value), allow_pickle=False
                 )
     return path
+
+
+def open_npz(
+    path: Union[str, pathlib.Path], error: Callable[[str], Exception]
+) -> np.lib.npyio.NpzFile:
+    """Open the ``.npz`` archive at *path* (use it in a ``with`` block).
+
+    Raises:
+        error: the loader's format error, naming *path*, when the file
+            is empty, truncated or no ``.npz`` archive at all.
+        OSError: the file cannot be read.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise error(f"{path} is not an .npz archive") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise error(f"{path} is not an .npz archive")
+    return archive

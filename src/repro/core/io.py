@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.common.archive import save_npz
+from repro.common.archive import open_npz, save_npz
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
@@ -74,13 +74,14 @@ def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
     """Load a model previously written by :func:`save_model`.
 
     Raises:
-        ModelFormatError: on missing keys, version or event-taxonomy
+        ModelFormatError: naming the file, when it is no ``.npz``
+            archive, on missing keys, version or event-taxonomy
             mismatches (a model saved under a different event set cannot
             be re-priced safely), or stacks the model constructor rejects
             (entries that are not finite, non-negative integers).
     """
     path = pathlib.Path(path)
-    with np.load(path) as archive:
+    with open_npz(path, ModelFormatError) as archive:
         if "meta_json" not in archive or "baseline_cycles" not in archive:
             raise ModelFormatError(f"{path} is not an RpStacks model file")
         meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))

@@ -24,6 +24,26 @@ from repro.common.events import NUM_EVENTS
 from repro.core.stack import StallEventStack
 
 
+def vertex_margins(
+    stacks: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """``margins[r, q]``: the least of ``(r − q)·θ`` over the box
+    ``lo <= θ <= hi``, for each pair of rows of *stacks*.
+
+    It sits at a vertex, ``Σₑ min(dₑ·loₑ, dₑ·hiₑ)`` for ``d = r − q``,
+    computed as ``d·lo + Σₑ min(0, dₑ·(hiₑ − loₑ))`` over only the
+    events the box spans.  Over integers every margin is exact.
+    """
+    at_lo = stacks @ lo
+    spanned = np.flatnonzero(hi > lo)
+    part = stacks[:, spanned]
+    diff = part[:, np.newaxis, :] - part[np.newaxis, :, :]
+    return (
+        at_lo[:, np.newaxis] - at_lo[np.newaxis, :]
+        + np.minimum(diff * (hi - lo)[spanned], 0.0).sum(axis=2)
+    )
+
+
 @dataclass
 class GenerationStats:
     """Bookkeeping from one RpStacks generation run."""
@@ -190,9 +210,8 @@ class RpStacksModel:
 
         In each segment, a stack is dropped when another stack of the
         segment prices at least as high at every point ``θ`` with
-        ``lo <= θ <= hi``.  On a box the smallest margin of stack ``r``
-        over stack ``q`` sits at a vertex, chosen event by event, so
-        ``r`` covers ``q`` iff ``Σₑ min((r−q)ₑ·loₑ, (r−q)ₑ·hiₑ) >= 0``.
+        ``lo <= θ <= hi``: stack ``r`` covers stack ``q`` iff its least
+        margin over ``q`` on the box, :func:`vertex_margins`, is ``>= 0``.
         Of stacks that price alike over the whole box the lowest index
         is kept (dropping the whole tie class would change prices).
         Segments left with one stack are summed into a single row.
@@ -216,21 +235,11 @@ class RpStacksModel:
             raise ValueError("the box needs lo <= hi in every event")
         singles: List[np.ndarray] = []
         kept: List[np.ndarray] = []
-        # min(d·lo, d·hi) = d·lo + min(0, d·(hi − lo)): the second term
-        # needs only the events the box spans.
-        spanned = np.flatnonzero(hi > lo)
-        width = (hi - lo)[spanned]
         for stacks in self.segment_stacks:
             count = stacks.shape[0]
             if count > 1:
-                at_lo = stacks @ lo
-                part = stacks[:, spanned]
-                diff = part[:, np.newaxis, :] - part[np.newaxis, :, :]
                 # covers[r, q]: stack r prices >= stack q all over the box.
-                covers = (
-                    at_lo[:, np.newaxis] - at_lo[np.newaxis, :]
-                    + np.minimum(diff * width, 0.0).sum(axis=2)
-                ) >= 0
+                covers = vertex_margins(stacks, lo, hi) >= 0
                 earlier = np.triu(np.ones((count, count), dtype=bool), 1)
                 beaten = covers & (~covers.T | earlier)
                 stacks = stacks[~beaten.any(axis=0)]

@@ -24,11 +24,18 @@ class DesignSpace:
 
     Attributes:
         base: the design point supplying all unswept latencies.
-        axes: event -> tuple of candidate cycle counts.
+        axes: event -> tuple of candidate cycle counts, one axis per
+            event (``ValueError`` otherwise).
     """
 
     base: LatencyConfig
     axes: Tuple[Tuple[EventType, Tuple[int, ...]], ...]
+
+    def __post_init__(self) -> None:
+        events = [EventType(event) for event, _values in self.axes]
+        for index, event in enumerate(events):
+            if event in events[:index]:
+                raise ValueError(f"{event.name} is swept on two axes")
 
     @classmethod
     def from_mapping(

@@ -9,7 +9,7 @@ whole sweep is one matrix product per segment (``predict_many``).
 
 :meth:`Explorer.explore` materialises every point and is the reference
 for any predictor and any cost model; the streaming fast path for large
-spaces, which needs the model's matrix kernel and the default costs, is
+spaces, which needs an ``RpStacksModel`` and the default costs, is
 :func:`repro.dse.sweep.sweep_space`.
 """
 

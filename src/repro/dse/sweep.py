@@ -9,11 +9,9 @@ materialises every point as a :class:`~repro.common.config.LatencyConfig`
 This module is the one fast path beside that materialised reference.
 It prices an :class:`~repro.core.model.RpStacksModel` from the
 space's mixed-radix structure and costs only with
-:func:`~repro.dse.explorer.default_cost_model`; any other predictor
-with a matrix kernel (``predict_cycles_matrix`` and ``num_uops``), or
-a model whose costs overflow or whose cycles pass ``2 ** 51``, is
-priced chunk by chunk from pricing vectors, unscreened, and any other
-cost model goes through ``Explorer.explore``:
+:func:`~repro.dse.explorer.default_cost_model`.  Any other predictor
+or cost model, and any space whose default costs overflow or whose
+cycles pass ``2 ** 51``, goes through ``Explorer.explore``:
 
 * before any point is priced, the model is restricted to the space's
   box (:meth:`DesignSpace.bounds`, :meth:`RpStacksModel.restricted`):
@@ -65,7 +63,7 @@ every screened point is still counted against the target, so the
 candidate set, ``meeting_target`` and ``peak_candidates`` are the
 unscreened sweep's at every chunk size.
 Stack unit counts and latencies are integers (the model's
-constructor enforces it) and the blocks take cycles of at most
+constructor enforces it) and the sweep takes cycles of at most
 ``2 ** 51``, so every constant, inner price and sum is exact in
 float64, and neither blocks, chunking nor the restrictions can
 change a single bit: the streamed front is **bit-identical** to the
@@ -81,7 +79,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.events import NUM_EVENTS
-from repro.core.model import RpStacksModel
+from repro.core.model import RpStacksModel, vertex_margins
 from repro.dse.designspace import DesignSpace
 from repro.dse.explorer import (
     ROLLING_WINDOW_CHUNKS,
@@ -173,23 +171,23 @@ def _screen_margin(terms: List[Tuple[int, int, np.ndarray]]) -> float:
     return 4 * len(terms) * np.finfo(float).eps * largest
 
 
-def _blocks_are_exact(predictor, space: DesignSpace, margin: float) -> bool:
-    """Whether :class:`_Blocks` prices and screens *space* exactly.
+def _check_exact(model: RpStacksModel, space: DesignSpace, margin: float):
+    """Raise ``ValueError`` unless :class:`_Blocks` prices and screens
+    *space* exactly.
 
-    It needs an ``RpStacksModel``, a finite screen *margin*, and cycles
-    of at most ``2 ** 51`` (each segment's highest stack at the top of
-    the box, summed): then every constant, inner price, sum and vertex
-    margin is an integer float64 holds exactly, and the screen's chunk
-    lift fits in int64.  Anything else is priced chunk by chunk from
-    pricing vectors, unscreened.
+    It needs a finite screen *margin* and cycles of at most ``2 ** 51``
+    (each segment's highest stack at the top of the box, summed): then
+    every constant, inner price, sum and vertex margin is an integer
+    float64 holds exactly, and the screen's chunk lift fits in int64.
     """
-    if not isinstance(predictor, RpStacksModel) or not space.num_points:
-        return False
     top = space.bounds()[1]
-    most = sum(
-        float((stacks @ top).max()) for stacks in predictor.segment_stacks
-    )
-    return margin < math.inf and most <= 2.0 ** 51
+    most = sum(float((stacks @ top).max()) for stacks in model.segment_stacks)
+    if not (margin < math.inf and most <= 2.0 ** 51):
+        raise ValueError(
+            "sweep_space prices spaces whose default costs are finite and "
+            "whose cycles stay within 2 ** 51; price this one with "
+            "Explorer.explore"
+        )
 
 
 def _cycle_limit(target_cpi: Optional[float], num_uops) -> float:
@@ -264,20 +262,18 @@ class _Blocks:
         #: pieces laid out and pieces summed
         self.tally = [0, 0]
         # Inner events sit at 0 in the outer vectors, every other event
-        # at 0 in the inner ones.  An outer axis whose event a later
-        # axis sets again is shadowed, as in point_at.
-        shadowed = sorted({int(event) for event, _values in axes[split:]})
+        # at 0 in the inner ones.
+        inner = [int(event) for event, _values in axes[split:]]
         thetas = np.zeros((NUM_EVENTS, size))
-        thetas[shadowed] = DesignSpace(
+        thetas[inner] = DesignSpace(
             space.base, axes[split:]
-        ).theta_matrix()[shadowed]
+        ).theta_matrix()[inner]
         self.base = space.base.as_vector()
-        self.base[shadowed] = 0.0
+        self.base[inner] = 0.0
         #: (event, values, stride in blocks) of the outer axes
         self.outer_axes = [
             (int(event), np.asarray(values, dtype=np.float64), stride // size)
-            for (event, values), stride in zip(axes, space._strides())
-            if stride >= size and int(event) not in shadowed
+            for (event, values), stride in zip(axes[:split], space._strides())
         ]
         positions = np.arange(size)
         share = np.zeros(size)
@@ -299,8 +295,7 @@ class _Blocks:
         for stacks in segments:
             margins = None
             if stacks.shape[0] > 1:
-                diff = stacks[:, np.newaxis, :] - stacks[np.newaxis, :, :]
-                margins = np.minimum(diff * lo, diff * hi).sum(axis=2)
+                margins = vertex_margins(stacks, lo, hi)
             self.segments.append((stacks, stacks @ thetas, margins))
         #: winners per segment -> their inner cycles, and the inner
         #: front of a summed block
@@ -566,44 +561,11 @@ class _Blocks:
         return self.fronts[winners]
 
 
-class _Matrix:
-    """Any predictor with the matrix kernel, priced chunk by chunk from
-    pricing vectors and never screened."""
-
-    #: no blocks
-    size = None
-
-    def __init__(self, predictor, space: DesignSpace, target_cpi) -> None:
-        self.predictor = predictor
-        self.space = space
-        self.target_cpi = target_cpi
-        self.tally = [0, 0]
-
-    def layout(self, starts, stops):
-        return int(starts[0]), self.space.theta_matrix(
-            int(starts[0]), int(stops[0])
-        )
-
-    def price(self, pieces, limit: float):
-        lo, thetas = pieces
-        cycles = self.predictor.predict_cycles_matrix(thetas)
-        meeting = cycles.size
-        if self.target_cpi is not None:
-            meeting = np.count_nonzero(
-                cycles / self.predictor.num_uops <= self.target_cpi
-            )
-        return (
-            np.arange(lo, lo + cycles.size, dtype=np.int64), cycles,
-            np.zeros(cycles.size, dtype=np.int64), np.array([meeting]),
-        )
-
-
 def _sweep_chunks(
-    predictor,
+    model: RpStacksModel,
     space: DesignSpace,
     chunk_size: int,
     target_cpi: Optional[float],
-    top_k: Optional[int],
     obs,
     progress_interval: Optional[float],
 ) -> dict:
@@ -626,18 +588,14 @@ def _sweep_chunks(
     total = space.num_points
     terms = _cost_terms(space)
     margin = _screen_margin(terms)
-    batch_chunks = 1
-    if _blocks_are_exact(predictor, space, margin):
-        pricer = _Blocks(
-            predictor.segment_stacks, space,
-            chunk_size // _BLOCKS_PER_CHUNK, margin,
-        )
-        # Chunks laid out together: a default chunk's points at least,
-        # and few enough that chunk offsets stay exact in int64.
-        batch_chunks = min(1024, max(1, DEFAULT_CHUNK_SIZE // chunk_size))
-    else:
-        pricer = _Matrix(predictor, space, target_cpi)
-    limit = _cycle_limit(target_cpi, predictor.num_uops)
+    _check_exact(model, space, margin)
+    pricer = _Blocks(
+        model.segment_stacks, space, chunk_size // _BLOCKS_PER_CHUNK, margin
+    )
+    # Chunks laid out together: a default chunk's points at least, and
+    # few enough that chunk offsets stay exact in int64.
+    batch_chunks = min(1024, max(1, DEFAULT_CHUNK_SIZE // chunk_size))
+    limit = _cycle_limit(target_cpi, model.num_uops)
     held_idx = np.empty(0, dtype=np.int64)
     held_cpi = np.empty(0, dtype=np.float64)
     held_cost = np.empty(0, dtype=np.float64)
@@ -662,7 +620,7 @@ def _sweep_chunks(
             pieces = pricer.layout(starts, stops)
             ticks.append(clock.perf_seconds())
             found, cycles, chunk_of, meets = pricer.price(pieces, limit)
-            found_cpi = cycles / predictor.num_uops
+            found_cpi = cycles / model.num_uops
             if target_cpi is not None:
                 kept = np.flatnonzero(found_cpi <= target_cpi)
                 found, found_cpi, chunk_of = (
@@ -693,10 +651,6 @@ def _sweep_chunks(
         held_cpi = np.concatenate((held_cpi, cpis))
         held_cost = np.concatenate((held_cost, costs))
         held_idx, held_cpi, held_cost = _prune(held_idx, held_cpi, held_cost)
-        if top_k is not None and held_idx.size > top_k:
-            held_idx = held_idx[:top_k]
-            held_cpi = held_cpi[:top_k]
-            held_cost = held_cost[:top_k]
         now = clock.perf_seconds()
         ticks.append(now)
         chunk_seconds.append(now - ticks[0])
@@ -759,12 +713,11 @@ def _sweep_chunks(
 
 
 def sweep_space(
-    predictor,
+    model: RpStacksModel,
     space: DesignSpace,
     target_cpi: Optional[float] = None,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    top_k: Optional[int] = None,
     obs=None,
     progress_interval: Optional[float] = None,
 ) -> ExplorationResult:
@@ -772,23 +725,18 @@ def sweep_space(
     streaming each chunk's survivors through a Pareto reduction.
 
     Args:
-        predictor: an :class:`~repro.core.model.RpStacksModel`, or any
-            object with ``predict_cycles_matrix`` and ``num_uops``.  An
-            ``RpStacksModel`` is priced through
-            :meth:`~repro.core.model.RpStacksModel.restricted` to the
-            space's :meth:`~repro.dse.designspace.DesignSpace.bounds`.
-            Any other predictor, or another cost model, is priced by the
-            materialised :meth:`~repro.dse.explorer.Explorer.explore`.
+        model: an :class:`~repro.core.model.RpStacksModel`, priced
+            through :meth:`~repro.core.model.RpStacksModel.restricted`
+            to the space's :meth:`~repro.dse.designspace.DesignSpace.bounds`.
+            Any other predictor or space, or another cost model, is
+            priced by the materialised
+            :meth:`~repro.dse.explorer.Explorer.explore`.
         space: the design space; never materialised.
         target_cpi: drop points whose predicted CPI exceeds this.
         chunk_size: design points per chunk, the unit of the Pareto
             prune: the screen compares points of one chunk only.  Blocks
             hold at most a sixteenth of a chunk, and chunks are priced
             in batches of at least :data:`DEFAULT_CHUNK_SIZE` points.
-        top_k: optional hard cap on the held candidate set, keeping the
-            best *k* by ``(cost, cpi)``.  A cap smaller than the true
-            front trades exactness for memory; with ``None`` the front
-            is bit-identical to :meth:`Explorer.explore`'s.
         obs: an :class:`~repro.obs.Observer`; when enabled, every chunk
             becomes a ``sweep.chunk`` span split into
             :data:`CHUNK_STAGES`, chunk timings land in the
@@ -817,40 +765,30 @@ def sweep_space(
         chunk timings and the peak candidate-set size.
 
     Raises:
-        TypeError: *predictor* has no ``predict_cycles_matrix`` or no
-            ``num_uops``.
+        TypeError: *model* is not an ``RpStacksModel``.
+        ValueError: *chunk_size* is below 1, or the space's default
+            costs overflow or its cycles pass ``2 ** 51``.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be at least 1 (or None)")
-    if not (
-        hasattr(predictor, "predict_cycles_matrix")
-        and getattr(predictor, "num_uops", None)
-    ):
+    if not isinstance(model, RpStacksModel):
         raise TypeError(
-            f"sweep_space prices through predict_cycles_matrix and "
-            f"num_uops, which {type(predictor).__name__} lacks; "
-            f"price it with Explorer.explore"
+            f"sweep_space prices an RpStacksModel, not "
+            f"{type(model).__name__}; price it with Explorer.explore"
         )
     obs = obs if obs is not None else get_observer()
     total = space.num_points
     start = clock.perf_seconds()
     with obs.span("sweep.run", points=total, chunk_size=chunk_size) as run:
-        priced_model = predictor
-        if isinstance(predictor, RpStacksModel):
-            with obs.span(
-                "sweep.restrict", stacks=predictor.num_paths
-            ) as span:
-                priced_model = predictor.restricted(*space.bounds())
-                span.set(stacks_priced=priced_model.num_paths)
-            obs.gauge("sweep.stacks_priced").set(priced_model.num_paths)
+        with obs.span("sweep.restrict", stacks=model.num_paths) as span:
+            priced_model = model.restricted(*space.bounds())
+            span.set(stacks_priced=priced_model.num_paths)
+        obs.gauge("sweep.stacks_priced").set(priced_model.num_paths)
         state = _sweep_chunks(
-            priced_model, space, chunk_size, target_cpi, top_k, obs,
+            priced_model, space, chunk_size, target_cpi, obs,
             progress_interval,
         )
-        if state["block_size"] is not None:
-            run.set(block_size=state["block_size"])
+        run.set(block_size=state["block_size"])
     elapsed = clock.perf_seconds() - start
 
     candidates = [

@@ -179,6 +179,5 @@ def execute_sweep(
         space,
         request.target_cpi,
         chunk_size=request.chunk_size,
-        top_k=request.top_k,
         obs=obs,
     )

@@ -246,11 +246,8 @@ class JobRequest:
     axes: Tuple[Tuple[EventType, Tuple[int, ...]], ...] = ()
     chunk_size: int = DEFAULT_CHUNK_SIZE
     target_cpi: Optional[float] = None
-    top_k: Optional[int] = None
 
-    _FIELDS = WorkloadCoord._FIELDS | {
-        "axes", "chunk_size", "target_cpi", "top_k",
-    }
+    _FIELDS = WorkloadCoord._FIELDS | {"axes", "chunk_size", "target_cpi"}
 
     def to_dict(self) -> dict:
         payload = self.coord.to_dict()
@@ -260,8 +257,6 @@ class JobRequest:
         payload["chunk_size"] = self.chunk_size
         if self.target_cpi is not None:
             payload["target_cpi"] = self.target_cpi
-        if self.top_k is not None:
-            payload["top_k"] = self.top_k
         return payload
 
     @classmethod
@@ -318,12 +313,6 @@ class JobRequest:
             target_cpi = float(target_cpi)
             if not target_cpi > 0:
                 raise ProtocolError(400, "'target_cpi' must be positive")
-        top_k = payload.get("top_k")
-        if top_k is not None:
-            if isinstance(top_k, bool) or not isinstance(top_k, int):
-                raise ProtocolError(400, "'top_k' must be an integer")
-            if top_k < 1:
-                raise ProtocolError(400, "'top_k' must be at least 1")
         return cls(
             coord=WorkloadCoord.from_mapping(payload),
             axes=tuple(axes),
@@ -331,7 +320,6 @@ class JobRequest:
                 payload, "chunk_size", DEFAULT_CHUNK_SIZE, 1, 1 << 20
             ),
             target_cpi=target_cpi,
-            top_k=top_k,
         )
 
     @property

@@ -26,7 +26,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from repro.common.archive import save_npz
+from repro.common.archive import open_npz, save_npz
 from repro.common.config import (
     CacheConfig,
     CoreConfig,
@@ -196,10 +196,11 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
 
     Raises:
         TraceFormatError: naming the file, when it is no trace archive
-            of a readable version (a model archive, say).
+            of a readable version (a model archive, say, or no ``.npz``
+            archive at all).
     """
     path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with open_npz(path, TraceFormatError) as archive:
         if "meta_json" not in archive:
             raise TraceFormatError(f"{path} is not a trace archive")
         meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))

@@ -38,6 +38,8 @@ import signal
 import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.core.model import RpStacksModel
+
 PLAN_ENV = "REPRO_CHAOS_PLAN"
 DIR_ENV = "REPRO_CHAOS_DIR"
 
@@ -163,42 +165,27 @@ def chaos_task(index: int, payload: int = 0) -> int:
     return index * index + payload
 
 
-class ChaosModel:
-    """A predictor wrapper that probes the fault plan before pricing.
+class ChaosModel(RpStacksModel):
+    """An :class:`~repro.core.model.RpStacksModel` that probes the fault
+    plan before a sweep prices it.
 
-    Wraps an :class:`~repro.core.model.RpStacksModel` (delegating the
-    numeric surface bit-for-bit, so fronts stay comparable against the
-    unwrapped model) and calls :func:`probe` with *probe_id* at every
-    ``predict_cycles_matrix`` call — each chunk evaluation consumes one
+    It copies the inner model's stacks, baseline, ``num_uops`` and stats,
+    so it prices bit-identically to the inner model, and calls
+    :func:`probe` with *probe_id* in :meth:`restricted`, which
+    ``sweep_space`` calls once per sweep: each sweep consumes one
     attempt number, so a spec with ``attempts: 1`` faults exactly the
-    first chunk priced anywhere in the run.
+    first sweep run anywhere.
     """
 
-    def __init__(self, inner, probe_id: str = "model") -> None:
-        self.inner = inner
+    def __init__(self, inner: RpStacksModel, probe_id: str = "model") -> None:
+        super().__init__(
+            inner.segment_stacks,
+            baseline=inner.baseline,
+            num_uops=inner.num_uops,
+            stats=inner.stats,
+        )
         self.probe_id = probe_id
 
-    @property
-    def num_uops(self):
-        return self.inner.num_uops
-
-    @property
-    def segment_stacks(self):
-        return self.inner.segment_stacks
-
-    @property
-    def baseline(self):
-        return self.inner.baseline
-
-    def predict_cycles_matrix(self, thetas):
+    def restricted(self, lo, hi) -> RpStacksModel:
         probe(self.probe_id)
-        return self.inner.predict_cycles_matrix(thetas)
-
-    def predict_cycles(self, latency):
-        return self.inner.predict_cycles(latency)
-
-    def predict_many(self, points):
-        return self.inner.predict_many(points)
-
-    def predict_cpi(self, latency):
-        return self.inner.predict_cpi(latency)
+        return super().restricted(lo, hi)

@@ -19,6 +19,8 @@ from tests.simulator.test_trace_format import (
     GOLDEN_SPEC,
     GOLDEN_V1,
     GOLDEN_V2,
+    NOT_ARCHIVES,
+    write_not_archive,
 )
 
 #: Written by the format-2 writer: the model of GOLDEN_SPEC at
@@ -79,6 +81,14 @@ def test_rejects_non_model_npz(tmp_path):
     np.savez(path, data=np.zeros(3))
     with pytest.raises(ModelFormatError, match="not an RpStacks model"):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", NOT_ARCHIVES)
+def test_a_file_that_is_no_archive_is_a_format_error(tmp_path, kind):
+    path = write_not_archive(tmp_path / "m.npz", kind, GOLDEN_MODEL_V2)
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == f"{path} is not an .npz archive"
 
 
 @pytest.mark.parametrize("trace", [GOLDEN_V1, GOLDEN_V2], ids=["v1", "v2"])

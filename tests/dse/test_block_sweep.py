@@ -20,7 +20,7 @@ from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import RpStacksModel
 from repro.dse.designspace import DesignSpace
-from repro.dse.explorer import default_cost_model
+from repro.dse.explorer import Explorer, default_cost_model
 from repro.dse.sweep import sweep_space
 from tests.dse.test_chunk_layout import (
     bits,
@@ -29,7 +29,7 @@ from tests.dse.test_chunk_layout import (
 )
 
 
-def assert_matches_reference(model, space, chunk_size, target_cpi, top_k):
+def assert_matches_reference(model, space, chunk_size, target_cpi):
     cpis = (
         model.predict_cycles_matrix(space.theta_matrix()) / model.num_uops
     )
@@ -37,11 +37,10 @@ def assert_matches_reference(model, space, chunk_size, target_cpi, top_k):
         [default_cost_model(point, space.base) for point in space]
     )
     (indices, ref_cpis, ref_costs), meeting, peak = reference_sweep(
-        cpis, costs, chunk_size, target_cpi, top_k
+        cpis, costs, chunk_size, target_cpi
     )
     result = sweep_space(
-        model, space, target_cpi=target_cpi, chunk_size=chunk_size,
-        top_k=top_k,
+        model, space, target_cpi=target_cpi, chunk_size=chunk_size
     )
     assert [c.latency for c in result.candidates] == [
         space.point_at(int(index)) for index in indices
@@ -67,10 +66,7 @@ def test_any_model_space_and_chunk_match_the_reference(data):
         None, float(cpis.max()), float(cpis.min()) - 1.0,
         float(np.median(cpis)),
     ]))
-    top_k = data.draw(st.sampled_from([None, 1, 3]))
-    result = assert_matches_reference(
-        model, space, chunk_size, target_cpi, top_k
-    )
+    result = assert_matches_reference(model, space, chunk_size, target_cpi)
     if target_cpi == float(cpis.max()):
         assert result.num_meeting_target == space.num_points
     elif target_cpi is not None and target_cpi < cpis.min():
@@ -106,30 +102,9 @@ def test_rounded_cost_ties_keep_the_lower_index():
     model = RpStacksModel([stack], baseline=base, num_uops=4)
     assert model.predict_cycles(kept) == model.predict_cycles(tied)
     # Chunks of 64 points lay the four L2D x MEM_D points out as a block.
-    result = assert_matches_reference(model, space, 64, None, None)
+    result = assert_matches_reference(model, space, 64, None)
     assert kept in [c.latency for c in result.candidates]
     assert tied not in [c.latency for c in result.candidates]
-
-
-def test_an_axis_set_again_by_a_later_axis_is_shadowed():
-    """A directly built space may sweep one event twice; as in
-    ``point_at``, the later axis sets it, here across the inner/outer
-    split of 64-point chunks (blocks of the last two axes)."""
-    space = DesignSpace(
-        base=LatencyConfig(),
-        axes=(
-            (EventType.L1D, (1, 2, 3)),
-            (EventType.FP_ADD, (2, 6, 4)),
-            (EventType.L1D, (4, 1)),
-            (EventType.L2D, (12, 3)),
-        ),
-    )
-    stacks = np.zeros((2, NUM_EVENTS))
-    stacks[0, [EventType.BASE, EventType.L1D, EventType.FP_ADD]] = (5, 3, 1)
-    stacks[1, [EventType.BASE, EventType.L2D]] = (9, 2)
-    model = RpStacksModel([stacks], baseline=LatencyConfig(), num_uops=7)
-    for chunk_size in (1, 64, 100):
-        assert_matches_reference(model, space, chunk_size, None, None)
 
 
 #: A latency near float64's largest value.
@@ -137,12 +112,13 @@ HUGE = 10**308
 
 
 @pytest.mark.parametrize("overflowing", ["costs", "cycles"])
-def test_spaces_that_overflow_are_priced_unscreened(overflowing):
+def test_spaces_that_overflow_are_left_to_the_explorer(overflowing):
     """Halving a ``HUGE`` base latency costs ``inf``, and a ``HUGE``
     latency twice over takes ``inf`` cycles.  Such costs leave the
-    screen no margin and such cycles no exact sums, so the sweep prices
-    the space unscreened and keeps its cheapest point, whose cost or
-    CPI is ``inf``."""
+    screen no margin and such cycles no exact sums, so the sweep
+    rejects the space and names ``Explorer.explore``, which prices
+    every point and keeps the cheapest point, whose cost or CPI is
+    ``inf``."""
     base = LatencyConfig().with_overrides(
         {EventType.L1D: HUGE, EventType.L2D: 8}
     )
@@ -164,7 +140,8 @@ def test_spaces_that_overflow_are_priced_unscreened(overflowing):
             default_cost_model(odd, base), model.predict_cycles(odd)
         )
         for chunk_size in (1, 5, 64):
-            result = assert_matches_reference(
-                model, space, chunk_size, None, None
-            )
-            assert odd in [c.latency for c in result.candidates]
+            with pytest.raises(ValueError, match="Explorer.explore"):
+                sweep_space(model, space, chunk_size=chunk_size)
+        result = Explorer(model).explore(space)
+    assert len(result.candidates) == space.num_points == 12
+    assert odd in [c.latency for c in result.candidates]

@@ -52,6 +52,19 @@ def test_negative_latency_rejected():
         space(L1D=[-1, 2])
 
 
+def test_an_event_on_two_axes_is_rejected():
+    """A directly built space may not sweep one event twice."""
+    with pytest.raises(ValueError, match="L1D is swept on two axes"):
+        DesignSpace(
+            base=LatencyConfig(),
+            axes=(
+                (EventType.L1D, (1, 2, 3)),
+                (EventType.FP_ADD, (2, 6, 4)),
+                (EventType.L1D, (4, 1)),
+            ),
+        )
+
+
 def test_sample_is_deterministic_and_in_space():
     s = space(L1D=[1, 2, 4], FP_MUL=[1, 6])
     a = s.sample(10, seed=3)

@@ -151,15 +151,6 @@ class TestStreaming:
         # a second live theta matrix would double the dominant term.
         assert peak < 1.6 * thetas_bytes
 
-    def test_top_k_caps_the_candidate_set(self, model, reference_space):
-        capped = sweep_space(model, reference_space, chunk_size=16, top_k=3)
-        assert len(capped.candidates) <= 3
-        full = sweep_space(model, reference_space, chunk_size=16)
-        # The cap keeps the best-(cost, cpi) prefix of the full set.
-        assert [
-            (c.latency, c.cost) for c in capped.candidates
-        ] == [(c.latency, c.cost) for c in full.candidates[:3]]
-
     def test_metrics_are_recorded(self, model, reference_space):
         result = sweep_space(model, reference_space, chunk_size=16)
         metrics = result.metrics
@@ -284,21 +275,26 @@ class TestEdgeCases:
         assert result.num_meeting_target == 0
         assert result.pareto_front() == []
 
-    def test_predictor_without_the_matrix_kernel_is_rejected(
-        self, reference_space
+    def test_predictor_that_is_not_an_rpstacks_model_is_rejected(
+        self, model, reference_space
     ):
         class Scalar:
             def predict_cpi(self, latency):
                 return latency[EventType.L1D] / 4.0
 
-        with pytest.raises(TypeError, match="Explorer.explore"):
-            sweep_space(Scalar(), reference_space)
+        class MatrixKernel:
+            num_uops = model.num_uops
+
+            def predict_cycles_matrix(self, thetas):
+                return model.predict_cycles_matrix(thetas)
+
+        for predictor in (Scalar(), MatrixKernel()):
+            with pytest.raises(TypeError, match="Explorer.explore"):
+                sweep_space(predictor, reference_space)
 
     def test_bad_arguments_rejected(self, model, reference_space):
         with pytest.raises(ValueError, match="chunk_size"):
             sweep_space(model, reference_space, chunk_size=0)
-        with pytest.raises(ValueError, match="top_k"):
-            sweep_space(model, reference_space, top_k=0)
 
     def test_prune_keeps_front_reachable_points_only(self):
         indices = np.arange(4, dtype=np.int64)

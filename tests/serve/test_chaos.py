@@ -2,10 +2,11 @@
 
 Two failure families the serving layer must absorb:
 
-* **job failure** — a sweep job's model raises on its first chunk; the
-  job lands in ``failed`` with the error recorded, its front answers
-  409, ``serve.jobs_failed`` counts it, and the next identical job on
-  the same daemon completes with the front of an undisturbed daemon;
+* **job failure** — a sweep job's model raises as the sweep restricts
+  it; the job lands in ``failed`` with the error recorded, its front
+  answers 409, ``serve.jobs_failed`` counts it, and the next identical
+  job on the same daemon completes, through the sweep's block pricer,
+  with the front of an undisturbed daemon;
 * **client death** — a client disconnects mid-request (body never
   arrives) or mid-response (socket reset before the reply lands); the
   server counts the abort in ``/metrics`` and keeps serving.
@@ -56,9 +57,10 @@ def _submit_and_wait(port, payload, timeout=120.0):
 def test_failed_job_is_reported_and_the_daemon_recovers(
     tmp_path, monkeypatch, make_server
 ):
-    """Seeded plan: the first chunk the job prices raises.  The job
+    """Seeded plan: the first sweep the daemon runs raises.  The job
     fails visibly, and the next identical job on the same daemon
-    completes with the front an undisturbed daemon gives."""
+    completes with the front an undisturbed daemon gives, priced block
+    by block as an unwrapped model is."""
     clean = make_server()
     expected = _submit_and_wait(clean.port, JOB_PAYLOAD)
     assert expected["state"] == "done", expected
@@ -93,6 +95,8 @@ def test_failed_job_is_reported_and_the_daemon_recovers(
     assert front["num_meeting_target"] == (
         expected_front["num_meeting_target"]
     )
+    _status, metrics = request_json(server.port, "GET", "/metrics")
+    assert metrics["metrics"]["counters"]["sweep.blocks"] > 0
 
 
 def test_client_disconnect_mid_request_counts_abort(make_server):

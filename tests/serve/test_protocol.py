@@ -88,7 +88,6 @@ job_payloads = st.builds(
                 min_value=0.01, max_value=100.0,
                 allow_nan=False, allow_infinity=False,
             ),
-            "top_k": st.integers(min_value=1, max_value=1000),
         },
     ),
 )
@@ -118,6 +117,14 @@ def test_job_roundtrip(payload):
     again = JobRequest.from_dict(parsed.to_dict())
     assert again == parsed
     assert parsed.num_points >= 1
+
+
+def test_job_with_a_top_k_field_is_rejected():
+    with pytest.raises(ProtocolError, match="'top_k'") as exc:
+        JobRequest.from_dict(
+            {"workload": "gamess", "axes": {"L1D": [1]}, "top_k": 5}
+        )
+    assert exc.value.status == 400
 
 
 def test_job_chunk_size_defaults_to_the_sweep_default():

@@ -44,6 +44,28 @@ GOLDEN_V2 = DATA / "golden_trace_v2.npz"
 #: A format-2 model archive, the other kind of archive.
 GOLDEN_MODEL_V2 = DATA / "golden_model_v2.npz"
 
+#: Kinds of file that are no ``.npz`` archive (:func:`write_not_archive`).
+NOT_ARCHIVES = ("text", "empty", "truncated", "npy")
+
+
+def write_not_archive(path, kind, archive):
+    """Write a file at *path* that is no ``.npz`` archive: a text file,
+    an empty file, the first half of the *archive* file, or one ``.npy``
+    array."""
+    path = pathlib.Path(path)
+    if kind == "text":
+        path.write_text("# not an archive\n")
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "truncated":
+        data = pathlib.Path(archive).read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        with open(path, "wb") as stream:
+            np.save(stream, np.arange(3))
+    return path
+
+
 #: The exact recipe the committed golden archive was produced from.
 GOLDEN_SPEC = WorkloadSpec(
     name="golden-mixed",

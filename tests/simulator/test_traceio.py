@@ -13,6 +13,11 @@ from repro.simulator.traceio import (
     load_result,
     save_result,
 )
+from tests.simulator.test_trace_format import (
+    GOLDEN_V2,
+    NOT_ARCHIVES,
+    write_not_archive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +94,11 @@ def test_rejects_foreign_npz(tmp_path):
     np.savez(path, values=np.arange(3))
     with pytest.raises(TraceFormatError):
         load_result(path)
+
+
+@pytest.mark.parametrize("kind", NOT_ARCHIVES)
+def test_a_file_that_is_no_archive_is_a_format_error(tmp_path, kind):
+    path = write_not_archive(tmp_path / "trace.npz", kind, GOLDEN_V2)
+    with pytest.raises(TraceFormatError) as excinfo:
+        load_result(path)
+    assert str(excinfo.value) == f"{path} is not an .npz archive"

@@ -8,13 +8,32 @@ import pytest
 
 from repro import cli
 from repro.cli import EXIT_INTERRUPTED, main
-from tests.simulator.test_trace_format import GOLDEN_MODEL_V2, GOLDEN_V2
+from tests.simulator.test_trace_format import (
+    GOLDEN_MODEL_V2,
+    GOLDEN_V2,
+    NOT_ARCHIVES,
+    write_not_archive,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_process(*argv):
+    """``python -m repro`` with *argv* in a child process, from the
+    repository root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH", "")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
 
 
 class TestSimulate:
@@ -137,8 +156,8 @@ class TestFlagValidation:
 
 
 class TestArchiveErrors:
-    """A missing archive, or one of the other kind, ends the command
-    with one line naming the path."""
+    """A missing archive, one of the other kind, or a file that is no
+    archive at all ends the command with one line naming the path."""
 
     @pytest.mark.parametrize("missing", [True, False],
                              ids=["missing", "other-kind"])
@@ -160,20 +179,34 @@ class TestArchiveErrors:
 
     def test_exits_1_with_one_line(self, tmp_path):
         path = tmp_path / "absent.npz"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "dse", "sweep", "gamess",
-             "--model", str(path), "--axis", "L1D=1,2"],
-            capture_output=True, text=True, env=env, timeout=120,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        done = run_process(
+            "dse", "sweep", "gamess", "--model", str(path), "--axis",
+            "L1D=1,2",
         )
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
             f"cannot read {path}: No such file or directory"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, archive",
+        [
+            (["analyze", "gamess", "--from-trace"], GOLDEN_V2),
+            (["dse", "sweep", "gamess", "--axis", "L1D=1,2", "--model"],
+             GOLDEN_MODEL_V2),
+        ],
+        ids=["from-trace", "model"],
+    )
+    def test_a_file_that_is_no_archive_exits_1_with_one_line(
+        self, tmp_path, argv, archive
+    ):
+        for kind in NOT_ARCHIVES:
+            path = write_not_archive(tmp_path / f"{kind}.npz", kind, archive)
+            done = run_process(*argv, str(path))
+            assert done.returncode == 1
+            assert done.stderr.splitlines() == [
+                f"{path} is not an .npz archive"
+            ]
 
 
 class TestCompare:
@@ -415,7 +448,7 @@ class TestDseSweep:
             "--save", str(model_path))
         code, out = run(
             capsys, "dse", "sweep", "gamess", "--model", str(model_path),
-            "--axis", "L1D=1,2,4", "--top-k", "2",
+            "--axis", "L1D=1,2,4",
         )
         assert code == 0
         assert "loaded model" in out
