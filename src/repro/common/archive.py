@@ -1,4 +1,4 @@
-"""Writing ``.npz`` archives at a fixed, fast deflate level; opening them.
+"""Writing ``.npz`` archives at a fixed, fast deflate level; reading them.
 
 ``np.savez_compressed`` always deflates at zlib's default level (6),
 which made deflation most of the time a store spends writing an
@@ -6,14 +6,18 @@ analysis.  The trace and model archives are written here instead, with
 ``zipfile`` and ``np.lib.format.write_array`` at level 1: the same
 ``.npz`` container, so ``np.load`` reads it unchanged.  Both writers
 name their files by one rule, :func:`normalise_archive_path`, and both
-loaders open their files through :func:`open_npz`.
+loaders read their files through :func:`read_npz`, which reads every
+member in full under one guard: a file that is no archive, a member
+that does not inflate or parse, and a member that fails its CRC all end
+in the loader's own format error naming the file.
 """
 
 from __future__ import annotations
 
 import pathlib
 import zipfile
-from typing import Callable, Mapping, Union
+import zlib
+from typing import Callable, Dict, Mapping, Union
 
 import numpy as np
 
@@ -67,20 +71,35 @@ def save_npz(
     return path
 
 
-def open_npz(
+def read_npz(
     path: Union[str, pathlib.Path], error: Callable[[str], Exception]
-) -> np.lib.npyio.NpzFile:
-    """Open the ``.npz`` archive at *path* (use it in a ``with`` block).
+) -> Dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at *path*, read in full and
+    keyed by its name without ``.npy``.
+
+    Each member is read to its end, so its CRC is always checked.
 
     Raises:
         error: the loader's format error, naming *path*, when the file
-            is empty, truncated or no ``.npz`` archive at all.
+            is empty, truncated or no ``.npz`` archive at all, or when a
+            member does not inflate, fails its CRC or is no ``.npy``
+            array.
         OSError: the file cannot be read.
     """
+    members: Dict[str, np.ndarray] = {}
+    name = None
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        raise error(f"{path} is not an .npz archive") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise error(f"{path} is not an .npz archive")
-    return archive
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                with archive.open(name) as member:
+                    array = np.lib.format.read_array(
+                        member, allow_pickle=False
+                    )
+                    if member.read(1):
+                        raise ValueError("data after the array")
+                members[name.removesuffix(".npy")] = array
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        if name is None:
+            raise error(f"{path} is not an .npz archive") from None
+        raise error(f"{path}: member {name} is corrupt: {exc}") from None
+    return members

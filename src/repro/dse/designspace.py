@@ -24,18 +24,22 @@ class DesignSpace:
 
     Attributes:
         base: the design point supplying all unswept latencies.
-        axes: event -> tuple of candidate cycle counts, one axis per
-            event (``ValueError`` otherwise).
+        axes: event -> non-empty tuple of candidate cycle counts, one
+            axis per event (``ValueError`` otherwise).
     """
 
     base: LatencyConfig
     axes: Tuple[Tuple[EventType, Tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        events = [EventType(event) for event, _values in self.axes]
-        for index, event in enumerate(events):
-            if event in events[:index]:
+        seen = set()
+        for event, values in self.axes:
+            event = EventType(event)
+            if event in seen:
                 raise ValueError(f"{event.name} is swept on two axes")
+            if not values:
+                raise ValueError(f"empty axis for {event.name}")
+            seen.add(event)
 
     @classmethod
     def from_mapping(
@@ -53,9 +57,7 @@ class DesignSpace:
                     "events can be swept from a single simulation"
                 )
             candidates = tuple(sorted(set(int(v) for v in values)))
-            if not candidates:
-                raise ValueError(f"empty axis for {event.name}")
-            if candidates[0] < 0:
+            if candidates and candidates[0] < 0:
                 raise ValueError(f"negative latency on axis {event.name}")
             normalised.append((event, candidates))
         return cls(base=base, axes=tuple(normalised))

@@ -33,7 +33,7 @@ import pathlib
 import platform as _platform
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import clock
@@ -101,9 +101,6 @@ class Scenario:
             function run after each rep (may return ``None``).
         scales: per-tier scale knobs, e.g.
             ``{"full": {"macros": 2000}, "ci": {"macros": 300}}``.
-        env_overrides: knob name -> environment variable consulted
-            before the tier default (CI shrinks scenarios without code
-            edits).
         repeats / warmup: timed and throwaway rep counts.
         native_sensitive: scenario behaviour depends on the
             ``REPRO_NATIVE`` gate (recorded in the env fingerprint
@@ -117,25 +114,19 @@ class Scenario:
         "tuple[Callable[[], object], Callable[[], Optional[str]]]",
     ]
     scales: Dict[str, Dict[str, int]]
-    env_overrides: Dict[str, str] = field(default_factory=dict)
     repeats: int = 5
     warmup: int = 1
     native_sensitive: bool = False
 
     def resolve_scale(self, tier: str) -> Dict[str, int]:
-        """Tier defaults with any env overrides applied."""
+        """The scale knobs of *tier*."""
         try:
-            scale = dict(self.scales[tier])
+            return dict(self.scales[tier])
         except KeyError:
             raise KeyError(
                 f"scenario {self.name!r} has no {tier!r} tier "
                 f"(knows {sorted(self.scales)})"
             ) from None
-        for knob, env_name in self.env_overrides.items():
-            raw = os.environ.get(env_name)
-            if raw:
-                scale[knob] = int(raw)
-        return scale
 
 
 _REGISTRY: Dict[str, Scenario] = {}

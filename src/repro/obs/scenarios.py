@@ -14,7 +14,7 @@ imported by :mod:`repro.obs.bench` (via :func:`ensure_registered`), and
 
 Tier scales are sized for seconds-per-scenario on a development box
 ("full", the committed baselines) and sub-second gating on a PR runner
-("ci").  Most knobs are env-overridable (``REPRO_BENCH_*``).
+("ci").
 """
 
 from __future__ import annotations
@@ -334,7 +334,6 @@ def ensure_registered() -> None:
             title="full analysis pipeline, cold (simulate + graph + stacks)",
             recipe=_analyze_cold_recipe,
             scales={"full": {"macros": 600}, "ci": {"macros": 150}},
-            env_overrides={"macros": "REPRO_BENCH_ANALYZE_MACROS"},
         )
     )
     register(
@@ -343,7 +342,6 @@ def ensure_registered() -> None:
             title="full analysis pipeline, warm artifact cache",
             recipe=_analyze_warm_recipe,
             scales={"full": {"macros": 3000}, "ci": {"macros": 600}},
-            env_overrides={"macros": "REPRO_BENCH_ANALYZE_MACROS"},
         )
     )
     register(
@@ -354,10 +352,6 @@ def ensure_registered() -> None:
             scales={
                 "full": {"macros": 600, "jobs": 8},
                 "ci": {"macros": 150, "jobs": 2},
-            },
-            env_overrides={
-                "macros": "REPRO_BENCH_GENERATE_MACROS",
-                "jobs": "REPRO_BENCH_GENERATE_JOBS",
             },
         )
     )
@@ -378,7 +372,6 @@ def ensure_registered() -> None:
             title="timing simulation, compiled kernel (per design point)",
             recipe=_simulate_native_recipe,
             scales={"full": {"macros": 120000}, "ci": {"macros": 20000}},
-            env_overrides={"macros": "REPRO_BENCH_SIMULATE_MACROS"},
             native_sensitive=True,
         )
     )
@@ -388,7 +381,6 @@ def ensure_registered() -> None:
             title="timing simulation, Python loop (per design point)",
             recipe=_simulate_python_recipe,
             scales={"full": {"macros": 5000}, "ci": {"macros": 600}},
-            env_overrides={"macros": "REPRO_BENCH_SIMULATE_PY_MACROS"},
         )
     )
     register(
@@ -397,7 +389,6 @@ def ensure_registered() -> None:
             title="trace record materialisation + columnar rebuild",
             recipe=_trace_columns_recipe,
             scales={"full": {"macros": 30000}, "ci": {"macros": 5000}},
-            env_overrides={"macros": "REPRO_BENCH_COLUMNS_MACROS"},
             # Materialisation churns ~10^5 Python objects per rep, so
             # the minimum needs more reps to converge across processes.
             repeats=7,
@@ -421,11 +412,6 @@ def ensure_registered() -> None:
                     "concurrency": 2,
                 },
             },
-            env_overrides={
-                "workload_macros": "REPRO_BENCH_SERVE_MACROS",
-                "requests": "REPRO_BENCH_SERVE_REQUESTS",
-                "concurrency": "REPRO_BENCH_SERVE_CONCURRENCY",
-            },
         )
     )
     register(
@@ -437,6 +423,5 @@ def ensure_registered() -> None:
                 "full": {"macros": 300, "kpoints": 500, "chunk_size": 65536},
                 "ci": {"macros": 150, "kpoints": 20, "chunk_size": 4096},
             },
-            env_overrides={"kpoints": "REPRO_BENCH_SWEEP_KPOINTS"},
         )
     )

@@ -3,7 +3,8 @@
 An :func:`repro.dse.pipeline.analyze` run is fully determined by the
 workload stream, the microarchitecture configuration, the dependence
 graph builder options, the RpStacks reduction policy (plus segmentation)
-and the code version of the pipeline itself.  Hashing a canonical
+and the code version of the pipeline itself (:func:`code_version`: its
+epoch and the one trace and model archive format each loader reads).  Hashing a canonical
 encoding of exactly those inputs yields a key under which the run's
 artifacts (trace and model; the graph is rebuilt from the trace) can
 be stored and later reused — the
@@ -43,19 +44,16 @@ PIPELINE_EPOCH = 1
 def code_version() -> str:
     """Version token folded into every fingerprint.
 
-    Combines the pipeline epoch, the on-disk format compatibility floors
-    and the event taxonomy size.  The trace and model components are
-    each the *oldest readable* archive version, not the writer version:
-    bumping a writer while keeping the old reader (as the v1->v2->v3
-    trace and v2->v3 model transitions do) leaves existing cache entries
-    loadable, so they must keep their keys; dropping a reader raises the
-    floor and orphans (rather than mis-serves) the now-unreadable
-    entries.
+    Combines the pipeline epoch, the trace and model archive format
+    versions and the event taxonomy size.  Each loader reads exactly its
+    module's ``FORMAT_VERSION``, so a format bump changes every key: the
+    entries written in the old format are orphaned (and removed by
+    ``repro cache clear``) rather than mis-served.
     """
     return (
         f"epoch{PIPELINE_EPOCH}"
-        f"-trace{traceio.COMPAT_FORMAT_VERSION}"
-        f"-model{model_io.COMPAT_FORMAT_VERSION}"
+        f"-trace{traceio.FORMAT_VERSION}"
+        f"-model{model_io.FORMAT_VERSION}"
         f"-events{NUM_EVENTS}"
     )
 

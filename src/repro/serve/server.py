@@ -71,6 +71,12 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: Seconds an idle keep-alive connection may sit between requests.
+_IDLE_TIMEOUT = 120.0
+
+#: ``Retry-After`` seconds suggested on 429 responses.
+_RETRY_AFTER = 1
+
 #: Latency samples retained for the /metrics percentile summary.  A
 #: bounded deque, not an obs Histogram: the registry's histograms keep
 #: every raw observation, which a long-lived daemon cannot afford.
@@ -78,11 +84,7 @@ _LATENCY_WINDOW = 4096
 
 
 class _Backpressure(Exception):
-    """Raised when the heavy plane is full; carries the retry hint."""
-
-    def __init__(self, retry_after: int) -> None:
-        super().__init__("server busy")
-        self.retry_after = retry_after
+    """Raised when the heavy plane is full."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,12 +101,8 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     #: seconds in-flight work gets to finish after SIGTERM.
     drain_grace: float = 10.0
-    #: seconds an idle keep-alive connection may sit between requests.
-    idle_timeout: float = 120.0
     #: seconds allowed for reading one request's headers + body.
     read_timeout: float = 10.0
-    #: ``Retry-After`` seconds suggested on 429 responses.
-    retry_after: int = 1
 
 
 class ReproServer:
@@ -191,7 +189,7 @@ class ReproServer:
         limit = self.config.workers + self.config.queue_limit
         if self._admitted >= limit:
             self.obs.counter("serve.rejected").inc()
-            raise _Backpressure(self.config.retry_after)
+            raise _Backpressure()
         self._admitted += 1
 
     async def _run_heavy(self, fn, *args):
@@ -481,7 +479,7 @@ class ReproServer:
         while True:
             try:
                 request_line = await asyncio.wait_for(
-                    reader.readline(), self.config.idle_timeout
+                    reader.readline(), _IDLE_TIMEOUT
                 )
             except (asyncio.TimeoutError, TimeoutError):
                 return  # idle keep-alive expiry: not an abort
@@ -516,12 +514,12 @@ class ReproServer:
             )
         except ProtocolError as error:
             status, payload, extra = self._error_response(error)
-        except _Backpressure as error:
+        except _Backpressure:
             status = 429
             payload = {
                 "error": {"status": 429, "message": "server busy"}
             }
-            extra = {"Retry-After": str(error.retry_after)}
+            extra = {"Retry-After": str(_RETRY_AFTER)}
         except (
             asyncio.IncompleteReadError,
             asyncio.TimeoutError,

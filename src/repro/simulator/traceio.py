@@ -9,9 +9,9 @@ keeps in memory — so saving and loading are array copies with no
 per-µop Python encode/decode loops.  Its 36 columns are packed into one
 member per dtype (four today), in the order a ``layout`` list in the
 metadata gives, because opening a member and parsing its ``.npy``
-header cost a load more than inflating the bytes.  Version 2 archives
-(one member per column) and version 1 archives (per-row JSON ragged
-metadata) remain loadable bit-identically.
+header cost a load more than inflating the bytes.  This build reads
+version 3 and nothing else: an archive of any other version is a
+:class:`TraceFormatError` naming the file.
 
 Only the *baseline* configuration's structure/latency identity is
 stored, not Python objects, so archives are portable across sessions.
@@ -26,7 +26,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from repro.common.archive import open_npz, save_npz
+from repro.common.archive import read_npz, save_npz
 from repro.common.config import (
     CacheConfig,
     CoreConfig,
@@ -34,28 +34,17 @@ from repro.common.config import (
     MicroarchConfig,
     TLBConfig,
 )
-from repro.common.events import EventType
-from repro.isa.uop import MicroOp, OpClass, Workload, WorkloadColumns
-from repro.simulator.columns import (
-    TIMESTAMP_COLUMNS,
-    WITNESS_COLUMNS,
-    TraceColumns,
-)
-from repro.simulator.trace import SimResult, UopTrace
+from repro.isa.uop import Workload, WorkloadColumns
+from repro.simulator.columns import TraceColumns
+from repro.simulator.trace import SimResult
 
-#: Format written by :func:`save_result`.
+#: The one format :func:`save_result` writes and :func:`load_result`
+#: reads.  The artifact cache folds it into its fingerprint, so a bump
+#: orphans every cached trace rather than mis-serving it.
 FORMAT_VERSION = 3
 
-#: Oldest format :func:`load_result` still reads.  The artifact cache
-#: folds this (not the writer version) into its fingerprint, so bumping
-#: the writer does not orphan cache entries that remain readable.
-COMPAT_FORMAT_VERSION = 1
-
-_TIMESTAMP_FIELDS = TIMESTAMP_COLUMNS
-_WITNESS_FIELDS = WITNESS_COLUMNS
-
 #: TraceColumns attribute -> column key, saved/loaded verbatim.
-_V2_TRACE_KEYS = (
+_TRACE_KEYS = (
     ("dtlb_miss", "rec_dtlb_miss"),
     ("mispredicted", "rec_mispredicted"),
     ("store_barrier", "rec_store_barrier"),
@@ -82,7 +71,7 @@ _V2_TRACE_KEYS = (
 )
 
 #: WorkloadColumns attribute -> column key.
-_V2_UOP_KEYS = (
+_UOP_KEYS = (
     ("macro_id", "uop_macro_id"),
     ("som", "uop_som"),
     ("eom", "uop_eom"),
@@ -101,10 +90,6 @@ _V2_UOP_KEYS = (
 
 class TraceFormatError(ValueError):
     """Raised when a file is not a compatible trace archive."""
-
-
-def _decode_charge(data) -> tuple:
-    return tuple((EventType(event), units) for event, units in data)
 
 
 def _decode_param_value(value):
@@ -132,8 +117,8 @@ def save_result(
     trace_cols = result.columns
 
     columns = [
-        (key, getattr(uop_cols, attr)) for attr, key in _V2_UOP_KEYS
-    ] + [(key, getattr(trace_cols, attr)) for attr, key in _V2_TRACE_KEYS]
+        (key, getattr(uop_cols, attr)) for attr, key in _UOP_KEYS
+    ] + [(key, getattr(trace_cols, attr)) for attr, key in _TRACE_KEYS]
     blocks: Dict[str, List[np.ndarray]] = {}
     layout = []
     for key, column in columns:
@@ -163,8 +148,8 @@ def result_digest(result: SimResult) -> str:
     and configurations are all value-identical — the oracle the
     native/Python differential and the determinism tests compare.  The
     digest is independent of *how* the result was produced (compiled or
-    pure-Python path, fresh or loaded from either archive format,
-    in-process or worker pool): it hashes the canonical byte encoding of
+    pure-Python path, fresh or loaded from an archive, in-process or
+    worker pool): it hashes the canonical byte encoding of
     the column arrays, and equal values yield equal bytes by
     construction.
     """
@@ -191,66 +176,47 @@ def result_digest(result: SimResult) -> str:
 
 
 def load_result(path: Union[str, pathlib.Path]) -> SimResult:
-    """Load an archive written by :func:`save_result` (any readable
-    format version — see :data:`COMPAT_FORMAT_VERSION`).
+    """Load an archive written by :func:`save_result`.
 
     Raises:
         TraceFormatError: naming the file, when it is no trace archive
-            of a readable version (a model archive, say, or no ``.npz``
+            of version :data:`FORMAT_VERSION` (a model archive, an
+            archive of another version, a corrupt one, or no ``.npz``
             archive at all).
     """
     path = pathlib.Path(path)
-    with open_npz(path, TraceFormatError) as archive:
-        if "meta_json" not in archive:
-            raise TraceFormatError(f"{path} is not a trace archive")
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        version = meta.get("format_version")
-        if version == 1:
-            loader = _load_v1
-        elif version in (2, 3):
-            loader = _load_v2
-        else:
-            raise TraceFormatError(
-                f"{path}: unsupported trace format version {version} "
-                f"(this build reads versions "
-                f"{COMPAT_FORMAT_VERSION}..{FORMAT_VERSION})"
-            )
-        # Format-version observability: how often each archive format
-        # still loads.
-        from repro.obs.observer import get_observer
-
-        get_observer().counter(f"traceio.loads.v{version}").inc()
-        if version == 3:
-            if "layout" not in meta:
-                raise TraceFormatError(f"{path} has no trace layout")
-            columns = _unpack_v3(path, meta["layout"], archive)
-        else:
-            columns = {
-                key: archive[key]
-                for key in archive.files
-                if key.startswith(("uop_", "rec_"))
-            }
-    uop = {k[4:]: v for k, v in columns.items() if k.startswith("uop_")}
-    rec = {k[4:]: v for k, v in columns.items() if k.startswith("rec_")}
+    members = read_npz(path, TraceFormatError)
+    if "meta_json" not in members:
+        raise TraceFormatError(f"{path} is not a trace archive")
+    meta = json.loads(bytes(members["meta_json"]).decode("utf-8"))
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"{path}: trace format version {version}; "
+            f"this build reads version {FORMAT_VERSION}"
+        )
+    if "layout" not in meta:
+        raise TraceFormatError(f"{path} has no trace layout")
+    columns = _unpack(path, meta["layout"], members)
     try:
-        return loader(meta, uop, rec)
+        return _result(meta, columns)
     except KeyError as missing:
         raise TraceFormatError(
             f"{path} is not a trace archive: it has no {missing}"
         ) from None
 
 
-def _unpack_v3(path, layout, archive) -> Dict[str, np.ndarray]:
-    """Slice format 3's per-dtype blocks back into named columns (views
-    of the blocks, in ``layout`` order)."""
+def _unpack(path, layout, members) -> Dict[str, np.ndarray]:
+    """Slice the per-dtype blocks back into named columns (views of the
+    blocks, in ``layout`` order)."""
     blocks: Dict[str, np.ndarray] = {}
     ends: Dict[str, int] = {}
     columns = {}
     for key, dtype, length in layout:
         if dtype not in blocks:
-            if dtype not in archive:
+            if dtype not in members:
                 raise TraceFormatError(f"{path}: block {dtype} is missing")
-            blocks[dtype] = archive[dtype]
+            blocks[dtype] = members[dtype]
         start = ends.get(dtype, 0)
         ends[dtype] = start + length
         columns[key] = blocks[dtype][start:ends[dtype]]
@@ -262,86 +228,27 @@ def _unpack_v3(path, layout, archive) -> Dict[str, np.ndarray]:
     return columns
 
 
-def _meta_workload_params(meta) -> tuple:
-    return tuple(
-        (k, _decode_param_value(v)) for k, v in meta["workload_params"]
-    )
-
-
-def _load_v2(meta, uop, rec) -> SimResult:
-    """Columnar archive: adopt the arrays as the workload's columns."""
+def _result(meta, columns) -> SimResult:
+    """Adopt the archive's columns as the run's workload and trace."""
     uop_cols = WorkloadColumns(
-        n=len(uop["macro_id"]), **{attr: uop[key[4:]] for attr, key in _V2_UOP_KEYS}
+        n=len(columns["uop_macro_id"]),
+        **{attr: columns[key] for attr, key in _UOP_KEYS},
     )
     workload = Workload.from_columns(
-        meta["workload_name"], uop_cols, _meta_workload_params(meta)
+        meta["workload_name"],
+        uop_cols,
+        tuple(
+            (k, _decode_param_value(v)) for k, v in meta["workload_params"]
+        ),
     )
     columns = TraceColumns(
-        n=uop_cols.n, **{attr: rec[key[4:]] for attr, key in _V2_TRACE_KEYS}
+        n=uop_cols.n, **{attr: columns[key] for attr, key in _TRACE_KEYS}
     )
     return SimResult(
         workload=workload,
         config=config_from_dict(meta["config"]),
         cycles=int(meta["cycles"]),
         columns=columns,
-        stats=dict(meta["stats"]),
-    )
-
-
-def _load_v1(meta, uop, rec) -> SimResult:
-    """Legacy row-oriented archive (per-µop JSON ragged metadata)."""
-    ragged = meta["ragged"]
-    n = len(uop["macro_id"])
-    uops = []
-    for i in range(n):
-        mem_addr = int(uop["mem_addr"][i])
-        dst = int(uop["dst_reg"][i])
-        uops.append(
-            MicroOp(
-                seq=i,
-                macro_id=int(uop["macro_id"][i]),
-                som=bool(uop["som"][i]),
-                eom=bool(uop["eom"][i]),
-                opclass=OpClass(int(uop["opclass"][i])),
-                pc=int(uop["pc"][i]),
-                src_regs=tuple(ragged["src_regs"][i]),
-                dst_reg=None if dst < 0 else dst,
-                mem_addr=None if mem_addr < 0 else mem_addr,
-                addr_src_regs=tuple(ragged["addr_src_regs"][i]),
-                taken=bool(uop["taken"][i]),
-                target_pc=(
-                    None
-                    if int(uop["target_pc"][i]) < 0
-                    else int(uop["target_pc"][i])
-                ),
-            )
-        )
-    workload = Workload(
-        name=meta["workload_name"],
-        uops=tuple(uops),
-        params=_meta_workload_params(meta),
-    )
-
-    records = []
-    for i in range(n):
-        record = UopTrace(
-            seq=i,
-            exec_charge=_decode_charge(ragged["exec_charge"][i]),
-            fetch_charge=_decode_charge(ragged["fetch_charge"][i]),
-            dtlb_miss=bool(rec["dtlb_miss"][i]),
-            mispredicted=bool(rec["mispredicted"][i]),
-            data_producers=tuple(ragged["data_producers"][i]),
-            addr_producers=tuple(ragged["addr_producers"][i]),
-        )
-        for field in _WITNESS_FIELDS + _TIMESTAMP_FIELDS:
-            setattr(record, field, int(rec[field][i]))
-        records.append(record)
-
-    return SimResult(
-        workload=workload,
-        config=config_from_dict(meta["config"]),
-        cycles=int(meta["cycles"]),
-        columns=TraceColumns.from_records(records),
         stats=dict(meta["stats"]),
     )
 
@@ -372,11 +279,7 @@ def config_to_dict(config: MicroarchConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> MicroarchConfig:
-    """Inverse of :func:`config_to_dict`.
-
-    Archives written before the prefetcher field existed default it to
-    ``"none"``, which is what they were simulated with.
-    """
+    """Inverse of :func:`config_to_dict`."""
     return MicroarchConfig(
         core=CoreConfig(**data["core"]),
         l1i=CacheConfig(*data["l1i"]),
@@ -385,5 +288,5 @@ def config_from_dict(data: dict) -> MicroarchConfig:
         itlb=TLBConfig(*data["itlb"]),
         dtlb=TLBConfig(*data["dtlb"]),
         latency=LatencyConfig(tuple(data["latency"])),
-        prefetcher=data.get("prefetcher", "none"),
+        prefetcher=data["prefetcher"],
     )

@@ -1,7 +1,6 @@
 """Model serialisation round-trip tests."""
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -14,19 +13,17 @@ from repro.core.model import RpStacksModel
 from repro.graphmodel.builder import build_graph
 from repro.simulator.core import simulate
 from repro.workloads.generator import generate
-from tests.simulator.test_trace_format import (
-    GOLDEN_SEED,
-    GOLDEN_SPEC,
-    GOLDEN_V1,
-    GOLDEN_V2,
+from tests.common.test_archive import (
     NOT_ARCHIVES,
+    flip_member,
+    rewrite_meta,
     write_not_archive,
 )
-
-#: Written by the format-2 writer: the model of GOLDEN_SPEC at
-#: GOLDEN_SEED, at segment length 40 (four segments).
-GOLDEN_MODEL_V2 = (
-    pathlib.Path(__file__).parent.parent / "data" / "golden_model_v2.npz"
+from tests.simulator.test_trace_format import (
+    GOLDEN_MODEL,
+    GOLDEN_SEED,
+    GOLDEN_SPEC,
+    GOLDEN_TRACE,
 )
 
 
@@ -85,17 +82,48 @@ def test_rejects_non_model_npz(tmp_path):
 
 @pytest.mark.parametrize("kind", NOT_ARCHIVES)
 def test_a_file_that_is_no_archive_is_a_format_error(tmp_path, kind):
-    path = write_not_archive(tmp_path / "m.npz", kind, GOLDEN_MODEL_V2)
+    path = write_not_archive(tmp_path / "m.npz", kind, GOLDEN_MODEL)
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(path)
     assert str(excinfo.value) == f"{path} is not an .npz archive"
 
 
-@pytest.mark.parametrize("trace", [GOLDEN_V1, GOLDEN_V2], ids=["v1", "v2"])
-def test_golden_trace_is_not_a_model(trace):
+def test_a_flipped_member_is_a_format_error(tmp_path):
+    path = flip_member(GOLDEN_MODEL, tmp_path / "flipped.npz", "stacks")
     with pytest.raises(ModelFormatError) as excinfo:
-        load_model(trace)
-    assert str(trace) in str(excinfo.value)
+        load_model(path)
+    assert str(excinfo.value).startswith(
+        f"{path}: member stacks.npy is corrupt: "
+    )
+
+
+@pytest.mark.parametrize("version", [1, 2, 99])
+def test_another_version_names_file_and_version(tmp_path, version):
+    path = rewrite_meta(
+        GOLDEN_MODEL, tmp_path / "other.npz", format_version=version
+    )
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == (
+        f"{path}: model format version {version}; "
+        "this build reads version 3"
+    )
+
+
+@pytest.mark.parametrize("key", ["num_uops", "segment_sizes"])
+def test_missing_metadata_names_file_and_key(tmp_path, key):
+    path = rewrite_meta(GOLDEN_MODEL, tmp_path / "m.npz", drop=(key,))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == (
+        f"{path} is not an RpStacks model file: it has no '{key}'"
+    )
+
+
+def test_golden_trace_is_not_a_model():
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(GOLDEN_TRACE)
+    assert str(GOLDEN_TRACE) in str(excinfo.value)
 
 
 def test_rejects_tampered_event_count(model, tmp_path):
@@ -157,9 +185,9 @@ def test_writer_packs_segments_into_one_member(model, tmp_path):
     assert _format_version(path) == 3
 
 
-def test_golden_v2_model_loads_and_resaves_bit_identically(tmp_path):
-    assert _format_version(GOLDEN_MODEL_V2) == 2
-    golden = load_model(GOLDEN_MODEL_V2)
+def test_golden_model_matches_fresh_generation():
+    assert _format_version(GOLDEN_MODEL) == 3
+    golden = load_model(GOLDEN_MODEL)
     result = simulate(
         generate(GOLDEN_SPEC, seed=GOLDEN_SEED), baseline_config(),
         native=False,
@@ -171,11 +199,3 @@ def test_golden_v2_model_loads_and_resaves_bit_identically(tmp_path):
     assert golden.content_digest() == fresh.content_digest()
     assert golden.baseline == fresh.baseline
     assert golden.num_uops == fresh.num_uops
-
-    resaved = save_model(golden, tmp_path / "v3")
-    assert _format_version(resaved) == 3
-    upgraded = load_model(resaved)
-    assert upgraded.content_digest() == golden.content_digest()
-    assert upgraded.baseline == golden.baseline
-    assert upgraded.num_uops == golden.num_uops
-    assert upgraded.stats == golden.stats

@@ -151,17 +151,6 @@ class TestEnumeration:
             expected[:, column] = space.point_at(index).as_vector()
         assert space.theta_matrix(lo, hi).tobytes() == expected.tobytes()
 
-    def test_a_space_with_an_empty_axis_has_an_empty_chunk(self):
-        space = DesignSpace(
-            base=LatencyConfig(),
-            axes=((EventType.L1D, (1, 2)), (EventType.LD, ())),
-        )
-        assert space.num_points == 0
-        assert space.theta_matrix(0, 0).shape == (NUM_EVENTS, 0)
-        assert _exact_costs(
-            _cost_terms(space), np.arange(0)
-        ).shape == (0,)
-
 
 class TestCostTables:
     @pytest.mark.parametrize("lo, hi", SPLIT_BOUNDS + ((0, 240),))

@@ -47,6 +47,13 @@ def test_empty_axis_rejected():
         space(L1D=[])
 
 
+def test_a_directly_built_space_rejects_an_empty_axis():
+    """The check sits in the constructor, so no sweep ever sees a space
+    of no points."""
+    with pytest.raises(ValueError, match="^empty axis for L1D$"):
+        DesignSpace(LatencyConfig(), ((EventType.L1D, ()),))
+
+
 def test_negative_latency_rejected():
     with pytest.raises(ValueError, match="negative"):
         space(L1D=[-1, 2])

@@ -90,13 +90,6 @@ class TestRegistry:
             scenario = get_scenario(name)
             assert set(scenario.scales) == {"full", "ci"}, name
 
-    def test_env_override_wins(self, monkeypatch):
-        scenario = get_scenario("analyze_cold")
-        monkeypatch.setenv("REPRO_BENCH_ANALYZE_MACROS", "123")
-        assert scenario.resolve_scale("ci")["macros"] == 123
-        monkeypatch.delenv("REPRO_BENCH_ANALYZE_MACROS")
-        assert scenario.resolve_scale("ci")["macros"] != 123
-
 
 class TestRunScenario:
     def test_protocol_produces_a_complete_record(self):
@@ -148,7 +141,8 @@ class TestRunScenario:
 @pytest.fixture
 def fast_bench_env(monkeypatch):
     """Shrink the cheapest real scenario so CLI tests stay quick."""
-    monkeypatch.setenv("REPRO_BENCH_SIMULATE_PY_MACROS", "80")
+    scales = get_scenario("simulate_python").scales
+    monkeypatch.setitem(scales, "ci", {**scales["ci"], "macros": 80})
 
 
 class TestBenchCli:

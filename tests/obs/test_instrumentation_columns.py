@@ -1,14 +1,11 @@
 """Observability of the columnar paths: spans and counters added so the
-record-materialisation tax and format-version mix stay visible."""
-
-import pathlib
+record-materialisation tax stays visible."""
 
 import pytest
 
 from repro.graphmodel.builder import build_graph
 from repro.obs.observer import Observer, use_observer
 from repro.simulator.machine import Machine
-from repro.simulator.traceio import load_result, save_result
 from repro.workloads.suite import make_workload
 
 
@@ -34,23 +31,6 @@ def test_graph_build_emits_columns_span():
         build_graph(result)
     totals = obs.tracer.totals_by_name()
     assert "graph.build" in totals
-
-
-def test_traceio_load_counts_format_version(tmp_path):
-    result = _result()
-    path = tmp_path / "trace.npz"
-    save_result(result, path)
-    golden_v2 = (
-        pathlib.Path(__file__).parent.parent / "data" / "golden_trace_v2.npz"
-    )
-    obs = Observer(enabled=True)
-    with use_observer(obs):
-        load_result(path)
-        load_result(path)
-        load_result(golden_v2)
-    assert obs.metrics.counter_value("traceio.loads.v3") == 2
-    assert obs.metrics.counter_value("traceio.loads.v2") == 1
-    assert obs.metrics.counter_value("traceio.loads.v1") == 0
 
 
 def test_disabled_observer_keeps_paths_silent():

@@ -21,6 +21,7 @@ from repro.core.reduction import ReductionPolicy
 from repro.graphmodel.builder import BuilderOptions, build_graph
 from repro.runtime.fingerprint import (
     analysis_fingerprint,
+    code_version,
     workload_fingerprint,
 )
 from repro.workloads.generator import WorkloadSpec, generate
@@ -162,22 +163,22 @@ def test_structure_domain_changes_key(fp_workload):
     )
 
 
-def test_model_writer_bump_keeps_keys_reader_floor_changes_them(
-    fp_workload, monkeypatch
-):
-    """Keys fold in the oldest readable model format, not the writer's:
-    a new writer leaves readable entries their keys, while dropping a
-    reader orphans the entries it can no longer read."""
-    from repro.core import io as model_io
+def test_code_version_names_the_archive_formats():
+    assert "-trace3-model3-" in code_version()
 
+
+@pytest.mark.parametrize("module", ["trace", "model"])
+def test_a_format_bump_changes_keys(fp_workload, monkeypatch, module):
+    """Each loader reads only its module's format, so a bump orphans
+    every entry written in the old one."""
+    from repro.core import io as model_io
+    from repro.simulator import traceio
+
+    archive_io = traceio if module == "trace" else model_io
     config = baseline_config()
     base = analysis_fingerprint(fp_workload, config)
     monkeypatch.setattr(
-        model_io, "FORMAT_VERSION", model_io.FORMAT_VERSION + 1
-    )
-    assert analysis_fingerprint(fp_workload, config) == base
-    monkeypatch.setattr(
-        model_io, "COMPAT_FORMAT_VERSION", model_io.COMPAT_FORMAT_VERSION + 1
+        archive_io, "FORMAT_VERSION", archive_io.FORMAT_VERSION + 1
     )
     assert analysis_fingerprint(fp_workload, config) != base
 

@@ -6,7 +6,7 @@ lazy materialisation of columns) must be *indistinguishable* end to
 end: byte-identical ``result_digest``, identical dependence graphs out
 of ``build_graph``, and bit-identical RpStacks predictions — across
 the whole workload suite, every stress kernel, and both the in-memory
-and the archive-round-trip (v2 columnar load) representations.
+and the archive-round-trip (columnar load) representations.
 
 CI runs this module under both ``REPRO_NATIVE`` settings; the explicit
 ``native=True/False`` arguments here pin the two sides of each
@@ -80,7 +80,7 @@ def _assert_full_parity(workload, config, tmp_path) -> None:
             probe
         )
 
-    # 4. The archive round-trip (v2 columnar load path) changes nothing.
+    # 4. The archive round-trip (columnar load path) changes nothing.
     loaded = load_result(save_result(columnar, tmp_path / "parity.npz"))
     assert result_digest(loaded) == result_digest(records)
     assert _graphs_identical(build_graph(loaded), graph_r)

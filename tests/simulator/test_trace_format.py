@@ -1,18 +1,18 @@
-"""Trace archive format: path normalisation, version compat, goldens.
+"""Trace archive format: path normalisation, the one format, goldens.
 
 Three historical bugs are pinned here:
 
 * ``save_result`` used to append ``.npz`` blindly, so ``trace.dat``
   landed on disk as ``trace.dat.npz`` and ``trace.npz.gz`` as
   ``trace.npz.gz.npz`` — callers then failed to find their own files.
-* ``load_result`` hard-rejected any ``format_version != 1`` with an
-  error that did not name the offending file or say which versions the
-  build could read.
-* The v1->v2 columnar rewrite must not orphan existing archives: a
-  committed v1 golden archive has to keep loading bit-identically
-  (same records, same digest as a fresh simulation of its recipe).
-  The v2->v3 packing of columns into per-dtype blocks keeps a committed
-  v2 golden archive loading the same way.
+* ``load_result`` hard-rejected any other ``format_version`` with an
+  error that did not name the offending file or say which version the
+  build reads.
+* Every layout rewrite must keep the committed golden archive's
+  meaning: ``golden_trace.npz`` (format 3) loads to the same records
+  and the same digest as a fresh simulation of its recipe.  It was
+  re-encoded from the format-2 golden, whose digest equalled the
+  format-1 golden's, so the same run has been pinned since format 1.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ import pytest
 
 from repro.common.archive import normalise_archive_path
 from repro.common.config import baseline_config
-from repro.core.io import load_model, save_model
 from repro.simulator.core import simulate
 from repro.simulator.traceio import (
-    COMPAT_FORMAT_VERSION,
     FORMAT_VERSION,
     TraceFormatError,
     load_result,
@@ -36,34 +34,14 @@ from repro.simulator.traceio import (
     save_result,
 )
 from repro.workloads.generator import WorkloadSpec, generate
+from tests.common.test_archive import flip_member, rewrite_meta
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
-GOLDEN_V1 = DATA / "golden_trace_v1.npz"
-#: Written by the format-2 writer from GOLDEN_SPEC and GOLDEN_SEED.
-GOLDEN_V2 = DATA / "golden_trace_v2.npz"
-#: A format-2 model archive, the other kind of archive.
-GOLDEN_MODEL_V2 = DATA / "golden_model_v2.npz"
-
-#: Kinds of file that are no ``.npz`` archive (:func:`write_not_archive`).
-NOT_ARCHIVES = ("text", "empty", "truncated", "npy")
-
-
-def write_not_archive(path, kind, archive):
-    """Write a file at *path* that is no ``.npz`` archive: a text file,
-    an empty file, the first half of the *archive* file, or one ``.npy``
-    array."""
-    path = pathlib.Path(path)
-    if kind == "text":
-        path.write_text("# not an archive\n")
-    elif kind == "empty":
-        path.write_bytes(b"")
-    elif kind == "truncated":
-        data = pathlib.Path(archive).read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-    else:
-        with open(path, "wb") as stream:
-            np.save(stream, np.arange(3))
-    return path
+#: Format 3, the run of GOLDEN_SPEC at GOLDEN_SEED.
+GOLDEN_TRACE = DATA / "golden_trace.npz"
+#: Format 3, the model of GOLDEN_TRACE's run at segment length 40 (four
+#: segments): the other kind of archive.
+GOLDEN_MODEL = DATA / "golden_model.npz"
 
 
 #: The exact recipe the committed golden archive was produced from.
@@ -115,7 +93,7 @@ class TestPathNormalisation:
         assert not (tmp_path / "trace.dat.npz").exists()
 
 
-class TestVersionCompat:
+class TestFormatVersion:
     def test_writer_is_v3(self, tiny_result, tmp_path):
         path = save_result(tiny_result, tmp_path / "trace.npz")
         with np.load(path) as archive:
@@ -126,19 +104,17 @@ class TestVersionCompat:
         assert members == ["bool", "int16", "int32", "int64", "meta_json"]
         assert len(meta["layout"]) == 36
 
-    def test_compat_floor_is_v1(self):
-        assert COMPAT_FORMAT_VERSION == 1
-
-    def test_unsupported_version_names_file_and_range(self, tmp_path):
-        path = tmp_path / "future.npz"
-        meta = json.dumps({"format_version": 99}).encode("utf-8")
-        np.savez(path, meta_json=np.frombuffer(meta, dtype=np.uint8))
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_another_version_names_file_and_version(self, tmp_path, version):
+        path = rewrite_meta(
+            GOLDEN_TRACE, tmp_path / "other.npz", format_version=version
+        )
         with pytest.raises(TraceFormatError) as excinfo:
             load_result(path)
-        message = str(excinfo.value)
-        assert str(path) in message
-        assert "99" in message
-        assert f"{COMPAT_FORMAT_VERSION}..{FORMAT_VERSION}" in message
+        assert str(excinfo.value) == (
+            f"{path}: trace format version {version}; "
+            "this build reads version 3"
+        )
 
     def test_foreign_npz_names_file(self, tmp_path):
         path = tmp_path / "foreign.npz"
@@ -153,15 +129,9 @@ class TestOtherArchives:
     file."""
 
     def test_golden_model_is_not_a_trace(self):
-        with pytest.raises(TraceFormatError) as excinfo:
-            load_result(GOLDEN_MODEL_V2)
-        assert str(GOLDEN_MODEL_V2) in str(excinfo.value)
-
-    def test_format_3_model_is_not_a_trace(self, tmp_path):
-        path = save_model(load_model(GOLDEN_MODEL_V2), tmp_path / "m")
         with pytest.raises(TraceFormatError, match="layout") as excinfo:
-            load_result(path)
-        assert str(path) in str(excinfo.value)
+            load_result(GOLDEN_MODEL)
+        assert str(GOLDEN_MODEL) in str(excinfo.value)
 
     def test_missing_block_names_file(self, tiny_result, tmp_path):
         path = save_result(tiny_result, tmp_path / "trace")
@@ -174,14 +144,23 @@ class TestOtherArchives:
             load_result(path)
         assert str(path) in str(excinfo.value)
 
+    def test_a_flipped_member_names_file_and_member(self, tmp_path):
+        path = flip_member(GOLDEN_TRACE, tmp_path / "flipped.npz", "int64")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_result(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: member int64.npy is corrupt: "
+        )
 
-class TestGoldenV1:
-    """The committed pre-columnar archive keeps loading bit-identically."""
+
+class TestGolden:
+    """The committed archive loads to the run a fresh simulation of its
+    recipe produces."""
 
     @pytest.fixture(scope="class")
     def golden(self):
-        assert GOLDEN_V1.exists(), "committed golden archive missing"
-        return load_result(GOLDEN_V1)
+        assert GOLDEN_TRACE.exists(), "committed golden archive missing"
+        return load_result(GOLDEN_TRACE)
 
     @pytest.fixture(scope="class")
     def fresh(self):
@@ -199,40 +178,3 @@ class TestGoldenV1:
     def test_records_match_fresh_simulation(self, golden, fresh):
         assert golden.workload == fresh.workload
         assert golden.uops == fresh.uops
-
-    def test_resave_upgrades_to_v2_bit_identically(
-        self, golden, tmp_path
-    ):
-        upgraded = load_result(save_result(golden, tmp_path / "v2"))
-        assert upgraded.uops == golden.uops
-        assert result_digest(upgraded) == result_digest(golden)
-
-
-def _fresh_golden():
-    workload = generate(GOLDEN_SPEC, seed=GOLDEN_SEED)
-    return simulate(workload, baseline_config(), native=False)
-
-
-class TestGoldenV2:
-    """The committed one-member-per-column archive keeps loading
-    bit-identically and re-saves to format 3 bit-identically."""
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        assert GOLDEN_V2.exists(), "committed golden archive missing"
-        with np.load(GOLDEN_V2) as archive:
-            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        assert meta["format_version"] == 2
-        return load_result(GOLDEN_V2)
-
-    def test_digest_matches_fresh_simulation(self, golden):
-        assert result_digest(golden) == result_digest(_fresh_golden())
-
-    def test_resave_upgrades_to_v3_bit_identically(self, golden, tmp_path):
-        path = save_result(golden, tmp_path / "v3")
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        assert meta["format_version"] == 3
-        upgraded = load_result(path)
-        assert result_digest(upgraded) == result_digest(golden)
-        assert upgraded.uops == golden.uops

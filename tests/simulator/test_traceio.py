@@ -13,11 +13,8 @@ from repro.simulator.traceio import (
     load_result,
     save_result,
 )
-from tests.simulator.test_trace_format import (
-    GOLDEN_V2,
-    NOT_ARCHIVES,
-    write_not_archive,
-)
+from tests.common.test_archive import NOT_ARCHIVES, write_not_archive
+from tests.simulator.test_trace_format import GOLDEN_TRACE
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +95,7 @@ def test_rejects_foreign_npz(tmp_path):
 
 @pytest.mark.parametrize("kind", NOT_ARCHIVES)
 def test_a_file_that_is_no_archive_is_a_format_error(tmp_path, kind):
-    path = write_not_archive(tmp_path / "trace.npz", kind, GOLDEN_V2)
+    path = write_not_archive(tmp_path / "trace.npz", kind, GOLDEN_TRACE)
     with pytest.raises(TraceFormatError) as excinfo:
         load_result(path)
     assert str(excinfo.value) == f"{path} is not an .npz archive"

@@ -8,12 +8,13 @@ import pytest
 
 from repro import cli
 from repro.cli import EXIT_INTERRUPTED, main
-from tests.simulator.test_trace_format import (
-    GOLDEN_MODEL_V2,
-    GOLDEN_V2,
+from tests.common.test_archive import (
     NOT_ARCHIVES,
+    flip_member,
+    rewrite_meta,
     write_not_archive,
 )
+from tests.simulator.test_trace_format import GOLDEN_MODEL, GOLDEN_TRACE
 
 
 def run(capsys, *argv):
@@ -164,9 +165,9 @@ class TestArchiveErrors:
     @pytest.mark.parametrize(
         "argv, other",
         [
-            (["analyze", "gamess", "--from-trace"], GOLDEN_MODEL_V2),
+            (["analyze", "gamess", "--from-trace"], GOLDEN_MODEL),
             (["dse", "sweep", "gamess", "--axis", "L1D=1,2", "--model"],
-             GOLDEN_V2),
+             GOLDEN_TRACE),
         ],
         ids=["from-trace", "model"],
     )
@@ -189,24 +190,38 @@ class TestArchiveErrors:
         ]
 
     @pytest.mark.parametrize(
-        "argv, archive",
+        "argv, archive, member",
         [
-            (["analyze", "gamess", "--from-trace"], GOLDEN_V2),
+            (["analyze", "gamess", "--from-trace"], GOLDEN_TRACE, "int64"),
             (["dse", "sweep", "gamess", "--axis", "L1D=1,2", "--model"],
-             GOLDEN_MODEL_V2),
+             GOLDEN_MODEL, "stacks"),
         ],
         ids=["from-trace", "model"],
     )
-    def test_a_file_that_is_no_archive_exits_1_with_one_line(
-        self, tmp_path, argv, archive
+    def test_a_bad_archive_exits_1_with_one_line(
+        self, tmp_path, argv, archive, member
     ):
-        for kind in NOT_ARCHIVES:
-            path = write_not_archive(tmp_path / f"{kind}.npz", kind, archive)
+        """A file that is no archive, one with a flipped member, and one
+        of format 2 each end the command in one line naming the path."""
+        kind = "trace" if archive == GOLDEN_TRACE else "model"
+        cases = [
+            (write_not_archive(tmp_path / f"{name}.npz", name, archive),
+             " is not an .npz archive")
+            for name in NOT_ARCHIVES
+        ]
+        cases.append((
+            flip_member(archive, tmp_path / "flipped.npz", member),
+            f": member {member}.npy is corrupt: ",
+        ))
+        cases.append((
+            rewrite_meta(archive, tmp_path / "v2.npz", format_version=2),
+            f": {kind} format version 2; this build reads version 3",
+        ))
+        for path, text in cases:
             done = run_process(*argv, str(path))
             assert done.returncode == 1
-            assert done.stderr.splitlines() == [
-                f"{path} is not an .npz archive"
-            ]
+            [line] = done.stderr.splitlines()
+            assert line.startswith(f"{path}{text}")
 
 
 class TestCompare:
