@@ -4,12 +4,12 @@ An :func:`repro.dse.pipeline.analyze` run is fully determined by the
 workload stream, the microarchitecture configuration, the dependence
 graph builder options, the RpStacks reduction policy (plus segmentation)
 and the code version of the pipeline itself (:func:`code_version`: its
-epoch and the one trace and model archive format each loader reads).  Hashing a canonical
-encoding of exactly those inputs yields a key under which the run's
-artifacts (trace and model; the graph is rebuilt from the trace) can
-be stored and later reused — the
-same cache-the-expensive-front-end pattern LightningSimV2 applies to
-RTL simulation.
+epoch and the one trace and model archive format each loader reads).
+Hashing a canonical encoding of exactly those inputs yields a key under
+which the run's artifacts (trace and model; the graph is rebuilt from
+the trace) can be stored and later reused — the same
+cache-the-expensive-front-end pattern LightningSimV2 applies to RTL
+simulation.
 
 The hash is over *content*, not provenance: two workloads generated from
 different specs that happen to produce the same µop stream share a key

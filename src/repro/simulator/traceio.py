@@ -199,7 +199,25 @@ def load_result(path: Union[str, pathlib.Path]) -> SimResult:
         raise TraceFormatError(f"{path} has no trace layout")
     columns = _unpack(path, meta["layout"], members)
     try:
-        return _result(meta, columns)
+        uop_cols = WorkloadColumns(
+            n=len(columns["uop_macro_id"]),
+            **{attr: columns[key] for attr, key in _UOP_KEYS},
+        )
+        params = tuple(
+            (k, _decode_param_value(v)) for k, v in meta["workload_params"]
+        )
+        return SimResult(
+            workload=Workload.from_columns(
+                meta["workload_name"], uop_cols, params
+            ),
+            config=config_from_dict(meta["config"]),
+            cycles=int(meta["cycles"]),
+            columns=TraceColumns(
+                n=uop_cols.n,
+                **{attr: columns[key] for attr, key in _TRACE_KEYS},
+            ),
+            stats=dict(meta["stats"]),
+        )
     except KeyError as missing:
         raise TraceFormatError(
             f"{path} is not a trace archive: it has no {missing}"
@@ -226,31 +244,6 @@ def _unpack(path, layout, members) -> Dict[str, np.ndarray]:
                 f"{path}: block {dtype} does not match its layout"
             )
     return columns
-
-
-def _result(meta, columns) -> SimResult:
-    """Adopt the archive's columns as the run's workload and trace."""
-    uop_cols = WorkloadColumns(
-        n=len(columns["uop_macro_id"]),
-        **{attr: columns[key] for attr, key in _UOP_KEYS},
-    )
-    workload = Workload.from_columns(
-        meta["workload_name"],
-        uop_cols,
-        tuple(
-            (k, _decode_param_value(v)) for k, v in meta["workload_params"]
-        ),
-    )
-    columns = TraceColumns(
-        n=uop_cols.n, **{attr: columns[key] for attr, key in _TRACE_KEYS}
-    )
-    return SimResult(
-        workload=workload,
-        config=config_from_dict(meta["config"]),
-        cycles=int(meta["cycles"]),
-        columns=columns,
-        stats=dict(meta["stats"]),
-    )
 
 
 def config_to_dict(config: MicroarchConfig) -> dict:
