@@ -9,15 +9,18 @@ name their files by one rule, :func:`normalise_archive_path`, and both
 loaders read their files through :func:`read_npz`, which reads every
 member in full under one guard: a file that is no archive, a member
 that does not inflate or parse, and a member that fails its CRC all end
-in the loader's own format error naming the file.
+in the loader's own format error naming the file.  Both decode their
+metadata member with :func:`json_object`, under the same rule.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import pathlib
 import zipfile
 import zlib
-from typing import Callable, Dict, Mapping, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -72,12 +75,16 @@ def save_npz(
 
 
 def read_npz(
-    path: Union[str, pathlib.Path], error: Callable[[str], Exception]
+    path: Union[str, pathlib.Path],
+    error: Callable[[str], Exception],
+    data: Optional[bytes] = None,
 ) -> Dict[str, np.ndarray]:
     """Every member of the ``.npz`` archive at *path*, read in full and
     keyed by its name without ``.npy``.
 
-    Each member is read to its end, so its CRC is always checked.
+    Each member is read to its end, so its CRC is always checked.  Given
+    *data*, the file's bytes already read, the archive is read from them
+    instead of the file; every error still names *path*.
 
     Raises:
         error: the loader's format error, naming *path*, when the file
@@ -89,7 +96,9 @@ def read_npz(
     members: Dict[str, np.ndarray] = {}
     name = None
     try:
-        with zipfile.ZipFile(path) as archive:
+        with zipfile.ZipFile(
+            path if data is None else io.BytesIO(data)
+        ) as archive:
             for name in archive.namelist():
                 with archive.open(name) as member:
                     array = np.lib.format.read_array(
@@ -103,3 +112,24 @@ def read_npz(
             raise error(f"{path} is not an .npz archive") from None
         raise error(f"{path}: member {name} is corrupt: {exc}") from None
     return members
+
+
+def json_object(
+    member: np.ndarray,
+    path: Union[str, pathlib.Path],
+    error: Callable[[str], Exception],
+) -> dict:
+    """The JSON object held, as UTF-8 bytes, by the metadata *member* of
+    the archive at *path*.
+
+    Raises:
+        error: naming *path*, when the bytes are not UTF-8, not JSON, or
+            JSON of anything but an object.
+    """
+    try:
+        value = json.loads(bytes(member).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise error(f"{path}: member meta_json is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{path}: member meta_json is not a JSON object")
+    return value

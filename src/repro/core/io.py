@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.common.archive import read_npz, save_npz
+from repro.common.archive import json_object, read_npz, save_npz
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
@@ -67,22 +67,26 @@ def save_model(
     return save_npz(path, arrays)
 
 
-def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
-    """Load a model previously written by :func:`save_model`.
+def load_model(
+    path: Union[str, pathlib.Path], data: Optional[bytes] = None
+) -> RpStacksModel:
+    """Load a model previously written by :func:`save_model`, from
+    *data* (the file's bytes, already read) when given.
 
     Raises:
         ModelFormatError: naming the file, when it is no ``.npz``
-            archive or a corrupt one, on missing keys, version or
-            event-taxonomy mismatches (a model saved under a different
-            event set cannot be re-priced safely), or stacks the model
+            archive or a corrupt one, on metadata that is no JSON
+            object, on missing keys, version or event-taxonomy
+            mismatches (a model saved under a different event set
+            cannot be re-priced safely), or stacks the model
             constructor rejects (entries that are not finite,
             non-negative integers).
     """
     path = pathlib.Path(path)
-    members = read_npz(path, ModelFormatError)
+    members = read_npz(path, ModelFormatError, data)
     if "meta_json" not in members or "baseline_cycles" not in members:
         raise ModelFormatError(f"{path} is not an RpStacks model file")
-    meta = json.loads(bytes(members["meta_json"]).decode("utf-8"))
+    meta = json_object(members["meta_json"], path, ModelFormatError)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(

@@ -108,6 +108,25 @@ class DesignSpace:
             overrides[event] = values[(index // stride) % len(values)]
         return self.base.with_overrides(overrides)
 
+    def points_at(self, indices: Sequence[int]) -> List[LatencyConfig]:
+        """Decode flat enumeration indices into design points, equal to
+        ``[point_at(i) for i in indices]``: one gather per swept axis,
+        then one :class:`LatencyConfig` per row of cycles."""
+        flat = np.asarray(indices, dtype=np.int64).reshape(-1)
+        total = self.num_points
+        outside = (flat < 0) | (flat >= total)
+        if outside.any():
+            raise IndexError(
+                f"index {flat[outside][0]} outside space of {total} points"
+            )
+        cycles = np.empty((len(flat), NUM_EVENTS), dtype=np.int64)
+        cycles[...] = self.base.cycles
+        for (event, values), stride in zip(self.axes, self._strides()):
+            cycles[:, int(event)] = np.asarray(values, dtype=np.int64)[
+                flat // stride % len(values)
+            ]
+        return [LatencyConfig(tuple(row)) for row in cycles.tolist()]
+
     def theta_matrix(self, start: int = 0, stop: int = None) -> np.ndarray:
         """Pricing vectors of points ``[start, stop)`` as one array.
 
@@ -171,7 +190,7 @@ class DesignSpace:
                         indices.append(draw)
         else:
             indices = rng.integers(0, total, size=count)
-        return [self.point_at(int(index)) for index in indices]
+        return self.points_at(indices)
 
 
 def reduction_space(

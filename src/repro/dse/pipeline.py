@@ -5,14 +5,15 @@ timing simulation, dependence-graph construction, RpStacks generation —
 and returns an :class:`AnalysisSession`, from which examples, tests and
 benchmarks reach the model, the graph and the comparison predictors.
 The graph and the predictors are derived from the baseline run when a
-consumer first asks for them, so a session read back from the artifact
-cache costs only its two archives until then.
+consumer first asks for them, and a session read back from the artifact
+cache decodes that run then too, so until then it costs only reading
+its two archives and decoding its model.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.cp1 import CP1Predictor
 from repro.baselines.fmt import FMTPredictor
@@ -34,37 +35,54 @@ from repro.simulator.trace import SimResult
 class AnalysisSession:
     """Everything derived from one baseline simulation of one workload.
 
+    A session is built from its baseline run (``workload``, ``config``,
+    ``machine`` and ``baseline_result``, as a cold :func:`analyze`
+    builds it) or from ``trace`` alone: a picklable zero-argument
+    callable returning the run's :class:`SimResult`, as an artifact-cache
+    hit passes its verified trace bytes.  Such a session decodes the run
+    on the first access of any of the four (or of anything built from
+    them) inside a ``cache.decode`` span, builds the workload, config and
+    :meth:`Machine.from_baseline` from it, and drops the decoder.
+
     ``graph`` is built from ``baseline_result`` on first access, and
     ``cp1``, ``fmt`` and ``reeval`` together on the first access of any
     of them, each at most once per session, unless the constructor was
     given them (the three predictors come together or not at all).  A
-    per-session lock guards the builds, so threads sharing a session
-    (the server's) build each part once and all get the same object;
-    ``functools.cached_property`` would not do, since on Python 3.11 its
-    lock is shared by every instance of the class.  The ``graph.build``
-    and ``baselines.init`` spans land under whatever observer is ambient
-    at that first access.  Sessions pickle without their lock, built or
-    not.
+    per-session lock guards the decode and the builds, so threads
+    sharing a session (the server's) decode and build each part once and
+    all get the same object; ``functools.cached_property`` would not do,
+    since on Python 3.11 its lock is shared by every instance of the
+    class.  The lock is not re-entrant, so a build reads the decoded run
+    before it takes it.  The ``cache.decode``, ``graph.build`` and
+    ``baselines.init`` spans land under whatever observer is ambient at
+    that first access.  Sessions pickle without their lock, decoded and
+    built or not: an undecoded one ships its trace bytes.
     """
 
     def __init__(
         self,
         *,
-        workload: Workload,
-        config: MicroarchConfig,
-        machine: Machine,
-        baseline_result: SimResult,
         rpstacks: RpStacksModel,
+        workload: Optional[Workload] = None,
+        config: Optional[MicroarchConfig] = None,
+        machine: Optional[Machine] = None,
+        baseline_result: Optional[SimResult] = None,
+        trace: Optional[Callable[[], SimResult]] = None,
         graph: Optional[DependenceGraph] = None,
         cp1: Optional[CP1Predictor] = None,
         fmt: Optional[FMTPredictor] = None,
         reeval: Optional[GraphReevalPredictor] = None,
     ) -> None:
-        self.workload = workload
-        self.config = config
-        self.machine = machine
-        self.baseline_result = baseline_result
+        run = (workload, config, machine, baseline_result)
+        given = sum(part is not None for part in run)
+        if given != (0 if trace is not None else 4):
+            raise TypeError(
+                "pass workload, config, machine and baseline_result, "
+                "or trace alone"
+            )
         self.rpstacks = rpstacks
+        self._run = run if trace is None else None
+        self._trace = trace
         self._graph = graph
         baselines = (cp1, fmt, reeval)
         given = sum(part is not None for part in baselines)
@@ -82,13 +100,49 @@ class AnalysisSession:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
+    def _decoded(self) -> Tuple[Workload, MicroarchConfig, Machine, SimResult]:
+        if self._run is None:
+            with self._lock:
+                if self._run is None:
+                    with get_observer().span("cache.decode") as span:
+                        result = self._trace()
+                        span.set(
+                            workload=result.workload.name,
+                            uops=len(result.workload),
+                        )
+                        self._run = (
+                            result.workload,
+                            result.config,
+                            Machine.from_baseline(result),
+                            result,
+                        )
+                    self._trace = None
+        return self._run
+
+    @property
+    def workload(self) -> Workload:
+        return self._decoded()[0]
+
+    @property
+    def config(self) -> MicroarchConfig:
+        return self._decoded()[1]
+
+    @property
+    def machine(self) -> Machine:
+        return self._decoded()[2]
+
+    @property
+    def baseline_result(self) -> SimResult:
+        return self._decoded()[3]
+
     @property
     def graph(self) -> DependenceGraph:
         """The dependence graph of the baseline run (Table I)."""
         if self._graph is None:
+            result = self.baseline_result
             with self._lock:
                 if self._graph is None:
-                    self._graph = build_graph(self.baseline_result)
+                    self._graph = build_graph(result)
         return self._graph
 
     @property
@@ -106,16 +160,17 @@ class AnalysisSession:
     def _built_baselines(self) -> Tuple:
         if self._baselines is None:
             graph = self.graph
+            workload, config, _machine, result = self._decoded()
             with self._lock:
                 if self._baselines is None:
                     with get_observer().span(
                         "baselines.init",
-                        workload=self.workload.name,
+                        workload=workload.name,
                         native=load_native() is not None,
                     ):
                         self._baselines = (
-                            CP1Predictor(graph, self.config.latency),
-                            FMTPredictor(self.baseline_result),
+                            CP1Predictor(graph, config.latency),
+                            FMTPredictor(result),
                             GraphReevalPredictor(graph),
                         )
         return self._baselines
@@ -183,9 +238,9 @@ def analyze(
         cache: an :class:`~repro.runtime.cache.ArtifactCache` (or a
             cache directory path) for content-addressed reuse: when the
             exact same analysis has run before, its archived trace and
-            model are reloaded instead of re-simulated, and the graph
-            is rebuilt from the trace (cheaper than archiving it) when
-            the session is first asked for it.
+            model are reloaded instead of re-simulated.  The trace is
+            decoded, and the graph rebuilt from it (cheaper than
+            archiving it), when the session is first asked for them.
         obs: an :class:`~repro.obs.Observer`; installed as the ambient
             observer for the duration of the call so every stage below
             (simulation, graph build, stack generation, cache probes)
@@ -196,8 +251,9 @@ def analyze(
 
     Returns:
         An :class:`AnalysisSession` holding the model.  A cold run hands
-        it the graph it built; the comparison predictors (and, on a
-        cache hit, the graph) are built on first access.
+        it the run and the graph it built; the comparison predictors
+        (and, on a cache hit, the run and the graph) are decoded or
+        built on first access.
     """
     from repro.obs.observer import use_observer
 

@@ -792,13 +792,9 @@ def sweep_space(
     elapsed = clock.perf_seconds() - start
 
     candidates = [
-        Candidate(
-            latency=space.point_at(int(index)),
-            predicted_cpi=float(cpi),
-            cost=float(cost),
-        )
-        for index, cpi, cost in zip(
-            state["indices"], state["cpis"], state["costs"]
+        Candidate(latency=point, predicted_cpi=float(cpi), cost=float(cost))
+        for point, cpi, cost in zip(
+            space.points_at(state["indices"]), state["cpis"], state["costs"]
         )
     ]
     metrics = SweepMetrics.from_chunk_seconds(

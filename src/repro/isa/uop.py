@@ -506,8 +506,7 @@ class Workload:
     representation:
 
     * ``Workload(name, uops, params)`` packs hand-built :class:`MicroOp`
-      records (kernels, tests, version-1 archives) and keeps them as
-      the view;
+      records (kernels and tests) and keeps them as the view;
     * :meth:`from_columns` adopts columns built as arrays (the
       generator, phased composition, archives, :meth:`slice`).
 

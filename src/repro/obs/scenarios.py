@@ -79,7 +79,8 @@ def _analyze_warm_recipe(scale: Dict[str, int]):
     workload = _make_workload(scale["macros"])
     # The cache lives for the scenario's lifetime (the TemporaryDirectory
     # object is kept alive by the closure) and is primed during setup so
-    # every timed rep measures the pure warm path: probe, load, rebuild.
+    # every timed rep measures the pure warm path: probe, then load the
+    # model (the trace waits for a first use that never comes).
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-warm-")
     cache = ArtifactCache(tmp.name)
     analyze(workload, cache=cache)

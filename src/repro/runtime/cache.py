@@ -7,10 +7,11 @@ its inputs (see :mod:`repro.runtime.fingerprint`) and persists the two
 artifacts that are expensive to derive — the timing trace and the
 RpStacks model — under that key.  A later call with identical inputs
 reloads them instead of re-simulating, turning a multi-second analysis
-into a few milliseconds.  The loaded session rebuilds the dependence
-graph from the trace, and the comparison predictors from the graph,
-only when a consumer first asks for them: a sweep or a served
-prediction needs the model alone.
+into a few milliseconds.  A hit decodes only the model: the loaded
+session decodes the trace, rebuilds the dependence graph from it and
+the comparison predictors from the graph only when a consumer first
+asks for them, since a sweep or a served prediction needs the model
+alone.
 
 The graph is not stored: it is a pure function of the trace (Table I).
 On six analogues at 600 macro-ops (one pinned CPU of a 2-vCPU x86-64
@@ -32,8 +33,9 @@ Layout (one directory per entry, sharded by key prefix)::
 Integrity and parallel-safety:
 
 * every artifact's SHA-256 is recorded in ``meta.json`` and verified on
-  load; a corrupted or truncated entry is treated as a miss (and
-  removed) rather than crashing or silently serving bad data;
+  load, on the same bytes the session later decodes; a corrupted or
+  truncated entry is treated as a miss (and removed) rather than
+  crashing or silently serving bad data;
 * writers stage the whole entry in a temporary sibling directory and
   ``os.replace`` it into place, so concurrent writers of the same key
   race benignly (last rename wins, both contents are identical by
@@ -42,6 +44,8 @@ Integrity and parallel-safety:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -163,23 +167,41 @@ class ArtifactCache:
         """Return the cached :class:`~repro.dse.pipeline.AnalysisSession`
         for *key*, or ``None`` on miss or corruption.
 
-        A failed checksum, a truncated archive or any deserialisation
-        error counts as a miss: the entry is evicted and ``None`` is
-        returned so the caller recomputes (and re-stores) it.
+        Each artifact is read once, and its SHA-256 is checked on the
+        bytes read.  The model is decoded from its bytes; the session
+        gets the trace's verified bytes and decodes them on first use.
+        A failed checksum, a truncated or missing artifact, a mangled
+        ``meta.json`` or a model that fails to decode counts as a miss:
+        the entry is evicted and ``None`` is returned so the caller
+        recomputes (and re-stores) it.
         """
+        from repro.core.io import load_model
+        from repro.dse.pipeline import AnalysisSession
+        from repro.simulator.traceio import load_result
+
         entry = self._entry_dir(key)
         meta_path = entry / "meta.json"
         if not meta_path.is_file():
             self.metrics.counter("cache.miss").inc()
             return None
         try:
-            meta = json.loads(meta_path.read_text())
-            checksums = meta["checksums"]
+            checksums = json.loads(meta_path.read_text())["checksums"]
+            data = {}
             for name in _ARTIFACTS:
-                artifact = entry / name
-                if file_checksum(artifact) != checksums[name]:
+                data[name] = (entry / name).read_bytes()
+                if hashlib.sha256(data[name]).hexdigest() != checksums[name]:
                     raise CacheCorruption(f"checksum mismatch on {name}")
-            session = self._load_session(entry)
+            # Once decoded, the stored run answers
+            # ``session.simulate(baseline)`` (and overhead accounting)
+            # as in a freshly analysed session.
+            session = AnalysisSession(
+                trace=functools.partial(
+                    load_result, entry / "trace.npz", data=data["trace.npz"]
+                ),
+                rpstacks=load_model(
+                    entry / "model.npz", data=data["model.npz"]
+                ),
+            )
         except Exception:
             # Corrupt, truncated, unreadable or written by an
             # incompatible library version: evict and recompute.
@@ -189,25 +211,6 @@ class ArtifactCache:
             return None
         self.metrics.counter("cache.hit").inc()
         return session
-
-    @staticmethod
-    def _load_session(entry: pathlib.Path):
-        from repro.core.io import load_model
-        from repro.dse.pipeline import AnalysisSession
-        from repro.simulator.machine import Machine
-        from repro.simulator.traceio import load_result
-
-        result = load_result(entry / "trace.npz")
-        # The stored run answers ``session.simulate(baseline)`` (and
-        # overhead accounting) as in a freshly analysed session.  The
-        # graph and the comparison predictors wait for a consumer.
-        return AnalysisSession(
-            workload=result.workload,
-            config=result.config,
-            machine=Machine.from_baseline(result),
-            baseline_result=result,
-            rpstacks=load_model(entry / "model.npz"),
-        )
 
     # ---- write path ---------------------------------------------------
 

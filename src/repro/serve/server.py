@@ -41,7 +41,7 @@ from collections import deque
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs import clock
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.observer import NULL_OBSERVER, Observer, use_observer
 from repro.serve import protocol
 from repro.serve.jobs import JobRecord, JobRegistry, execute_sweep
 from repro.serve.protocol import (
@@ -213,12 +213,16 @@ class ReproServer:
         workload = make_workload(
             coord.workload, num_macro_ops=coord.macros, seed=coord.seed
         )
-        return analyze(
-            workload,
-            segment_length=coord.segment_length,
-            cache=self._cache,
-            obs=self.obs if self.obs.enabled else None,
-        )
+        with use_observer(self.obs if self.obs.enabled else None):
+            session = analyze(
+                workload,
+                segment_length=coord.segment_length,
+                cache=self._cache,
+            )
+            # A cache hit decodes its trace on first use: here, on the
+            # heavy plane, so the event loop never does.
+            session.baseline_result
+        return session
 
     async def _ensure_session(self, coord: WorkloadCoord):
         key = coord.key()

@@ -836,10 +836,11 @@ class NativeSim:
         if rc != 0:
             raise MemoryError("native prepass allocation failed")
 
-    def run_timing(self, arrays) -> Tuple[int, int, int]:
-        """Invoke ``repro_sim_timing``; returns (rc, cycle, committed)."""
-        rc = self._timing(*[a.ctypes.data for a in arrays])
-        out = arrays[-1]
+    def run_timing(self, addresses, out: np.ndarray) -> Tuple[int, int, int]:
+        """Invoke ``repro_sim_timing`` on the data *addresses* of its
+        arrays, in the C signature's order, then *out*'s; returns (rc,
+        cycle, committed)."""
+        rc = self._timing(*addresses, out.ctypes.data)
         return rc, int(out[1]), int(out[2])
 
 
@@ -973,9 +974,10 @@ class PackedPrepass:
     Read-only once built: every timing run over it allocates its own
     timestamp and witness arrays.  :attr:`keys` and :attr:`columns`,
     the latency-independent part of a run, are built on first use and
-    kept; their arrays are read-only and shared by every run.  Pickling
-    drops both (they are rebuilt on first use), so a prepass ships as
-    its outcome arrays only.
+    kept; their arrays are read-only and shared by every run, and so is
+    :attr:`addresses`.  Pickling drops all three (they are rebuilt on
+    first use), so a prepass ships as its outcome arrays only and never
+    carries an address of the process that pickled it.
     """
 
     workload: PackedWorkload
@@ -995,9 +997,27 @@ class PackedPrepass:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("keys", None)
-        state.pop("columns", None)
+        for memo in ("keys", "columns", "addresses"):
+            state.pop(memo, None)
         return state
+
+    @cached_property
+    def addresses(self) -> Tuple[int, ...]:
+        """Data addresses of the 13 arrays every timing run reads, in
+        the timing kernel's order: the workload's ``opclass``, ``som``,
+        ``pc`` and ``macro_last``, the pre-pass's eight producer, barrier
+        and flag arrays, then ``keys.is_demand``."""
+        pw = self.workload
+        return tuple(
+            array.ctypes.data
+            for array in (
+                pw.opclass, pw.som, pw.pc, pw.macro_last,
+                self.p0, self.p1, self.a0, self.a1,
+                self.store_barrier, self.line_sharer,
+                self.mispredicted, self.needs_reg,
+                self.keys.is_demand,
+            )
+        )
 
     @cached_property
     def keys(self) -> TimingKeys:
@@ -1443,18 +1463,22 @@ def _run_timing(
     t_ic = np.full(n, -1, np.int64)  # decode-entry times: kernel scratch
     out = np.zeros(4, np.int64)
 
+    # Only this run's own arrays are asked for an address; the stamp
+    # rows sit one row stride apart in their block.
+    shared = pp.addresses
+    first_row = stamps.ctypes.data
+    rows = [first_row + row * stamps.strides[0]
+            for row in range(1, len(_STAMPED))]
     rc, at_cycle, committed = sim.run_timing(
         [
-            cfg,
-            pw.opclass, pw.som, pw.pc, pw.macro_last,
-            pp.p0, pp.p1, pp.a0, pp.a1,
-            pp.store_barrier, pp.line_sharer,
-            pp.mispredicted, pp.needs_reg,
-            exec_lat, fetch_lat, dtlb_lat, agu_lat,
-            pp.keys.is_demand, prod_opt,
-            stamps[0], t_ic, *stamps[1:],
-            out,
-        ]
+            cfg.ctypes.data,
+            *shared[:-1],
+            exec_lat.ctypes.data, fetch_lat.ctypes.data,
+            dtlb_lat.ctypes.data, agu_lat.ctypes.data,
+            shared[-1], prod_opt.ctypes.data,
+            first_row, t_ic.ctypes.data, *rows,
+        ],
+        out,
     )
     if rc == 1:
         raise RuntimeError(

@@ -22,11 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.common.archive import read_npz, save_npz
+from repro.common.archive import json_object, read_npz, save_npz
 from repro.common.config import (
     CacheConfig,
     CoreConfig,
@@ -175,20 +175,23 @@ def result_digest(result: SimResult) -> str:
     return digest.hexdigest()
 
 
-def load_result(path: Union[str, pathlib.Path]) -> SimResult:
-    """Load an archive written by :func:`save_result`.
+def load_result(
+    path: Union[str, pathlib.Path], data: Optional[bytes] = None
+) -> SimResult:
+    """Load an archive written by :func:`save_result`, from *data* (the
+    file's bytes, already read) when given.
 
     Raises:
         TraceFormatError: naming the file, when it is no trace archive
             of version :data:`FORMAT_VERSION` (a model archive, an
-            archive of another version, a corrupt one, or no ``.npz``
-            archive at all).
+            archive of another version, one whose metadata is no JSON
+            object, a corrupt one, or no ``.npz`` archive at all).
     """
     path = pathlib.Path(path)
-    members = read_npz(path, TraceFormatError)
+    members = read_npz(path, TraceFormatError, data)
     if "meta_json" not in members:
         raise TraceFormatError(f"{path} is not a trace archive")
-    meta = json.loads(bytes(members["meta_json"]).decode("utf-8"))
+    meta = json_object(members["meta_json"], path, TraceFormatError)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise TraceFormatError(

@@ -2,7 +2,9 @@
 
 A file that is no ``.npz`` archive, a member that does not inflate and a
 member that fails its CRC each end in the caller's format error naming
-the file; an ``OSError`` passes through.  The helpers here build such
+the file, also when the archive is read from bytes already in memory;
+an ``OSError`` passes through.  ``json_object`` holds metadata to the
+same rule.  The helpers here build such
 files for the trace, model and CLI tests as well.
 """
 
@@ -15,7 +17,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.common.archive import read_npz, save_npz
+from repro.common.archive import json_object, read_npz, save_npz
 
 #: Kinds of file that are no ``.npz`` archive (:func:`write_not_archive`).
 NOT_ARCHIVES = ("text", "empty", "truncated", "npy")
@@ -74,6 +76,33 @@ def rewrite_meta(source, path, drop=(), **changes):
     return save_npz(path, members)
 
 
+def replace_member(source, path, name, value):
+    """Copy the archive at *source* to *path* with member *name* set to
+    the array *value* (an in-place rewrite when they are one file);
+    returns the path written."""
+    members = read_npz(source, ValueError)
+    members[name] = value
+    return save_npz(path, members)
+
+
+#: ``meta_json`` bytes that hold no JSON object, by kind, with the end
+#: of the format error each gives.
+BAD_METAS = {
+    "not-utf8": (b"\xff\xfe{}", "is not JSON: 'utf-8' codec can't decode"),
+    "not-json": (b"not json", "is not JSON: Expecting value"),
+    "json-list": (b"[1, 2]", "is not a JSON object"),
+}
+
+
+def write_bad_meta(source, path, kind):
+    """Copy the archive at *source* to *path* with the ``meta_json``
+    bytes of :data:`BAD_METAS` *kind*; returns the path written."""
+    raw, _message = BAD_METAS[kind]
+    return replace_member(
+        source, path, "meta_json", np.frombuffer(raw, dtype=np.uint8)
+    )
+
+
 class ArchiveError(ValueError):
     """The format error handed to :func:`read_npz` in these tests."""
 
@@ -96,6 +125,32 @@ def test_reads_every_member_by_name(archive):
     for key, value in ARRAYS.items():
         assert members[key].dtype == value.dtype
         assert np.array_equal(members[key], value)
+
+
+def test_reads_given_bytes_and_names_the_path(tmp_path, archive):
+    """Given the file's bytes, the archive is read from them, and an
+    error still names the path, not an in-memory stream."""
+    data = archive.read_bytes()
+    path = tmp_path / "named.npz"
+    members = read_npz(path, ArchiveError, data)
+    assert list(members) == list(ARRAYS)
+    assert np.array_equal(members["int64"], ARRAYS["int64"])
+    with pytest.raises(ArchiveError) as excinfo:
+        read_npz(path, ArchiveError, data[: len(data) // 2])
+    assert str(excinfo.value) == f"{path} is not an .npz archive"
+    flipped = flip_member(archive, tmp_path / "flipped.npz", "int64")
+    with pytest.raises(ArchiveError) as excinfo:
+        read_npz(path, ArchiveError, flipped.read_bytes())
+    assert str(excinfo.value).startswith(f"{path}: member int64.npy ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_METAS))
+def test_metadata_that_is_no_json_object_is_the_error(kind):
+    raw, message = BAD_METAS[kind]
+    with pytest.raises(ArchiveError) as excinfo:
+        json_object(np.frombuffer(raw, np.uint8), "a.npz", ArchiveError)
+    assert str(excinfo.value).startswith(f"a.npz: member meta_json {message}")
 
 
 @pytest.mark.parametrize("kind", NOT_ARCHIVES)

@@ -14,9 +14,11 @@ from repro.graphmodel.builder import build_graph
 from repro.simulator.core import simulate
 from repro.workloads.generator import generate
 from tests.common.test_archive import (
+    BAD_METAS,
     NOT_ARCHIVES,
     flip_member,
     rewrite_meta,
+    write_bad_meta,
     write_not_archive,
 )
 from tests.simulator.test_trace_format import (
@@ -95,6 +97,26 @@ def test_a_flipped_member_is_a_format_error(tmp_path):
     assert str(excinfo.value).startswith(
         f"{path}: member stacks.npy is corrupt: "
     )
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_METAS))
+def test_metadata_that_is_no_json_object_names_file(tmp_path, kind):
+    path = write_bad_meta(GOLDEN_MODEL, tmp_path / "m.npz", kind)
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    _raw, message = BAD_METAS[kind]
+    assert str(excinfo.value).startswith(f"{path}: member meta_json {message}")
+
+
+def test_loads_from_given_bytes_and_names_the_path(tmp_path):
+    path = tmp_path / "named.npz"
+    golden = load_model(GOLDEN_MODEL)
+    loaded = load_model(path, data=GOLDEN_MODEL.read_bytes())
+    assert loaded.content_digest() == golden.content_digest()
+    flipped = flip_member(GOLDEN_MODEL, tmp_path / "flipped.npz", "stacks")
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path, data=flipped.read_bytes())
+    assert str(excinfo.value).startswith(f"{path}: member stacks.npy ")
 
 
 @pytest.mark.parametrize("version", [1, 2, 99])

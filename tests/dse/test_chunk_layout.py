@@ -152,6 +152,30 @@ class TestEnumeration:
         assert space.theta_matrix(lo, hi).tobytes() == expected.tobytes()
 
 
+    def test_points_at_matches_point_at_on_the_ladder(self):
+        space = DesignSpace.from_mapping(dict(LADDER))
+        indices = np.random.default_rng(7).integers(0, space.num_points, 2000)
+        points = space.points_at(indices)
+        assert points == [space.point_at(int(index)) for index in indices]
+        assert {type(c) for point in points for c in point.cycles} == {int}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_points_at_matches_point_at_on_any_space(self, data):
+        _model, space = draw_model_and_space(data)
+        indices = data.draw(st.lists(
+            st.integers(0, space.num_points - 1), max_size=40
+        ))
+        points = space.points_at(indices)
+        assert points == [space.point_at(index) for index in indices]
+        assert {type(c) for point in points for c in point.cycles} <= {int}
+
+    @pytest.mark.parametrize("index", [-1, 240])
+    def test_points_at_rejects_out_of_range(self, index):
+        with pytest.raises(IndexError, match=f"index {index} outside"):
+            DIRECT_SPACE.points_at([0, index])
+
+
 class TestCostTables:
     @pytest.mark.parametrize("lo, hi", SPLIT_BOUNDS + ((0, 240),))
     def test_axis_tables_match_the_scalar_model(self, lo, hi):

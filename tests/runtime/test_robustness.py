@@ -6,15 +6,21 @@ must be *detected and recomputed*, never crashed on and never silently
 served.
 """
 
+import builtins
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.dse.pipeline import analyze
 from repro.runtime.cache import ArtifactCache
+from repro.runtime.fingerprint import file_checksum
 from repro.runtime.runner import run_suite
+from repro.simulator.traceio import TraceFormatError
 from repro.workloads.suite import make_workload
+from tests.common.test_archive import replace_member
 
 MACROS = 50
 
@@ -108,6 +114,61 @@ def test_missing_artifact_is_recomputed(tmp_path):
     recomputed = analyze(workload, cache=cache)
     assert cache.corruptions == 1
     assert recomputed.baseline_result.cycles == cold.baseline_result.cycles
+
+
+def test_a_hit_reads_each_artifact_once(tmp_path, monkeypatch):
+    """A hit checks each artifact's checksum on the bytes it decodes
+    from, and decoding the trace later opens no file."""
+    workload = make_workload("gamess", MACROS)
+    cache, cold, _entry = _fresh_entry(tmp_path, workload)
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            opened.append(os.path.basename(os.fsdecode(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    hit = analyze(workload, cache=cache)
+    assert cache.hits == 1
+    assert opened.count("trace.npz") == 1
+    assert opened.count("model.npz") == 1
+    assert hit.baseline_result.cycles == cold.baseline_result.cycles
+    assert opened.count("trace.npz") == 1
+
+
+@pytest.mark.parametrize("fault", ["no-archive", "meta-list"])
+def test_a_trace_that_passes_its_checksum_fails_at_first_access(
+    tmp_path, fault
+):
+    """Trace bytes that match their checksum but do not decode (a
+    writer fault) load as a hit, and the first access of the run raises
+    the format error naming the entry's trace."""
+    workload = make_workload("gamess", MACROS)
+    cache, cold, entry = _fresh_entry(tmp_path, workload)
+    target = entry / "trace.npz"
+    if fault == "no-archive":
+        target.write_bytes(b"a writer fault")
+        expected = f"{target} is not an .npz archive"
+    else:
+        replace_member(
+            target, target, "meta_json",
+            np.frombuffer(b"[1, 2]", dtype=np.uint8),
+        )
+        expected = f"{target}: member meta_json is not a JSON object"
+    meta = json.loads((entry / "meta.json").read_text())
+    meta["checksums"]["trace.npz"] = file_checksum(target)
+    (entry / "meta.json").write_text(json.dumps(meta))
+
+    hit = analyze(workload, cache=cache)
+    assert (cache.hits, cache.corruptions) == (1, 0)
+    assert hit.rpstacks.content_digest() == cold.rpstacks.content_digest()
+    for _ in range(2):
+        with pytest.raises(TraceFormatError) as excinfo:
+            hit.baseline_result
+        assert str(excinfo.value) == expected
 
 
 def test_clear_and_stats(tmp_path):

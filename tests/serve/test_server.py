@@ -10,6 +10,7 @@ import threading
 import time
 
 from repro.serve.protocol import MAX_BODY_BYTES
+from repro.simulator import traceio
 from tests.serve.conftest import COORD, request, request_json
 
 
@@ -49,6 +50,37 @@ def test_analyze_then_predict_share_one_session(make_server):
     counters = metrics["metrics"]["counters"]
     assert counters["serve.session_builds"] == 1
     assert counters["serve.session_hits"] >= 1
+
+
+def test_a_cached_session_is_decoded_off_the_event_loop(
+    make_server, monkeypatch
+):
+    """A daemon that builds a session from a cache hit decodes its trace
+    once, on a heavy-plane executor thread, never on the event loop."""
+    first = make_server()
+    status, cold = request_json(first.port, "POST", "/analyze", COORD)
+    assert status == 200
+    first.stop()
+    decoders = []
+    load_result = traceio.load_result
+
+    def recorded(*args, **kwargs):
+        decoders.append(threading.current_thread().name)
+        return load_result(*args, **kwargs)
+
+    monkeypatch.setattr(traceio, "load_result", recorded)
+    second = make_server()
+    status, warm = request_json(second.port, "POST", "/analyze", COORD)
+    assert status == 200
+    assert warm == cold
+    status, _prediction = request_json(
+        second.port, "POST", "/predict", {**COORD, "overrides": {"L2D": 40}},
+    )
+    assert status == 200
+    _status, metrics = request_json(second.port, "GET", "/metrics")
+    assert metrics["metrics"]["counters"]["cache.hit"] == 1
+    assert len(decoders) == 1
+    assert decoders[0].startswith("repro-serve_")
 
 
 def test_predict_accepts_display_labels(make_server):

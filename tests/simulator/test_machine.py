@@ -14,7 +14,7 @@ from repro.isa.uop import MicroOp, OpClass, Workload
 from repro.obs.observer import Observer, use_observer
 from repro.simulator.core import simulate
 from repro.simulator.machine import Machine
-from repro.simulator.native import load_native_sim
+from repro.simulator.native import load_native_sim, native_cycles
 from repro.simulator.trace import SimResult
 from repro.simulator.traceio import result_digest
 from repro.workloads.kernels import STRESS_KERNELS, daxpy
@@ -254,6 +254,20 @@ class TestCyclesOnly:
             getattr(columns, name).flags.writeable
             for name in SHARED_COLUMNS
         )
+
+    def test_pickled_prepass_takes_its_own_addresses(self, tiny_workload):
+        """A priced pre-pass keeps its arrays' addresses for the timing
+        kernel; a pickled one drops them, takes its own on first use
+        and prices alike."""
+        machine = Machine(tiny_workload, native=True)
+        prepass = machine._prepass
+        designs = [machine.config.with_latency(p) for p in FIXED_POINTS]
+        expected = [native_cycles(design, prepass) for design in designs]
+        assert "addresses" in vars(prepass)
+        clone = pickle.loads(pickle.dumps(prepass))
+        assert "addresses" not in vars(clone)
+        assert [native_cycles(design, clone) for design in designs] == expected
+        assert set(clone.addresses).isdisjoint(prepass.addresses)
 
     def test_cycles_keeps_run_observability(self):
         """A cycles-only run is spanned and counted like a full one."""

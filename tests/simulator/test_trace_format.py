@@ -34,7 +34,12 @@ from repro.simulator.traceio import (
     save_result,
 )
 from repro.workloads.generator import WorkloadSpec, generate
-from tests.common.test_archive import flip_member, rewrite_meta
+from tests.common.test_archive import (
+    BAD_METAS,
+    flip_member,
+    rewrite_meta,
+    write_bad_meta,
+)
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 #: Format 3, the run of GOLDEN_SPEC at GOLDEN_SEED.
@@ -151,6 +156,27 @@ class TestOtherArchives:
         assert str(excinfo.value).startswith(
             f"{path}: member int64.npy is corrupt: "
         )
+
+    @pytest.mark.parametrize("kind", sorted(BAD_METAS))
+    def test_metadata_that_is_no_json_object_names_file(self, tmp_path, kind):
+        path = write_bad_meta(GOLDEN_TRACE, tmp_path / "t.npz", kind)
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_result(path)
+        _raw, message = BAD_METAS[kind]
+        assert str(excinfo.value).startswith(
+            f"{path}: member meta_json {message}"
+        )
+
+    def test_loads_from_given_bytes_and_names_the_path(self, tmp_path):
+        path = tmp_path / "named.npz"
+        loaded = load_result(path, data=GOLDEN_TRACE.read_bytes())
+        assert result_digest(loaded) == result_digest(
+            load_result(GOLDEN_TRACE)
+        )
+        flipped = flip_member(GOLDEN_TRACE, tmp_path / "flipped.npz", "int64")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_result(path, data=flipped.read_bytes())
+        assert str(excinfo.value).startswith(f"{path}: member int64.npy ")
 
 
 class TestGolden:

@@ -9,9 +9,11 @@ import pytest
 from repro import cli
 from repro.cli import EXIT_INTERRUPTED, main
 from tests.common.test_archive import (
+    BAD_METAS,
     NOT_ARCHIVES,
     flip_member,
     rewrite_meta,
+    write_bad_meta,
     write_not_archive,
 )
 from tests.simulator.test_trace_format import GOLDEN_MODEL, GOLDEN_TRACE
@@ -222,6 +224,25 @@ class TestArchiveErrors:
             assert done.returncode == 1
             [line] = done.stderr.splitlines()
             assert line.startswith(f"{path}{text}")
+
+    @pytest.mark.parametrize(
+        "argv, archive",
+        [
+            (["analyze", "gamess", "--from-trace"], GOLDEN_TRACE),
+            (["dse", "sweep", "gamess", "--axis", "L1D=1,2", "--model"],
+             GOLDEN_MODEL),
+        ],
+        ids=["from-trace", "model"],
+    )
+    def test_metadata_that_is_no_json_object_exits_1_with_one_line(
+        self, tmp_path, argv, archive
+    ):
+        for kind, (_raw, message) in sorted(BAD_METAS.items()):
+            path = write_bad_meta(archive, tmp_path / f"{kind}.npz", kind)
+            done = run_process(*argv, str(path))
+            assert done.returncode == 1
+            [line] = done.stderr.splitlines()
+            assert line.startswith(f"{path}: member meta_json {message}")
 
 
 class TestCompare:
