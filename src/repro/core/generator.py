@@ -15,11 +15,12 @@ A-A'/B'-B argument — the summed per-segment maxima can slightly exceed
 the true end-to-end critical path — is preserved and tested.
 
 Because segments are independent by construction, the traversal shards:
-each segment's nodes and intra-segment edges are sliced out as a
-:class:`~repro.graphmodel.graph.SegmentView` and walked on their own.
-Each segment is walked by one call into the compiled kernel
-(:mod:`repro.core.native`) when it loads, and otherwise by the spec walk
-:func:`_walk_segment`, which reduces each converging node with
+each segment is walked on its own.  Each is walked by one call into the
+compiled kernel (:mod:`repro.core.native`) when it loads, which reads
+the segment's nodes and intra-segment edges straight off the graph's
+packed arrays, and otherwise by the spec walk :func:`_walk_segment`
+over the segment's :class:`~repro.graphmodel.graph.SegmentView`, which
+reduces each converging node with
 :func:`~repro.core.reduction.reduce_stacks`.  With ``jobs > 1`` the
 kernel's calls run on a thread pool, since ctypes releases the
 interpreter lock for each call; the spec walk stays serial.  Per-segment
@@ -38,11 +39,12 @@ import numpy as np
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
-from repro.core.native import NativeWalk, load_native
+from repro.core.native import NativeWalk, load_native, native_mode
 from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.obs import clock
 from repro.obs.observer import Observer, get_observer
 from repro.graphmodel.graph import DependenceGraph, SegmentView
+from repro.graphmodel.nodes import NODES_PER_UOP
 
 
 def _walk_segment(
@@ -114,33 +116,38 @@ def _walk_segment(
     return sets[view.sink_local].copy(), candidate_stacks, reductions
 
 
-def _walk_view(
-    view: SegmentView,
+def _walk_one(
+    graph: DependenceGraph,
+    segment: int,
+    segment_length: int,
     theta: np.ndarray,
     policy: ReductionPolicy,
     native: Optional[NativeWalk],
     obs: Observer,
 ) -> Tuple[np.ndarray, int, int]:
-    """Walk one segment view under its ``stacks.segment`` span.
+    """Walk one segment under its ``stacks.segment`` span.
 
-    One call into the compiled kernel when it is loaded (*native*), the
-    spec walk :func:`_walk_segment` otherwise.  The serial and the
+    One call into the compiled kernel, straight off the graph's packed
+    arrays, when it is loaded (*native*); otherwise the spec walk
+    :func:`_walk_segment` over the segment's
+    :class:`~repro.graphmodel.graph.SegmentView`.  The serial and the
     threaded walk both call this, so each segment records the same span
     and ``stacks.segment_seconds`` observation either way.  The kernel
     also counts its reductions' work, recorded on the span and summed
     into the ``stacks.cover_tests`` and ``stacks.similarity_evals``
     counters; the spec walk counts none.
     """
+    first_uop, num_uops = graph.segment_uops(segment, segment_length)
     start = clock.perf_seconds()
-    with obs.span(
-        "stacks.segment", segment=view.segment, uops=view.num_uops
-    ) as span:
+    with obs.span("stacks.segment", segment=segment, uops=num_uops) as span:
         if native is None:
+            view = graph.segment_view(segment, segment_length)
             result = _walk_segment(view, theta, policy)
             work: Dict[str, int] = {}
         else:
+            lo = first_uop * NODES_PER_UOP
             stacks, candidates, reductions, work = native.walk_segment(
-                view, theta, policy
+                graph, lo, lo + num_uops * NODES_PER_UOP, theta, policy
             )
             result = stacks, candidates, reductions
     if obs.enabled:
@@ -196,9 +203,17 @@ class RpStacksGenerator:
         self.jobs = jobs
 
     def generate(self) -> RpStacksModel:
-        """Run the traversal and return the model."""
+        """Run the traversal and return the model.
+
+        When the compiled walk fails to load in auto mode, the spec walk
+        runs instead and the ``stacks.native_fallbacks`` counter counts
+        it; under ``REPRO_NATIVE=0`` the spec walk was asked for and
+        nothing is counted.
+        """
         obs = get_observer()
         native = load_native()
+        if native is None and native_mode() == "auto":
+            obs.counter("stacks.native_fallbacks").inc()
         num_segments = self.graph.num_segments(self.segment_length)
         # Only the kernel's walk gains from threads: ctypes releases the
         # interpreter lock for each call, and the spec walk holds it.
@@ -228,27 +243,27 @@ class RpStacksGenerator:
     ) -> RpStacksModel:
         start_time = clock.perf_seconds()
         graph = self.graph
-        seg_len = self.segment_length
-        views = [
-            graph.segment_view(s, seg_len)
-            for s in range(graph.num_segments(seg_len))
-        ]
+        segments = range(graph.num_segments(self.segment_length))
         theta = self.baseline.as_vector()
 
-        def walk(view: SegmentView) -> Tuple[np.ndarray, int, int]:
-            return _walk_view(view, theta, self.policy, native, obs)
+        def walk(segment: int) -> Tuple[np.ndarray, int, int]:
+            return _walk_one(
+                graph, segment, self.segment_length, theta, self.policy,
+                native, obs,
+            )
 
         if threads > 1:
             # map() yields in segment order.  When a walk raises, or the
             # wait for one is interrupted, its iterator cancels the
             # queued walks before the exception propagates.
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                walked = list(pool.map(walk, views))
+                walked = list(pool.map(walk, segments))
         else:
-            walked = [walk(view) for view in views]
+            walked = [walk(segment) for segment in segments]
 
+        # The segments partition the graph's nodes.
         stats = GenerationStats(
-            nodes_visited=sum(view.num_nodes for view in views),
+            nodes_visited=graph.num_nodes,
             candidate_stacks=sum(candidates for _, candidates, _ in walked),
             reductions=sum(reductions for _, _, reductions in walked),
         )

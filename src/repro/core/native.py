@@ -5,11 +5,25 @@ The segment walk visits every graph node and reduces at every converging
 node — tens of thousands of times per workload — on populations of a few
 dozen rows.  At that size a Python walk is bounded by interpreter and
 ufunc dispatch overhead, not arithmetic.  This module compiles (once,
-cached) a small C kernel that walks one whole
-:class:`~repro.graphmodel.graph.SegmentView` in a single call:
+cached) a small C kernel that walks one whole segment in a single call,
+straight off the graph's packed arrays.  It takes the whole graph's
+in-edge CSR (``in_indptr``, ``edge_src``), its packed ``events`` /
+``units`` charge slots and the segment's node range, so no
+:class:`~repro.graphmodel.graph.SegmentView`, dense charge matrix or
+per-segment array copy is built for it:
 
-* Kahn topological order over the view's CSR arrays, failing on a cycle
-  exactly like :meth:`SegmentView.topological_order`;
+* the segment's own CSR over its intra in-edges, dropping each in-edge
+  whose source lies outside the range: the rule
+  :meth:`~repro.graphmodel.graph.DependenceGraph.segment_view` applies,
+  in the same CSR order.  Every row pointer, source, event id and unit
+  count it reads is checked first, and one out of range is a
+  :class:`ValueError`;
+* Kahn topological order over that CSR, failing on a cycle exactly like
+  :meth:`SegmentView.topological_order`;
+* each edge charge applied from its at most ``MAX_EDGE_EVENTS`` packed
+  ``(event, units)`` slots: values, units and latencies are
+  integer-valued, so adding and pricing a charge slot by slot gives
+  exactly the dense charge row's sums;
 * per-node stack sets in one offset arena, each row with its carried
   facts (below): segment entries share one zero row, a node with one
   uncharged predecessor shares that predecessor's rows, and one with a
@@ -79,14 +93,23 @@ arithmetic, and four skips leave that work out without changing any
 decision or any computed float:
 
 * **pair lists.**  Cross-block dominance and the greedy merge each list
-  the pairs still undecided in one branch-free pass (dominance: the
-  later row not dropped, in another block, its support a subset of the
-  earlier row's and its first dimension no larger; merge: not excluded
-  by the skips below), then run the unchanged cover test or similarity
-  over that list, with the same early exits.  A cover test only ever
-  drops its own pair's later row, so a list made before the first test
-  holds exactly the pairs the plain loop would test, and the outcome is
-  the same.
+  the pairs still undecided in one branch-free pass of integer tests
+  (dominance: the later row not dropped, in another block, its support
+  a subset of the earlier row's and its first dimension no larger;
+  merge: not excluded by the skips below), then run the unchanged cover
+  test or similarity over that list, with the same early exits.  A
+  cover test only ever drops its own pair's later row, so a list made
+  before the first test holds exactly the pairs the plain loop would
+  test, and the outcome is the same.  In the dominance listing each row
+  has one int32 word, its block until it is dropped and −1 after, so
+  "not dropped and in another block" is the one test
+  ``(blk[pj] ^ qb) > 0``: ``−1 ^ qb`` is negative and ``qb ^ qb`` zero.
+  The merge listing reads the support bound (below) from a
+  ``(dims + 1)²`` table ``need``, built once per call from the bound's
+  own float expression, and lists a pair when
+  ``|A∩B| >= need[|A|][|B|]``.  That expression only turns true as
+  ``|A∩B|`` grows, so the table entry is the least passing ``|A∩B|``
+  and the integer test is exactly the float one.
 * **the support bound.**  Let A and B be two rows' supports over the
   similarity dimensions and k = |A∩B|.  Every max-normalised component
   is at most 1, and exactly 1 on A∖B and B∖A, so the squared norms are
@@ -99,9 +122,9 @@ decision or any computed float:
   because the 10⁻⁹ margin dwarfs the rounding of the similarity (about
   10⁻¹⁴ relative, over at most 64 dimensions) and of the bound itself.
   A pair whose support union is empty (similarity 1.0 by convention)
-  is never skipped, nor is any pair when τ ≤ 10⁻⁹.  Each kept mergeable
-  row's support and popcount are stored when it is kept, so the bound
-  costs a few integer operations per pair.
+  is never skipped, nor is any pair when τ ≤ 10⁻⁹: their table entries
+  are 0.  Each kept mergeable row's support and popcount are stored when
+  it is kept, so the bound costs a popcount and a table read per pair.
 * **the first dimension.**  Row ``q`` covers ``r`` only if
   ``r[0] <= q[0]``, so the dominance listing also requires that, read
   from a sorted-position copy of column 0, and the cover test then
@@ -121,10 +144,12 @@ decision or any computed float:
   but a blocker is found sooner.
 
 A reduce-level differential fuzz test (including populations whose
-support cosines sit just below, on and just above τ, and blocks that
-carry the kernel's own merge-tested bits through shifts that do and do
-not touch the similarity dimensions) and whole-model digest comparisons
-pin the equivalence.
+support cosines sit just below, on and just above τ, populations of
+more than 64 blocks, and blocks that carry the kernel's own
+merge-tested bits through shifts that do and do not touch the
+similarity dimensions), a check of the ``need`` table against the float
+bound for every pair of popcounts up to 64 (:meth:`NativeWalk.merge_need`)
+and whole-model digest comparisons pin the equivalence.
 
 The same library holds ``repro_longest_path``
 (:meth:`NativeWalk.longest_path`), the compiled form of
@@ -171,7 +196,7 @@ from repro.common.events import NUM_EVENTS, EventType
 
 if TYPE_CHECKING:  # the graph model imports the simulator, which imports us
     from repro.core.reduction import ReductionPolicy
-    from repro.graphmodel.graph import SegmentView
+    from repro.graphmodel.graph import DependenceGraph
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -225,8 +250,32 @@ static inline int popcount64(uint64_t x) {
 /* Bytes of reduction scratch for count rows in nblocks blocks. */
 static size_t scratch_bytes(int64_t count, int64_t nblocks) {
     return (size_t)count * (2 * sizeof(uint64_t) + sizeof(double)
-                            + 10 * sizeof(int32_t))
+                            + 9 * sizeof(int32_t))
            + (size_t)nblocks * 2 * sizeof(int32_t);
+}
+
+/* The merge's support bound as a table (module docstring): a pair whose
+ * supports within the similarity dimensions have popcounts pa and pb is
+ * evaluated when its common popcount reaches need[pa * (dims + 1) + pb].
+ * An entry is the least k with (double)(k * k) > bound2 * (pa * pb),
+ * the bound's float test, or dims + 1 (above any common popcount) when
+ * no k <= dims passes.  That test only turns true as k grows, so
+ * "k >= need" is exactly the test; and for one pa its right side only
+ * grows with pb, so each pb's search starts from the last pb's entry.
+ * need[0][0] is 0, since a pair whose support union is empty has
+ * similarity 1.0, and so is every entry when threshold <= 1e-9. */
+static void merge_need(int32_t dims, double threshold, uint8_t *need) {
+    const int bounded = threshold > 1e-9;
+    const double bound2 = (threshold - 1e-9) * (threshold - 1e-9);
+    for (int pa = 0; pa <= dims; pa++) {
+        int k = 0;
+        for (int pb = 0; pb <= dims; pb++) {
+            while (bounded && (pa | pb) && k <= dims
+                   && !((double)(k * k) > bound2 * (pa * pb)))
+                k++;
+            need[pa * (dims + 1) + pb] = (uint8_t)k;
+        }
+    }
 }
 
 /* One full converging-node reduction.
@@ -239,6 +288,7 @@ static size_t scratch_bytes(int64_t count, int64_t nblocks) {
  * block_sizes: rows per predecessor block (nblocks entries summing to
  *              count).
  * sim_mask:    dimensions similarity compares ([sim_lo, dims)).
+ * need:        merge_need(dims, threshold) table.
  * scratch:     >= scratch_bytes(count, nblocks) bytes.
  * out_indices: >= count entries; receives the kept row indices (into
  *              the input order), output order.
@@ -252,9 +302,9 @@ static int32_t reduce_rows(
     const double *stacks, const double *pen, const uint64_t *supp,
     const uint8_t *tested, int32_t count, int32_t dims,
     const int32_t *block_sizes, int32_t nblocks, uint64_t sim_mask,
-    double threshold, int32_t max_paths, int32_t preserve_unique,
-    char *scratch, int32_t *out_indices, uint8_t *out_tested,
-    int64_t *work)
+    double threshold, const uint8_t *need, int32_t max_paths,
+    int32_t preserve_unique, char *scratch, int32_t *out_indices,
+    uint8_t *out_tested, int64_t *work)
 {
     if (count <= 1) {
         for (int i = 0; i < count; i++) {
@@ -267,10 +317,9 @@ static int32_t reduce_rows(
     uint64_t *msupp = ssupp + count;             /* by kept mergeable row */
     double *scol0 = (double *)(msupp + count);   /* by sorted position */
     int32_t *order = (int32_t *)(scol0 + count); /* sorted position -> row */
-    int32_t *sblock = order + count;             /* by sorted position */
-    int32_t *stag = sblock + count;              /* by sorted position */
-    int32_t *dropped = stag + count;             /* by sorted position */
-    int32_t *surv = dropped + count;             /* sorted positions */
+    int32_t *blk = order + count;                /* block, -1: dropped */
+    int32_t *stag = blk + count;                 /* by sorted position */
+    int32_t *surv = stag + count;                /* sorted positions */
     int32_t *uniq = surv + count;
     int32_t *kept = uniq + count;
     int32_t *mpop = kept + count;                /* popcounts of msupp */
@@ -281,7 +330,8 @@ static int32_t reduce_rows(
 
     /* merge the blocks, each already in descending penalty order, by
      * descending penalty with ties to the earlier block: the stable
-     * argsort's order.  A row's tag is its block when it carries the
+     * argsort's order.  A row's word in blk is its block until it is
+     * dropped, then -1; its tag is its block when it carries the
      * merge-tested bit and -1 otherwise. */
     for (int b = 0, at = 0; b < nblocks; b++) {
         next[b] = at;
@@ -297,11 +347,10 @@ static int32_t reduce_rows(
         }
         int r = next[best]++;
         order[k] = r;
-        sblock[k] = best;
+        blk[k] = best;
         stag[k] = tested[r] ? best : -1;
         ssupp[k] = supp[r];
         scol0[k] = stacks[(size_t)r * dims];
-        dropped[k] = 0;
     }
     /* cross-block dominance in sorted order: an earlier row beats a
      * later one it covers element-wise.  Rows are non-negative, so q
@@ -309,20 +358,21 @@ static int32_t reduce_rows(
      * support needs comparing.  A dropped q is skipped: whatever it
      * covers, the earlier row that covers it covers too, and from
      * another block, since blocks are internally dominance-free.  For
-     * one q, dropped[pj] changes only in r's own cover test, so the
-     * pairs still undecided (r not dropped, another block, support
-     * subset, r[0] <= q[0]) are listed in one branch-free pass before
+     * one q, blk[pj] changes only in r's own cover test, so the pairs
+     * still undecided (r not dropped and in another block: one test,
+     * (blk[pj] ^ qb) > 0, since -1 ^ qb < 0 and qb ^ qb == 0; support
+     * subset; r[0] <= q[0]) are listed in one branch-free pass before
      * any is tested, and the test skips dimension 0. */
     for (int pi = 0; pi < count; pi++) {
-        if (dropped[pi]) continue;
+        int qb = blk[pi];
+        if (qb < 0) continue;
         const double *qrow = stacks + (size_t)order[pi] * dims;
         uint64_t q_missing = ~ssupp[pi];
         double q0 = scol0[pi];
-        int qb = sblock[pi];
         int npairs = 0;
         for (int pj = pi + 1; pj < count; pj++) {
             pairs[npairs] = pj;
-            npairs += !dropped[pj] & (sblock[pj] != qb)
+            npairs += ((blk[pj] ^ qb) > 0)
                       & ((ssupp[pj] & q_missing) == 0) & (scol0[pj] <= q0);
         }
         work[0] += npairs;
@@ -334,12 +384,12 @@ static int32_t reduce_rows(
                 int d = __builtin_ctzll(m);
                 if (qrow[d] < rrow[d]) { covers = 0; break; }
             }
-            dropped[pj] = covers;
+            if (covers) blk[pj] = -1;
         }
     }
     int n2 = 0;
     for (int k = 0; k < count; k++) {
-        if (!dropped[k]) surv[n2++] = k;
+        if (blk[k] >= 0) surv[n2++] = k;
     }
     if (n2 == 1) {
         out_indices[0] = order[surv[0]];
@@ -367,11 +417,10 @@ static int32_t reduce_rows(
      * merge-tested bit (equal tags), and one with
      * |A & B|^2 <= (threshold - 1e-9)^2 |A| |B|, where A and B are the
      * two rows' supports within sim_mask, unless its union is empty
-     * (similarity 1.0) or threshold <= 1e-9.  The rest are listed in one
-     * branch-free pass, newest kept row first, then evaluated in that
-     * order up to the first that blocks. */
-    const int bounded = threshold > 1e-9;
-    const double bound2 = (threshold - 1e-9) * (threshold - 1e-9);
+     * (similarity 1.0) or threshold <= 1e-9: exactly the pairs with
+     * |A & B| < need[|A|][|B|].  The rest are listed in one branch-free
+     * pass, newest kept row first, then evaluated in that order up to
+     * the first that blocks. */
     int nkept = 0, nmerge = 0;
     int32_t *kept_merge = out_indices; /* reuse as temp: sorted positions */
     for (int i = 0; i < n2; i++) {
@@ -382,15 +431,13 @@ static int32_t reduce_rows(
         int ri = surv[i];
         uint64_t a = ssupp[ri] & sim_mask;
         int pa = popcount64(a);
+        const uint8_t *need_a = need + pa * (dims + 1);
         int tag = stag[ri] >= 0 ? stag[ri] : -2; /* -2: equals no mtag */
         int npairs = 0;
         for (int m = nmerge - 1; m >= 0; m--) {
-            uint64_t b = msupp[m];
-            int both = popcount64(a & b);
             pairs[npairs] = m;
             npairs += (mtag[m] != tag)
-                      & (!bounded | ((a | b) == 0)
-                         | ((double)(both * both) > bound2 * (pa * mpop[m])));
+                      & (popcount64(a & msupp[m]) >= need_a[mpop[m]]);
         }
         const double *row = stacks + (size_t)order[ri] * dims;
         int blocked = 0;
@@ -422,7 +469,7 @@ static int32_t reduce_rows(
             if (!uniq[kept[j]]) chosen[taken++] = j;
         }
         /* chosen holds kept-positions; emit in ascending position */
-        int32_t *mark = dropped; /* reuse: zeroed below */
+        int32_t *mark = pairs; /* reuse: zeroed below */
         for (int j = 0; j < nkept; j++) mark[j] = 0;
         for (int t = 0; t < taken; t++) mark[chosen[t]] = 1;
         int outn = 0;
@@ -487,24 +534,34 @@ int32_t repro_reduce_node(
     double *pen = malloc(rows * sizeof(double));
     uint64_t *supp = malloc(rows * sizeof(uint64_t));
     uint8_t *bits = calloc(2 * rows, 1); /* tested in, then out */
+    uint8_t *need = malloc((size_t)(dims + 1) * (dims + 1));
     char *scratch = malloc(scratch_bytes(count, nblocks) + 1);
     int32_t kept = REPRO_ENOMEM;
-    if (pen && supp && bits && scratch) {
+    if (pen && supp && bits && need && scratch) {
         for (int32_t i = 0; i < count; i++) {
             const double *row = stacks + (size_t)i * dims;
             pen[i] = row_penalty(row, theta, dims);
             supp[i] = row_support(row, dims);
         }
         if (tested) memcpy(bits, tested, (size_t)count);
+        merge_need(dims, threshold, need);
         int64_t work[2] = {0, 0};
         kept = reduce_rows(
             stacks, pen, supp, bits, count, dims, block_sizes, nblocks,
-            similarity_mask(dims, sim_lo), threshold, max_paths,
+            similarity_mask(dims, sim_lo), threshold, need, max_paths,
             preserve_unique, scratch, out_indices, bits + rows, work);
         if (out_tested) memcpy(out_tested, bits + rows, (size_t)kept);
     }
-    free(pen); free(supp); free(bits); free(scratch);
+    free(pen); free(supp); free(bits); free(need); free(scratch);
     return kept;
+}
+
+/* The merge_need table for dims (1..64) and threshold into out, which
+ * holds (dims + 1) x (dims + 1) entries; returns 0 or REPRO_EINPUT. */
+int32_t repro_merge_need(int32_t dims, double threshold, uint8_t *out) {
+    if (dims < 1 || dims > 64) return REPRO_EINPUT;
+    merge_need(dims, threshold, out);
+    return 0;
 }
 
 /* Grow *buf to hold at least `need` items of `item` bytes (doubling). */
@@ -551,29 +608,46 @@ static void rowset_free(rowset *s) {
     free(s->val); free(s->pen); free(s->supp); free(s->tested);
 }
 
+/* Support bitmask of an edge charge held in `slots` packed
+ * (event, units) pairs: the events with units > 0. */
+static uint64_t charge_support(const int16_t *events, const int32_t *units,
+                               int32_t slots) {
+    uint64_t s = 0;
+    for (int k = 0; k < slots; k++) {
+        if (units[k] > 0) s |= (uint64_t)1 << events[k];
+    }
+    return s;
+}
+
 /* Copy cnt rows and their facts from row `src` of `from` to row `dst`
- * of `to`, shifted by an edge charge with support csupp: values plus
- * the charge, penalty plus its penalty, support OR its support, and the
- * merge-tested bit kept only if the charge is zero on every similarity
- * dimension.  A zero charge (csupp 0) copies. */
+ * of `to`, shifted by an edge charge of `slots` packed (event, units)
+ * pairs with support csupp: each value plus the units charged to its
+ * dimension, penalty plus the charge's penalty, support OR its support,
+ * and the merge-tested bit kept only if the charge is zero on every
+ * similarity dimension.  A zero charge (csupp 0) copies.  Values,
+ * units and latencies are integer-valued, so adding a charge slot by
+ * slot, and pricing it slot by slot, gives exactly the dense charge
+ * row's sums. */
 static void shift_rows(rowset *to, int64_t dst, const rowset *from,
-                       int64_t src, int32_t cnt, const double *charge,
-                       uint64_t csupp, int32_t dims, const double *theta,
+                       int64_t src, int32_t cnt, const int16_t *events,
+                       const int32_t *units, int32_t slots, uint64_t csupp,
+                       int32_t dims, const double *theta,
                        uint64_t sim_mask) {
     double *tv = to->val + (size_t)dst * dims;
     const double *fv = from->val + (size_t)src * dims;
+    memcpy(tv, fv, (size_t)cnt * dims * sizeof(double));
     if (!csupp) {
-        memcpy(tv, fv, (size_t)cnt * dims * sizeof(double));
         memcpy(to->pen + dst, from->pen + src, (size_t)cnt * sizeof(double));
         memcpy(to->supp + dst, from->supp + src,
                (size_t)cnt * sizeof(uint64_t));
         memcpy(to->tested + dst, from->tested + src, (size_t)cnt);
         return;
     }
-    double cpen = row_penalty(charge, theta, dims);
+    double cpen = 0.0;
+    for (int k = 0; k < slots; k++) cpen += units[k] * theta[events[k]];
     uint8_t keep = (csupp & sim_mask) == 0;
-    for (int32_t i = 0; i < cnt; i++, tv += dims, fv += dims) {
-        for (int d = 0; d < dims; d++) tv[d] = fv[d] + charge[d];
+    for (int32_t i = 0; i < cnt; i++, tv += dims) {
+        for (int k = 0; k < slots; k++) tv[events[k]] += units[k];
         to->pen[dst + i] = from->pen[src + i] + cpen;
         to->supp[dst + i] = from->supp[src + i] | csupp;
         to->tested[dst + i] = from->tested[src + i] & keep;
@@ -604,36 +678,62 @@ static int64_t kahn_init(
     return tail;
 }
 
-/* Propagate stacks through one segment view; see the module docstring.
+/* Propagate stacks through one segment of a whole graph, reading the
+ * graph's packed arrays directly; see the module docstring.
  *
- * n, in_indptr, edge_src: the view's local CSR over intra in-edges.
- * charges:     m x dims row-major dense edge charges (non-negative).
- * sink:        local id whose population is returned.
+ * num_nodes, in_indptr: the graph's in-edge CSR row pointer.
+ * edge_src, num_edges: each in-edge's source node, in CSR order.
+ * events, units: num_edges x slots packed (event, units) edge charges,
+ *              zero-padded.
+ * lo, hi:      the segment's nodes, lo .. hi - 1; its sink is hi - 1.
+ *              An in-edge whose source lies outside them crosses the
+ *              segment boundary and is dropped.
  * out_rows:    receives a malloc'd count x dims copy of the sink's rows
  *              (release with repro_free).
  * counts:      receives [candidate rows, reductions, cover tests,
  *              similarity evaluations].
- * Returns the sink's row count, or a negative REPRO_E* code.
+ * Returns the sink's row count, or a negative REPRO_E* code.  Nothing
+ * is read unchecked: in_indptr[lo .. hi] must rise from >= 0 to
+ * <= num_edges, and each of the segment's in-edges must have its
+ * source in 0 .. num_nodes - 1, its events in 0 .. dims - 1 and no
+ * negative units.
  */
 int64_t repro_walk_segment(
-    int64_t n, const int64_t *in_indptr, const int64_t *edge_src,
-    const double *charges, int32_t dims, int64_t sink,
+    int64_t num_nodes, const int64_t *in_indptr, const int64_t *edge_src,
+    int64_t num_edges, const int16_t *events, const int32_t *units,
+    int32_t slots, int64_t lo, int64_t hi, int32_t dims,
     const double *theta, int32_t sim_lo, double threshold,
-    int32_t max_paths, int32_t preserve_unique,
-    double **out_rows, int64_t *counts)
+    int32_t max_paths, int32_t preserve_unique, double **out_rows,
+    int64_t *counts)
 {
-    if (dims < 1 || dims > 64 || sim_lo < 0 || sim_lo > dims || sink < 0
-        || sink >= n)
+    if (dims < 1 || dims > 64 || sim_lo < 0 || sim_lo > dims || slots < 1
+        || lo < 0 || hi <= lo || hi > num_nodes)
         return REPRO_EINPUT;
-    int64_t m = in_indptr[n];
-    for (int64_t e = 0; e < m; e++) {
-        if (edge_src[e] < 0 || edge_src[e] >= n) return REPRO_EINPUT;
+    const int64_t first = in_indptr[lo], seg_edges = in_indptr[hi] - first;
+    if (first < 0 || in_indptr[hi] > num_edges) return REPRO_EINPUT;
+    for (int64_t v = lo; v < hi; v++) {
+        if (in_indptr[v] > in_indptr[v + 1]) return REPRO_EINPUT;
     }
+    for (int64_t e = first; e < first + seg_edges; e++) {
+        if (edge_src[e] < 0 || edge_src[e] >= num_nodes) return REPRO_EINPUT;
+        for (int k = 0; k < slots; k++) {
+            int16_t ev = events[(size_t)e * slots + k];
+            if (ev < 0 || ev >= dims || units[(size_t)e * slots + k] < 0)
+                return REPRO_EINPUT;
+        }
+    }
+    const int64_t n = hi - lo; /* node ids below are local: global - lo */
     const uint64_t sim_mask = similarity_mask(dims, sim_lo);
     const size_t row_bytes = (size_t)dims * sizeof(double);
+    uint8_t need[65 * 65];
+    merge_need(dims, threshold, need);
     int64_t rc = REPRO_ENOMEM;
+    size_t edge_slots = (size_t)(seg_edges > 0 ? seg_edges : 1);
+    int64_t *lptr = malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *lsrc = malloc(edge_slots * sizeof(int64_t));
+    int64_t *ledge = malloc(edge_slots * sizeof(int64_t));
     int64_t *out_ptr = calloc((size_t)n + 1, sizeof(int64_t));
-    int64_t *out_dst = malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+    int64_t *out_dst = malloc(edge_slots * sizeof(int64_t));
     int64_t *indegree = malloc((size_t)n * sizeof(int64_t));
     int64_t *queue = malloc((size_t)n * sizeof(int64_t));
     int64_t *set_off = malloc((size_t)n * sizeof(int64_t));
@@ -645,9 +745,21 @@ int64_t repro_walk_segment(
     int64_t arena_rows = 1, sizes_cap = 0, kept_cap = 0, tested_cap = 0;
     int64_t scratch_cap = 0;
     int64_t candidates = 0, reductions = 0, work[2] = {0, 0};
-    if (!out_ptr || !out_dst || !indegree || !queue || !set_off
-        || !set_count || rowset_reserve(&arena, 1, dims))
+    if (!lptr || !lsrc || !ledge || !out_ptr || !out_dst || !indegree
+        || !queue || !set_off || !set_count
+        || rowset_reserve(&arena, 1, dims))
         goto done;
+    /* the segment's own CSR over its intra in-edges: local sources and
+     * each edge's id in the graph, in the graph's CSR order */
+    for (int64_t v = 0, k = 0; v < n; v++) {
+        lptr[v] = k;
+        for (int64_t e = in_indptr[lo + v]; e < in_indptr[lo + v + 1]; e++) {
+            lsrc[k] = edge_src[e] - lo;
+            ledge[k] = e;
+            k += (edge_src[e] >= lo) & (edge_src[e] < hi);
+        }
+        lptr[v + 1] = k;
+    }
     /* row 0: the shared entry (zero) set, with no facts */
     memset(arena.val, 0, row_bytes);
     arena.pen[0] = 0.0;
@@ -655,20 +767,21 @@ int64_t repro_walk_segment(
     arena.tested[0] = 0;
 
     int64_t head = 0,
-            tail = kahn_init(n, in_indptr, edge_src, out_ptr, out_dst,
-                             indegree, queue);
+            tail = kahn_init(n, lptr, lsrc, out_ptr, out_dst, indegree,
+                             queue);
     while (head < tail) {
         int64_t v = queue[head++];
-        int64_t begin = in_indptr[v], deg = in_indptr[v + 1] - begin;
+        int64_t begin = lptr[v], deg = lptr[v + 1] - begin;
         if (deg == 0) {
             set_off[v] = 0; /* segment entry: start from nothing */
             set_count[v] = 1;
         } else if (deg == 1) {
             /* one predecessor: its set moves shared, or shifted by the
              * edge charge (a constant shift needs no reduction) */
-            int64_t p = edge_src[begin];
-            const double *charge = charges + (size_t)begin * dims;
-            uint64_t csupp = row_support(charge, dims);
+            int64_t p = lsrc[begin];
+            const int16_t *ev = events + (size_t)ledge[begin] * slots;
+            const int32_t *un = units + (size_t)ledge[begin] * slots;
+            uint64_t csupp = charge_support(ev, un, slots);
             if (!csupp) {
                 set_off[v] = set_off[p];
                 set_count[v] = set_count[p];
@@ -676,8 +789,8 @@ int64_t repro_walk_segment(
                 int32_t cnt = set_count[p];
                 if (rowset_reserve(&arena, arena_rows + cnt, dims))
                     goto done;
-                shift_rows(&arena, arena_rows, &arena, set_off[p], cnt,
-                           charge, csupp, dims, theta, sim_mask);
+                shift_rows(&arena, arena_rows, &arena, set_off[p], cnt, ev,
+                           un, slots, csupp, dims, theta, sim_mask);
                 set_off[v] = arena_rows;
                 set_count[v] = cnt;
                 arena_rows += cnt;
@@ -686,7 +799,7 @@ int64_t repro_walk_segment(
             /* converging node: assemble the shifted blocks, reduce */
             int64_t total = 0;
             for (int64_t e = begin; e < begin + deg; e++)
-                total += set_count[edge_src[e]];
+                total += set_count[lsrc[e]];
             if (total > INT32_MAX) { rc = REPRO_EINPUT; goto done; }
             if (rowset_reserve(&cand, total, dims)
                 || reserve((void **)&kept_idx, &kept_cap, total,
@@ -699,11 +812,12 @@ int64_t repro_walk_segment(
                 goto done;
             int64_t at = 0;
             for (int64_t e = begin; e < begin + deg; e++) {
-                int64_t p = edge_src[e];
-                const double *charge = charges + (size_t)e * dims;
-                shift_rows(&cand, at, &arena, set_off[p], set_count[p],
-                           charge, row_support(charge, dims), dims, theta,
-                           sim_mask);
+                int64_t p = lsrc[e];
+                const int16_t *ev = events + (size_t)ledge[e] * slots;
+                const int32_t *un = units + (size_t)ledge[e] * slots;
+                shift_rows(&cand, at, &arena, set_off[p], set_count[p], ev,
+                           un, slots, charge_support(ev, un, slots), dims,
+                           theta, sim_mask);
                 at += set_count[p];
                 sizes[e - begin] = set_count[p];
             }
@@ -711,8 +825,9 @@ int64_t repro_walk_segment(
             reductions++;
             int32_t kept = reduce_rows(
                 cand.val, cand.pen, cand.supp, cand.tested, (int32_t)total,
-                dims, sizes, (int32_t)deg, sim_mask, threshold, max_paths,
-                preserve_unique, scratch, kept_idx, kept_tested, work);
+                dims, sizes, (int32_t)deg, sim_mask, threshold, need,
+                max_paths, preserve_unique, scratch, kept_idx, kept_tested,
+                work);
             if (rowset_reserve(&arena, arena_rows + kept, dims))
                 goto done;
             for (int32_t i = 0; i < kept; i++) {
@@ -737,10 +852,10 @@ int64_t repro_walk_segment(
         goto done;
     }
     {
-        int32_t cnt = set_count[sink];
+        int32_t cnt = set_count[n - 1];
         double *rows = malloc((size_t)cnt * row_bytes);
         if (!rows) goto done;
-        memcpy(rows, arena.val + (size_t)set_off[sink] * dims,
+        memcpy(rows, arena.val + (size_t)set_off[n - 1] * dims,
                (size_t)cnt * row_bytes);
         *out_rows = rows;
         counts[0] = candidates;
@@ -750,6 +865,7 @@ int64_t repro_walk_segment(
         rc = cnt;
     }
 done:
+    free(lptr); free(lsrc); free(ledge);
     free(out_ptr); free(out_dst); free(indegree); free(queue);
     free(set_off); free(set_count); rowset_free(&arena); rowset_free(&cand);
     free(sizes); free(kept_idx); free(kept_tested); free(scratch);
@@ -885,12 +1001,16 @@ class NativeWalk:
         walk = lib.repro_walk_segment
         walk.restype = ctypes.c_int64
         walk.argtypes = [
-            ctypes.c_int64,  # n
+            ctypes.c_int64,  # num_nodes
             ctypes.c_void_p,  # in_indptr
             ctypes.c_void_p,  # edge_src
-            ctypes.c_void_p,  # charges
+            ctypes.c_int64,  # num_edges
+            ctypes.c_void_p,  # events
+            ctypes.c_void_p,  # units
+            ctypes.c_int32,  # slots
+            ctypes.c_int64,  # lo
+            ctypes.c_int64,  # hi
             ctypes.c_int32,  # dims
-            ctypes.c_int64,  # sink
             ctypes.c_void_p,  # theta
             ctypes.c_int32,  # sim_lo
             ctypes.c_double,  # threshold
@@ -909,10 +1029,18 @@ class NativeWalk:
             ctypes.c_void_p,  # dist
             ctypes.c_void_p,  # parent (NULL: not tracked)
         ]
+        need = lib.repro_merge_need
+        need.restype = ctypes.c_int32
+        need.argtypes = [
+            ctypes.c_int32,  # dims
+            ctypes.c_double,  # threshold
+            ctypes.c_void_p,  # out
+        ]
         lib.repro_free.restype = None
         lib.repro_free.argtypes = [ctypes.c_void_p]
         self._reduce_node = reduce_node
         self._walk = walk
+        self._need = need
         self._longest = longest
         self._free = lib.repro_free
 
@@ -960,31 +1088,67 @@ class NativeWalk:
             "reduction",
         )
 
-    def walk_segment(
-        self, view: SegmentView, theta: np.ndarray, policy: ReductionPolicy
-    ) -> Tuple[np.ndarray, int, int, Dict[str, int]]:
-        """Walk one segment view in a single call.
+    def merge_need(self, threshold: float, dims: int = NUM_EVENTS) -> np.ndarray:
+        """The merge's support-bound table at *threshold* over *dims*
+        (1..64) dimensions: ``(dims + 1, dims + 1)`` uint8 entries, where
+        a pair of rows with support popcounts ``pa`` and ``pb`` is
+        evaluated when its common popcount is at least ``[pa, pb]``
+        (module docstring)."""
+        out = np.empty((dims + 1, dims + 1), dtype=np.uint8)
+        _check(self._need(dims, threshold, out.ctypes.data), "merge table")
+        return out
 
-        *theta* must be C-contiguous float64 of ``NUM_EVENTS`` entries.
-        Returns ``(sink_stacks, candidate_stacks, reductions, work)``:
-        the spec walk's three results, plus the reductions' work as
-        ``{"cover_tests": ..., "similarity_evals": ...}`` (dominance
-        cover tests run and merge similarities evaluated).  Raises
-        :class:`GraphBuildError` on a cyclic view.
+    def walk_segment(
+        self,
+        graph: DependenceGraph,
+        lo: int,
+        hi: int,
+        theta: np.ndarray,
+        policy: ReductionPolicy,
+    ) -> Tuple[np.ndarray, int, int, Dict[str, int]]:
+        """Walk the segment of *graph* over nodes ``lo .. hi - 1`` in a
+        single call, straight off the graph's packed arrays.
+
+        The kernel drops each in-edge whose source lies outside the
+        segment, the rule :meth:`DependenceGraph.segment_view` applies,
+        and adds each charge from its packed slots; the segment's sink
+        is node ``hi - 1``.  *theta* must be float64 of ``NUM_EVENTS``
+        entries.  Returns ``(sink_stacks, candidate_stacks, reductions,
+        work)``: the spec walk's three results, plus the reductions'
+        work as ``{"cover_tests": ..., "similarity_evals": ...}``
+        (dominance cover tests run and merge similarities evaluated).
+        Raises :class:`GraphBuildError` on a cyclic segment, and
+        :class:`ValueError` on arrays the kernel cannot read safely: a
+        segment outside the graph, a source outside it, an event id of
+        ``NUM_EVENTS`` or more, or a negative unit count.
         """
-        charges = np.ascontiguousarray(view.charge_matrix())
-        in_indptr = np.ascontiguousarray(view.in_indptr, dtype=np.int64)
-        edge_src = np.ascontiguousarray(view.edge_src, dtype=np.int64)
+        in_indptr = np.ascontiguousarray(graph.in_indptr, dtype=np.int64)
+        edge_src = np.ascontiguousarray(graph.edge_src, dtype=np.int64)
+        events = np.ascontiguousarray(graph.events, dtype=np.int16)
+        units = np.ascontiguousarray(graph.units, dtype=np.int32)
+        if (
+            in_indptr.ndim != 1
+            or edge_src.ndim != 1
+            or events.ndim != 2
+            or events.shape[0] != edge_src.shape[0]
+            or units.shape != events.shape
+        ):
+            raise ValueError("graph edge arrays do not match in shape")
+        _require(theta, np.float64, NUM_EVENTS, "theta")
         counts = np.zeros(4, dtype=np.int64)
         rows = ctypes.POINTER(ctypes.c_double)()
         count = _check(
             self._walk(
-                view.num_nodes,
+                in_indptr.shape[0] - 1,
                 in_indptr.ctypes.data,
                 edge_src.ctypes.data,
-                charges.ctypes.data,
+                edge_src.shape[0],
+                events.ctypes.data,
+                units.ctypes.data,
+                events.shape[1],
+                lo,
+                hi,
                 NUM_EVENTS,
-                view.sink_local,
                 theta.ctypes.data,
                 *_policy_args(policy),
                 ctypes.byref(rows),

@@ -229,6 +229,20 @@ class DependenceGraph:
             raise ValueError("segment_length must be positive")
         return (self.num_uops + segment_length - 1) // segment_length
 
+    def segment_uops(
+        self, segment: int, segment_length: int
+    ) -> Tuple[int, int]:
+        """``(first_uop, num_uops)`` of one segment; its nodes are
+        ``NODES_PER_UOP`` per µop from ``first_uop * NODES_PER_UOP``.
+        Raises :class:`IndexError` for a segment out of range."""
+        count = self.num_segments(segment_length)
+        if not 0 <= segment < count:
+            raise IndexError(
+                f"segment {segment} out of range ({count} segments)"
+            )
+        first_uop = segment * segment_length
+        return first_uop, min(segment_length, self.num_uops - first_uop)
+
     def segment_view(self, segment: int, segment_length: int) -> SegmentView:
         """Slice out one segment's nodes and intra-segment edges.
 
@@ -240,13 +254,7 @@ class DependenceGraph:
         keep their relative CSR order, so per-node predecessor order is
         the parent graph's.
         """
-        count = self.num_segments(segment_length)
-        if not 0 <= segment < count:
-            raise IndexError(
-                f"segment {segment} out of range ({count} segments)"
-            )
-        first_uop = segment * segment_length
-        seg_uops = min(segment_length, self.num_uops - first_uop)
+        first_uop, seg_uops = self.segment_uops(segment, segment_length)
         lo = first_uop * NODES_PER_UOP
         n = seg_uops * NODES_PER_UOP
         hi = lo + n

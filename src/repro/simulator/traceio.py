@@ -185,7 +185,8 @@ def load_result(
         TraceFormatError: naming the file, when it is no trace archive
             of version :data:`FORMAT_VERSION` (a model archive, an
             archive of another version, one whose metadata is no JSON
-            object, a corrupt one, or no ``.npz`` archive at all).
+            object or has a field of the wrong shape, a corrupt one, or
+            no ``.npz`` archive at all).
     """
     path = pathlib.Path(path)
     members = read_npz(path, TraceFormatError, data)
@@ -200,8 +201,8 @@ def load_result(
         )
     if "layout" not in meta:
         raise TraceFormatError(f"{path} has no trace layout")
-    columns = _unpack(path, meta["layout"], members)
     try:
+        columns = _unpack(path, meta["layout"], members)
         uop_cols = WorkloadColumns(
             n=len(columns["uop_macro_id"]),
             **{attr: columns[key] for attr, key in _UOP_KEYS},
@@ -221,9 +222,16 @@ def load_result(
             ),
             stats=dict(meta["stats"]),
         )
+    except TraceFormatError:
+        raise
     except KeyError as missing:
         raise TraceFormatError(
             f"{path} is not a trace archive: it has no {missing}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"{path} is not a trace archive: its metadata is malformed "
+            f"({exc})"
         ) from None
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import baseline_config
 from repro.common.events import LATENCY_DOMAIN, EventType
+from repro.core import native
 from repro.core.generator import RpStacksGenerator, generate_rpstacks
 from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy
@@ -243,6 +244,36 @@ class TestObservability:
             return
         assert totals == [sum(column) for column in zip(*per_span)]
         assert min(totals) > 0
+
+
+    @pytest.mark.parametrize(
+        "gate,load_failed,fallbacks",
+        [("auto", True, 2), ("0", True, None), ("auto", False, None)],
+        ids=["failed-load", "asked-for-spec", "loaded"],
+    )
+    def test_only_a_failed_kernel_load_counts_a_fallback(
+        self, small_case, monkeypatch, gate, load_failed, fallbacks
+    ):
+        """Each generation that runs the spec walk because the compiled
+        walk failed to load in auto mode counts one
+        ``stacks.native_fallbacks``; one under ``REPRO_NATIVE=0``, where
+        the spec walk was asked for, counts none, and so does one on the
+        loaded kernel."""
+        result, graph = small_case
+        monkeypatch.setenv("REPRO_NATIVE", gate)
+        if load_failed:
+            # How load_gated remembers a failed best-effort load.
+            monkeypatch.setitem(native._LOADED, "reducer", None)
+        elif load_native() is None:
+            pytest.skip("no C toolchain available in this environment")
+        obs = Observer(enabled=True, progress_stream=None)
+        with use_observer(obs):
+            for _ in range(2):
+                generate_rpstacks(graph, result.config.latency)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters.get("stacks.native_fallbacks") == fallbacks
+        spans = [s for s in obs.tracer.spans if s.name == "stacks.generate"]
+        assert [s.attrs["native"] for s in spans] == [not load_failed] * 2
 
 
 class TestThreadedWalk:

@@ -2,14 +2,15 @@
 undefined-behaviour sanitizer.
 
 The reducer's pair lists index per-row scratch by counts it derives
-from its input, and its merge skip does arithmetic on support
-popcounts: an out-of-range shift, a signed overflow or a misaligned
-scratch array is undefined behaviour that the optimised build may
-silently miscompile.  Here the kernel source is built with every
+from its input, its merge table does arithmetic on support popcounts,
+and the walk shifts a bit by each event id it reads off the graph: an
+out-of-range shift, a signed overflow or a misaligned scratch array is
+undefined behaviour that the optimised build may silently miscompile.  Here the kernel source is built with every
 warning an error and ``-fsanitize=undefined -fno-sanitize-recover=all``
 (a finding ends the process; run pytest with ``-s`` to see the
 sanitizer's report), then checked against the spec reducer
-and the spec walk like the production build.  The test skips only when
+and the spec walk like the production build, and on the inputs the
+walk must reject.  The test skips only when
 this toolchain cannot build and load a trivial sanitized library; a
 warning in the kernel fails it.
 """
@@ -70,8 +71,9 @@ def sanitized():
         (parity._random_block_population, 7, 150),
         (parity._tied_binary_population, 11, 150),
         (parity._support_bound_population, 13, 200),
+        (parity._many_small_blocks_population, 19, 100),
     ],
-    ids=["random_blocks", "tied_binary", "support_bound"],
+    ids=["random_blocks", "tied_binary", "support_bound", "many_small_blocks"],
 )
 def test_sanitized_reducer_matches_spec(sanitized, population, seed, count):
     rng = np.random.default_rng(seed)
@@ -84,6 +86,16 @@ def test_sanitized_reducer_carries_merge_bits(sanitized):
     parity._assert_carried_bits_match_spec(
         sanitized, np.random.default_rng(17), 300
     )
+
+
+@pytest.mark.parametrize("threshold", parity.NEED_THRESHOLDS)
+def test_sanitized_merge_table_matches_the_float_bound(sanitized, threshold):
+    parity._assert_need_matches_the_float_bound(sanitized, threshold)
+
+
+@pytest.mark.parametrize("fault", parity.WALK_FAULTS)
+def test_sanitized_walk_rejects_what_it_cannot_read(sanitized, fault):
+    parity._assert_walk_rejects(sanitized, fault)
 
 
 @pytest.mark.parametrize("name", WALK_GRAPHS)

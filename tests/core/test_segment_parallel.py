@@ -14,7 +14,12 @@ parallel walk must be *invisible* in the results:
    (``_walk_segment`` over ``reduce_stacks``): at the reduce level
    (fuzz over block-structured populations), end-to-end over every
    suite workload and stress kernel, and at the edge cases of segment
-   length and policy, with ``REPRO_NATIVE`` flipped in-process.
+   length and policy, with ``REPRO_NATIVE`` flipped in-process;
+4. the compiled reducer's integer pair tests are exact: its merge table
+   against the float support bound it replaces, and its dominance
+   listing over populations of more than 64 blocks;
+5. the compiled walk, which reads the whole graph's packed arrays,
+   rejects an edge or a segment it cannot read safely.
 """
 
 import numpy as np
@@ -290,6 +295,33 @@ def _support_bound_population(rng):
     return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
 
 
+def _many_small_blocks_population(rng):
+    """Populations of 65-120 blocks of one or two rows each, so block
+    ids run past 64: the dominance listing tells blocks apart by the
+    sign of ``blk[pj] ^ qb``.  Rows are sparse 0-3 counts, so many cover
+    one another across blocks, and a BASE shift reorders the blocks by
+    penalty."""
+    policy = ReductionPolicy(
+        similarity_threshold=float(rng.choice([0.0, 0.5, 0.7, 1.0])),
+        max_paths=int(rng.choice([4, 256])),
+        preserve_unique=bool(rng.integers(0, 2)),
+        include_base_in_similarity=bool(rng.integers(0, 2)),
+    )
+    theta = rng.integers(1, 5, size=NUM_EVENTS).astype(np.float64)
+    blocks = []
+    for _ in range(int(rng.integers(65, 121))):
+        raw = rng.integers(0, 4, size=(int(rng.integers(1, 3)), NUM_EVENTS))
+        raw = raw * (rng.random(raw.shape) < 0.25)
+        shift = np.zeros(NUM_EVENTS)
+        shift[EventType.BASE] = rng.integers(0, 3)
+        blocks.append(
+            reduce_stacks(np.asarray(raw, dtype=np.float64), theta, policy)
+            + shift
+        )
+    sizes = np.asarray([b.shape[0] for b in blocks], dtype=np.int32)
+    return np.ascontiguousarray(np.vstack(blocks)), sizes, theta, policy
+
+
 def _assert_native_matches_spec(native, populations):
     out = np.empty(256, dtype=np.int32)
     for stacks, sizes, theta, policy in populations:
@@ -371,6 +403,69 @@ def _assert_carried_bits_match_spec(native, rng, count):
     assert paired >= count // 4
 
 
+#: Thresholds the merge table is checked at: the two that skip no pair
+#: (τ <= 1e-9), the paper's 0.7 and the ends of the bound's range.
+NEED_THRESHOLDS = [0.0, 1e-9, 0.5, 0.7, 0.95, 1.0]
+
+
+def _assert_need_matches_the_float_bound(native, threshold):
+    """The kernel's merge table against the float test it replaces, for
+    every pair of support popcounts 0..64 and every common popcount
+    the pair can have: a pair is evaluated unless τ > 1e-9, its union
+    is non-empty and |A∩B|² <= (τ − 1e-9)²·|A|·|B| in float64."""
+    need = native.merge_need(threshold, 64)
+    assert need.shape == (65, 65)
+    pa, pb, both = np.meshgrid(
+        np.arange(65), np.arange(65), np.arange(65), indexing="ij"
+    )
+    possible = both <= np.minimum(pa, pb)
+    bound2 = (threshold - 1e-9) * (threshold - 1e-9)
+    evaluated = (
+        (not threshold > 1e-9)
+        | ((pa == 0) & (pb == 0))
+        | ((both * both).astype(np.float64) > bound2 * (pa * pb))
+    )
+    listed = both >= need[:, :, None]
+    assert (listed[possible] == evaluated[possible]).all()
+    assert need[0, 0] == 0  # the empty union: similarity 1.0
+
+
+#: What the graph-direct walk must reject rather than read: an edge of
+#: the walked segment with an event id out of range, a source outside
+#: the graph or a negative unit count; a row pointer past the edge
+#: arrays; and a segment past the graph's nodes.
+WALK_FAULTS = [
+    "event-past-end", "event-negative", "source-past-end",
+    "source-negative", "units-negative", "indptr-past-edges",
+    "segment-past-graph",
+]
+
+
+def _assert_walk_rejects(native, fault):
+    graph = build_graph(
+        simulate(make_workload("gamess", 20), baseline_config())
+    )
+    lo, hi = 0, 4 * NODES_PER_UOP
+    edge = int(graph.in_indptr[hi]) - 1  # the segment's last in-edge
+    if fault == "event-past-end":
+        graph.events[edge, 0], graph.units[edge, 0] = NUM_EVENTS, 1
+    elif fault == "event-negative":
+        graph.events[edge, 0], graph.units[edge, 0] = -1, 1
+    elif fault == "source-past-end":
+        graph.edge_src[edge] = graph.num_nodes
+    elif fault == "source-negative":
+        graph.edge_src[edge] = -1
+    elif fault == "units-negative":
+        graph.units[edge, 0] = -1
+    elif fault == "indptr-past-edges":
+        graph.in_indptr[hi] = graph.num_edges + 1
+    else:
+        lo, hi = graph.num_nodes - 1, graph.num_nodes + 1
+    theta = baseline_config().latency.as_vector()
+    with pytest.raises(ValueError, match="segment walk rejected its input"):
+        native.walk_segment(graph, lo, hi, theta, ReductionPolicy())
+
+
 #: Stress-kernel arguments keeping the end-to-end differential quick.
 STRESS_ARGS = {"icache_thrash": {"passes": 1}, "dcache_thrash": {"passes": 1}}
 
@@ -414,6 +509,24 @@ class TestNativeReducerParity:
         _assert_native_matches_spec(
             native, (_support_bound_population(rng) for _ in range(200))
         )
+
+    def test_native_matches_spec_on_many_small_blocks(self):
+        """Catches a dominance listing that confuses blocks once their
+        ids pass 64, or keeps testing a row already dropped."""
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        rng = np.random.default_rng(19)
+        _assert_native_matches_spec(
+            native, (_many_small_blocks_population(rng) for _ in range(100))
+        )
+
+    @pytest.mark.parametrize("threshold", NEED_THRESHOLDS)
+    def test_merge_table_matches_the_float_bound(self, threshold):
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        _assert_need_matches_the_float_bound(native, threshold)
 
     def test_native_matches_spec_with_carried_merge_bits(self):
         """Catches a merge skip that fires on the wrong pairs: across
@@ -590,6 +703,13 @@ class TestCompiledWalkMatchesSpecWalk:
             generate_rpstacks(
                 graph, baseline_config().latency, segment_length=1, jobs=2
             )
+
+    @pytest.mark.parametrize("fault", WALK_FAULTS)
+    def test_graph_direct_walk_rejects_what_it_cannot_read(self, fault):
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        _assert_walk_rejects(native, fault)
 
     def test_constructors_reject_negative_units(self):
         a, b = node_id(0, Stage.F), node_id(0, Stage.E)

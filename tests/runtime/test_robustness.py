@@ -20,7 +20,7 @@ from repro.runtime.fingerprint import file_checksum
 from repro.runtime.runner import run_suite
 from repro.simulator.traceio import TraceFormatError
 from repro.workloads.suite import make_workload
-from tests.common.test_archive import replace_member
+from tests.common.test_archive import replace_member, rewrite_meta
 
 MACROS = 50
 
@@ -139,7 +139,7 @@ def test_a_hit_reads_each_artifact_once(tmp_path, monkeypatch):
     assert opened.count("trace.npz") == 1
 
 
-@pytest.mark.parametrize("fault", ["no-archive", "meta-list"])
+@pytest.mark.parametrize("fault", ["no-archive", "meta-list", "meta-layout"])
 def test_a_trace_that_passes_its_checksum_fails_at_first_access(
     tmp_path, fault
 ):
@@ -152,6 +152,12 @@ def test_a_trace_that_passes_its_checksum_fails_at_first_access(
     if fault == "no-archive":
         target.write_bytes(b"a writer fault")
         expected = f"{target} is not an .npz archive"
+    elif fault == "meta-layout":
+        rewrite_meta(target, target, layout=5)
+        expected = (
+            f"{target} is not a trace archive: its metadata is malformed "
+            "('int' object is not iterable)"
+        )
     else:
         replace_member(
             target, target, "meta_json",

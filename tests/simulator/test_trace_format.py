@@ -66,6 +66,14 @@ GOLDEN_SPEC = WorkloadSpec(
 )
 GOLDEN_SEED = 7
 
+#: Metadata fields of the wrong shape, by kind.  Each used to end the
+#: load in a ``TypeError`` or ``ValueError`` traceback.
+MALFORMED_METAS = {
+    "layout-int": {"layout": 5},
+    "layout-pairs": {"layout": [["uop_macro_id", "int64"]]},
+    "params-int": {"workload_params": 3},
+}
+
 
 class TestPathNormalisation:
     @pytest.mark.parametrize(
@@ -166,6 +174,19 @@ class TestOtherArchives:
         assert str(excinfo.value).startswith(
             f"{path}: member meta_json {message}"
         )
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_METAS))
+    def test_a_malformed_metadata_field_names_file(self, tmp_path, kind):
+        path = rewrite_meta(
+            GOLDEN_TRACE, tmp_path / "t.npz", **MALFORMED_METAS[kind]
+        )
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_result(path)
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"{path} is not a trace archive: its metadata is malformed ("
+        )
+        assert "\n" not in message
 
     def test_loads_from_given_bytes_and_names_the_path(self, tmp_path):
         path = tmp_path / "named.npz"

@@ -16,7 +16,11 @@ from tests.common.test_archive import (
     write_bad_meta,
     write_not_archive,
 )
-from tests.simulator.test_trace_format import GOLDEN_MODEL, GOLDEN_TRACE
+from tests.simulator.test_trace_format import (
+    GOLDEN_MODEL,
+    GOLDEN_TRACE,
+    MALFORMED_METAS,
+)
 
 
 def run(capsys, *argv):
@@ -243,6 +247,18 @@ class TestArchiveErrors:
             assert done.returncode == 1
             [line] = done.stderr.splitlines()
             assert line.startswith(f"{path}: member meta_json {message}")
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_METAS))
+    def test_a_malformed_trace_metadata_field_exits_1_with_one_line(
+        self, tmp_path, kind
+    ):
+        path = rewrite_meta(
+            GOLDEN_TRACE, tmp_path / f"{kind}.npz", **MALFORMED_METAS[kind]
+        )
+        done = run_process("analyze", "gamess", "--from-trace", str(path))
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"{path} is not a trace archive: ")
 
 
 class TestCompare:
