@@ -15,74 +15,103 @@ A-A'/B'-B argument — the summed per-segment maxima can slightly exceed
 the true end-to-end critical path — is preserved and tested.
 
 Because segments are independent by construction, the traversal shards:
-each segment is walked on its own.  Each is walked by one call into the
-compiled kernel (:mod:`repro.core.native`) when it loads, which reads
-the segment's nodes and intra-segment edges straight off the graph's
-packed arrays, and otherwise by the spec walk :func:`_walk_segment`
-over the segment's :class:`~repro.graphmodel.graph.SegmentView`, which
-reduces each converging node with
-:func:`~repro.core.reduction.reduce_stacks`.  With ``jobs > 1`` the
-kernel's calls run on a thread pool, since ctypes releases the
-interpreter lock for each call; the spec walk stays serial.  Per-segment
-results are kept in segment order, so serial and threaded generation
-produce bit-identical models (pinned by a differential test over the
-full workload suite).
+each segment is walked on its own.  Both walks take the same input, the
+graph and the segment's node range, and read its nodes and
+intra-segment edges straight off the graph's packed arrays: one call
+into the compiled kernel (:mod:`repro.core.native`) when it loads, and
+otherwise the spec walk :func:`_walk_segment`, which reduces each
+converging node with :func:`~repro.core.reduction.reduce_stacks`.  The
+choice is made once per generation.  With ``jobs > 1`` the kernel's
+calls run on a thread pool, since ctypes releases the interpreter lock
+for each call; the spec walk stays serial.  Per-segment results are
+kept in segment order, so serial and threaded generation produce
+bit-identical models (pinned by a differential test over the full
+workload suite).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.core.model import GenerationStats, RpStacksModel
-from repro.core.native import NativeWalk, load_native, native_mode
+from repro.core.native import load_native, native_mode
 from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.obs import clock
 from repro.obs.observer import Observer, get_observer
-from repro.graphmodel.graph import DependenceGraph, SegmentView
+from repro.graphmodel.graph import (
+    DependenceGraph,
+    _charge_matrix,
+    _kahn_order,
+)
 from repro.graphmodel.nodes import NODES_PER_UOP
 
 
+#: A segment walk: ``(graph, lo, hi, theta, policy)`` to ``(sink_stacks,
+#: candidate_stacks, reductions, work)``.
+WalkFn = Callable[
+    [DependenceGraph, int, int, np.ndarray, ReductionPolicy],
+    Tuple[np.ndarray, int, int, Dict[str, int]],
+]
+
+
 def _walk_segment(
-    view: SegmentView,
+    graph: DependenceGraph,
+    lo: int,
+    hi: int,
     base_theta: np.ndarray,
     policy: ReductionPolicy,
-) -> Tuple[np.ndarray, int, int]:
-    """Propagate stacks through one segment; return its sink population.
+) -> Tuple[np.ndarray, int, int, Dict[str, int]]:
+    """Propagate stacks through the segment over nodes ``lo .. hi - 1``.
 
     The spec walk, which the compiled walk
     (:meth:`repro.core.native.NativeWalk.walk_segment`) must match bit
-    for bit: per-node state lives in a slot table indexed by local node
-    id, candidate populations are assembled with batched adds into one
-    reused buffer, and :func:`~repro.core.reduction.reduce_stacks`
-    reduces each converging node.
+    for bit, on the same input: the graph's in-edge CSR and packed
+    charges.  An in-edge whose source lies outside the segment crosses
+    its boundary and is dropped; the rest keep the graph's CSR order.
+    Per-node state lives in a slot table indexed by local node id
+    (global id minus *lo*), candidate populations are assembled with
+    batched adds into one reused buffer, and
+    :func:`~repro.core.reduction.reduce_stacks` reduces each converging
+    node.
 
     Returns:
-        ``(sink_stacks, candidate_stacks, reductions)`` — the reduced
-        population at the segment's sink plus reduction statistics.
+        ``(sink_stacks, candidate_stacks, reductions, work)`` — the
+        reduced population at the segment's sink, node ``hi - 1``, plus
+        reduction statistics; *work* is empty, since only the kernel
+        counts its reductions' work.
     """
+    num_nodes = hi - lo
+    begin, end = int(graph.in_indptr[lo]), int(graph.in_indptr[hi])
+    edge_src = graph.edge_src[begin:end]
+    intra = (edge_src >= lo) & (edge_src < hi)
+    edge_src = edge_src[intra] - lo
+    edge_dst = graph.edge_dst[begin:end][intra] - lo
+    charges = _charge_matrix(
+        graph.events[begin:end][intra], graph.units[begin:end][intra]
+    )
+    in_degree = np.bincount(edge_dst, minlength=num_nodes)
     # Python lists for the per-node bookkeeping: scalar indexing into
     # ndarrays costs a boxing allocation per access, which adds up over
     # hundreds of thousands of nodes.
-    indptr = view.in_indptr.tolist()
-    src = view.edge_src.tolist()
-    charges = view.charge_matrix()
+    degree = in_degree.tolist()
+    indptr = np.concatenate(([0], np.cumsum(in_degree))).tolist()
+    src = edge_src.tolist()
     has_charge = (charges != 0).any(axis=1).tolist()
-    degree = np.diff(view.in_indptr).tolist()
 
     zero_set = np.zeros((1, NUM_EVENTS))
-    sets: List[Optional[np.ndarray]] = [None] * view.num_nodes
+    sets: List[Optional[np.ndarray]] = [None] * num_nodes
     # One growing buffer assembles every node's candidate population;
     # reduce_stacks copies survivors out, so the buffer is free to reuse.
     buffer = np.empty((64, NUM_EVENTS))
     candidate_stacks = 0
     reductions = 0
 
-    for v in view.topological_order().tolist():
+    for v in _kahn_order(num_nodes, edge_src, edge_dst):
         deg = degree[v]
         if deg == 0:
             sets[v] = zero_set  # segment entry: start from nothing
@@ -113,7 +142,7 @@ def _walk_segment(
         reductions += 1
         sets[v] = reduce_stacks(candidates, base_theta, policy)
 
-    return sets[view.sink_local].copy(), candidate_stacks, reductions
+    return sets[num_nodes - 1].copy(), candidate_stacks, reductions, {}
 
 
 def _walk_one(
@@ -122,43 +151,33 @@ def _walk_one(
     segment_length: int,
     theta: np.ndarray,
     policy: ReductionPolicy,
-    native: Optional[NativeWalk],
+    walk: WalkFn,
     obs: Observer,
 ) -> Tuple[np.ndarray, int, int]:
-    """Walk one segment under its ``stacks.segment`` span.
+    """Walk one segment with *walk* under its ``stacks.segment`` span.
 
-    One call into the compiled kernel, straight off the graph's packed
-    arrays, when it is loaded (*native*); otherwise the spec walk
-    :func:`_walk_segment` over the segment's
-    :class:`~repro.graphmodel.graph.SegmentView`.  The serial and the
-    threaded walk both call this, so each segment records the same span
-    and ``stacks.segment_seconds`` observation either way.  The kernel
-    also counts its reductions' work, recorded on the span and summed
-    into the ``stacks.cover_tests`` and ``stacks.similarity_evals``
-    counters; the spec walk counts none.
+    The serial and the threaded walk both call this, so each segment
+    records the same span and ``stacks.segment_seconds`` observation
+    either way.  The work a walk counts (the kernel counts its
+    reductions' cover tests and similarity evaluations; the spec walk
+    counts none) is recorded on the span and summed into the
+    ``stacks.cover_tests`` and ``stacks.similarity_evals`` counters.
     """
     first_uop, num_uops = graph.segment_uops(segment, segment_length)
+    lo = first_uop * NODES_PER_UOP
     start = clock.perf_seconds()
     with obs.span("stacks.segment", segment=segment, uops=num_uops) as span:
-        if native is None:
-            view = graph.segment_view(segment, segment_length)
-            result = _walk_segment(view, theta, policy)
-            work: Dict[str, int] = {}
-        else:
-            lo = first_uop * NODES_PER_UOP
-            stacks, candidates, reductions, work = native.walk_segment(
-                graph, lo, lo + num_uops * NODES_PER_UOP, theta, policy
-            )
-            result = stacks, candidates, reductions
+        stacks, candidates, reductions, work = walk(
+            graph, lo, lo + num_uops * NODES_PER_UOP, theta, policy
+        )
     if obs.enabled:
-        stacks, _, reductions = result
         span.set(paths=stacks.shape[0], reductions=reductions, **work)
         for name, count in work.items():
             obs.counter(f"stacks.{name}").inc(count)
         obs.histogram("stacks.segment_seconds").observe(
             clock.perf_seconds() - start
         )
-    return result
+    return stacks, candidates, reductions
 
 
 class RpStacksGenerator:
@@ -218,6 +237,7 @@ class RpStacksGenerator:
         # Only the kernel's walk gains from threads: ctypes releases the
         # interpreter lock for each call, and the spec walk holds it.
         threads = min(self.jobs, num_segments) if native is not None else 1
+        walk = _walk_segment if native is None else native.walk_segment
         with obs.span(
             "stacks.generate",
             uops=self.graph.num_uops,
@@ -226,7 +246,7 @@ class RpStacksGenerator:
             native=native is not None,
             threads=threads,
         ) as span:
-            model = self._generate(native, threads, obs)
+            model = self._generate(walk, threads, obs)
         if obs.enabled:
             span.set(
                 paths=model.num_paths, segments=model.num_segments
@@ -239,17 +259,17 @@ class RpStacksGenerator:
         return model
 
     def _generate(
-        self, native: Optional[NativeWalk], threads: int, obs: Observer
+        self, walk: WalkFn, threads: int, obs: Observer
     ) -> RpStacksModel:
         start_time = clock.perf_seconds()
         graph = self.graph
         segments = range(graph.num_segments(self.segment_length))
         theta = self.baseline.as_vector()
 
-        def walk(segment: int) -> Tuple[np.ndarray, int, int]:
+        def walk_one(segment: int) -> Tuple[np.ndarray, int, int]:
             return _walk_one(
                 graph, segment, self.segment_length, theta, self.policy,
-                native, obs,
+                walk, obs,
             )
 
         if threads > 1:
@@ -257,9 +277,9 @@ class RpStacksGenerator:
             # wait for one is interrupted, its iterator cancels the
             # queued walks before the exception propagates.
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                walked = list(pool.map(walk, segments))
+                walked = list(pool.map(walk_one, segments))
         else:
-            walked = [walk(segment) for segment in segments]
+            walked = [walk_one(segment) for segment in segments]
 
         # The segments partition the graph's nodes.
         stats = GenerationStats(

@@ -6,20 +6,20 @@ node — tens of thousands of times per workload — on populations of a few
 dozen rows.  At that size a Python walk is bounded by interpreter and
 ufunc dispatch overhead, not arithmetic.  This module compiles (once,
 cached) a small C kernel that walks one whole segment in a single call,
-straight off the graph's packed arrays.  It takes the whole graph's
-in-edge CSR (``in_indptr``, ``edge_src``), its packed ``events`` /
-``units`` charge slots and the segment's node range, so no
-:class:`~repro.graphmodel.graph.SegmentView`, dense charge matrix or
-per-segment array copy is built for it:
+straight off the graph's packed arrays.  It takes the spec walk's input,
+the whole graph's in-edge CSR (``in_indptr``, ``edge_src``), its packed
+``events`` / ``units`` charge slots and the segment's node range, so no
+dense charge matrix or per-segment array copy is built for it:
 
 * the segment's own CSR over its intra in-edges, dropping each in-edge
-  whose source lies outside the range: the rule
-  :meth:`~repro.graphmodel.graph.DependenceGraph.segment_view` applies,
-  in the same CSR order.  Every row pointer, source, event id and unit
-  count it reads is checked first, and one out of range is a
-  :class:`ValueError`;
-* Kahn topological order over that CSR, failing on a cycle exactly like
-  :meth:`SegmentView.topological_order`;
+  whose source lies outside the range, in the graph's CSR order: the
+  spec walk's rule.  Every row pointer, source, event id and unit count
+  it reads is checked first, and one out of range is a
+  :class:`ValueError` (the graph's constructor rejects them too, but
+  the arrays can change after it);
+* Kahn topological order over that CSR, failing on a cycle with the
+  same :class:`~repro.graphmodel.graph.GraphBuildError` as the spec
+  walk;
 * each edge charge applied from its at most ``MAX_EDGE_EVENTS`` packed
   ``(event, units)`` slots: values, units and latencies are
   integer-valued, so adding and pricing a charge slot by slot gives
@@ -1110,13 +1110,15 @@ class NativeWalk:
         single call, straight off the graph's packed arrays.
 
         The kernel drops each in-edge whose source lies outside the
-        segment, the rule :meth:`DependenceGraph.segment_view` applies,
-        and adds each charge from its packed slots; the segment's sink
-        is node ``hi - 1``.  *theta* must be float64 of ``NUM_EVENTS``
-        entries.  Returns ``(sink_stacks, candidate_stacks, reductions,
-        work)``: the spec walk's three results, plus the reductions'
-        work as ``{"cover_tests": ..., "similarity_evals": ...}``
-        (dominance cover tests run and merge similarities evaluated).
+        segment, the rule the spec walk
+        (:func:`repro.core.generator._walk_segment`) applies to the same
+        input, and adds each charge from its packed slots; the
+        segment's sink is node ``hi - 1``.  *theta* must be float64 of
+        ``NUM_EVENTS`` entries.  Returns the spec walk's
+        ``(sink_stacks, candidate_stacks, reductions, work)``, with the
+        reductions' work filled in as ``{"cover_tests": ...,
+        "similarity_evals": ...}`` (dominance cover tests run and merge
+        similarities evaluated).
         Raises :class:`GraphBuildError` on a cyclic segment, and
         :class:`ValueError` on arrays the kernel cannot read safely: a
         segment outside the graph, a source outside it, an event id of

@@ -22,7 +22,6 @@ and parents; ``REPRO_NATIVE=0`` runs the spec.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS
 from repro.graphmodel.nodes import NODES_PER_UOP, Stage, node_id
+from repro.obs.observer import get_observer
 
 #: Maximum (event, units) pairs an edge can carry.
 MAX_EDGE_EVENTS = 3
@@ -91,66 +91,6 @@ def _kahn_order(
     return topo
 
 
-@dataclass
-class SegmentView:
-    """One segment's slice of a dependence graph (Fig 7b).
-
-    Segmentation makes segments *independent by construction*: edges
-    crossing a segment boundary are dropped and every segment starts
-    from a fresh zero stack.  A view therefore carries everything a
-    traversal of that segment needs — the intra-segment edges in local
-    (segment-relative) CSR form plus their packed event charges — and
-    nothing else, so each segment walks on its own.
-
-    Local node ``v`` corresponds to global node ``node_offset + v``; the
-    in-edge order per node matches the parent graph's CSR order, so a
-    walk over a view gathers predecessor blocks in the parent graph's
-    in-edge order.
-    """
-
-    segment: int
-    first_uop: int
-    num_uops: int
-    node_offset: int
-    num_nodes: int
-    #: (num_nodes + 1,) CSR row pointer over *intra-segment* in-edges.
-    in_indptr: np.ndarray
-    #: (m,) local source node per intra-segment edge, CSR order.
-    edge_src: np.ndarray
-    #: (m, MAX_EDGE_EVENTS) packed event ids (zero-padded).
-    events: np.ndarray
-    #: (m, MAX_EDGE_EVENTS) packed event units (zero-padded).
-    units: np.ndarray
-    _topo: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def sink_local(self) -> int:
-        """Local id of the segment's sink: the last µop's commit node."""
-        return self.num_uops * NODES_PER_UOP - 1
-
-    def charge_matrix(self) -> np.ndarray:
-        """Dense (m x NUM_EVENTS) charge matrix of the intra edges."""
-        return _charge_matrix(self.events, self.units)
-
-    def topological_order(self) -> np.ndarray:
-        """Topological order of the segment's nodes (computed once).
-
-        Any topological order yields bit-identical traversal results (a
-        node's stacks depend only on its predecessors' stacks and its
-        in-edge CSR order), so this order needs no relation to the
-        parent graph's global order.
-        """
-        if self._topo is None:
-            n = self.num_nodes
-            edge_dst = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self.in_indptr)
-            )
-            self._topo = np.asarray(
-                _kahn_order(n, self.edge_src, edge_dst), dtype=np.int64
-            )
-        return self._topo
-
-
 class DependenceGraph:
     """Immutable dependence graph over ``13 * num_uops`` nodes.
 
@@ -165,7 +105,11 @@ class DependenceGraph:
       of ``(event, units)`` pairs, zero-padded: a slot with zero units
       holds event 0;
     * no unit count is negative: stall-event stacks are non-negative,
-      which the compiled segment walk relies on.
+      which the compiled segment walk relies on;
+    * every source and destination is a node id in
+      ``0 .. num_nodes - 1`` and every event id is in
+      ``0 .. NUM_EVENTS - 1``, so the spec and compiled passes read the
+      same graph.
     """
 
     def __init__(
@@ -195,6 +139,22 @@ class DependenceGraph:
             raise GraphBuildError("edges carry a negative unit count")
         if ((self.units == 0) & (self.events != 0)).any():
             raise GraphBuildError("a zero-unit slot must hold event 0")
+        if self.num_edges and (
+            # Sorted destinations: their range is their first and last.
+            self.edge_dst[0] < 0
+            or self.edge_dst[-1] >= self.num_nodes
+            or self.edge_src.min() < 0
+            or self.edge_src.max() >= self.num_nodes
+        ):
+            raise GraphBuildError(
+                f"an edge names a node outside 0 .. {self.num_nodes - 1}"
+            )
+        if self.num_edges and (
+            self.events.min() < 0 or self.events.max() >= NUM_EVENTS
+        ):
+            raise GraphBuildError(
+                f"an edge charges an event outside 0 .. {NUM_EVENTS - 1}"
+            )
 
         # CSR over incoming edges (edges are sorted by dst).
         self.in_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
@@ -234,7 +194,9 @@ class DependenceGraph:
     ) -> Tuple[int, int]:
         """``(first_uop, num_uops)`` of one segment; its nodes are
         ``NODES_PER_UOP`` per µop from ``first_uop * NODES_PER_UOP``.
-        Raises :class:`IndexError` for a segment out of range."""
+        Both segment walks drop each in-edge of those nodes whose source
+        lies outside them (§IV-D).  Raises :class:`IndexError` for a
+        segment out of range."""
         count = self.num_segments(segment_length)
         if not 0 <= segment < count:
             raise IndexError(
@@ -242,42 +204,6 @@ class DependenceGraph:
             )
         first_uop = segment * segment_length
         return first_uop, min(segment_length, self.num_uops - first_uop)
-
-    def segment_view(self, segment: int, segment_length: int) -> SegmentView:
-        """Slice out one segment's nodes and intra-segment edges.
-
-        Reuses the packed CSR arrays: edges are stored sorted by
-        destination, so a segment's candidate in-edges occupy one
-        contiguous slice, from which cross-boundary edges (sources
-        outside the segment) are masked out — the paper's rule that
-        boundary-crossing dependences are dropped.  The surviving edges
-        keep their relative CSR order, so per-node predecessor order is
-        the parent graph's.
-        """
-        first_uop, seg_uops = self.segment_uops(segment, segment_length)
-        lo = first_uop * NODES_PER_UOP
-        n = seg_uops * NODES_PER_UOP
-        hi = lo + n
-
-        begin = int(self.in_indptr[lo])
-        end = int(self.in_indptr[hi])
-        src = self.edge_src[begin:end]
-        intra = (src >= lo) & (src < hi)
-        per_node = np.diff(self.in_indptr[lo : hi + 1])
-        dst_local = np.repeat(np.arange(n, dtype=np.int64), per_node)[intra]
-        in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst_local, minlength=n), out=in_indptr[1:])
-        return SegmentView(
-            segment=segment,
-            first_uop=first_uop,
-            num_uops=seg_uops,
-            node_offset=lo,
-            num_nodes=n,
-            in_indptr=in_indptr,
-            edge_src=(src[intra] - lo).astype(np.int64),
-            events=self.events[begin:end][intra],
-            units=self.units[begin:end][intra],
-        )
 
     # ------------------------------------------------------------------
 
@@ -329,13 +255,18 @@ class DependenceGraph:
         """``(dist, parent)`` arrays over every node: the compiled kernel
         when it loads, else the spec :meth:`_relax`, with the same
         values.  ``parent`` holds each node's winning in-edge (-1 for
-        none), and is ``None`` unless *track_parents*.
+        none), and is ``None`` unless *track_parents*.  A spec run
+        because the kernel failed to load in auto mode counts
+        ``graph.native_fallbacks``; one under ``REPRO_NATIVE=0`` counts
+        nothing.
         """
         # Local import: repro.core imports this module.
-        from repro.core.native import load_native
+        from repro.core.native import load_native, native_mode
 
         native = load_native()
         if native is None:
+            if native_mode() == "auto":
+                get_observer().counter("graph.native_fallbacks").inc()
             dist, parent = self._relax(latency, track_parents)
             return np.asarray(dist), (
                 np.asarray(parent, dtype=np.int64) if track_parents else None

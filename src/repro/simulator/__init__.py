@@ -23,11 +23,7 @@ from repro.simulator.prefetch import (
     StridePrefetcher,
     make_prefetcher,
 )
-from repro.simulator.native import (
-    UnsupportedWorkloadError,
-    load_native_sim,
-    try_native_simulate,
-)
+from repro.simulator.native import UnsupportedWorkloadError, load_native_sim
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.traceio import load_result, result_digest, save_result
 from repro.simulator.tlb import TLB
@@ -71,5 +67,4 @@ __all__ = [
     "save_result",
     "run_prepass",
     "simulate",
-    "try_native_simulate",
 ]

@@ -37,7 +37,7 @@ from repro.common.config import MicroarchConfig
 from repro.common.events import LATENCY_DOMAIN, EventType
 from repro.isa.uop import OpClass, Workload
 from repro.simulator.columns import TIMESTAMP_COLUMNS, TraceColumns
-from repro.simulator.prepass import PrepassResult, run_prepass
+from repro.simulator.prepass import PrepassResult
 from repro.simulator.trace import SimResult
 
 #: Functional-unit class per op class.
@@ -547,7 +547,10 @@ def simulate(
     warm_caches: bool = True,
     native: Optional[bool] = None,
 ) -> SimResult:
-    """Run one full timing simulation.
+    """Run one full timing simulation: one
+    :class:`~repro.simulator.machine.Machine` run at *config*'s own
+    latency, so a one-shot run records the same ``sim.prepass`` and
+    ``sim.run`` spans and counters as any other.
 
     Args:
         workload: the dynamic micro-op stream.
@@ -562,13 +565,9 @@ def simulate(
     Returns:
         The :class:`~repro.simulator.trace.SimResult` of the run.
     """
-    if native is not False:
-        from repro.simulator.native import try_native_simulate
+    # Local import: the machine module imports this one.
+    from repro.simulator.machine import Machine
 
-        result = try_native_simulate(
-            workload, config, warm_caches=warm_caches, native=native
-        )
-        if result is not None:
-            return result
-    prepass = run_prepass(workload, config, warm_caches=warm_caches)
-    return TimingSimulator(workload, config, prepass).run()
+    return Machine(
+        workload, config, warm_caches=warm_caches, native=native
+    ).simulate()

@@ -9,7 +9,9 @@ one structure, many latency configurations.
 The implementation is chosen once, when the pre-pass runs: a compiled
 pre-pass is priced by the compiled timing loop at every latency point,
 and a Python one by :class:`~repro.simulator.core.TimingSimulator`.
-Either way each run starts with unbound structural witnesses.
+Either way each run starts with unbound structural witnesses.  A
+one-shot :func:`~repro.simulator.core.simulate` is one run of a
+``Machine``, so this is the simulator's only switch.
 """
 
 from __future__ import annotations

@@ -1523,21 +1523,3 @@ def native_timing(
         ),
         stats=stats,
     )
-
-
-def try_native_simulate(
-    workload: Workload,
-    config: MicroarchConfig,
-    warm_caches: bool = True,
-    native: Optional[bool] = None,
-) -> Optional[SimResult]:
-    """Compiled pre-pass + timing run, or ``None`` to fall back.
-
-    This is the fast path for one-shot :func:`repro.simulator.simulate`
-    calls: both C kernels run back to back and the result is assembled
-    directly into :class:`TraceColumns` from the C outcome arrays.
-    """
-    pp = try_native_prepass(workload, config, warm_caches, native=native)
-    if pp is None:
-        return None
-    return native_timing(workload, config, pp)

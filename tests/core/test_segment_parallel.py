@@ -7,9 +7,10 @@ parallel walk must be *invisible* in the results:
 1. ``jobs=N`` (segments walked on threads) produces a byte-identical
    :class:`RpStacksModel` to ``jobs=1`` on every suite workload
    (order-merged segment results);
-2. every segment view equals the flat edge list filtered to the edges
-   whose two ends lie in its segment, so the per-segment walk sees
-   exactly the graph segmentation leaves;
+2. both walks read a segment as the graph plus its node range, and each
+   walks it exactly as it walks a graph of that segment's intra edges
+   alone, so the per-segment walk sees exactly the graph segmentation
+   leaves;
 3. the compiled segment walk is bit-identical to the spec walk
    (``_walk_segment`` over ``reduce_stacks``): at the reduce level
    (fuzz over block-structured populations), end-to-end over every
@@ -27,7 +28,11 @@ import pytest
 
 from repro.common.config import baseline_config
 from repro.common.events import NUM_EVENTS, EventType
-from repro.core.generator import RpStacksGenerator, generate_rpstacks
+from repro.core.generator import (
+    RpStacksGenerator,
+    _walk_segment,
+    generate_rpstacks,
+)
 from repro.core.native import load_native
 from repro.core.reduction import ReductionPolicy, reduce_stacks
 from repro.graphmodel.builder import build_graph, pack_edges
@@ -111,86 +116,76 @@ def slice_graphs():
     }
 
 
-class TestSegmentView:
-    def test_covers_all_nodes_without_overlap(self):
-        graph = _graph("gamess")
-        count = graph.num_segments(SEGMENT_LENGTH)
-        assert count > 1
-        total = 0
-        for seg in range(count):
-            view = graph.segment_view(seg, SEGMENT_LENGTH)
-            assert view.node_offset == total
-            total += view.num_nodes
-        assert total == graph.num_nodes
+def _segment_alone(graph, lo, hi):
+    """The one-segment graph of nodes ``lo .. hi - 1``: the flat edge
+    list filtered to the edges whose two ends lie in the range, re-based
+    to node 0, in the graph's CSR order."""
+    kept = np.flatnonzero(
+        (graph.edge_src >= lo) & (graph.edge_src < hi)
+        & (graph.edge_dst >= lo) & (graph.edge_dst < hi)
+    )
+    return DependenceGraph(
+        (hi - lo) // NODES_PER_UOP,
+        graph.edge_src[kept] - lo,
+        graph.edge_dst[kept] - lo,
+        graph.events[kept],
+        graph.units[kept],
+    )
 
-    def test_drops_only_cross_boundary_edges(self):
-        graph = _graph("gamess")
-        count = graph.num_segments(SEGMENT_LENGTH)
-        kept = sum(
-            graph.segment_view(seg, SEGMENT_LENGTH).edge_src.shape[0]
-            for seg in range(count)
-        )
-        # Count intra-segment edges straight off the flat edge list.
-        seg_of = lambda node: node // (
-            SEGMENT_LENGTH * (graph.num_nodes // graph.num_uops)
-        )
-        intra = sum(
-            1
-            for s, d in zip(graph.edge_src, graph.edge_dst)
-            if seg_of(int(s)) == seg_of(int(d))
-        )
-        assert kept == intra
-        assert kept < graph.edge_src.shape[0]
 
-    def test_local_edges_stay_in_range(self):
-        graph = _graph("mcf")
-        view = graph.segment_view(0, SEGMENT_LENGTH)
-        assert (view.edge_src >= 0).all()
-        assert (view.edge_src < view.num_nodes).all()
-        assert view.in_indptr[-1] == view.edge_src.shape[0]
+class TestSegmentWalkInput:
+    """Both walks read a segment as ``(graph, lo, hi)`` and drop each
+    in-edge whose source lies outside the range.  Each must walk it
+    exactly as it walks a graph built from that segment's intra edges
+    alone."""
 
-    def test_out_of_range_segment_rejected(self):
-        graph = _graph("gamess")
-        count = graph.num_segments(SEGMENT_LENGTH)
-        with pytest.raises(IndexError):
-            graph.segment_view(count, SEGMENT_LENGTH)
-        with pytest.raises(IndexError):
-            graph.segment_view(-1, SEGMENT_LENGTH)
-
+    @pytest.mark.parametrize("walk", ["spec", "compiled"])
     @pytest.mark.parametrize("segment_length", [1, 7, 64, None])
     @pytest.mark.parametrize("name", sorted(SLICE_GRAPHS))
-    def test_views_equal_the_filtered_edge_list(
-        self, slice_graphs, name, segment_length
+    def test_walk_equals_the_walk_of_the_segment_alone(
+        self, slice_graphs, name, segment_length, walk
     ):
-        """Each view is the flat edge list filtered to edges whose two
-        ends lie in the segment, in CSR (stable by-destination) order."""
+        walk_fn = _walk_segment
+        if walk == "compiled":
+            native = load_native()
+            if native is None:
+                pytest.skip("no C toolchain available in this environment")
+            walk_fn = native.walk_segment
         graph = slice_graphs[name]
         length = segment_length or graph.num_uops
-        segment_of_src = graph.edge_src // (length * NODES_PER_UOP)
-        segment_of_dst = graph.edge_dst // (length * NODES_PER_UOP)
+        theta = baseline_config().latency.as_vector()
+        policy = ReductionPolicy()
+        dropped = 0
         for seg in range(graph.num_segments(length)):
-            view = graph.segment_view(seg, length)
-            first_uop = seg * length
-            num_uops = min(length, graph.num_uops - first_uop)
-            offset = first_uop * NODES_PER_UOP
-            num_nodes = num_uops * NODES_PER_UOP
-            assert (
-                view.first_uop, view.num_uops, view.node_offset,
-                view.num_nodes,
-            ) == (first_uop, num_uops, offset, num_nodes)
+            first_uop, num_uops = graph.segment_uops(seg, length)
+            lo = first_uop * NODES_PER_UOP
+            hi = lo + num_uops * NODES_PER_UOP
+            alone = _segment_alone(graph, lo, hi)
+            dropped += graph.in_indptr[hi] - graph.in_indptr[lo]
+            dropped -= alone.num_edges
+            stacks, *counts = walk_fn(graph, lo, hi, theta, policy)
+            expected, *expected_counts = walk_fn(
+                alone, 0, alone.num_nodes, theta, policy
+            )
+            assert np.array_equal(stacks, expected), seg
+            assert counts == expected_counts, seg
+        assert (dropped > 0) == (length < graph.num_uops)
 
-            kept = np.flatnonzero(
-                (segment_of_src == seg) & (segment_of_dst == seg)
-            )
-            kept = kept[np.argsort(graph.edge_dst[kept], kind="stable")]
-            in_degree = np.bincount(
-                graph.edge_dst[kept] - offset, minlength=num_nodes
-            )
-            assert view.in_indptr[0] == 0
-            assert np.array_equal(np.diff(view.in_indptr), in_degree)
-            assert np.array_equal(view.edge_src, graph.edge_src[kept] - offset)
-            assert np.array_equal(view.events, graph.events[kept])
-            assert np.array_equal(view.units, graph.units[kept])
+    @pytest.mark.parametrize("segment_length", [1, 7, 64, None])
+    def test_segments_partition_the_uops(self, slice_graphs, segment_length):
+        graph = slice_graphs["gamess"]
+        length = segment_length or graph.num_uops
+        count = graph.num_segments(length)
+        next_uop = 0
+        for seg in range(count):
+            first_uop, num_uops = graph.segment_uops(seg, length)
+            assert first_uop == next_uop
+            assert 1 <= num_uops <= length
+            next_uop += num_uops
+        assert next_uop == graph.num_uops
+        for seg in (-1, count):
+            with pytest.raises(IndexError):
+                graph.segment_uops(seg, length)
 
 
 def _random_block_population(rng):

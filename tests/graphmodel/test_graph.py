@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import LatencyConfig
-from repro.common.events import EventType
+from repro.common.events import NUM_EVENTS, EventType
 from repro.graphmodel.builder import pack_edges
 from repro.graphmodel.graph import (
     MAX_EDGE_EVENTS,
@@ -71,6 +71,15 @@ class TestLongestPath:
             assert dist[d] >= dist[s] + weights[e]
 
 
+#: Edge arrays naming what the graph does not hold: an event id past
+#: ``NUM_EVENTS - 1`` or below 0, a source or a destination outside
+#: nodes ``0 .. num_nodes - 1``.
+ID_FAULTS = [
+    "event-past-end", "event-negative", "source-past-end",
+    "source-negative", "destination-past-end", "destination-negative",
+]
+
+
 class TestStructure:
     def test_edge_weights_price_charges(self):
         graph = diamond_graph()
@@ -132,6 +141,27 @@ class TestStructure:
         padded[0, 1] = int(EventType.L1D)
         with pytest.raises(GraphBuildError, match="zero-unit slot"):
             DependenceGraph(1, [a, b], [b, c], padded, rows)
+
+    @pytest.mark.parametrize("fault", ID_FAULTS)
+    def test_constructor_rejects_ids_outside_the_graph(self, fault):
+        """Rejected up front, so no pass reads an edge that one walk or
+        longest path would drop and the other fail on."""
+        graph = diamond_graph()
+        src, dst = graph.edge_src.copy(), graph.edge_dst.copy()
+        events, units = graph.events.copy(), graph.units.copy()
+        if fault.startswith("event"):
+            events[1, 2] = NUM_EVENTS if fault == "event-past-end" else -1
+            units[1, 2] = 2
+        elif fault == "source-past-end":
+            src[1] = graph.num_nodes + 7
+        elif fault == "source-negative":
+            src[1] = -1
+        elif fault == "destination-past-end":
+            dst[-1] = graph.num_nodes + 3
+        else:
+            dst[0] = -1
+        with pytest.raises(GraphBuildError, match="outside"):
+            DependenceGraph(graph.num_uops, src, dst, events, units)
 
     def test_sink_is_last_commit_node(self):
         graph = diamond_graph()

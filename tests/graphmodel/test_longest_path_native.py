@@ -16,9 +16,11 @@ import pytest
 
 from repro.common.config import baseline_config
 from repro.common.events import EventType
+from repro.core import native
 from repro.core.native import load_native
 from repro.graphmodel.builder import build_graph, pack_edges
 from repro.graphmodel.graph import DependenceGraph
+from repro.obs.observer import Observer, use_observer
 from repro.simulator.core import simulate
 from repro.workloads import STRESS_KERNELS
 from repro.workloads.suite import make_workload, suite_names
@@ -101,3 +103,33 @@ def test_compiled_longest_path_matches_spec(monkeypatch, name):
         assert dist == theirs[0], latency.describe()
         assert (length, stack, total) == theirs[1:], latency.describe()
         assert length == total == dist[graph.sink]
+
+
+@pytest.mark.parametrize(
+    "gate,load_failed,fallbacks",
+    [("auto", True, 3), ("0", True, None), ("auto", False, None)],
+    ids=["failed-load", "asked-for-spec", "loaded"],
+)
+def test_only_a_failed_kernel_load_counts_a_fallback(
+    monkeypatch, gate, load_failed, fallbacks
+):
+    """Each longest path that runs the spec relax because the compiled
+    kernel failed to load in auto mode counts one
+    ``graph.native_fallbacks``; one under ``REPRO_NATIVE=0``, where the
+    spec was asked for, counts none, and so does one on the loaded
+    kernel."""
+    graph = _graph("gamess")
+    monkeypatch.setenv("REPRO_NATIVE", gate)
+    if load_failed:
+        # How load_gated remembers a failed best-effort load.
+        monkeypatch.setitem(native._LOADED, "reducer", None)
+    elif load_native() is None:
+        pytest.skip("no C toolchain available in this environment")
+    base = baseline_config().latency
+    obs = Observer(enabled=True, progress_stream=None)
+    with use_observer(obs):
+        graph.longest_path_length(base)
+        graph.critical_path(base)
+        graph.node_distances(base)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters.get("graph.native_fallbacks") == fallbacks

@@ -182,6 +182,27 @@ def test_runs_share_no_stamp_array(tiny_workload):
             ), (name, other)
 
 
+@pytest.mark.parametrize(
+    "native",
+    [pytest.param(None, marks=requires_native), False],
+    ids=["compiled", "python"],
+)
+def test_one_shot_simulate_is_one_machine_run(native):
+    """A one-shot run records what a machine's first run records: one
+    ``sim.prepass`` span saying which simulator ran, one ``sim.run``
+    span and the run counters."""
+    obs = Observer(enabled=True, progress_stream=None)
+    with use_observer(obs):
+        simulate(daxpy(iterations=8), baseline_config(), native=native)
+    spans = [s for s in obs.tracer.spans if s.name.startswith("sim.")]
+    assert [s.name for s in spans] == ["sim.prepass", "sim.run"]
+    compiled = native is None
+    assert spans[0].attrs["native"] is compiled
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["sim.runs"] == 1
+    assert counters.get("sim.native_runs") == (1 if compiled else None)
+
+
 def test_pickled_machine_prices_identically(tiny_workload):
     machine = Machine(tiny_workload)
     machine.cycles(FIXED_POINTS[1])
@@ -292,6 +313,10 @@ class TestCyclesOnly:
             simulate(_wide_agen(), baseline_config())
         counters = obs.metrics.snapshot()["counters"]
         assert counters["sim.native_fallbacks"] == 1
+        spans = [s for s in obs.tracer.spans if s.name.startswith("sim.")]
+        assert [s.name for s in spans] == ["sim.prepass", "sim.run"]
+        assert spans[0].attrs["native"] == "fallback"
+        assert "sim.native_runs" not in counters
 
     def test_prepass_span_says_which_simulator_ran(self):
         obs = Observer(enabled=True, progress_stream=None)

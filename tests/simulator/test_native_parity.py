@@ -33,7 +33,6 @@ from repro.simulator.native import (
     UnsupportedWorkloadError,
     load_native_sim,
     resolve_native,
-    try_native_simulate,
 )
 from repro.simulator.traceio import result_digest
 from repro.workloads.kernels import STRESS_KERNELS, daxpy
@@ -174,7 +173,7 @@ class TestFallback:
         assert result_digest(auto) == result_digest(python)
         if load_native_sim() is not None:
             with pytest.raises(UnsupportedWorkloadError):
-                try_native_simulate(workload, config, native=True)
+                simulate(workload, config, native=True)
 
     def test_gate_off_disables_native(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
